@@ -50,6 +50,11 @@ DERIV_ZERO_TOL = 1e-10
 
 _TIE_TOL = 1e-12
 
+#: Largest inverse temperature the critical couplings accept.  The spinodal
+#: e^beta/(4 beta) brackets the first-order search from above, and the well
+#: depth evaluated there squares 2 beta K, which overflows near beta = 356.
+BETA_MAX = 300.0
+
 
 @dataclass(frozen=True)
 class CanonicalCriticals:
@@ -126,6 +131,14 @@ def tilt_potential(params: CanonicalParams, w: float, order: int = 0) -> float:
 # Critical couplings
 # ---------------------------------------------------------------------------
 
+def _check_beta(beta):
+    if not (math.isfinite(beta) and 0.0 < beta <= BETA_MAX):
+        raise DomainError(
+            f"beta must be finite and in (0, BETA_MAX = {BETA_MAX}]: above it "
+            f"the spinodal e^beta/(4 beta) that brackets the first-order "
+            f"search is too large for float arithmetic, got {beta}")
+
+
 def second_order_coupling(beta: float) -> float:
     """Coupling at which the curvature of the potential at z = 0 vanishes:
     1/(2 beta c''(0)) = e^beta/(4 beta) + 1/(2 beta).
@@ -133,16 +146,14 @@ def second_order_coupling(beta: float) -> float:
     This is the continuous critical coupling for beta <= BETA_C; for larger
     beta the same expression is the spinodal of the disordered branch.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    _check_beta(beta)
     return math.exp(beta) / (4.0 * beta) + 1.0 / (2.0 * beta)
 
 
 def cumulant_inflection(beta: float) -> float:
     """Positive w at which c' switches from convex to concave:
     arccosh(e^beta/2 - 4 e^-beta), defined for beta >= BETA_C (zero at BETA_C)."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    _check_beta(beta)
     x = 0.5 * math.exp(beta) - 4.0 * math.exp(-beta)
     if x < 1.0:
         raise DomainError(
@@ -294,8 +305,7 @@ def _continuous_branch(beta):
 
 def canonical_criticals(beta: float) -> CanonicalCriticals:
     """All critical couplings at this beta, with undefined entries left None."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    _check_beta(beta)
     if _continuous_branch(beta):
         return CanonicalCriticals(beta=beta, k_second_order=second_order_coupling(beta))
     w1, k1, k2 = tangency(beta)

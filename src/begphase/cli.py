@@ -93,28 +93,33 @@ def _round12(obj):
     return obj
 
 
+def _csv_row(values):
+    return ",".join(v if isinstance(v, str) else fmt(v) for v in values)
+
+
+def _csv_preamble(args, columns, payload=None):
+    """CSV comment header (the command and every parameter flag, then the
+    payload entries, each block sorted by key) followed by the column row."""
+    cfg = args.run_config
+    items = sorted({"command": cfg.command, **cfg.bindings}.items())
+    items += sorted((payload or {}).items())
+    return [f"# {key}={_csv_row([val])}" for key, val in items] + [",".join(columns)]
+
+
 def _emit(args, columns, rows, payload=None):
     """Write csv (comment header + column row + data rows) or json; the
     header echoes the command and every parameter flag of the invocation."""
-    cfg = args.run_config
-    header = {"command": cfg.command, **cfg.bindings}
-    lines = []
     if args.format == "json":
+        cfg = args.run_config
+        header = {"command": cfg.command, **cfg.bindings}
         doc = {"command": cfg.command, "params": _round12(header),
                "rows": [dict(zip(columns, _round12(list(r)))) for r in rows]}
         if payload:
             doc.update(_round12(payload))
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        for key in sorted(header):
-            lines.append(f"# {key}={fmt(header[key]) if not isinstance(header[key], str) else header[key]}")
-        if payload:
-            for key in sorted(payload):
-                lines.append(f"# {key}={fmt(payload[key]) if not isinstance(payload[key], str) else payload[key]}")
-        lines.append(",".join(columns))
-        for r in rows:
-            lines.append(",".join(fmt(v) if not isinstance(v, str) else v
-                                  for v in r))
+        lines = _csv_preamble(args, columns, payload)
+        lines.extend(_csv_row(r) for r in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -199,16 +204,12 @@ def _cmd_micro_critical(args):
 def _stream_csv(args, columns, row_iter):
     """CSV variant that appends rows as they are computed, so interrupted
     sweeps still leave a usable artifact (dense grids can be slow)."""
-    cfg = args.run_config
     sink = open(args.out, "w") if args.out else sys.stdout
     try:
-        header = {"command": cfg.command, **cfg.bindings}
-        for key in sorted(header):
-            sink.write(f"# {key}={fmt(header[key]) if not isinstance(header[key], str) else header[key]}\n")
-        sink.write(",".join(columns) + "\n")
+        for line in _csv_preamble(args, columns):
+            sink.write(line + "\n")
         for r in row_iter:
-            sink.write(",".join(fmt(v) if not isinstance(v, str) else v
-                                for v in r) + "\n")
+            sink.write(_csv_row(r) + "\n")
             sink.flush()
     finally:
         if args.out:

@@ -16,12 +16,12 @@ nonequivalent there at the level of equilibrium macrostates.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import xlogy
 
 from .canonical import (
+    _continuous_branch,
     canonical_criticals,
     first_order_coupling,
     second_order_coupling,
@@ -36,7 +36,8 @@ from .core import (
     energy_domain,
 )
 from .micro import (
-    convexity_threshold,
+    MicroCriticals,
+    _origin_band,
     first_order_coupling_u,
     micro_criticals,
     second_order_coupling_u,
@@ -84,32 +85,18 @@ def tricritical_canonical() -> float:
     return second_order_coupling(BETA_C)
 
 
-@lru_cache(maxsize=1)
-def tricritical_micro(u_lo: float = 0.30, u_hi: float = 0.3325,
-                      tol: float = 1e-6) -> tuple:
-    """(u, K) where the convexity threshold meets the microcanonical
-    second-order critical curve (transition changes order there, K ~ 1.0813).
+def tricritical_micro() -> tuple:
+    """(u, K) where the microcanonical transition changes order, K ~ 1.0812965.
 
-    Bisection on the sign of convexity_threshold(u) - second_order_coupling_u(u)
-    over a bracket that straddles the crossing.
+    There the quadratic and the quartic Landau coefficients of the shell
+    rate at z = 0 vanish together: the second-order curve meets the top of
+    the origin band, which is the convexity threshold for u <= 1/3.  Both
+    are closed forms, so u is their crossing on [0.30, 1/3], bisected to
+    1e-15.
     """
-
-    def h(u):
-        return convexity_threshold(u) - second_order_coupling_u(u)
-
-    lo, hi = u_lo, u_hi
-    hlo, hhi = h(lo), h(hi)
-    if not (hlo > 0.0 > hhi):
-        raise RuntimeError(
-            f"tricritical bracket [{u_lo}, {u_hi}] does not straddle the "
-            f"crossing: h = {hlo}, {hhi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    u_star = 0.5 * (lo + hi)
+    u_star = bisect_monotone(
+        lambda u: _origin_band(u)[1] - second_order_coupling_u(u),
+        0.30, 1.0 / 3.0, 0.0, tol=1e-15)
     return u_star, second_order_coupling_u(u_star)
 
 
@@ -205,7 +192,7 @@ def sweep_canonical(beta_grid, K_grid, threads: int = 1):
             ensemble="canonical", control=(beta, K), minimizers=sol.z_points,
             order_parameter=max(abs(z) for z in sol.z_points),
             branch=sol.phase_label,
-            transition_order=2 if beta <= BETA_C else 1)
+            transition_order=2 if _continuous_branch(beta) else 1)
 
     rows = _maybe_parallel(row, [(b, K) for b in betas for K in Ks], threads)
     return rows, curves
@@ -214,8 +201,9 @@ def sweep_canonical(beta_grid, K_grid, threads: int = 1):
 def sweep_micro(u_grid, K_grid, threads: int = 1, with_convexity: bool = True):
     """(rows, curves) over a (u, K) grid; inadmissible pairs are skipped.
 
-    curves holds micro_criticals(u) per u (convexity threshold included
-    unless with_convexity is False, which skips the slowest part).
+    curves holds micro_criticals(u) per u; with_convexity=False keeps only
+    the second-order coupling, skipping the first-order search (the slowest
+    part) along with the convexity threshold.
     """
     us = sorted(float(u) for u in u_grid)
     Ks = sorted(float(K) for K in K_grid)
@@ -224,7 +212,6 @@ def sweep_micro(u_grid, K_grid, threads: int = 1, with_convexity: bool = True):
         if with_convexity:
             return micro_criticals(u)
         k2 = second_order_coupling_u(u) if 0.0 < u < 2.0 / 3.0 else None
-        from .micro import MicroCriticals
         return MicroCriticals(u=u, k_second_order=k2)
 
     curves = _maybe_parallel(crit, us, threads)
@@ -241,10 +228,8 @@ def sweep_micro(u_grid, K_grid, threads: int = 1, with_convexity: bool = True):
         # z = 0 destabilization coupling falls inside the non-convex band
         order = None
         if crit_u.k_second_order is not None:
-            if crit_u.k_convexity is None:
-                order = 2
-            else:
-                order = 1 if crit_u.k_second_order < crit_u.k_convexity else 2
+            c = crit_u.k_convexity
+            order = 1 if c is not None and crit_u.k_second_order < c else 2
         return PhaseDiagramRow(
             ensemble="micro", control=(u, K), minimizers=sol.z_points,
             order_parameter=max(abs(z) for z in sol.z_points),

@@ -300,25 +300,46 @@ def second_order_coupling_u(u: float) -> float:
     return 1.0 / (2.0 * u * math.log(2.0 * (1.0 - u) / u))
 
 
-def _convexity_indicator(u, K, step=1e-3, margin=1e-6):
+def _phi3_quartic(u, K):
+    """Coefficients (highest degree first) of the quartic Q with
+    phi'''(z) = 2 z Q(z^2) / (a b c)^2, where phi is the nonlinear shell
+    component, a = q+z, b = q-z, c = 1-q and q = u + K z^2.
+
+    This is the exact phi''' = (3a'a''/a - a'^3/a^2)/2 + (3b'b''/b - b'^3/b^2)/2
+    + 3c'c''/c - c'^3/c^2 (a' = 2Kz+1, b' = 2Kz-1, c' = -2Kz, a'' = b'' = 2K,
+    c'' = -2K) over a common denominator.  Q(z^2) carries the sign of phi'''
+    on z > 0 without the cancellation of the direct formula near the origin;
+    Q(0) = u^4 (1-u)^2 phi''''(0) / 2.
+    """
+    return (2.0 * K ** 6,
+            K ** 3 * (2.0 * K * K + 6.0 * K * u - 4.0 * K - 1.0),
+            -K * K * (12.0 * K * K * u * u - 10.0 * K * K * u - 6.0 * K * u * u
+                      + 4.0 * K * u + 4.0 * K + 3.0 * u - 4.0),
+            -K * (16.0 * K * K * u ** 3 - 14.0 * K * K * u * u + 6.0 * K * u ** 3
+                  - 12.0 * K * u * u + 6.0 * K * u - 3.0 * u * u + 4.0 * u - 1.0),
+            u * (1.0 - u) * (6.0 * K * K * u * u - 6.0 * K * u * (1.0 - u)
+                             + 1.0 - u))
+
+
+def _convexity_indicator(u, K):
     """True when the third derivative of the nonlinear shell component is
-    nonnegative over the positive part of the central admissible component
-    (grid at `step`, fourth-order central differences, singular endpoints
-    excluded by `margin`).  None when the grid degenerates."""
-    params = MicroParams(u, K)
-    comps = [iv for iv in admissible_domain(params) if iv[0] <= 0.0 <= iv[1]]
-    if not comps:
+    nonnegative over the positive part of the central admissible component,
+    False when it is negative somewhere there, None when that part is empty.
+
+    Exact: on (0, top] the sign of phi''' is the sign of the _phi3_quartic
+    quartic on (0, top^2], which is constant between consecutive real roots,
+    so one evaluation per root-delimited piece decides.
+    """
+    comps = [iv for iv in admissible_domain(MicroParams(u, K))
+             if iv[0] <= 0.0 <= iv[1]]
+    if not comps or comps[0][1] <= 0.0:
         return None
-    z_hi = comps[0][1] - margin - 3.0 * step
-    if z_hi < 2.0 * step:
-        return None
-    zs = np.arange(step, z_hi, step)
-    h = step
-    d3 = (_phi_terms(u, K, zs - 3 * h) - 8.0 * _phi_terms(u, K, zs - 2 * h)
-          + 13.0 * _phi_terms(u, K, zs - h) - 13.0 * _phi_terms(u, K, zs + h)
-          + 8.0 * _phi_terms(u, K, zs + 2 * h) - _phi_terms(u, K, zs + 3 * h)
-          ) / (8.0 * h ** 3)
-    return bool(np.min(d3) >= 0.0)
+    coeffs = _phi3_quartic(u, K)
+    t_top = comps[0][1] ** 2
+    cuts = np.sort([0.0, t_top] + [r.real for r in np.roots(coeffs)
+                                   if 0.0 < r.real < t_top])
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    return bool(np.min(np.polyval(coeffs, mids)) >= 0.0)
 
 
 def _origin_band(u):
@@ -327,10 +348,7 @@ def _origin_band(u):
 
     That derivative equals 12 K^2 [1/u + 1/(1-u)] - 12 K/u^2 + 2/u^3, whose
     roots in K are (1-u)/(2u) * (1 -+ sqrt((1-3u)/(3(1-u)))); they are real
-    only for u <= 1/3.  This is where the discontinuous regime hides near the
-    tricritical energy, and the band can be disconnected from the non-convex
-    couplings seen at larger magnetizations, so the threshold search anchors
-    on it explicitly.
+    only for u <= 1/3.
     """
     if not 0.0 < u <= 1.0 / 3.0:
         return None
@@ -339,53 +357,47 @@ def _origin_band(u):
     return half * (1.0 - s), half * (1.0 + s)
 
 
-def convexity_threshold(u: float, k_hi: float = 1e3, tol: float = 1e-6) -> float:
-    """Coupling above which the derivative of the nonlinear shell component
-    is convex on its positive domain, located by bisection of a
-    finite-difference convexity indicator to `tol`.
+#: Sextic in x = 4uK - 1 whose two real roots nearest 0 are the pinch-band
+#: edges: row i is the coefficient of x^(6-i), a polynomial in v = 1 - 2u
+#: (highest degree first).  It is the factor of the discriminant of the
+#: _phi3_quartic quartic left after K^12 (4Ku - 1)^3 (K + u - 1)^2.
+_PINCH_SEXTIC = (
+    (-4, 0, 3),
+    (72, 48, -112, -36, 42),
+    (108, 144, 234, -60, -536, -20, 223),
+    (720, 596, -892, -756, 224, 288, 32),
+    (243, 108, 72, 708, -706, -1216, 768, 512, -256),
+    (162, 324, -360, -288, 288, 0, 0, 0, 0),
+    (27, 0, 0, 0, 0, 0, 0, 0, 0),
+)
 
-    Non-convex couplings can form disconnected bands, so the threshold is
-    the supremum: a descending geometric scan finds the topmost non-convex
-    anchor, the closed-form origin band supplies a second anchor, and the
-    upper edge above the higher anchor is bisected.  The bands exist only
-    over an empirically determined energy range; when no anchor is found the
-    curve is undefined at this u and a DomainError is raised.
+
+def convexity_threshold(u: float) -> float:
+    """Coupling above which phi''' >= 0 on the positive central component
+    (the derivative of the nonlinear shell component is convex there).
+
+    The non-convex couplings form two bands; the threshold is the top of the
+    higher one.  The origin band (u <= 1/3, phi''''(0) < 0) has the closed
+    form of _origin_band.  The pinch band (1/3 < u < 1/2) lies around
+    K = 1/(4u): just below z0 = 1/(2K) the mass nu_- = (q-z)/2 pinches
+    toward 0 and its terms drive phi''' negative.  Its edges are where the
+    _phi3_quartic quartic gains a double root, the roots x1 < 0 < x2 of
+    _PINCH_SEXTIC, so its top is the smallest positive root.  It narrows like
+    (1-2u)^4.  Below u = 1/3 the origin band (top >= 1) covers the pinch
+    band, so the threshold jumps from 1 to about 0.786 there; at u >= 1/2 no
+    coupling is non-convex and a DomainError is raised.
     """
-    if not (math.isfinite(u) and 0.0 < u < 1.0):
-        raise DomainError(f"convexity threshold needs u in (0, 1), got {u}")
-    scale = second_order_coupling_u(u) if u < 2.0 / 3.0 else 1.0
-    band = _origin_band(u)
-    top = 1.6 * max(scale, band[1] if band else 0.0)
-    anchor = None
-    K = top
-    while K > 0.2 * scale:
-        if _convexity_indicator(u, K) is False:
-            anchor = K
-            break
-        K *= 0.985
-    if band is not None:
-        mid = 0.5 * (band[0] + band[1])
-        if (anchor is None or mid > anchor) and _convexity_indicator(u, mid) is False:
-            anchor = mid
-    if anchor is None:
+    if not (math.isfinite(u) and 0.0 < u < 0.5):
         raise DomainError(
-            f"convexity threshold undefined at u = {u}: no non-convex "
-            f"couplings found near the critical scale {scale}")
-    hi = anchor
-    while _convexity_indicator(u, hi) is False:
-        hi *= 1.01
-        if hi > k_hi:
-            raise DomainError(
-                f"convexity threshold undefined at u = {u}: indicator stays "
-                f"non-convex up to K = {k_hi}")
-    lo = hi / 1.01
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _convexity_indicator(u, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            f"convexity threshold needs 0 < u < 1/2 (for u >= 1/2 the shell "
+            f"entropy derivative is convex at every K), got {u}")
+    band = _origin_band(u)
+    if band is not None:
+        return band[1]
+    v = 1.0 - 2.0 * u
+    coeffs = [np.polyval(row, v) for row in _PINCH_SEXTIC]
+    x = min(r.real for r in np.roots(coeffs) if r.imag == 0.0 and r.real > 0.0)
+    return (1.0 + x) / (4.0 * u)
 
 
 def _positive_branch(u, K, floor=BRANCH_FLOOR):

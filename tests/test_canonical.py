@@ -6,6 +6,7 @@ import pytest
 from conftest import central_diff
 
 from begphase.canonical import (
+    BETA_MAX,
     canonical_criticals,
     canonical_free_energy,
     cumulant_inflection,
@@ -98,6 +99,18 @@ def test_second_order_coupling_is_curvature_root():
         lambda K: mag_potential(CanonicalParams(beta, K), 0.0, 2),
         0.5, 3.0, 0.0, tol=1e-12)
     assert abs(root - kc2) < 1e-9
+
+
+def test_large_beta_raises_domain_error_naming_bound():
+    # e^beta overflows near beta = 710, the first-order bracket near 356
+    for call in (lambda: solve_canonical(CanonicalParams(800.0, 1.0)),
+                 lambda: second_order_coupling(800.0),
+                 lambda: cumulant_inflection(800.0),
+                 lambda: canonical_criticals(400.0)):
+        with pytest.raises(DomainError, match="BETA_MAX"):
+            call()
+    sol = solve_canonical(CanonicalParams(BETA_MAX, 1.5))
+    assert sol.phase_label == "pair"
 
 
 def test_cumulant_inflection():

@@ -62,6 +62,14 @@ def test_domain_error_exits_2_and_names_precondition(capsys):
     assert "attainable energy range" in err
 
 
+def test_large_beta_exits_2(capsys):
+    for argv in (["canon", "--beta", "800", "--K", "1"],
+                 ["canon-critical", "--beta", "800"]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "BETA_MAX" in err
+
+
 def test_json_format_rounding(capsys):
     code, out, _ = run(capsys, ["canon", "--beta", "1", "--K", "1.5",
                                 "--format", "json"])

@@ -32,6 +32,9 @@ def test_tricritical_micro():
     u_star, k_star = tricritical_micro()
     assert abs(k_star - 1.0813) < 1e-3
     assert 0.3 < u_star < 1.0 / 3.0
+    # root of two closed forms: the origin-band top meets the second-order curve
+    assert abs(u_star - 0.330343829) < 1e-9
+    assert abs(k_star - 1.081296450) < 1e-9
 
 
 def test_tricritical_separation():
@@ -95,6 +98,15 @@ def test_sweep_canonical_threads_deterministic():
     rows2, _ = sweep_canonical(betas, Ks, threads=3)
     assert [r.control for r in rows1] == [r.control for r in rows2]
     assert [r.minimizers for r in rows1] == [r.minimizers for r in rows2]
+
+
+def test_sweep_canonical_transition_order_at_log4_decimal():
+    # the README's decimal for log 4 lies within BETA_SNAP_TOL of BETA_C, so
+    # the row takes the continuous branch, as solve_canonical does
+    beta = 1.3862944
+    rows, curves = sweep_canonical([beta], [1.0])
+    assert rows[0].transition_order == 2
+    assert curves[0].k_second_order is not None
 
 
 def test_sweep_micro():

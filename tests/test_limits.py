@@ -9,6 +9,7 @@ from conftest import brute_force_spin_pmf
 from begphase.canonical import first_order_coupling, second_order_coupling
 from begphase.core import BETA_C, CanonicalParams, DomainError
 from begphase.limits import (
+    _PROPOSALS,
     classify_minimum,
     conditioned_clt_check,
     convergence_diagnostic,
@@ -205,6 +206,33 @@ def test_metropolis_seed_reproducibility():
     assert np.array_equal(a.trace, b.trace)
     c = metropolis_sampler(12, params, 20000, seed=8)
     assert not np.array_equal(a.trace, c.trace)
+
+
+@pytest.mark.parametrize("beta,K", [(1.0, 1.0), (1.0, 1.5)])
+def test_metropolis_kernel_exactly_stationary(beta, K):
+    # one-phase (1, 1) and two-phase (1, 1.5): the full 81 x 81 transition
+    # matrix of the single-site rule at n = 4 leaves the exact law invariant
+    n = 4
+    params = CanonicalParams(beta, K)
+    codes = np.arange(3 ** n)
+    spins = (codes[:, None] // 3 ** np.arange(n)) % 3 - 1
+
+    def energy(cfg):
+        return beta * np.sum(cfg * cfg) - beta * K * np.sum(cfg) ** 2 / n
+
+    P = np.zeros((3 ** n, 3 ** n))
+    for x, cfg in enumerate(spins):
+        for j in range(n):
+            for prop in _PROPOSALS[cfg[j] + 1]:
+                new = cfg.copy()
+                new[j] = prop
+                y = int(np.sum((new + 1) * 3 ** np.arange(n)))
+                p = min(1.0, math.exp(energy(cfg) - energy(new))) / (2 * n)
+                P[x, y] += p
+                P[x, x] += 1.0 / (2 * n) - p
+    pi = exact_config_probs(n, params)
+    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-15, rtol=0.0)
+    assert np.max(np.abs(pi @ P - pi)) < 1e-12
 
 
 def test_metropolis_detailed_balance_tiny_system():

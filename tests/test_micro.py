@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
-from conftest import assert_sets_close, second_diff
+from conftest import assert_sets_close, central_diff, second_diff
 
 from begphase.core import DomainError, MicroParams, UNIFORM, rel_entropy
 from begphase.diagram import simplex_oracle
@@ -163,6 +165,115 @@ def test_convexity_threshold():
     assert _convexity_indicator(0.25, c - 0.01) is False
     with pytest.raises(DomainError):
         convexity_threshold(0.5)
+
+
+# exact third derivative of the nonlinear shell component, written straight
+# from a = q+z, b = q-z, c = 1-q with q = u + K z^2 (test-side oracle; it
+# cancels near z = 0, so the scans below start at z = 1e-7 * top)
+def phi3_direct(u, K, z):
+    q = u + K * z * z
+    a, b, c = q + z, q - z, 1.0 - q
+    da, db, dc = 2.0 * K * z + 1.0, 2.0 * K * z - 1.0, -2.0 * K * z
+    return (0.5 * (3.0 * da * 2.0 * K / a - da ** 3 / a ** 2)
+            + 0.5 * (3.0 * db * 2.0 * K / b - db ** 3 / b ** 2)
+            + (3.0 * dc * (-2.0 * K) / c - dc ** 3 / c ** 2))
+
+
+def central_top(u, K):
+    return [hi for lo, hi in admissible_domain(MicroParams(u, K))
+            if lo <= 0.0 <= hi][0]
+
+
+def min_phi3_scan(u, K):
+    """Minimum of phi3_direct over a dense grid of the positive central
+    component: uniform, plus geometric refinement toward 0, toward the top
+    and around the pinch point z0 = 1/(2K), then a bounded local refinement
+    of the grid minimum."""
+    top = central_top(u, K)
+    z0 = 0.5 / K
+    near = np.geomspace(1e-9, 0.5, 20000)
+    zs = np.concatenate([np.linspace(0.0, top, 20001), top * near,
+                         top * (1.0 - near), z0 * (1.0 - near),
+                         z0 * (1.0 + near)])
+    zs = np.unique(zs[(zs >= 1e-7 * top) & (zs < top)])
+    vals = phi3_direct(u, K, zs)
+    i = int(np.argmin(vals))
+    lo, hi = zs[max(i - 1, 0)], zs[min(i + 1, len(zs) - 1)]
+    res = minimize_scalar(lambda z: phi3_direct(u, K, z), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-15})
+    return min(float(vals[i]), float(res.fun))
+
+
+def test_phi3_direct_matches_finite_differences():
+    from begphase.micro import shell_phi
+    for u, K, z in ((0.3, 1.2, 0.2), (0.4, 0.63, 0.75), (0.1, 5.0, 0.05)):
+        params = MicroParams(u, K)
+        fd = central_diff(
+            lambda x: second_diff(lambda y: shell_phi(params, y), x, h=3e-4),
+            z, h=3e-4)
+        assert abs(fd - phi3_direct(u, K, z)) < 1e-3 * max(1.0, abs(fd))
+
+
+def test_phi3_quartic_factorization():
+    from begphase.micro import _phi3_quartic
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        K = rng.uniform(0.3, 5.0)
+        u = rng.uniform(0.01, 0.9)
+        top = central_top(u, K)
+        z = rng.uniform(0.05, 0.95) * top
+        q = u + K * z * z
+        abc = (q + z) * (q - z) * (1.0 - q)
+        via_quartic = 2.0 * z * np.polyval(_phi3_quartic(u, K), z * z) / abc ** 2
+        direct = phi3_direct(u, K, z)
+        assert abs(via_quartic - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_convexity_threshold_is_origin_band_top():
+    from begphase.micro import _origin_band
+    for u in (0.005, 0.01, 0.025, 0.1, 0.25, 0.3333):
+        top = _origin_band(u)[1]
+        assert abs(convexity_threshold(u) - top) <= 1e-12 * top
+    # the threshold jumps from the origin band to the pinch band at u = 1/3
+    assert convexity_threshold(1.0 / 3.0) == pytest.approx(1.0, rel=1e-12)
+    assert 0.78 < convexity_threshold(1.0 / 3.0 + 1e-9) < 0.79
+    for u in (0.5, 0.6, 1.0, 0.0, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            convexity_threshold(u)
+
+
+def _scan_pinch_top(u):
+    # bisection in K on the dense-scan sign, from inside the pinch band
+    # (just above 1/(4u), where nu_- pinches at z0) to a convex coupling
+    lo, hi = 0.25 / u * (1.0 + 1e-6), 0.25 / u * 1.2
+    assert min_phi3_scan(u, lo) < 0.0 <= min_phi3_scan(u, hi)
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if min_phi3_scan(u, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("u", [0.334, 0.35, 0.375, 0.4, 0.45])
+def test_pinch_band_top_matches_dense_scan(u):
+    c = convexity_threshold(u)
+    assert abs(c - _scan_pinch_top(u)) <= 1e-6 * c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.01, max_value=0.45))
+def test_convexity_threshold_is_sign_change_of_phi3(u):
+    from begphase.micro import _convexity_indicator
+    # the origin band closes like sqrt(1 - 3u) at u = 1/3: just below it the
+    # band is narrower than the 1e-4 probe (as the pinch band is near 1/2)
+    assume(not 1.0 / 3.0 - 1e-7 < u <= 1.0 / 3.0)
+    c = convexity_threshold(u)
+    assert min_phi3_scan(u, c * (1.0 + 1e-4)) >= 0.0
+    assert min_phi3_scan(u, c * (1.0 - 1e-4)) < 0.0
+    assert _convexity_indicator(u, c * (1.0 + 1e-4)) is True
+    assert _convexity_indicator(u, c * (1.0 - 1e-4)) is False
 
 
 def test_first_order_coupling_u():

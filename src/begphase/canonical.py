@@ -10,7 +10,7 @@ For beta <= BETA_C the curve is concave on w > 0 and the minimizer pair grows
 continuously out of 0 once K exceeds the second-order coupling; for
 beta > BETA_C the curve has an inflection, the line can be tangent to it at
 positive w, and the global minimum jumps discontinuously at the first-order
-coupling located by the vanishing of the well depth.
+coupling, where the positive well is level with the origin.
 
 Minimizing magnetizations lift to macrostates by exponential tilting of the
 single-site measure with tilt 2 beta K z.
@@ -27,6 +27,7 @@ from .core import (
     CanonicalParams,
     DomainError,
     Macrostate,
+    _tilt_bracket,
     cramer_rate,
     cumulant,
     cumulant_vec,
@@ -50,9 +51,11 @@ DERIV_ZERO_TOL = 1e-10
 
 _TIE_TOL = 1e-12
 
-#: Largest inverse temperature the critical couplings accept.  The spinodal
-#: e^beta/(4 beta) brackets the first-order search from above, and the well
-#: depth evaluated there squares 2 beta K, which overflows near beta = 356.
+#: Largest inverse temperature the critical couplings accept: the range
+#: where well_depth, the independent check of the first-order coupling,
+#: stays finite up to the spinodal e^beta/(4 beta).  It squares the tilt
+#: 2 beta K, which there overflows near beta = 356; e^beta itself overflows
+#: near beta = 709.8.
 BETA_MAX = 300.0
 
 
@@ -135,8 +138,8 @@ def _check_beta(beta):
     if not (math.isfinite(beta) and 0.0 < beta <= BETA_MAX):
         raise DomainError(
             f"beta must be finite and in (0, BETA_MAX = {BETA_MAX}]: above it "
-            f"the spinodal e^beta/(4 beta) that brackets the first-order "
-            f"search is too large for float arithmetic, got {beta}")
+            f"the well depth at the spinodal e^beta/(4 beta) is too large for "
+            f"float arithmetic, got {beta}")
 
 
 def second_order_coupling(beta: float) -> float:
@@ -161,6 +164,11 @@ def cumulant_inflection(beta: float) -> float:
     return math.acosh(x)
 
 
+def _tangent_gap(beta, w):
+    """g(w) = w c''(w) - c'(w), the derivative of w c'(w) - 2 c(w)."""
+    return w * cumulant(beta, w, 2) - cumulant(beta, w, 1)
+
+
 def tangency(beta: float) -> tuple[float, float, float]:
     """(w_tangent, k_tangent, k_spinodal) for beta > BETA_C.
 
@@ -174,30 +182,25 @@ def tangency(beta: float) -> tuple[float, float, float]:
     if not (math.isfinite(beta) and beta > BETA_C):
         raise DomainError(f"tangency exists only for beta > {BETA_C} (log 4), got {beta}")
     wc = cumulant_inflection(beta)
-
-    def g(w):
-        return w * cumulant(beta, w, 2) - cumulant(beta, w, 1)
-
-    def gprime(w):
-        return w * cumulant(beta, w, 3)
-
     lo = wc
-    if g(lo) <= 0.0:
+    if _tangent_gap(beta, lo) <= 0.0:
         # g's positive hump peaks at the inflection and scales like
         # (beta - BETA_C)^(3/2); immediately above BETA_C it sinks below
         # floating-point noise and the tangency data degenerate to the
         # inflection point (the couplings pinch onto the spinodal)
         probes = [wc * f for f in (1.25, 1.5, 2.0)]
-        lo = next((p for p in probes if g(p) > 0.0), None)
+        lo = next((p for p in probes if _tangent_gap(beta, p) > 0.0), None)
         if lo is None:
             k2 = second_order_coupling(beta)
             return wc, 1.0 / (2.0 * beta * cumulant(beta, wc, 2)), k2
     hi = max(2.0 * wc, 1.0)
-    while g(hi) >= 0.0:
+    while _tangent_gap(beta, hi) >= 0.0:
         hi *= 2.0
         if hi > 1e6:  # g -> -1, so this cannot happen
             raise RuntimeError("tangency bracket expansion failed")
-    w1 = bisect_newton(g, gprime, lo, hi, newton_tol=1e-13)
+    w1 = bisect_newton(lambda w: _tangent_gap(beta, w),
+                       lambda w: w * cumulant(beta, w, 3), lo, hi,
+                       newton_tol=1e-13)
     k1 = 1.0 / (2.0 * beta * cumulant(beta, w1, 2))
     k2 = second_order_coupling(beta)
     return w1, k1, k2
@@ -254,24 +257,22 @@ def well_depth(beta: float, K: float) -> float:
     positive just above tangency, negative beyond the spinodal.  Its unique
     zero is the first-order coupling."""
     w1, k1, _ = tangency(beta)
-    return _well_depth(beta, K, w1, k1)
-
-
-def _well_depth(beta, K, w1, k1):
     if K < k1 - 1e-12:
         raise DomainError(f"well depth defined for K >= {k1} at beta = {beta}, got {K}")
-    params = CanonicalParams(beta, K)
-    if K <= k1 + 1e-12:
-        return tilt_potential(params, w1, 0)
-    return tilt_potential(params, positive_well(beta, K), 0)
+    w = w1 if K <= k1 + 1e-12 else positive_well(beta, K)
+    return tilt_potential(CanonicalParams(beta, K), w, 0)
 
 
 def first_order_coupling(beta: float) -> float:
     """Coupling at which the positive well reaches depth zero (beta > BETA_C).
 
-    Bisection of the well depth between the tangency and spinodal couplings,
-    run until the residual depth is below 1e-12.  When the two couplings have
-    already pinched together (beta just above BETA_C) the midpoint is
+    With a = 2 beta K, the well is stationary (w/a = c'(w)) and level with
+    the origin (w^2/(2a) = c(w)) there.  Eliminating a leaves
+    h(w) = w c'(w) - 2 c(w) = 0, whose derivative h' = w c'' - c' is the g
+    of tangency: h rises from h(0) = 0 to a hump at w_tangent and falls to
+    -inf beyond it.  Its positive root w* gives the coupling
+    w*/(2 beta c'(w*)).  When the tangency and spinodal couplings have
+    already pinched together (beta just above BETA_C) their midpoint is
     returned as the tricritical continuation; canonical_criticals flags this.
     """
     return _first_order_coupling(beta)[0]
@@ -281,22 +282,18 @@ def _first_order_coupling(beta):
     w1, k1, k2 = tangency(beta)
     if k2 - k1 < 1e-8:
         return 0.5 * (k1 + k2), True
-    lo, hi = k1, k2
-    dlo = _well_depth(beta, lo, w1, k1)
-    dhi = _well_depth(beta, hi, w1, k1)
-    if not (dlo > 0.0 > dhi):
-        raise RuntimeError(
-            f"well depth not bracketed on [{k1}, {k2}] at beta = {beta}")
-    while hi - lo > 1e-15 * hi:
-        mid = 0.5 * (lo + hi)
-        d = _well_depth(beta, mid, w1, k1)
-        if abs(d) < 1e-12:
-            return mid, False
-        if d > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), False
+
+    def h(w):
+        return w * cumulant(beta, w, 1) - 2.0 * cumulant(beta, w, 0)
+
+    hi = max(2.0 * w1, 1.0)
+    while h(hi) >= 0.0:
+        hi *= 2.0
+    # the hump height h(w1) falls like (beta - BETA_C)^3 (6e-10 at 1e-3
+    # above it), so the residual target sits far below it
+    w = bisect_newton(h, lambda x: _tangent_gap(beta, x), w1, hi,
+                      newton_tol=1e-15)
+    return w / (2.0 * beta * cumulant(beta, w, 1)), False
 
 
 def _continuous_branch(beta):
@@ -403,7 +400,8 @@ def dual_route_minimum(params: CanonicalParams, grid_points: int = 4001):
     """
     beta, K = params.beta, params.K
     zg = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, grid_points)
-    lo = np.full_like(zg, -_vec_bracket(beta, zg))
+    # the tilt bracket grows with |z|, so the outermost point covers the grid
+    lo = np.full_like(zg, -_tilt_bracket(beta, zg[-1]))
     hi = -lo
     for _ in range(90):
         mid = 0.5 * (lo + hi)
@@ -452,6 +450,3 @@ def dual_route_minimum(params: CanonicalParams, grid_points: int = 4001):
             merged.append(z)
     return best, tuple(merged)
 
-
-def _vec_bracket(beta, z):
-    return beta + np.log((1.0 + np.abs(z)) / (1.0 - np.abs(z))) + 10.0

@@ -18,6 +18,7 @@ from begphase.canonical import (
 )
 from begphase.core import BETA_C, CanonicalParams, MicroParams
 from begphase.diagram import (
+    GAP_CLUSTER_TOL,
     equivalence_report,
     simplex_oracle,
     tricritical_micro,
@@ -168,6 +169,11 @@ def test_criterion_09_variance_identity():
 def test_criterion_10_nonequivalence_regime():
     rep = equivalence_report(1.0817)
     ok_gap = rep.verdict == "nonequivalent" and len(rep.gap_intervals) > 0
+    # the gap opens at the canonical value 0, so its lower end is the first
+    # sampled micro |z| above the cluster tolerance, within the 8e-4
+    # refinement target of it
+    lo = rep.gap_intervals[0][0] if ok_gap else math.nan
+    ok_gap = ok_gap and GAP_CLUSTER_TOL < lo <= GAP_CLUSTER_TOL + 8e-4
     rep2 = equivalence_report(1.5)
     ok_eq = rep2.verdict == "equivalent" and len(rep2.gap_intervals) == 0
     report(10, ok_gap and ok_eq,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import central_diff
 
@@ -102,7 +103,7 @@ def test_second_order_coupling_is_curvature_root():
 
 
 def test_large_beta_raises_domain_error_naming_bound():
-    # e^beta overflows near beta = 710, the first-order bracket near 356
+    # e^beta overflows near beta = 710, the well depth at the spinodal near 356
     for call in (lambda: solve_canonical(CanonicalParams(800.0, 1.0)),
                  lambda: second_order_coupling(800.0),
                  lambda: cumulant_inflection(800.0),
@@ -172,6 +173,25 @@ def test_first_order_coupling():
     assert abs(well_depth(beta, kc1)) < 1e-10
     assert abs(first_order_coupling(BETA_C + 1e-3) - 1.0820) < 1e-2
     assert 1.0 < first_order_coupling(5.0) < 1.0820
+
+
+@pytest.mark.parametrize("beta, kc1", [(1.39, 1.0818013889715028),
+                                       (2.0, 1.0448832063996722),
+                                       (5.0, 1.0013046030279322),
+                                       (12.0, 1.0000005119815132)])
+def test_first_order_coupling_pins(beta, kc1):
+    assert abs(first_order_coupling(beta) - kc1) <= 1e-13 * kc1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(BETA_C + 1e-3, BETA_MAX))
+def test_first_order_coupling_levels_the_well(beta):
+    # the root of w c'(w) = 2 c(w) is checked against the well search
+    _, k1, k2 = tangency(beta)
+    kc1 = first_order_coupling(beta)
+    assert k1 < kc1 < k2
+    assert abs(well_depth(beta, kc1)) <= 1e-13
+    assert solve_canonical(CanonicalParams(beta, kc1)).phase_label == "triple"
 
 
 def test_criticals_report():

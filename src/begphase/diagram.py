@@ -154,16 +154,16 @@ def u_c2_of_K(K: float, tol: float = 1e-9) -> float:
                                  2.0 / 3.0 - 1e-9, tol=tol)
 
 
-def u_c1_of_K(K: float, u_lo: float = 0.02, tol: float = 1e-6) -> float:
+def u_c1_of_K(K: float, u_lo: float = 0.02, tol: float = 1e-9) -> float:
     """Energy per site of the first-order microcanonical transition at K.
 
-    Uses the decreasing branch of the first-order critical curve below the
-    tricritical energy.  Expensive: every curve evaluation is itself a
-    bisection over solver scans.
+    Uses the first-order critical curve, which increases from u_lo up to the
+    tricritical energy u* (where it meets the second-order curve), so K is
+    attained between Kc1(u_lo) and the tricritical coupling.
     """
     u_star, _ = tricritical_micro()
     return invert_critical_curve(first_order_coupling_u, K, u_lo,
-                                 u_star - 5e-3, tol=tol)
+                                 u_star - 1e-9, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +206,8 @@ def sweep_micro(u_grid, K_grid, threads: int = 1, with_convexity: bool = True):
     """(rows, curves) over a (u, K) grid; inadmissible pairs are skipped.
 
     curves holds micro_criticals(u) per u; with_convexity=False keeps only
-    the second-order coupling, skipping the first-order search (the slowest
-    part) along with the convexity threshold.
+    the second-order coupling, skipping the first-order coupling along with
+    the convexity threshold.
     """
     us = sorted(float(u) for u in u_grid)
     Ks = sorted(float(K) for K in K_grid)
@@ -228,12 +228,11 @@ def sweep_micro(u_grid, K_grid, threads: int = 1, with_convexity: bool = True):
             return None
         sol = solve_micro(MicroParams(u, K))
         crit_u = crit_by_u[u]
-        # the transition in K at this u is discontinuous exactly when the
-        # z = 0 destabilization coupling falls inside the non-convex band
+        # the transition in K at this u is discontinuous exactly when it has
+        # a first-order coupling (z = 0 destabilizes inside the non-convex band)
         order = None
         if crit_u.k_second_order is not None:
-            c = crit_u.k_convexity
-            order = 1 if c is not None and crit_u.k_second_order < c else 2
+            order = 1 if crit_u.k_first_order is not None else 2
         return PhaseDiagramRow(
             ensemble="micro", control=(u, K), minimizers=sol.z_points,
             order_parameter=max(abs(z) for z in sol.z_points),

@@ -13,9 +13,10 @@ negative minimum value is the microcanonical entropy.
 
 No bracketing lemma controls the positive wells here (the objective can hold
 up to five stationary points in the first-order regime), so global minima are
-located by a dense scan plus golden-section refinement, and the first-order
-coupling by bisection on the depth difference between the tracked positive
-well and z = 0.
+located by a dense scan plus golden-section refinement.  The first-order
+coupling needs no scan: it is the least coupling (q - u)/z^2 over the points
+(z, q) whose rate is at most the rate of z = 0, one golden-section
+minimization over q.
 """
 
 import math
@@ -25,14 +26,11 @@ import numpy as np
 from scipy.special import xlogy
 
 from .core import DomainError, Macrostate, MicroParams, energy_domain
-from .rootfind import golden_min
+from .rootfind import bisect_newton, golden_min
 
 SCAN_STEP = 1e-4
 TIE_TOL = 1e-12
-
-#: Positive wells closer to 0 than this are not tracked as a separate branch
-#: (they belong to the continuous bifurcation, not to a first-order jump).
-BRANCH_FLOOR = 1e-3
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -400,108 +398,73 @@ def convexity_threshold(u: float) -> float:
     return (1.0 + x) / (4.0 * u)
 
 
-def _positive_branch(u, K, floor=BRANCH_FLOOR):
-    """Deepest local minimum of the shell rate at z >= floor, or None.
+def _gap(u, z, p):
+    """F(z, u+p) - F(0, u), where F(z, q) is the shell rate at free q.
 
-    This is the ordered branch tracked by continuation when locating the
-    first-order coupling; the floor keeps the continuous bifurcation (well
-    merging into 0) from masquerading as a separate branch.  The scan starts
-    at 0, not at the floor, so a clipped edge never fakes a local minimum.
+    Summed from terms in x = z/q and p that each stay relatively accurate as
+    z, p -> 0; the plain difference of the two rates loses eps / z^2 there.
     """
-    params = MicroParams(u, K)
-    best = None
-    for lo, hi in admissible_domain(params):
-        if hi <= 0.0:
-            continue
-        for z, v in _component_minima(u, K, max(lo, 0.0), hi):
-            if z >= floor and (best is None or v < best[1]):
-                best = (z, v)
-    return best
+    q = u + p
+    x = min(z / q, 1.0)
+    mix = (1.0 + x) * math.log1p(x)
+    if x < 1.0:
+        mix += (1.0 - x) * math.log1p(-x)
+    return (0.5 * q * mix + p * math.log(q) + u * math.log1p(p / u)
+            - p * math.log1p(-q) + (1.0 - u) * math.log1p(-p / (1.0 - u))
+            - p * _LOG2)
+
+
+def _level_coupling(u, p):
+    """Least coupling p / z^2 over the magnetizations z > 0 whose rate at
+    occupation q = u + p is at most the rate of z = 0 (inf when none is).
+
+    F increases in z on [0, q] (F_z = atanh(z/q)), so those z form an
+    interval [0, z_p] and the least coupling belongs to its end z_p, the
+    root of the gap, or z_p = q when the whole interval qualifies.
+    """
+    q = u + p
+    # q = 1 (nu_0 = 0) is the end of the search, where F_q = +inf: no tied
+    # well sits there
+    if q >= 1.0 or _gap(u, 0.0, p) >= 0.0:
+        return math.inf
+    if _gap(u, q, p) <= 0.0:
+        return p / (q * q)
+
+    def slope(z):
+        x = z / q
+        return math.atanh(x) if x < 1.0 else math.inf
+
+    # the gap terms are of size p, so this tolerance is their roundoff
+    z = bisect_newton(lambda z: _gap(u, z, p), slope, 0.0, q,
+                      newton_tol=1e-15 * p)
+    return p / (z * z)
 
 
 def first_order_coupling_u(u: float) -> float:
-    """Coupling at which the positive well ties with z = 0 (first-order
-    regime only), found by bisection to 1e-9 on the depth difference
-    delta(K) = rate(positive well) - rate(0).
+    """Coupling at which a positive well of the shell rate ties with z = 0.
 
-    delta is strictly decreasing in K (spot-checked on a grid before the
-    bisection); if the positive branch dissolves into z = 0 before delta
-    turns positive, the transition at this u is continuous and a DomainError
+    Every shell macrostate is a point (z, q = u + K z^2) and F(0, u) does
+    not depend on K, so Kc1(u), the least K at which some z > 0 reaches the
+    rate of the origin, is the least (q - u)/z^2 over the points with
+    F(z, q) <= F(0, u): the minimum over p = q - u of _level_coupling.  At
+    an interior minimizer the Lagrange condition F_z + 2 K z F_q = 0 is the
+    stationarity of the shell rate, so the minimizer is the tied well.  As
+    p -> 0 the level coupling tends to k2(u), which is part of the infimum,
+    so the golden-section minimum is capped by it.  Defined in the
+    first-order regime k2(u) < C(u), i.e. 0 < u < u* (the tricritical
+    energy); elsewhere the transition in K is continuous and a DomainError
     is raised.
     """
-    if not (math.isfinite(u) and 0.0 < u < 2.0 / 3.0):
+    if not (math.isfinite(u) and 0.0 < u < 0.5
+            and (k2 := second_order_coupling_u(u)) < convexity_threshold(u)):
         raise DomainError(
-            f"first-order coupling needs 0 < u < 2/3, got {u}")
-
-    def delta(K):
-        br = _positive_branch(u, K)
-        if br is None:
-            return None
-        return br[1] - float(_shell_rate_vec(u, K, 0.0))
-
-    hi = 1.25 * second_order_coupling_u(u)
-    d_hi = delta(hi)
-    while d_hi is None or d_hi >= 0.0:
-        hi *= 1.5
-        if hi > 1e4:
-            raise RuntimeError(f"no two-well regime found at u = {u}")
-        d_hi = delta(hi)
-
-    # walk down from the two-well regime until the well is shallower than the
-    # origin; near the tricritical energy the window between branch birth and
-    # depth tie is narrow, so when the branch dissolves between two steps the
-    # death coupling is localized and the depth probed just above it (a
-    # positive depth there is the first-order signature; a branch that merges
-    # into the origin with negative depth is a continuous transition)
-    lo = None
-    K = hi
-    while lo is None:
-        K_next = 0.97 * K
-        if K_next < 1e-4:
-            raise RuntimeError(f"depth difference never positive at u = {u}")
-        d = delta(K_next)
-        if d is None:
-            a, b = K_next, K
-            while b - a > 1e-10 * b:
-                mid = 0.5 * (a + b)
-                if delta(mid) is None:
-                    a = mid
-                else:
-                    b = mid
-            d_b = delta(b)
-            if d_b is not None and d_b > 0.0:
-                lo, d_lo = b, d_b
-                break
-            raise DomainError(
-                f"no positive local minimizer branch with positive depth near "
-                f"K = {b} at u = {u}: the transition is not first-order")
-        if d > 0.0:
-            lo, d_lo = K_next, d
-            break
-        K = K_next
-        hi, d_hi = K, d
-
-    grid = np.linspace(lo, hi, 5)
-    dvals = [delta(K) for K in grid]
-    if any(d is None for d in dvals) or any(
-            dvals[i + 1] >= dvals[i] + 1e-12 for i in range(len(dvals) - 1)):
-        raise RuntimeError(
-            f"depth difference not decreasing on [{lo}, {hi}] at u = {u}")
-
-    # bisect well past the contractual 1e-9 so that at the returned coupling
-    # the residual depth difference sits inside solve_micro's tie tolerance
-    # and the three-point coexistence is actually visible there
-    best = (abs(d_lo), lo)
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        d = delta(mid)
-        if d is None or d > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if d is not None and abs(d) < best[0]:
-            best = (abs(d), mid)
-    return best[1]
+            f"first-order coupling needs k2(u) < C(u), i.e. 0 < u < u* "
+            f"~ 0.3303 (the transition in K is continuous elsewhere), got {u}")
+    # at small u the tied well sits next to nu_- = 0 and nu_0 = 0, where the
+    # level coupling turns sharply: tol 1e-10 would leave 2e-11 at u = 1e-5
+    _, k = golden_min(lambda p: _level_coupling(u, p), 1e-12, 1.0 - u,
+                      tol=1e-12)
+    return min(k, k2)
 
 
 def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
@@ -514,11 +477,10 @@ def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
         c = convexity_threshold(u)
     except DomainError:
         c = None
-    k1 = None
-    if k2 is not None and c is not None and k2 < c:
-        # the z = 0 instability happens inside the non-convex zone: the
-        # transition is discontinuous and sits at the depth-tie coupling
+    try:
         k1 = first_order_coupling_u(u)
+    except DomainError:
+        k1 = None
     region = None
     if K is not None:
         ind = _convexity_indicator(u, K)

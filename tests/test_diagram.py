@@ -14,9 +14,10 @@ from begphase.diagram import (
     sweep_micro,
     tricritical_canonical,
     tricritical_micro,
+    u_c1_of_K,
     u_c2_of_K,
 )
-from begphase.micro import second_order_coupling_u
+from begphase.micro import first_order_coupling_u, second_order_coupling_u
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,12 @@ def test_invert_first_order_curve():
 def test_invert_micro_second_order_curve():
     K = second_order_coupling_u(0.5)
     assert abs(u_c2_of_K(K) - 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("K", [1.01, 1.05, 1.081, 1.0812])
+def test_invert_micro_first_order_curve(K):
+    # up to the tricritical coupling ~ 1.0812965
+    assert abs(first_order_coupling_u(u_c1_of_K(K)) - K) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

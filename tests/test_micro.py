@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 from conftest import assert_sets_close, central_diff, second_diff
 
 from begphase.core import DomainError, MicroParams, UNIFORM, rel_entropy
-from begphase.diagram import simplex_oracle
+from begphase.diagram import simplex_oracle, sweep_micro, tricritical_micro
 from begphase.micro import (
     admissible_domain,
     convexity_threshold,
@@ -324,3 +324,52 @@ def test_micro_criticals_regions():
     assert rep2.region == "below"
     assert rep2.k_first_order is not None
     assert rep2.k_second_order < rep2.k_convexity
+
+
+@pytest.mark.parametrize("u, kc1", [
+    (0.025, 1.004210565282942),
+    (0.1, 1.021567124887080),
+    (0.25, 1.061433187521462),
+    (0.3, 1.074236971124786),
+])
+def test_first_order_coupling_u_pins(u, kc1):
+    assert abs(first_order_coupling_u(u) - kc1) <= 1e-12 * kc1
+
+
+@pytest.mark.parametrize("u, kc1", [
+    (1e-8, 1.0000000003766678),
+    (1e-6, 1.0000000502606051),
+])
+def test_first_order_coupling_u_near_the_corner(u, kc1):
+    # the tied well sits next to z = 1 with nu_0 ~ u; references from a
+    # 50-digit solve of the tie
+    assert abs(first_order_coupling_u(u) - kc1) <= 1e-10 * kc1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.005, max_value=0.325))
+def test_first_order_coupling_u_is_the_scan_transition(u):
+    # solve_micro scans the shell rate directly: an independent route
+    kc1 = first_order_coupling_u(u)
+    assert solve_micro(MicroParams(u, kc1 * (1.0 - 1e-6))).z_points == (0.0,)
+    above = solve_micro(MicroParams(u, kc1 * (1.0 + 1e-6)))
+    assert len(above.z_points) == 2 and above.z_points[1] > 0.0
+    at = solve_micro(MicroParams(u, kc1))
+    assert at.phase_label == "triple" and at.tied
+
+
+def test_first_order_regime_ends_at_tricritical_energy():
+    u_star, _ = tricritical_micro()
+    for d in (1e-9, 1e-7, 1e-5):
+        with pytest.raises(DomainError):
+            first_order_coupling_u(u_star + d)
+        assert micro_criticals(u_star + d).k_first_order is None
+    assert first_order_coupling_u(u_star - 1e-9) <= second_order_coupling_u(u_star - 1e-9)
+    assert micro_criticals(u_star - 1e-9).k_first_order is not None
+    # Landau picture: k2 - Kc1 ~ (u* - u)^2 approaching the tricritical point
+    gap = [second_order_coupling_u(u_star - d) - first_order_coupling_u(u_star - d)
+           for d in (1e-5, 1e-6)]
+    assert 90.0 <= gap[0] / gap[1] <= 110.0
+    rows, curves = sweep_micro([u_star - 1e-9, u_star + 1e-9], [1.0])
+    assert [c.k_first_order is not None for c in curves] == [True, False]
+    assert [r.transition_order for r in rows] == [1, 2]

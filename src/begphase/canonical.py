@@ -214,6 +214,19 @@ def positive_well(beta: float, K: float) -> float:
     because |c'| < 1 makes the potential slope w/(2 beta K) - c'(w) positive
     there; the residual is polished below 1e-13.
     """
+    if beta <= BETA_C:
+        return _well_above(beta, K, second_order_coupling(beta), 0.0)
+    w1, k1, _ = tangency(beta)
+    return _well_above(beta, K, k1, w1)
+
+
+def _well_above(beta, K, k_crit, base):
+    """positive_well for K above the coupling k_crit at which the well
+    appears, searching from the tilt base where it appears (0 for the
+    second-order coupling, the tangency tilt for the tangency coupling)."""
+    if K <= k_crit:
+        raise DomainError(
+            f"positive well requires K > {k_crit} at beta = {beta}, got {K}")
     params = CanonicalParams(beta, K)
 
     def fprime(w):
@@ -222,20 +235,9 @@ def positive_well(beta: float, K: float) -> float:
     def fsecond(w):
         return tilt_potential(params, w, 2)
 
-    if beta <= BETA_C:
-        kc2 = second_order_coupling(beta)
-        if K <= kc2:
-            raise DomainError(
-                f"positive well requires K > {kc2} at beta = {beta}, got {K}")
-        base = 0.0
-        hi = 2.0 * beta * K
-    else:
-        w1, k1, _ = tangency(beta)
-        if K <= k1:
-            raise DomainError(
-                f"positive well requires K > {k1} at beta = {beta}, got {K}")
-        base = w1
-        hi = max(2.0 * beta * K, w1 + 1.0)
+    # above the second-order coupling 2 beta K > e^beta/2 + 1, so the
+    # margin base + 1 only ever binds at the tangency base
+    hi = max(2.0 * beta * K, base + 1.0)
     # just above the critical coupling the slope near the bracket base sits
     # below floating-point noise; anchor at the most negative sampled slope
     probes = base + np.geomspace(1e-12, hi - base, 200)
@@ -259,7 +261,7 @@ def well_depth(beta: float, K: float) -> float:
     w1, k1, _ = tangency(beta)
     if K < k1 - 1e-12:
         raise DomainError(f"well depth defined for K >= {k1} at beta = {beta}, got {K}")
-    w = w1 if K <= k1 + 1e-12 else positive_well(beta, K)
+    w = w1 if K <= k1 + 1e-12 else _well_above(beta, K, k1, w1)
     return tilt_potential(CanonicalParams(beta, K), w, 0)
 
 
@@ -275,11 +277,11 @@ def first_order_coupling(beta: float) -> float:
     already pinched together (beta just above BETA_C) their midpoint is
     returned as the tricritical continuation; canonical_criticals flags this.
     """
-    return _first_order_coupling(beta)[0]
+    return _first_order_coupling(beta, *tangency(beta))[0]
 
 
-def _first_order_coupling(beta):
-    w1, k1, k2 = tangency(beta)
+def _first_order_coupling(beta, w1, k1, k2):
+    """(Kc1, near_tricritical) from the tangency data (w1, k1, k2) of beta."""
     if k2 - k1 < 1e-8:
         return 0.5 * (k1 + k2), True
 
@@ -306,7 +308,7 @@ def canonical_criticals(beta: float) -> CanonicalCriticals:
     if _continuous_branch(beta):
         return CanonicalCriticals(beta=beta, k_second_order=second_order_coupling(beta))
     w1, k1, k2 = tangency(beta)
-    kc1, near = _first_order_coupling(beta)
+    kc1, near = _first_order_coupling(beta, w1, k1, k2)
     return CanonicalCriticals(beta=beta, k_first_order=kc1, k_tangent=k1,
                               k_spinodal=k2, w_tangent=w1, near_tricritical=near)
 
@@ -353,21 +355,25 @@ def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
     three coexist.  A coupling within CRITICAL_EQ_TOL of a critical value is
     treated as critical so branch labels are deterministic.
     """
+    return _solve_at(params, canonical_criticals(params.beta))
+
+
+def _solve_at(params, crit):
+    """solve_canonical given crit = canonical_criticals(params.beta)."""
     beta, K = params.beta, params.K
-    if _continuous_branch(beta):
-        kc2 = second_order_coupling(beta)
-        if K <= kc2 + CRITICAL_EQ_TOL:
+    kc1 = crit.k_first_order
+    if kc1 is None:
+        if K <= crit.k_second_order + CRITICAL_EQ_TOL:
             zs = (0.0,)
         else:
             z = positive_well(beta, K) / (2.0 * beta * K)
             zs = (-z, z)
+    elif K < kc1 - CRITICAL_EQ_TOL:
+        zs = (0.0,)
     else:
-        kc1, _ = _first_order_coupling(beta)
-        if K < kc1 - CRITICAL_EQ_TOL:
-            zs = (0.0,)
-        else:
-            z = positive_well(beta, K) / (2.0 * beta * K)
-            zs = (-z, 0.0, z) if K <= kc1 + CRITICAL_EQ_TOL else (-z, z)
+        w = _well_above(beta, K, crit.k_tangent, crit.w_tangent)
+        z = w / (2.0 * beta * K)
+        zs = (-z, 0.0, z) if K <= kc1 + CRITICAL_EQ_TOL else (-z, z)
 
     ws = tuple(2.0 * beta * K * z for z in zs)
     macs = tuple(tilt_macrostate(params, z) for z in zs)

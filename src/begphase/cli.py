@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import canonical, diagram, limits, micro
-from .core import CanonicalParams, DomainError, MicroParams, energy_domain
+from .core import CanonicalParams, DomainError, MicroParams
 
 USAGE_EXIT = 64
 DOMAIN_EXIT = 2
@@ -220,63 +220,49 @@ def _pad_roots(zs):
     return list(zs) + [None] * (3 - len(zs))
 
 
-def _cmd_diagram_canon(args):
-    betas = sorted(_parse_grid(args.beta_grid))
-    Ks = sorted(_parse_grid(args.K_grid))
-    cols = ("beta", "K", "branch", "z1", "z2", "z3", "G_min")
+# command: (sweep in diagram, row columns, curve columns, curve record -> row);
+# the first row column names the outer grid flag.  The sweep is looked up by
+# name when the command runs, so a rebound diagram attribute is the one called.
+_DIAGRAMS = {
+    "diagram-canon": (
+        "sweep_canonical",
+        ("beta", "K", "branch", "z1", "z2", "z3", "G_min"),
+        ("beta", "Kc2", "K1", "Kc1", "K2", "w1"),
+        lambda c: (c.beta, c.k_second_order, c.k_tangent, c.k_first_order,
+                   c.k_spinodal, c.w_tangent)),
+    "diagram-micro": (
+        "sweep_micro",
+        ("u", "K", "branch", "z1", "z2", "z3", "entropy"),
+        ("u", "Kc2", "Kc1", "C"),
+        lambda c: (c.u, c.k_second_order, c.k_first_order, c.k_convexity)),
+}
+
+
+def _cmd_diagram(args):
+    """Format the library sweep one outer value at a time, so CSV rows
+    stream as they are computed, and keep each value's curve record."""
+    sweep_name, cols, curve_cols, curve_row = _DIAGRAMS[args.cmd]
+    sweep = getattr(diagram, sweep_name)
+    outer = sorted(_parse_grid(getattr(args, f"{cols[0]}_grid")))
+    Ks = _parse_grid(args.K_grid)
+    curves = []
 
     def gen():
-        for beta in betas:
-            for K in Ks:
-                sol = canonical.solve_canonical(CanonicalParams(beta, K))
-                yield (beta, K, sol.phase_label, *_pad_roots(sol.z_points),
-                       sol.min_value)
+        for x in outer:
+            rows, crit = sweep([x], Ks, threads=_threads(args))
+            curves.extend(crit)
+            for r in rows:
+                yield (*r.control, r.branch, *_pad_roots(r.minimizers),
+                       r.value)
 
     if args.format == "csv":
         _stream_csv(args, cols, gen())
     else:
         _emit(args, cols, list(gen()))
     if args.curves_out:
-        _, curves = diagram.sweep_canonical(betas, [], threads=_threads(args))
-        ccols = ("beta", "Kc2", "K1", "Kc1", "K2", "w1")
         with open(args.curves_out, "w") as fh:
-            fh.write(",".join(ccols) + "\n")
-            for c in curves:
-                fh.write(",".join(fmt(v) for v in
-                                  (c.beta, c.k_second_order, c.k_tangent,
-                                   c.k_first_order, c.k_spinodal,
-                                   c.w_tangent)) + "\n")
-
-
-def _cmd_diagram_micro(args):
-    us = sorted(_parse_grid(args.u_grid))
-    Ks = sorted(_parse_grid(args.K_grid))
-    cols = ("u", "K", "branch", "z1", "z2", "z3", "entropy")
-
-    def gen():
-        for u in us:
-            for K in Ks:
-                lo, hi = energy_domain(K)
-                if not lo <= u <= hi:
-                    continue
-                sol = micro.solve_micro(MicroParams(u, K))
-                yield (u, K, sol.phase_label, *_pad_roots(sol.z_points),
-                       sol.entropy)
-
-    if args.format == "csv":
-        _stream_csv(args, cols, gen())
-    else:
-        _emit(args, cols, list(gen()))
-    if args.curves_out:
-        _, curves = diagram.sweep_micro(us, [], threads=_threads(args),
-                                        with_convexity=not args.no_convexity)
-        ccols = ("u", "Kc2", "Kc1", "C")
-        with open(args.curves_out, "w") as fh:
-            fh.write(",".join(ccols) + "\n")
-            for c in curves:
-                fh.write(",".join(fmt(v) for v in
-                                  (c.u, c.k_second_order, c.k_first_order,
-                                   c.k_convexity)) + "\n")
+            fh.write(",".join(curve_cols) + "\n")
+            fh.writelines(_csv_row(curve_row(c)) + "\n" for c in curves)
 
 
 def _cmd_equivalence(args):
@@ -379,16 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--K-grid", required=True, metavar="START:STOP:STEP")
     sp.add_argument("--curves-out", default=None)
     common(sp)
-    sp.set_defaults(fn=_cmd_diagram_canon)
+    sp.set_defaults(fn=_cmd_diagram)
 
     sp = sub.add_parser("diagram-micro", help="microcanonical sweep over a grid")
     sp.add_argument("--u-grid", required=True, metavar="START:STOP:STEP")
     sp.add_argument("--K-grid", required=True, metavar="START:STOP:STEP")
     sp.add_argument("--curves-out", default=None)
-    sp.add_argument("--no-convexity", action="store_true",
-                    help="skip the convexity-threshold computation per u")
     common(sp)
-    sp.set_defaults(fn=_cmd_diagram_micro)
+    sp.set_defaults(fn=_cmd_diagram)
 
     sp = sub.add_parser("equivalence",
                         help="order-parameter sets realized by both ensembles at K")

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .canonical import (
-    _continuous_branch,
+    _solve_at,
     canonical_criticals,
     first_order_coupling,
     second_order_coupling,
@@ -36,7 +36,6 @@ from .core import (
     energy_domain,
 )
 from .micro import (
-    MicroCriticals,
     _origin_band,
     first_order_coupling_u,
     micro_criticals,
@@ -52,7 +51,9 @@ GAP_CLUSTER_TOL = 1e-3
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
-    """One grid point of a sweep: minimizers, order parameter and labels."""
+    """One grid point of a sweep: minimizers, order parameter, labels and
+    the optimal value (the potential minimum G_min for canonical rows, the
+    entropy for micro rows)."""
 
     ensemble: str              # 'canonical' | 'micro'
     control: tuple             # (beta, K) or (u, K)
@@ -60,6 +61,7 @@ class PhaseDiagramRow:
     order_parameter: float
     branch: str                # 'unique' | 'pair' | 'triple'
     transition_order: int | None
+    value: float
 
 
 @dataclass(frozen=True)
@@ -181,64 +183,59 @@ def sweep_canonical(beta_grid, K_grid, threads: int = 1):
     """(rows, curves) over a (beta, K) grid.
 
     rows holds one PhaseDiagramRow per grid point, sorted by (beta, K);
-    curves holds canonical_criticals(beta) per beta.  Grid points are
-    independent work items; results are canonicalized by sorting, so the
-    output does not depend on scheduling.
+    curves holds canonical_criticals(beta) per beta, and each row is solved
+    from the record of its beta.  Grid points are independent work items;
+    results are canonicalized by sorting, so the output does not depend on
+    scheduling.
     """
     betas = sorted(float(b) for b in beta_grid)
     Ks = sorted(float(K) for K in K_grid)
     curves = _maybe_parallel(canonical_criticals, betas, threads)
 
-    def row(bk):
-        beta, K = bk
-        sol = solve_canonical(CanonicalParams(beta, K))
+    def row(item):
+        crit, K = item
+        beta = crit.beta
+        sol = _solve_at(CanonicalParams(beta, K), crit)
         return PhaseDiagramRow(
             ensemble="canonical", control=(beta, K), minimizers=sol.z_points,
             order_parameter=max(abs(z) for z in sol.z_points),
             branch=sol.phase_label,
-            transition_order=2 if _continuous_branch(beta) else 1)
+            transition_order=2 if crit.k_first_order is None else 1,
+            value=sol.min_value)
 
-    rows = _maybe_parallel(row, [(b, K) for b in betas for K in Ks], threads)
+    rows = _maybe_parallel(row, [(c, K) for c in curves for K in Ks], threads)
     return rows, curves
 
 
-def sweep_micro(u_grid, K_grid, threads: int = 1, with_convexity: bool = True):
+def sweep_micro(u_grid, K_grid, threads: int = 1):
     """(rows, curves) over a (u, K) grid; inadmissible pairs are skipped.
 
-    curves holds micro_criticals(u) per u; with_convexity=False keeps only
-    the second-order coupling, skipping the first-order coupling along with
-    the convexity threshold.
+    curves holds micro_criticals(u) per u, which labels the transition
+    order of the rows at that u.
     """
     us = sorted(float(u) for u in u_grid)
     Ks = sorted(float(K) for K in K_grid)
+    curves = _maybe_parallel(micro_criticals, us, threads)
 
-    def crit(u):
-        if with_convexity:
-            return micro_criticals(u)
-        k2 = second_order_coupling_u(u) if 0.0 < u < 2.0 / 3.0 else None
-        return MicroCriticals(u=u, k_second_order=k2)
-
-    curves = _maybe_parallel(crit, us, threads)
-    crit_by_u = dict(zip(us, curves))
-
-    def row(uk):
-        u, K = uk
+    def row(item):
+        crit, K = item
+        u = crit.u
         lo, hi = energy_domain(K)
         if not lo <= u <= hi:
             return None
         sol = solve_micro(MicroParams(u, K))
-        crit_u = crit_by_u[u]
         # the transition in K at this u is discontinuous exactly when it has
         # a first-order coupling (z = 0 destabilizes inside the non-convex band)
         order = None
-        if crit_u.k_second_order is not None:
-            order = 1 if crit_u.k_first_order is not None else 2
+        if crit.k_second_order is not None:
+            order = 1 if crit.k_first_order is not None else 2
         return PhaseDiagramRow(
             ensemble="micro", control=(u, K), minimizers=sol.z_points,
             order_parameter=max(abs(z) for z in sol.z_points),
-            branch=sol.phase_label, transition_order=order)
+            branch=sol.phase_label, transition_order=order,
+            value=sol.entropy)
 
-    rows = _maybe_parallel(row, [(u, K) for u in us for K in Ks], threads)
+    rows = _maybe_parallel(row, [(c, K) for c in curves for K in Ks], threads)
     return [r for r in rows if r is not None], curves
 
 

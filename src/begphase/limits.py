@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammainc, gammaln, logsumexp
-from scipy.stats import norm
+from scipy.special import gammainc, gammaln, logsumexp, ndtr
 
 from .canonical import minimum_type, solve_canonical
 from .core import CanonicalParams, DomainError, Macrostate, cumulant
@@ -122,8 +120,9 @@ class LimitDensity:
     """Limit law of S_n / n^(1-1/2r): normal for r = 1, else proportional to
     exp(-coef * x^(2r)) with coef = (even derivative at 0)/(2r)!.
 
-    The normalization constant comes from quadrature (relative 1e-10); the
-    CDF for r >= 2 uses the regularized incomplete gamma function.
+    The normalization constant is the closed form 2 Gamma(1 + 1/2r) /
+    coef^(1/2r); the CDF for r >= 2 uses the regularized incomplete gamma
+    function.
     """
 
     r: int
@@ -132,15 +131,16 @@ class LimitDensity:
     norm_const: float
 
     def pdf(self, x):
+        x = np.asarray(x, dtype=float)
         if self.r == 1:
-            return norm.pdf(x, scale=math.sqrt(self.sigma2))
-        return np.exp(-self.coef * np.asarray(x, dtype=float) ** (2 * self.r)) \
-            / self.norm_const
+            return (np.exp(-x * x / (2.0 * self.sigma2))
+                    / math.sqrt(2.0 * math.pi * self.sigma2))
+        return np.exp(-self.coef * x ** (2 * self.r)) / self.norm_const
 
     def cdf(self, x):
-        if self.r == 1:
-            return norm.cdf(x, scale=math.sqrt(self.sigma2))
         x = np.asarray(x, dtype=float)
+        if self.r == 1:
+            return ndtr(x / math.sqrt(self.sigma2))
         m = 2 * self.r
         inner = gammainc(1.0 / m, self.coef * np.abs(x) ** m)
         return 0.5 + 0.5 * np.sign(x) * inner
@@ -153,9 +153,8 @@ def limit_density(report: TypeReport) -> LimitDensity:
     m = 2 * report.r
     deriv = report.derivative_values[report.r - 1]
     coef = deriv / math.factorial(m)
-    val, _ = quad(lambda x: math.exp(-coef * x ** m), 0.0, np.inf,
-                  epsabs=0.0, epsrel=1e-12)
-    return LimitDensity(r=report.r, sigma2=None, coef=coef, norm_const=2.0 * val)
+    norm_const = 2.0 * math.gamma(1.0 + 1.0 / m) / coef ** (1.0 / m)
+    return LimitDensity(r=report.r, sigma2=None, coef=coef, norm_const=norm_const)
 
 
 def ks_distance(points: np.ndarray, probabilities: np.ndarray, cdf,
@@ -249,7 +248,7 @@ def conditioned_clt_check(n: int, params: CanonicalParams, j: str = "+",
     probs = probs / probs.sum()
     xs = (pmf.spins[keep] - n * zj) / math.sqrt(n)
     sigma2 = classify_minimum(params, zj).sigma2
-    return ks_distance(xs, probs, lambda x: norm.cdf(x, scale=math.sqrt(sigma2)),
+    return ks_distance(xs, probs, lambda x: ndtr(x / math.sqrt(sigma2)),
                        1.0 / math.sqrt(n))
 
 

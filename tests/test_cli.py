@@ -1,10 +1,16 @@
 import json
+import pathlib
 
 import pytest
 
 from conftest import brute_force_spin_pmf
 
-from begphase.cli import main
+from begphase.cli import fmt, main
+from begphase.core import MicroParams, energy_domain
+from begphase.diagram import tricritical_micro
+from begphase.micro import solve_micro
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, argv):
@@ -102,6 +108,79 @@ def test_diagram_canon_csv(capsys, tmp_path):
     assert all(d[5] == "" and d[3].startswith("-") for d in pairs)
     curves = curves_file.read_text().splitlines()
     assert curves[0] == "beta,Kc2,K1,Kc1,K2,w1"
+
+
+def test_diagram_micro_csv(tmp_path):
+    out_file = tmp_path / "rows.csv"
+    curves_file = tmp_path / "curves.csv"
+    code = main(["diagram-micro", "--u-grid", "0.2:0.6:0.1",
+                 "--K-grid", "0.8:1.6:0.4", "--out", str(out_file),
+                 "--curves-out", str(curves_file)])
+    assert code == 0
+    lines = [l for l in out_file.read_text().splitlines()
+             if not l.startswith("#")]
+    assert lines[0] == "u,K,branch,z1,z2,z3,entropy"
+    us = [0.2 + i * 0.1 for i in range(5)]
+    Ks = [0.8 + i * 0.4 for i in range(3)]
+    rows = [l.split(",") for l in lines[1:]]
+    expect = []
+    for u in us:
+        for K in Ks:
+            sol = solve_micro(MicroParams(u, K))
+            zs = list(sol.z_points) + [None] * (3 - len(sol.z_points))
+            expect.append([fmt(u), fmt(K), sol.phase_label,
+                           *(fmt(z) for z in zs), fmt(sol.entropy)])
+    assert rows == expect
+    u_star, _ = tricritical_micro()
+    curves = [l.split(",") for l in curves_file.read_text().splitlines()]
+    assert curves[0] == ["u", "Kc2", "Kc1", "C"]
+    assert [c[0] for c in curves[1:]] == [fmt(u) for u in us]
+    assert [c[2] == "" for c in curves[1:]] == [u >= u_star for u in us]
+
+    # u = 1.2 lies above the energy range at every K, u = 0.6 inside it
+    assert energy_domain(0.8)[1] < 1.2
+    code = main(["diagram-micro", "--u-grid", "0.6:1.2:0.6",
+                 "--K-grid", "0.8:0.8:0.1", "--out", str(out_file)])
+    assert code == 0
+    lines = [l for l in out_file.read_text().splitlines()
+             if not l.startswith("#")]
+    assert [l.split(",")[:2] for l in lines[1:]] == [["0.6", "0.8"]]
+
+
+def _assert_csv_close(got, want):
+    """Labels, headers and empty cells exactly; numbers to 1e-10 relative
+    or 1e-12 absolute (platforms may differ in the last ulp)."""
+    got, want = got.splitlines(), want.splitlines()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        gc, wc = g.split(","), w.split(",")
+        assert len(gc) == len(wc), (g, w)
+        for a, b in zip(gc, wc):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                assert a == b, (g, w)
+                continue
+            assert x == pytest.approx(y, rel=1e-10, abs=1e-12), (g, w)
+
+
+@pytest.mark.parametrize("cmd, axis, grid, K_grid", [
+    ("diagram-canon", "--beta-grid", "0.5:3:0.1", "0.8:1.4:0.05"),
+    ("diagram-micro", "--u-grid", "0.2:0.6:0.05", "0.8:1.6:0.1"),
+], ids=["canon", "micro"])
+def test_diagram_matches_golden_output(tmp_path, cmd, axis, grid, K_grid):
+    # the README grids; tests/data holds what the CLI wrote for them before
+    # its diagram commands were rebuilt on the library sweeps
+    rows_file = tmp_path / "rows.csv"
+    curves_file = tmp_path / "curves.csv"
+    code = main([cmd, axis, grid, "--K-grid", K_grid, "--out", str(rows_file),
+                 "--curves-out", str(curves_file)])
+    assert code == 0
+    stem = cmd.replace("-", "_")
+    _assert_csv_close(rows_file.read_text(),
+                      (DATA / f"{stem}_rows.csv").read_text())
+    _assert_csv_close(curves_file.read_text(),
+                      (DATA / f"{stem}_curves.csv").read_text())
 
 
 def test_micro_cli(capsys):

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from begphase import canonical
 from begphase.canonical import first_order_coupling, second_order_coupling, solve_canonical
-from begphase.core import BETA_C, CanonicalParams, DomainError, single_site_measure
+from begphase.core import (
+    BETA_C,
+    CanonicalParams,
+    DomainError,
+    MicroParams,
+    single_site_measure,
+)
 from begphase.diagram import (
     beta_c1_of_K,
     beta_c2_of_K,
@@ -17,7 +24,7 @@ from begphase.diagram import (
     u_c1_of_K,
     u_c2_of_K,
 )
-from begphase.micro import first_order_coupling_u, second_order_coupling_u
+from begphase.micro import first_order_coupling_u, second_order_coupling_u, solve_micro
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +121,34 @@ def test_sweep_canonical_transition_order_at_log4_decimal():
     rows, curves = sweep_canonical([beta], [1.0])
     assert rows[0].transition_order == 2
     assert curves[0].k_second_order is not None
+
+
+def test_tangency_derived_once_per_beta(monkeypatch):
+    # each beta's critical record is handed to its rows and to the well
+    # search, so neither re-derives the tangency
+    calls = []
+    tangency = canonical.tangency
+
+    def counting(beta):
+        calls.append(beta)
+        return tangency(beta)
+
+    monkeypatch.setattr(canonical, "tangency", counting)
+    sweep_canonical([2.0, 3.0], [1.0, 1.05, 1.1, 1.3])
+    assert calls == [2.0, 3.0]
+    calls.clear()
+    sol = solve_canonical(CanonicalParams(2.0, 1.1))
+    assert sol.phase_label == "pair"
+    assert calls == [2.0]
+
+
+def test_sweep_rows_carry_the_optimal_value():
+    rows, _ = sweep_canonical([1.0, 2.0], [0.9, 1.05, 1.3])
+    for r in rows:
+        assert r.value == solve_canonical(CanonicalParams(*r.control)).min_value
+    rows, _ = sweep_micro([0.25, 0.5], [1.0, 1.6])
+    for r in rows:
+        assert r.value == solve_micro(MicroParams(*r.control)).entropy
 
 
 def test_sweep_micro():

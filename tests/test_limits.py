@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from scipy.integrate import quad
 
 from conftest import brute_force_spin_pmf
 
+import begphase
 from begphase.canonical import first_order_coupling, second_order_coupling
 from begphase.core import BETA_C, CanonicalParams, DomainError
 from begphase.limits import (
@@ -242,3 +247,17 @@ def test_metropolis_detailed_balance_tiny_system():
     exact = exact_config_probs(4, params)
     tv = 0.5 * float(np.abs(res.config_probs - exact).sum())
     assert tv < 0.01
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # the limit laws use closed forms; scipy.stats alone costs most of the
+    # package's import time
+    src = str(pathlib.Path(begphase.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, begphase; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

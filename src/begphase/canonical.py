@@ -35,7 +35,7 @@ from .core import (
     mean_tilt,
     rel_entropy,
 )
-from .rootfind import bisect_newton, golden_min
+from .rootfind import bisect_newton, golden_min, piecewise_minima
 
 #: Couplings within this distance of a computed critical value are treated as
 #: exactly critical when selecting a solution branch.
@@ -207,49 +207,22 @@ def tangency(beta: float) -> tuple[float, float, float]:
 
 
 def positive_well(beta: float, K: float) -> float:
-    """Location of the unique positive local minimum of the tilt potential.
+    """Location of the positive local minimum of the tilt potential P(w).
 
-    Requires K above the second-order coupling (beta <= BETA_C) or above the
-    tangency coupling (beta > BETA_C).  The bracket upper end 2 beta K works
-    because |c'| < 1 makes the potential slope w/(2 beta K) - c'(w) positive
-    there; the residual is polished below 1e-13.
+    P''' = -c''' changes sign on w > 0 only at the inflection of c' (beta >
+    BETA_C), so rootfind.piecewise_minima finds every local minimum of P on
+    [0, 2 beta K + 1], at most one of them positive; P' > 0 at that end even
+    where c' rounds to 1.  Raises DomainError when no positive well exists
+    (K at or below the second-order or the tangency coupling).
     """
-    if beta <= BETA_C:
-        return _well_above(beta, K, second_order_coupling(beta), 0.0)
-    w1, k1, _ = tangency(beta)
-    return _well_above(beta, K, k1, w1)
-
-
-def _well_above(beta, K, k_crit, base):
-    """positive_well for K above the coupling k_crit at which the well
-    appears, searching from the tilt base where it appears (0 for the
-    second-order coupling, the tangency tilt for the tangency coupling)."""
-    if K <= k_crit:
-        raise DomainError(
-            f"positive well requires K > {k_crit} at beta = {beta}, got {K}")
     params = CanonicalParams(beta, K)
-
-    def fprime(w):
-        return tilt_potential(params, w, 1)
-
-    def fsecond(w):
-        return tilt_potential(params, w, 2)
-
-    # above the second-order coupling 2 beta K > e^beta/2 + 1, so the
-    # margin base + 1 only ever binds at the tangency base
-    hi = max(2.0 * beta * K, base + 1.0)
-    # just above the critical coupling the slope near the bracket base sits
-    # below floating-point noise; anchor at the most negative sampled slope
-    probes = base + np.geomspace(1e-12, hi - base, 200)
-    slopes = probes / (2.0 * beta * K) - cumulant_vec(beta, probes, 1)
-    imin = int(np.argmin(slopes))
-    if not slopes[imin] < 0.0:
-        raise RuntimeError(
-            f"no descent direction found at (beta, K) = ({beta}, {K}); the "
-            f"coupling is numerically indistinguishable from critical")
-    w = bisect_newton(fprime, fsecond, float(probes[imin]), hi, newton_tol=1e-13)
-    if fsecond(w) <= 0.0:
-        raise RuntimeError(f"well search landed on a non-minimum at w = {w}")
+    cuts = (cumulant_inflection(beta),) if beta > BETA_C else ()
+    w = piecewise_minima(lambda w: tilt_potential(params, w, 1),
+                         lambda w: tilt_potential(params, w, 2),
+                         cuts, 0.0, 2.0 * beta * K + 1.0)[-1]
+    if w <= 0.0:
+        raise DomainError(f"no positive well at (beta, K) = ({beta}, {K}): K is "
+                          f"at or below the coupling where it appears")
     return w
 
 
@@ -261,7 +234,7 @@ def well_depth(beta: float, K: float) -> float:
     w1, k1, _ = tangency(beta)
     if K < k1 - 1e-12:
         raise DomainError(f"well depth defined for K >= {k1} at beta = {beta}, got {K}")
-    w = w1 if K <= k1 + 1e-12 else _well_above(beta, K, k1, w1)
+    w = w1 if K <= k1 + 1e-12 else positive_well(beta, K)
     return tilt_potential(CanonicalParams(beta, K), w, 0)
 
 
@@ -371,8 +344,7 @@ def _solve_at(params, crit):
     elif K < kc1 - CRITICAL_EQ_TOL:
         zs = (0.0,)
     else:
-        w = _well_above(beta, K, crit.k_tangent, crit.w_tangent)
-        z = w / (2.0 * beta * K)
+        z = positive_well(beta, K) / (2.0 * beta * K)
         zs = (-z, 0.0, z) if K <= kc1 + CRITICAL_EQ_TOL else (-z, z)
 
     ws = tuple(2.0 * beta * K * z for z in zs)

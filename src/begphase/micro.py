@@ -12,11 +12,12 @@ back to macrostates via nu_+1 = (q+z)/2, nu_-1 = (q-z)/2, nu_0 = 1-q, and the
 negative minimum value is the microcanonical entropy.
 
 No bracketing lemma controls the positive wells here (the objective can hold
-up to five stationary points in the first-order regime), so global minima are
-located by a dense scan plus golden-section refinement.  The first-order
-coupling needs no scan: it is the least coupling (q - u)/z^2 over the points
-(z, q) whose rate is at most the rate of z = 0, one golden-section
-minimization over q.
+up to five stationary points in the first-order regime), but F''' = 2 z
+Q(z^2)/(abc)^2 with Q a quartic: F'' is monotone between the roots of Q, so
+rootfind.piecewise_minima finds every local minimum, and F' summed from the
+curvature at z = 0 resolves the wells just above the second-order coupling.
+The first-order coupling is the least coupling (q - u)/z^2 over the points
+(z, q) whose rate is at most that of z = 0: one golden-section minimization.
 """
 
 import math
@@ -26,9 +27,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from .core import DomainError, Macrostate, MicroParams, energy_domain
-from .rootfind import bisect_newton, golden_min
+from .rootfind import bisect_newton, golden_min, piecewise_minima
 
-SCAN_STEP = 1e-4
 TIE_TOL = 1e-12
 _LOG2 = math.log(2.0)
 
@@ -38,8 +38,8 @@ class MicroSolution:
     """Global minimizers of the shell rate, their lifts and the entropy.
 
     z_points is symmetric under negation; entropy is the negative minimum
-    value (always <= 0); tied marks solutions where distinct |z| values
-    coexist within the tie tolerance.
+    value (always <= 0); tied marks solutions where z = 0 and a positive well
+    coexist within the tie tolerance TIE_TOL.
     """
 
     params: MicroParams
@@ -168,99 +168,73 @@ def _subtract_open(intervals, a, b):
 # Global minimization
 # ---------------------------------------------------------------------------
 
-def _component_minima(u, K, lo, hi):
-    """Candidate (z, value) local minima of the shell rate on [lo, hi]."""
-    span = hi - lo
-    if span < 4.0 * SCAN_STEP:
-        pts = {lo, 0.5 * (lo + hi), hi}
-        return [(z, float(_shell_rate_vec(u, K, z))) for z in pts]
-    npts = int(math.ceil(span / SCAN_STEP)) + 1
-    zs = np.linspace(lo, hi, npts)
-    vals = _shell_rate_vec(u, K, zs)
+def _log_odds(u):
+    """log(2(1-u)/u), summed so that it stays finite for subnormal u."""
+    return _LOG2 + math.log1p(-u) - math.log(u)
 
-    def refine(a, b):
-        return golden_min(lambda z: float(_shell_rate_vec(u, K, z)), a, b,
-                          tol=1e-12)
 
-    cands = []
-    if vals[0] <= vals[1]:
-        cands.append(refine(zs[0], zs[1]))
-        cands.append((float(zs[0]), float(vals[0])))
-    if vals[-1] <= vals[-2]:
-        cands.append(refine(zs[-2], zs[-1]))
-        cands.append((float(zs[-1]), float(vals[-1])))
-    interior = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    for i in interior:
-        cands.append(refine(zs[i - 1], zs[i + 1]))
-    return cands
+def _rate_slope(u, K, z):
+    """F'(z) of the shell rate at z >= 0, free of cancellation as z -> 0.
+
+    With p = K z^2, q = u + p and x = z/q, F' = atanh(x) - x + z [g(q) +
+    K log1p(-x^2)], g(q) = 1/q - 2K log(2(1-q)/q).  While p < u, g(q) is the
+    closed-form curvature g(u) = F''(0) plus log1p increments of order p, so
+    the rounding of g(u) bounds the relative error.  +inf at c = 0 and at the
+    pinch end b = 0 (2Kz < 1), -inf at the outer b = 0 end (2Kz > 1).
+    """
+    p = K * z * z
+    q = u + p
+    if q >= 1.0:
+        return math.inf
+    x = z / q if q > 0.0 else math.inf
+    if x >= 1.0:
+        return math.copysign(math.inf, 1.0 - 2.0 * K * z)
+    if p < u:
+        g = (1.0 / u - 2.0 * K * _log_odds(u) - p / (u * q)
+             + 2.0 * K * (math.log1p(p / u) - math.log1p(-p / (1.0 - u))))
+    else:
+        g = 1.0 / q - 2.0 * K * _log_odds(q)
+    return math.atanh(x) - x + z * (g + K * math.log1p(-x * x))
+
+
+def _rate_curvature(u, K, z):
+    """F''(z) = a'^2/(2a) + b'^2/(2b) + c'^2/c + K log(ab/(2c)^2) at z >= 0
+    (a' = 1+2Kz, b' = 2Kz-1, c' = -2Kz); +inf where b = 0 or c = 0."""
+    q = u + K * z * z
+    a, b, c = q + z, q - z, 1.0 - q
+    if b <= 0.0 or c <= 0.0:
+        return math.inf
+    d = 2.0 * K * z
+    return ((1.0 + d) ** 2 / (2.0 * a) + (d - 1.0) ** 2 / (2.0 * b) + d * d / c
+            + K * (math.log(a) + math.log(b) - 2.0 * math.log(2.0 * c)))
 
 
 def _global_minima(u, K):
-    """All global minimizers (tie tolerance TIE_TOL) over the admissible set.
-
-    The objective is even, so only the nonnegative half of the admissible set
-    is scanned and minimizers are mirrored afterwards; this keeps the reported
-    set exactly symmetric regardless of refinement tie-breaking.  Minima that
-    golden section leaves within 1e-6 of the origin are snapped onto it (the
-    origin of an even function is stationary, and golden section stalls at
-    sqrt(eps) on flat minima).
+    """(global minimizers, minimum value) of the shell rate; local minima
+    within TIE_TOL of the least all count.  The rate is even, so
+    piecewise_minima searches the nonnegative part of each component and the
+    minimizers are mirrored.  z = 0 is a minimum exactly when the closed-form
+    F''(0), from which F' is summed, is positive: no tolerance decides it.
     """
-    params = MicroParams(u, K)
+    cuts = [math.sqrt(t) for t in _phi3_roots(u, K)]
     cands = []
-    zero_adm = False
-    for lo, hi in admissible_domain(params):
-        if hi < 0.0:
-            continue  # mirror of a nonnegative component
-        lo = max(lo, 0.0)
-        zero_adm = zero_adm or lo == 0.0
-        cands.extend(_component_minima(u, K, lo, hi))
-    snapped = []
-    r0 = float(_shell_rate_vec(u, K, 0.0)) if zero_adm else math.inf
-    for z, v in cands:
-        if zero_adm and abs(z) < 1e-6 and r0 <= v + TIE_TOL:
-            snapped.append((0.0, r0))
-        else:
-            snapped.append((abs(z), v))
-    best = min(v for _, v in snapped)
-    kept = sorted((z, v) for z, v in snapped if v <= best + TIE_TOL)
-    merged = []
-    for z, v in kept:
-        if merged and abs(z - merged[-1][0]) <= 1e-7:
-            if v < merged[-1][1]:
-                merged[-1] = (z, v)
-        else:
-            merged.append((z, v))
-    # near a critical coupling the rate is quartic-flat, so many grid points
-    # tie inside one basin; distinct minimizers must be separated by a
-    # barrier above the tie tolerance (or by an inadmissible band)
-    groups = [[merged[0]]]
-    for z, v in merged[1:]:
-        zp = groups[-1][-1][0]
-        mids = np.linspace(zp, z, 9)[1:-1]
-        if all(_admissible(u, K, zm) for zm in mids):
-            barrier = float(np.max(_shell_rate_vec(u, K, mids)))
-        else:
-            barrier = math.inf
-        if barrier <= best + TIE_TOL:
-            groups[-1].append((z, v))
-        else:
-            groups.append([(z, v)])
-    reps = []
-    for g in groups:
-        zeros = [zv for zv in g if zv[0] == 0.0]
-        reps.append(zeros[0] if zeros else min(g, key=lambda zv: zv[1]))
-    final = sorted({0.0 if z == 0.0 else s * z for z, _ in reps
-                    for s in ((1.0,) if z == 0.0 else (-1.0, 1.0))})
-    return final, best
+    for lo, hi in admissible_domain(MicroParams(u, K)):
+        if hi >= 0.0:  # a negative component mirrors a positive one
+            cands += piecewise_minima(lambda z: _rate_slope(u, K, z),
+                                      lambda z: _rate_curvature(u, K, z),
+                                      cuts, max(0.0, lo), hi)
+    vals = [float(_shell_rate_vec(u, K, z)) for z in cands]
+    best = min(vals)
+    kept = sorted(z for z, v in zip(cands, vals) if v <= best + TIE_TOL)
+    return [-z for z in reversed(kept) if z > 0.0] + kept, best
 
 
 def solve_micro(params: MicroParams) -> MicroSolution:
     """Global minimizers of the shell rate, lifted to macrostates.
 
-    Dense scan at SCAN_STEP over every admissible component, golden-section
-    refinement of each bracketed local minimum to width 1e-12, ties within
-    TIE_TOL all retained.  At most three global minimizers can occur; more
-    indicates a violated structural assumption and raises RuntimeError.
+    Local minima from the exact derivatives of the rate, ties within TIE_TOL
+    all retained.  At most three global minimizers can occur; more indicates
+    a violated structural assumption and raises RuntimeError.
     """
     zs, best = _global_minima(params.u, params.K)
     if len(zs) > 3:
@@ -269,7 +243,7 @@ def solve_micro(params: MicroParams) -> MicroSolution:
             f"the solver assumes at most three: {zs}")
     macs = tuple(shell_macrostate(params, z) for z in zs)
     label = {1: "unique", 2: "pair", 3: "triple"}[len(zs)]
-    tied = len({round(abs(z), 7) for z in zs}) > 1
+    tied = 0.0 in zs and len(zs) > 1
     return MicroSolution(params=params, z_points=tuple(zs), macrostates=macs,
                          entropy=-best, phase_label=label, tied=tied)
 
@@ -295,7 +269,10 @@ def second_order_coupling_u(u: float) -> float:
         raise DomainError(
             f"second-order coupling needs 0 < u < 2/3 (the z = 0 curvature "
             f"relation degenerates outside), got {u}")
-    return 1.0 / (2.0 * u * math.log(2.0 * (1.0 - u) / u))
+    k2 = 1.0 / (2.0 * u * _log_odds(u))
+    if k2 == math.inf:
+        raise DomainError(f"second-order coupling at u = {u} exceeds the float range")
+    return k2
 
 
 def _phi3_quartic(u, K):
@@ -319,6 +296,13 @@ def _phi3_quartic(u, K):
                              + 1.0 - u))
 
 
+def _phi3_roots(u, K):
+    """Positive real parts of the roots of the _phi3_quartic quartic, sorted:
+    phi''' changes sign on z > 0 only where z^2 is one of them (the real part
+    keeps a nearly real pair; a complex pair adds harmless extra points)."""
+    return sorted(r.real for r in np.roots(_phi3_quartic(u, K)) if r.real > 0.0)
+
+
 def _convexity_indicator(u, K):
     """True when the third derivative of the nonlinear shell component is
     nonnegative over the positive part of the central admissible component,
@@ -332,12 +316,11 @@ def _convexity_indicator(u, K):
              if iv[0] <= 0.0 <= iv[1]]
     if not comps or comps[0][1] <= 0.0:
         return None
-    coeffs = _phi3_quartic(u, K)
     t_top = comps[0][1] ** 2
-    cuts = np.sort([0.0, t_top] + [r.real for r in np.roots(coeffs)
-                                   if 0.0 < r.real < t_top])
+    cuts = np.array([0.0] + [t for t in _phi3_roots(u, K) if t < t_top]
+                    + [t_top])
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    return bool(np.min(np.polyval(coeffs, mids)) >= 0.0)
+    return bool(np.min(np.polyval(_phi3_quartic(u, K), mids)) >= 0.0)
 
 
 def _origin_band(u):

@@ -3,9 +3,9 @@
 Every solver in this package locates roots the same way: a sign-change
 bracket is shrunk by bisection until it is small, then Newton polishes the
 root to near machine precision while a safeguard keeps the iterates inside
-the bracket.  Multi-well scans refine local minima with a plain golden
-section, which needs no derivatives and is immune to the logarithmic
-endpoint singularities of the microcanonical objective.
+the bracket.  piecewise_minima finds every local minimum of a function whose
+third derivative changes sign only at known points, without a grid; golden
+section serves the searches that have no derivatives at hand.
 """
 
 import math
@@ -21,10 +21,10 @@ def bisect_newton(f, fprime, lo, hi, *, bisect_tol=1e-6, newton_tol=1e-13,
                   max_newton=80):
     """Root of f on [lo, hi] with f(lo), f(hi) of opposite signs.
 
-    Bisection narrows the bracket to `bisect_tol`, then Newton iterations run
-    until |f(x)| < newton_tol.  A Newton step that leaves the current bracket
-    is replaced by a bisection step, so convergence never depends on the
-    starting point.
+    Bisection narrows the bracket to `bisect_tol`, then Newton runs until
+    |f(x)| < newton_tol, f(x) == 0 or a step no longer moves x.  A Newton
+    step that leaves the current bracket is replaced by a bisection step, so
+    convergence never depends on the starting point.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -48,7 +48,7 @@ def bisect_newton(f, fprime, lo, hi, *, bisect_tol=1e-6, newton_tol=1e-13,
     x = 0.5 * (lo + hi)
     fx = f(x)
     for _ in range(max_newton):
-        if abs(fx) < newton_tol:
+        if fx == 0.0 or abs(fx) < newton_tol:
             return x
         # keep the bracket current so a wild step can be rejected
         if flo * fx < 0.0:
@@ -72,14 +72,16 @@ def bisect_newton(f, fprime, lo, hi, *, bisect_tol=1e-6, newton_tol=1e-13,
 def golden_min(f, lo, hi, *, tol=1e-12):
     """Golden-section minimum of f on [lo, hi] down to interval width `tol`.
 
-    Returns (x, f(x)) at the interval midpoint after convergence; endpoint
-    values are also compared so a boundary minimum is not missed.
+    Returns (x, f(x)) at the final midpoint unless an endpoint or a probe was
+    strictly lower, then the lowest of those: a minimum at a boundary or next
+    to a jump of f to +inf is not missed.
     """
     a, b = lo, hi
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1 = f(x1)
     f2 = f(x2)
+    best = min((f1, x1), (f2, x2))
     while b - a > tol:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -89,9 +91,10 @@ def golden_min(f, lo, hi, *, tol=1e-12):
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
             f2 = f(x2)
+        best = min(best, (f1, x1), (f2, x2))
     x = 0.5 * (a + b)
     fx = f(x)
-    for cand, fcand in ((lo, f(lo)), (hi, f(hi))):
+    for fcand, cand in ((f(lo), lo), (f(hi), hi), best):
         if fcand < fx:
             x, fx = cand, fcand
     return x, fx
@@ -123,3 +126,40 @@ def bisect_monotone(f, lo, hi, target, *, tol=1e-9):
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def piecewise_minima(fp, fpp, cuts, lo, hi):
+    """Every local minimizer of f on [lo, hi], in increasing order.
+
+    `cuts` must hold every point of (lo, hi) where f''' may change sign
+    (extra ones are harmless).  Between cuts f'' is monotone, and its roots
+    split [lo, hi] into pieces where f' is monotone.  A minimum is a sign
+    change of f' from - to + on a piece (Newton from its midpoint until the
+    step stalls), a split point where f' = 0 between the two, or an end where
+    f' points into [lo, hi], as at the origin of an even f with f' > 0 on the
+    first piece.  fp and fpp may be +-inf at an end, never NaN.
+    """
+    if hi <= lo:
+        return [lo]
+    nodes = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+    curv = [fpp(x) for x in nodes]
+    xs = [lo]
+    for a, b, ca, cb in zip(nodes, nodes[1:], curv, curv[1:]):
+        if ca * cb < 0.0:
+            # moving a split by d hides a sign change of f' only for a well
+            # of depth O(f''' d^3), far below the rounding of compared values
+            xs.append(bisect_monotone(fpp, a, b, 0.0, tol=1e-12 * (b - a)))
+        xs.append(b)
+    # f' < 0 left of lo and > 0 right of hi: an end is then a minimum exactly
+    # when f' points into [lo, hi] there
+    d = [-1.0] + [fp(x) for x in xs] + [1.0]
+    xs = [lo] + xs + [hi]
+    mins = []
+    for i in range(len(xs) - 1):
+        a, b = xs[i], xs[i + 1]
+        if d[i] < 0.0 < d[i + 1]:
+            mins.append(a if a == b else bisect_newton(
+                fp, fpp, a, b, bisect_tol=b - a, newton_tol=0.0))
+        elif d[i + 1] == 0.0 and d[i] < 0.0 < d[i + 2]:
+            mins.append(b)
+    return mins

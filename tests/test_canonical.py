@@ -145,6 +145,22 @@ def test_positive_well():
     assert positive_well(1.0, 1.3) < positive_well(1.0, 1.6)
     with pytest.raises(DomainError):
         positive_well(1.0, 1.0)
+    with pytest.raises(DomainError):   # below tangency above log 4
+        positive_well(2.0, tangency(2.0)[1] * (1.0 - 1e-3))
+
+
+def test_snap_band_pair_rows_make_no_tangency_call(monkeypatch):
+    # beta = 1.3862944 lies within BETA_SNAP_TOL above log 4, so its rows
+    # take the continuous branch, whose record holds no tangency data
+    from begphase import canonical
+    from begphase.diagram import sweep_canonical
+    calls = []
+    real = canonical.tangency
+    monkeypatch.setattr(canonical, "tangency",
+                        lambda beta: calls.append(beta) or real(beta))
+    rows, _ = sweep_canonical([1.3862944], [1.0, 1.05, 1.1, 1.15, 1.2])
+    assert [r.branch for r in rows].count("pair") == 3
+    assert calls == []
 
 
 def test_positive_well_approaches_tangency_point():

@@ -132,6 +132,84 @@ def test_entropy_values():
         assert micro_entropy(MicroParams(u, K)) <= 1e-15
 
 
+@pytest.mark.parametrize("u, K, z", [
+    (0.4, 1.2, 0.2), (0.2, 1.07, 0.75), (0.1, 5.0, 0.03), (-0.5, 2.0, 0.83),
+    (0.5, 1.5, 1e-3), (0.3, 1.4, 0.6),
+])
+def test_rate_derivatives_match_central_differences(u, K, z):
+    from begphase.micro import _rate_curvature, _rate_slope
+    params = MicroParams(u, K)
+
+    def rate(x):
+        return shell_rate(params, x)
+
+    d1, d2 = _rate_slope(u, K, z), _rate_curvature(u, K, z)
+    assert abs(d1 - central_diff(rate, z, h=1e-5)) <= 1e-7 * max(1.0, abs(d1))
+    assert abs(d2 - second_diff(rate, z, h=1e-4)) <= 1e-5 * max(1.0, abs(d2))
+
+
+@pytest.mark.parametrize("u, K, z_star", [
+    (0.34, 1.0841527751091613, 0.0038366216641551473),
+    (0.4, 1.13780017108258, 0.0011870871114157076),
+    (0.5, 1.4426964835840042, 0.00050714772686405388),
+    (0.6, 2.896719144034752, 0.00017348694623604754),
+])
+def test_well_just_above_second_order_coupling(u, K, z_star):
+    # K is the double k2(u) * (1 + 1e-6), z_star the root of F' there from a
+    # 50-digit solve.  The rate is quartic-flat at the well, so a search on
+    # its values resolves z only to about eps^(1/4)
+    k2 = second_order_coupling_u(u)
+    assert K == k2 * (1.0 + 1e-6)
+    sol = solve_micro(MicroParams(u, K))
+    assert sol.phase_label == "pair" and not sol.tied
+    assert abs(sol.z_points[1] - z_star) <= 1e-9 * z_star
+    # the sign of the closed-form curvature at z = 0 decides the branch
+    assert solve_micro(MicroParams(u, k2 * (1.0 - 1e-12))).z_points == (0.0,)
+    above = solve_micro(MicroParams(u, k2 * (1.0 + 1e-12)))
+    assert above.phase_label == "pair" and 0.0 < above.z_points[1] < 1e-5
+
+
+U_STAR, K_STAR = 0.330343829, 1.081296450   # tricritical_micro()
+
+
+@st.composite
+def shell_points(draw):
+    """(u, K) over the whole admissible domain, weighted toward its edges:
+    u near 0, u near 1, negative u (K > 1) and the tricritical point."""
+    kind = draw(st.sampled_from(["bulk", "small u", "u near 1", "negative u",
+                                 "tricritical"]))
+    K = draw(st.floats(0.3, 3.0))
+    if kind == "bulk":
+        u = draw(st.floats(0.0, 1.0))
+    elif kind == "small u":
+        u = draw(st.floats(1e-12, 1e-3))
+    elif kind == "u near 1":
+        u = 1.0 - draw(st.floats(1e-12, 1e-3))
+    elif kind == "negative u":
+        K = draw(st.floats(1.0 + 1e-6, 3.0))
+        u = draw(st.floats(1.0 - K, 0.0))
+    else:
+        u = U_STAR + draw(st.floats(-1e-4, 1e-4))
+        K = K_STAR * (1.0 + draw(st.floats(-1e-4, 1e-4)))
+    return u, K
+
+
+@settings(max_examples=80, deadline=None)
+@given(shell_points())
+def test_solver_minima_beat_a_dense_grid(point):
+    # test-only oracle: a 4001-point grid on every admissible component
+    from begphase.micro import _rate_curvature, _shell_rate_vec
+    u, K = point
+    sol = solve_micro(MicroParams(u, K))
+    comps = admissible_domain(MicroParams(u, K))
+    grid_min = min(float(np.min(_shell_rate_vec(u, K, np.linspace(lo, hi, 4001))))
+                   for lo, hi in comps)
+    assert -sol.entropy <= grid_min + 1e-12
+    for z in sol.z_points:
+        if any(lo < z < hi for lo, hi in comps):   # not an isolated point
+            assert _rate_curvature(u, K, abs(z)) >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # critical couplings
 # ---------------------------------------------------------------------------
@@ -143,6 +221,15 @@ def test_second_order_coupling_u_values():
         second_order_coupling_u(2.0 / 3.0)
     with pytest.raises(DomainError):
         second_order_coupling_u(0.0)
+
+
+def test_second_order_coupling_u_at_subnormal_u():
+    # 2(1-u)/u overflows below u ~ 1e-308; log 2 + log1p(-u) - log u does
+    # not.  Reference from a 50-digit evaluation at the double u
+    assert second_order_coupling_u(1e-310) == pytest.approx(6.9979542431638368e306,
+                                                          rel=1e-12)
+    with pytest.raises(DomainError, match="float range"):
+        second_order_coupling_u(5e-324)   # the true k2 is about 1.3e320
 
 
 def test_second_order_coupling_u_is_curvature_root():
@@ -349,7 +436,7 @@ def test_first_order_coupling_u_near_the_corner(u, kc1):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.005, max_value=0.325))
 def test_first_order_coupling_u_is_the_scan_transition(u):
-    # solve_micro scans the shell rate directly: an independent route
+    # solve_micro finds the minima of the shell rate itself: an independent route
     kc1 = first_order_coupling_u(u)
     assert solve_micro(MicroParams(u, kc1 * (1.0 - 1e-6))).z_points == (0.0,)
     above = solve_micro(MicroParams(u, kc1 * (1.0 + 1e-6)))

@@ -1,0 +1,64 @@
+import math
+
+import pytest
+
+from begphase.rootfind import bisect_newton, golden_min, piecewise_minima
+
+
+def test_bisect_newton_stops_at_an_exact_zero():
+    # Newton lands exactly on the root; the iterates must stay there rather
+    # than treat f(x) = 0 as one side of the bracket and crawl to hi
+    x = bisect_newton(lambda x: x - 0.3, lambda x: 1.0, 0.0, 1.0, newton_tol=0.0)
+    assert abs(x - 0.3) <= math.ulp(0.3)
+
+
+def test_golden_min_returns_the_best_point_evaluated():
+    # the minimum sits next to a jump to +inf, where the final midpoint lands
+    def f(x):
+        return (x - 0.31) ** 2 if x <= 0.31 else math.inf
+
+    x, fx = golden_min(f, 0.0, 1.0)
+    assert abs(x - 0.31) <= 1e-9
+    assert fx == f(x)
+
+
+def _quartic(c):
+    # f = x^4/4 - c x^2/2, given by f' and f''
+    return (lambda x: x ** 3 - c * x, lambda x: 3.0 * x * x - c)
+
+
+@pytest.mark.parametrize("fp, fpp, cuts, lo, hi, want", [
+    # x^4/4 - x^2/2: the origin is a maximum, the well sits at 1
+    (*_quartic(1.0), (), 0.0, 2.0, [1.0]),
+    # redundant cuts, one of them exactly on the minimum
+    (*_quartic(1.0), (0.5, 1.0, 1.7, 5.0), 0.0, 2.0, [1.0]),
+    # both wells of the double well, f''' = 6x cut at 0
+    (*_quartic(1.0), (0.0,), -2.0, 2.0, [-1.0, 1.0]),
+    # x^4/4 + x^2/2: the origin of an even function with f'' > 0
+    (*_quartic(-1.0), (), 0.0, 2.0, [0.0]),
+    # x^4/4 - x^3 + x^2, f' = x (x-1) (x-2): the origin and the well at 2,
+    # with the maximum at 1 rejected; f''' = 6x - 6 is cut at 1
+    (lambda x: x * (x - 1.0) * (x - 2.0), lambda x: 3.0 * x * x - 6.0 * x + 2.0,
+     (1.0,), 0.0, 3.0, [0.0, 2.0]),
+    # ends: f' points into the interval at lo, out of it at hi
+    (lambda x: 2.0 * (x - 3.0), lambda x: 2.0, (), 0.0, 2.0, [2.0]),
+    (lambda x: 1.0, lambda x: 0.0, (), 0.0, 1.0, [0.0]),
+    # a degenerate interval is its own minimum
+    (lambda x: 1.0, lambda x: 0.0, (), 0.5, 0.5, [0.5]),
+], ids=["half-double-well", "redundant-cuts", "double-well", "even-convex",
+        "origin-and-well", "end-hi", "end-lo", "degenerate"])
+def test_piecewise_minima_on_polynomials(fp, fpp, cuts, lo, hi, want):
+    got = piecewise_minima(fp, fpp, cuts, lo, hi)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 2.0 * math.ulp(max(abs(w), 1.0))
+
+
+def test_piecewise_minima_shallow_well_next_to_the_origin():
+    # f' = x (x^2 - e): the well at sqrt(e) is below any grid of practical
+    # resolution, and the origin is a maximum
+    e = 1e-14
+    got = piecewise_minima(lambda x: x * (x * x - e), lambda x: 3.0 * x * x - e,
+                           (), 0.0, 1.0)
+    assert len(got) == 1
+    assert abs(got[0] - math.sqrt(e)) <= 1e-15 * math.sqrt(e)

@@ -111,7 +111,14 @@ def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
         return a * (z - cumulant(params.beta, w, 1))
     if order == 2:
         return a * (1.0 - a * cumulant(params.beta, w, 2))
-    return -(a ** order) * cumulant(params.beta, w, order)
+    try:
+        scale = a ** order
+    except OverflowError:
+        raise DomainError(
+            f"derivative of order {order} of the magnetization potential at "
+            f"(beta, K) = ({params.beta}, {params.K}) overflows the float "
+            f"range: (2 beta K)^{order} with 2 beta K = {a}") from None
+    return -scale * cumulant(params.beta, w, order)
 
 
 def tilt_potential(params: CanonicalParams, w: float, order: int = 0) -> float:
@@ -308,6 +315,10 @@ def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
 
     r is the smallest index whose even derivative of order 2r exceeds
     DERIV_ZERO_TOL after all lower even derivatives vanish to that tolerance.
+    When the ladder finds no type but G'' itself is positive (just above
+    log 4, G'' can fall under the tolerance while a rounded G'''' is
+    negative), r = 1: the exact sign of G'' decides, as the sign of F''(0)
+    does at the origin in solve_micro.
     """
     evens = tuple(mag_potential(params, z, j) for j in (2, 4, 6))
     for idx, val in enumerate(evens):
@@ -315,6 +326,8 @@ def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
             break
         if val > DERIV_ZERO_TOL:
             return idx + 1, evens
+    if evens[0] > 0.0:
+        return 1, evens
     raise RuntimeError(
         f"type classification failed at z = {z}: even derivatives {evens}")
 
@@ -368,16 +381,16 @@ def canonical_free_energy(params: CanonicalParams) -> float:
 # Independent route through the Cramer rate (duality cross-check)
 # ---------------------------------------------------------------------------
 
-def dual_route_minimum(params: CanonicalParams, grid_points: int = 4001):
+def dual_route_minimum(params: CanonicalParams):
     """(min value, argmin tuple) of cramer_rate(z) - beta K z^2 over [-1, 1].
 
     Deliberately bypasses the potential-based solver: the rate is evaluated
-    through the inverse tilt (vectorized bisection on c' over a dense grid),
-    local minima are refined by golden section on the scalar rate.  Used to
-    verify that both routes of the convex-duality identity agree.
+    through the inverse tilt (vectorized bisection on c' over a 4001-point
+    grid), local minima are refined by golden section on the scalar rate.
+    Used to verify that both routes of the convex-duality identity agree.
     """
     beta, K = params.beta, params.K
-    zg = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, grid_points)
+    zg = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
     # the tilt bracket grows with |z|, so the outermost point covers the grid
     lo = np.full_like(zg, -_tilt_bracket(beta, zg[-1]))
     hi = -lo

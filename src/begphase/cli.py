@@ -9,10 +9,8 @@ success, 2 on a domain error (message names the violated precondition),
 """
 
 import argparse
-from dataclasses import dataclass
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -26,36 +24,20 @@ DOMAIN_EXIT = 2
 _NON_BINDING_FLAGS = {"fn", "cmd", "format", "out", "curves_out"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: command name, parameter bindings, output contract.
-
-    Every parameter flag is captured (and echoed into output headers for
-    provenance); grid specs must parse nonempty and tolerance overrides must
-    lie within [1e-14, 1e-2], checked before any computation runs.
-    """
-
-    command: str
-    bindings: dict
-    format: str
-    out: str | None
-
-    @classmethod
-    def from_args(cls, args):
-        bindings = {}
-        for key, val in sorted(vars(args).items()):
-            if key in _NON_BINDING_FLAGS or val is None or val is False:
-                continue
-            if callable(val):
-                continue
-            bindings[key] = val
-        for key, val in bindings.items():
-            if key.endswith("grid") and isinstance(val, str):
-                _parse_grid(val)   # nonempty, well-formed
-            if key == "tol":
-                _check_tol(val)
-        return cls(command=args.cmd, bindings=bindings,
-                   format=args.format, out=args.out)
+def _bindings(args) -> dict:
+    """The command and every parameter flag set, echoed into output headers
+    for provenance.  Grid specs must parse nonempty and tolerance overrides
+    must lie within [1e-14, 1e-2], checked before any computation runs."""
+    bindings = {"command": args.cmd}
+    for key, val in sorted(vars(args).items()):
+        if key in _NON_BINDING_FLAGS or val is None or val is False:
+            continue
+        if key.endswith("grid"):
+            _parse_grid(val)   # nonempty, well-formed
+        if key == "tol":
+            _check_tol(val)
+        bindings[key] = val
+    return bindings
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,28 +79,20 @@ def _csv_row(values):
     return ",".join(v if isinstance(v, str) else fmt(v) for v in values)
 
 
-def _csv_preamble(args, columns, payload=None):
-    """CSV comment header (the command and every parameter flag, then the
-    payload entries, each block sorted by key) followed by the column row."""
-    cfg = args.run_config
-    items = sorted({"command": cfg.command, **cfg.bindings}.items())
-    items += sorted((payload or {}).items())
-    return [f"# {key}={_csv_row([val])}" for key, val in items] + [",".join(columns)]
-
-
 def _emit(args, columns, rows, payload=None):
-    """Write csv (comment header + column row + data rows) or json; the
-    header echoes the command and every parameter flag of the invocation."""
+    """Write csv or json.  The csv comment header holds the command and
+    every parameter flag, then the payload entries, each block sorted by
+    key; the column row and the data rows follow."""
+    payload = payload or {}
     if args.format == "json":
-        cfg = args.run_config
-        header = {"command": cfg.command, **cfg.bindings}
-        doc = {"command": cfg.command, "params": _round12(header),
+        doc = {"command": args.cmd, "params": _round12(args.bindings),
                "rows": [dict(zip(columns, _round12(list(r)))) for r in rows]}
-        if payload:
-            doc.update(_round12(payload))
+        doc.update(_round12(payload))
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        lines = _csv_preamble(args, columns, payload)
+        items = sorted(args.bindings.items()) + sorted(payload.items())
+        lines = [f"# {key}={_csv_row([val])}" for key, val in items]
+        lines.append(",".join(columns))
         lines.extend(_csv_row(r) for r in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
@@ -148,13 +122,6 @@ def _check_tol(value):
     if not 1e-14 <= v <= 1e-2:
         raise DomainError(f"tolerance must lie in [1e-14, 1e-2], got {value}")
     return v
-
-
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("BEG_THREADS")
-    return int(env) if env else 1
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +168,6 @@ def _cmd_micro_critical(args):
     _emit(args, cols, rows)
 
 
-def _stream_csv(args, columns, row_iter):
-    """CSV variant that appends rows as they are computed, so interrupted
-    sweeps still leave a usable artifact (dense grids can be slow)."""
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for line in _csv_preamble(args, columns):
-            sink.write(line + "\n")
-        for r in row_iter:
-            sink.write(_csv_row(r) + "\n")
-            sink.flush()
-    finally:
-        if args.out:
-            sink.close()
-
-
 def _pad_roots(zs):
     return list(zs) + [None] * (3 - len(zs))
 
@@ -239,26 +191,14 @@ _DIAGRAMS = {
 
 
 def _cmd_diagram(args):
-    """Format the library sweep one outer value at a time, so CSV rows
-    stream as they are computed, and keep each value's curve record."""
+    """Format one library sweep over the whole grid: its rows and, with
+    --curves-out, the critical record of each outer value."""
     sweep_name, cols, curve_cols, curve_row = _DIAGRAMS[args.cmd]
-    sweep = getattr(diagram, sweep_name)
-    outer = sorted(_parse_grid(getattr(args, f"{cols[0]}_grid")))
+    outer = _parse_grid(getattr(args, f"{cols[0]}_grid"))
     Ks = _parse_grid(args.K_grid)
-    curves = []
-
-    def gen():
-        for x in outer:
-            rows, crit = sweep([x], Ks, threads=_threads(args))
-            curves.extend(crit)
-            for r in rows:
-                yield (*r.control, r.branch, *_pad_roots(r.minimizers),
-                       r.value)
-
-    if args.format == "csv":
-        _stream_csv(args, cols, gen())
-    else:
-        _emit(args, cols, list(gen()))
+    rows, curves = getattr(diagram, sweep_name)(outer, Ks)
+    _emit(args, cols, [(*r.control, r.branch, *_pad_roots(r.minimizers),
+                        r.value) for r in rows])
     if args.curves_out:
         with open(args.curves_out, "w") as fh:
             fh.write(",".join(curve_cols) + "\n")
@@ -333,8 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
+        # inert (the sweeps are serial): still parsed, and echoed when set,
+        # only because the perfbench/ diagram workload passes --threads 1
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker cap for sweeps (default $BEG_THREADS or 1)")
+                        help=argparse.SUPPRESS)
 
     sp = sub.add_parser("canon", help="equilibrium macrostates at (beta, K)")
     sp.add_argument("--beta", type=float, required=True)
@@ -422,7 +364,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.run_config = RunConfig.from_args(args)
+        args.bindings = _bindings(args)
         args.fn(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -329,13 +329,13 @@ def canonical_rate(mu: Macrostate, params: CanonicalParams) -> float:
             - canonical_free_energy(params))
 
 
-def micro_rate(mu: Macrostate, params: MicroParams, tol: float = 1e-9) -> float:
+def micro_rate(mu: Macrostate, params: MicroParams) -> float:
     """Microcanonical rate: R(mu|uniform) + s(u) on the energy shell, inf off it.
 
-    Shell membership is tested as |energy_per_site(mu, K) - u| <= tol.
+    Shell membership is tested as |energy_per_site(mu, K) - u| <= 1e-9.
     """
     from .micro import micro_entropy
 
-    if abs(energy_per_site(mu, params.K) - params.u) > tol:
+    if abs(energy_per_site(mu, params.K) - params.u) > 1e-9:
         return math.inf
     return rel_entropy(mu, UNIFORM) + micro_entropy(params)

@@ -14,13 +14,13 @@ nonequivalent there at the level of equilibrium macrostates.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
 
 from .canonical import (
+    BETA_MAX,
     _solve_at,
     canonical_criticals,
     first_order_coupling,
@@ -110,42 +110,40 @@ def tricritical_micro() -> tuple:
 # Critical-curve inversion onto the physical axes
 # ---------------------------------------------------------------------------
 
-def invert_critical_curve(curve, K: float, lo: float, hi: float,
-                          tol: float = 1e-9) -> float:
+def invert_critical_curve(curve, K: float, lo: float, hi: float) -> float:
     """Control value x in [lo, hi] with curve(x) = K, for monotone curves.
 
-    Bisection to `tol`; raises DomainError naming the attainable interval
+    Bisection to 1e-9; raises DomainError naming the attainable interval
     when K lies outside the curve's range on [lo, hi].
     """
     try:
-        return bisect_monotone(curve, lo, hi, K, tol=tol)
+        return bisect_monotone(curve, lo, hi, K, tol=1e-9)
     except BracketError as exc:
         raise DomainError(f"K = {K} is not attained by the curve: {exc}") from exc
 
 
-def beta_c2_of_K(K: float, beta_lo: float = 0.02, tol: float = 1e-9) -> float:
+def beta_c2_of_K(K: float) -> float:
     """Inverse temperature of the second-order canonical transition at K.
 
     Defined for K above the canonical tricritical coupling; the second-order
-    curve decreases from second_order_coupling(beta_lo) down to the
-    tricritical value at BETA_C.
+    curve decreases from second_order_coupling(0.02) down to the tricritical
+    value at BETA_C.
     """
-    return invert_critical_curve(second_order_coupling, K, beta_lo, BETA_C,
-                                 tol=tol)
+    return invert_critical_curve(second_order_coupling, K, 0.02, BETA_C)
 
 
-def beta_c1_of_K(K: float, beta_hi: float = 12.0, tol: float = 1e-9) -> float:
+def beta_c1_of_K(K: float) -> float:
     """Inverse temperature of the first-order canonical transition at K.
 
     Defined for K below the canonical tricritical coupling and above the
-    value of the first-order curve at beta_hi (the curve decreases toward 1
-    for large beta but never provably reaches it).
+    value of the first-order curve at BETA_MAX, where that curve, which
+    decreases toward 1 for large beta, rounds to 1.
     """
-    return invert_critical_curve(first_order_coupling, K,
-                                 BETA_C + 1e-9, beta_hi, tol=tol)
+    return invert_critical_curve(first_order_coupling, K, BETA_C + 1e-9,
+                                 BETA_MAX)
 
 
-def u_c2_of_K(K: float, tol: float = 1e-9) -> float:
+def u_c2_of_K(K: float) -> float:
     """Energy per site of the second-order microcanonical transition at K.
 
     Uses the increasing branch of the second-order critical curve between the
@@ -153,90 +151,75 @@ def u_c2_of_K(K: float, tol: float = 1e-9) -> float:
     """
     u_star, _ = tricritical_micro()
     return invert_critical_curve(second_order_coupling_u, K, u_star,
-                                 2.0 / 3.0 - 1e-9, tol=tol)
+                                 2.0 / 3.0 - 1e-9)
 
 
-def u_c1_of_K(K: float, u_lo: float = 0.02, tol: float = 1e-9) -> float:
+def u_c1_of_K(K: float) -> float:
     """Energy per site of the first-order microcanonical transition at K.
 
-    Uses the first-order critical curve, which increases from u_lo up to the
-    tricritical energy u* (where it meets the second-order curve), so K is
-    attained between Kc1(u_lo) and the tricritical coupling.
+    Uses the first-order critical curve, which increases from 1 as u -> 0 up
+    to the tricritical energy u* (where it meets the second-order curve), so
+    K is attained between Kc1(1e-15) and the tricritical coupling.
     """
     u_star, _ = tricritical_micro()
-    return invert_critical_curve(first_order_coupling_u, K, u_lo,
-                                 u_star - 1e-9, tol=tol)
+    return invert_critical_curve(first_order_coupling_u, K, 1e-15,
+                                 u_star - 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _maybe_parallel(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _canonical_row(crit, K):
+    sol = _solve_at(CanonicalParams(crit.beta, K), crit)
+    return PhaseDiagramRow(
+        ensemble="canonical", control=(crit.beta, K), minimizers=sol.z_points,
+        order_parameter=max(abs(z) for z in sol.z_points),
+        branch=sol.phase_label,
+        transition_order=2 if crit.k_first_order is None else 1,
+        value=sol.min_value)
 
 
-def sweep_canonical(beta_grid, K_grid, threads: int = 1):
+def sweep_canonical(beta_grid, K_grid):
     """(rows, curves) over a (beta, K) grid.
 
     rows holds one PhaseDiagramRow per grid point, sorted by (beta, K);
     curves holds canonical_criticals(beta) per beta, and each row is solved
-    from the record of its beta.  Grid points are independent work items;
-    results are canonicalized by sorting, so the output does not depend on
-    scheduling.
+    from the record of its beta.
     """
     betas = sorted(float(b) for b in beta_grid)
     Ks = sorted(float(K) for K in K_grid)
-    curves = _maybe_parallel(canonical_criticals, betas, threads)
-
-    def row(item):
-        crit, K = item
-        beta = crit.beta
-        sol = _solve_at(CanonicalParams(beta, K), crit)
-        return PhaseDiagramRow(
-            ensemble="canonical", control=(beta, K), minimizers=sol.z_points,
-            order_parameter=max(abs(z) for z in sol.z_points),
-            branch=sol.phase_label,
-            transition_order=2 if crit.k_first_order is None else 1,
-            value=sol.min_value)
-
-    rows = _maybe_parallel(row, [(c, K) for c in curves for K in Ks], threads)
-    return rows, curves
+    curves = [canonical_criticals(b) for b in betas]
+    return [_canonical_row(c, K) for c in curves for K in Ks], curves
 
 
-def sweep_micro(u_grid, K_grid, threads: int = 1):
-    """(rows, curves) over a (u, K) grid; inadmissible pairs are skipped.
+def _micro_row(crit, K):
+    u = crit.u
+    sol = solve_micro(MicroParams(u, K))
+    # the transition in K at this u is discontinuous exactly when it has
+    # a first-order coupling (z = 0 destabilizes inside the non-convex band)
+    order = None
+    if crit.k_second_order is not None:
+        order = 1 if crit.k_first_order is not None else 2
+    return PhaseDiagramRow(
+        ensemble="micro", control=(u, K), minimizers=sol.z_points,
+        order_parameter=max(abs(z) for z in sol.z_points),
+        branch=sol.phase_label, transition_order=order,
+        value=sol.entropy)
+
+
+def sweep_micro(u_grid, K_grid):
+    """(rows, curves) over a (u, K) grid, sorted by (u, K); inadmissible
+    pairs are skipped.
 
     curves holds micro_criticals(u) per u, which labels the transition
     order of the rows at that u.
     """
-    us = sorted(float(u) for u in u_grid)
-    Ks = sorted(float(K) for K in K_grid)
-    curves = _maybe_parallel(micro_criticals, us, threads)
-
-    def row(item):
-        crit, K = item
-        u = crit.u
-        lo, hi = energy_domain(K)
-        if not lo <= u <= hi:
-            return None
-        sol = solve_micro(MicroParams(u, K))
-        # the transition in K at this u is discontinuous exactly when it has
-        # a first-order coupling (z = 0 destabilizes inside the non-convex band)
-        order = None
-        if crit.k_second_order is not None:
-            order = 1 if crit.k_first_order is not None else 2
-        return PhaseDiagramRow(
-            ensemble="micro", control=(u, K), minimizers=sol.z_points,
-            order_parameter=max(abs(z) for z in sol.z_points),
-            branch=sol.phase_label, transition_order=order,
-            value=sol.entropy)
-
-    rows = _maybe_parallel(row, [(c, K) for c in curves for K in Ks], threads)
-    return [r for r in rows if r is not None], curves
+    Ks = [(K, *energy_domain(K)) for K in sorted(float(K) for K in K_grid)]
+    curves = [micro_criticals(u) for u in sorted(float(u) for u in u_grid)]
+    rows = [_micro_row(c, K) for c in curves for K, lo, hi in Ks
+            if lo <= c.u <= hi]
+    return rows, curves
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +270,12 @@ def _default_beta_grid(K):
             b_star = beta_c1_of_K(K)
     except DomainError:
         return sorted(base)
-    approach = list(b_star + np.geomspace(1e-7, min(2.0, 8.0 - b_star), 70))
+    # approach up to the base grid's top, or over 2 when b_star lies above it
+    span = min(2.0, 8.0 - b_star) if b_star < 8.0 else 2.0
+    approach = list(b_star + np.geomspace(1e-7, span, 70))
     below = [b_star * f for f in (0.7, 0.9, 0.99, 0.9999)]
-    return sorted(b for b in base + approach + below + [b_star] if b > 0)
+    return sorted(b for b in base + approach + below + [b_star]
+                  if 0.0 < b <= BETA_MAX)
 
 
 def _default_u_grid(K):

@@ -374,6 +374,11 @@ def convexity_threshold(u: float) -> float:
             f"entropy derivative is convex at every K), got {u}")
     band = _origin_band(u)
     if band is not None:
+        if band[1] == math.inf:
+            raise DomainError(
+                f"convexity threshold at u = {u} exceeds the float range: the "
+                f"origin-band top (1-u)/(2u) (1+s) ~ 0.79/u overflows for u "
+                f"below ~4.4e-309")
         return band[1]
     v = 1.0 - 2.0 * u
     coeffs = [np.polyval(row, v) for row in _PINCH_SEXTIC]

@@ -8,12 +8,14 @@ from conftest import central_diff
 
 from begphase.canonical import (
     BETA_MAX,
+    DERIV_ZERO_TOL,
     canonical_criticals,
     canonical_free_energy,
     cumulant_inflection,
     dual_route_minimum,
     first_order_coupling,
     mag_potential,
+    minimum_type,
     positive_well,
     second_order_coupling,
     solve_canonical,
@@ -112,6 +114,30 @@ def test_large_beta_raises_domain_error_naming_bound():
             call()
     sol = solve_canonical(CanonicalParams(BETA_MAX, 1.5))
     assert sol.phase_label == "pair"
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_sixth_derivative_overflow_raises_domain_error(factor):
+    # at the spinodal e^beta/(4 beta) of beta = 150, (2 beta K)^6 exceeds
+    # the float range; an OverflowError used to escape solve_canonical
+    params = CanonicalParams(150.0, second_order_coupling(150.0) * factor)
+    for call in (lambda: mag_potential(params, 0.0, 6),
+                 lambda: solve_canonical(params)):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            call()
+
+
+def test_minimum_type_when_curvature_falls_under_tolerance():
+    # just above log 4 the record is near-tricritical: at z = 0, G'' = 6.7e-14
+    # lies under DERIV_ZERO_TOL while the rounded G'''' = -4.4e-6 is negative,
+    # so the ladder finds no type; the exact sign of G'' makes it r = 1
+    params = CanonicalParams(1.3862946035660924, 1.082021266322187)
+    r, evens = minimum_type(params, 0.0)
+    assert 0.0 < evens[0] < DERIV_ZERO_TOL and evens[1] < 0.0
+    assert r == 1
+    sol = solve_canonical(params)
+    assert sol.phase_label == "triple"
+    assert sol.types[sol.z_points.index(0.0)] == 1
 
 
 def test_cumulant_inflection():

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import brute_force_spin_pmf
 
+from begphase import diagram
+from begphase.canonical import second_order_coupling
 from begphase.cli import fmt, main
 from begphase.core import MicroParams, energy_domain
 from begphase.diagram import tricritical_micro
@@ -76,6 +78,24 @@ def test_large_beta_exits_2(capsys):
         assert "BETA_MAX" in err
 
 
+def test_canon_near_log4_classifies_the_origin(capsys):
+    # G''(0) falls under DERIV_ZERO_TOL there; a RuntimeError used to escape
+    code, out, _ = run(capsys, ["canon", "--beta", "1.3862946035660924",
+                                "--K", "1.082021266322187"])
+    assert code == 0
+    assert "# phase=triple" in out
+    rows = [l.split(",") for l in out.splitlines()
+            if not l.startswith("#")][1:]
+    assert [r[-1] for r in rows if float(r[0]) == 0.0] == ["1"]
+
+
+def test_canon_sixth_derivative_overflow_exits_2(capsys):
+    K = second_order_coupling(150.0) * (1.0 + 1e-6)
+    code, _, err = run(capsys, ["canon", "--beta", "150", "--K", repr(K)])
+    assert code == 2
+    assert "overflows the float range" in err
+
+
 def test_json_format_rounding(capsys):
     code, out, _ = run(capsys, ["canon", "--beta", "1", "--K", "1.5",
                                 "--format", "json"])
@@ -145,6 +165,51 @@ def test_diagram_micro_csv(tmp_path):
     lines = [l for l in out_file.read_text().splitlines()
              if not l.startswith("#")]
     assert [l.split(",")[:2] for l in lines[1:]] == [["0.6", "0.8"]]
+
+
+CANON_README = ["diagram-canon", "--beta-grid", "0.5:3:0.1",
+                "--K-grid", "0.8:1.4:0.05"]
+
+
+def test_diagram_bytes_do_not_depend_on_threads(capsys, monkeypatch):
+    # --threads is inert (the sweeps are serial) and BEG_THREADS is not read;
+    # a set flag is echoed into the header like every other flag
+    _, plain, _ = run(capsys, CANON_README)
+    code, threaded, _ = run(capsys, CANON_README + ["--threads", "4"])
+    assert code == 0
+    assert threaded.replace("# threads=4\n", "") == plain
+    monkeypatch.setenv("BEG_THREADS", "abc")
+    code, with_env, _ = run(capsys, CANON_README)
+    assert code == 0
+    assert with_env == plain
+
+
+def test_diagram_domain_error_writes_nothing(capsys, tmp_path):
+    # the third beta of the grid lies above BETA_MAX = 300: the sweep raises
+    # before anything is written
+    out_file = tmp_path / "rows.csv"
+    curves_file = tmp_path / "curves.csv"
+    code, out, err = run(capsys, [
+        "diagram-canon", "--beta-grid", "299.5:300.6:0.5",
+        "--K-grid", "1:1.1:0.1",
+        "--out", str(out_file), "--curves-out", str(curves_file)])
+    assert code == 2
+    assert "BETA_MAX" in err
+    assert out == ""
+    assert not out_file.exists() and not curves_file.exists()
+
+
+@pytest.mark.parametrize("fmt_flag", ["csv", "json"])
+def test_diagram_calls_the_sweep_once(capsys, monkeypatch, fmt_flag):
+    calls = []
+    real = diagram.sweep_canonical
+    monkeypatch.setattr(diagram, "sweep_canonical",
+                        lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run(capsys, CANON_README + ["--format", fmt_flag])
+    assert code == 0
+    assert len(calls) == 1
+    betas, Ks = calls[0]
+    assert (len(betas), len(Ks)) == (26, 13)
 
 
 def _assert_csv_close(got, want):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from begphase import canonical
-from begphase.canonical import first_order_coupling, second_order_coupling, solve_canonical
+from begphase.canonical import (
+    BETA_MAX,
+    first_order_coupling,
+    second_order_coupling,
+    solve_canonical,
+)
 from begphase.core import (
     BETA_C,
     CanonicalParams,
@@ -13,6 +18,7 @@ from begphase.core import (
     single_site_measure,
 )
 from begphase.diagram import (
+    _default_beta_grid,
     beta_c1_of_K,
     beta_c2_of_K,
     equivalence_report,
@@ -80,6 +86,24 @@ def test_invert_micro_first_order_curve(K):
     assert abs(first_order_coupling_u(u_c1_of_K(K)) - K) <= 1e-9
 
 
+@pytest.mark.parametrize("K", [1.001, 1.003])
+def test_invert_micro_first_order_curve_near_one(K):
+    # Kc1(u) -> 1 as u -> 0, so the bracket starts at u = 1e-15; from
+    # u = 0.02 these couplings (below Kc1(0.02) = 1.00324) were not attained
+    u = u_c1_of_K(K)
+    assert 1e-15 < u < 0.02
+    assert abs(first_order_coupling_u(u) - K) <= 1e-9
+
+
+def test_invert_first_order_curve_near_one():
+    # the bracket reaches BETA_MAX; from beta = 12 a coupling below
+    # Kc1(12) = 1.0000005 was not attained
+    K = 1.0000001
+    beta = beta_c1_of_K(K)
+    assert 12.0 < beta < BETA_MAX
+    assert abs(first_order_coupling(beta) - K) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -103,15 +127,6 @@ def test_sweep_canonical_topology():
     assert all(a > b for a, b in zip(kc1s, kc1s[1:]))
     assert abs(by_beta[BETA_C].k_second_order
                - first_order_coupling(BETA_C + 1e-3)) < 1e-2
-
-
-def test_sweep_canonical_threads_deterministic():
-    betas = [0.8, 1.1, 2.2]
-    Ks = [0.9, 1.2]
-    rows1, _ = sweep_canonical(betas, Ks, threads=1)
-    rows2, _ = sweep_canonical(betas, Ks, threads=3)
-    assert [r.control for r in rows1] == [r.control for r in rows2]
-    assert [r.minimizers for r in rows1] == [r.minimizers for r in rows2]
 
 
 def test_sweep_canonical_transition_order_at_log4_decimal():
@@ -247,3 +262,15 @@ def test_equivalence_no_transition_coupling():
     assert (len(rep.gap_intervals) > 0) == (rep.verdict == "nonequivalent")
     assert rep.verdict == "equivalent"
     assert rep.gap_measure == 0.0
+
+
+@pytest.mark.parametrize("beta", [10.0, 20.0])
+def test_default_beta_grid_above_its_base_grid(beta):
+    # beta_c1 above the base grid's top of 8 left no room to approach it
+    # from above, and the grid filled with NaN
+    K = first_order_coupling(beta)
+    b_star = beta_c1_of_K(K)
+    grid = _default_beta_grid(K)
+    assert all(math.isfinite(b) and 0.0 < b <= BETA_MAX for b in grid)
+    assert b_star in grid
+    assert sum(b_star < b <= b_star + 2.0 for b in grid) == 70

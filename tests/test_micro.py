@@ -232,6 +232,28 @@ def test_second_order_coupling_u_at_subnormal_u():
         second_order_coupling_u(5e-324)   # the true k2 is about 1.3e320
 
 
+@pytest.mark.parametrize("u", [1e-310, 5e-324])
+def test_convexity_threshold_at_subnormal_u_raises(u):
+    # the origin-band top ~ 0.79/u exceeds the float range; it used to come
+    # out inf, and the first-order coupling then cut at k2 (55.6 at 1e-310)
+    for call in (convexity_threshold, first_order_coupling_u):
+        with pytest.raises(DomainError, match="float range"):
+            call(u)
+
+
+def test_micro_criticals_at_subnormal_u():
+    crit = micro_criticals(1e-310)
+    assert crit.k_second_order == pytest.approx(6.9979542431638368e306,
+                                                rel=1e-12)
+    assert crit.k_first_order is None and crit.k_convexity is None
+    # still finite at u = 1e-300, where Kc1(u) -> 1 as u -> 0
+    crit = micro_criticals(1e-300)
+    assert crit.k_first_order == pytest.approx(1.0, abs=1e-12)
+    assert crit.k_convexity == pytest.approx(7.886751345948128e299, rel=1e-12)
+    assert crit.k_second_order == pytest.approx(7.230985553221756e296,
+                                                rel=1e-12)
+
+
 def test_second_order_coupling_u_is_curvature_root():
     for u in (0.3, 0.4, 0.5):
         kc2 = second_order_coupling_u(u)

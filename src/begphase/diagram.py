@@ -135,10 +135,16 @@ def beta_c2_of_K(K: float) -> float:
 def beta_c1_of_K(K: float) -> float:
     """Inverse temperature of the first-order canonical transition at K.
 
-    Defined for K below the canonical tricritical coupling and above the
-    value of the first-order curve at BETA_MAX, where that curve, which
-    decreases toward 1 for large beta, rounds to 1.
+    Defined for 1 < K below the canonical tricritical coupling.  The
+    first-order curve decreases toward 1 for large beta but stays above it
+    at every finite beta, while in floating point it rounds to exactly 1
+    from beta ~ 37 on; so K <= 1 is refused up front instead of being
+    matched at a rounded end of the bracket.
     """
+    if not K > 1.0:
+        raise DomainError(
+            f"K = {K} has no first-order canonical transition: the "
+            f"first-order coupling Kc1(beta) exceeds 1 at every finite beta")
     return invert_critical_curve(first_order_coupling, K, BETA_C + 1e-9,
                                  BETA_MAX)
 

@@ -3,25 +3,30 @@
 The total spin S_n under the fixed-(beta, K) ensemble has an exactly
 computable distribution: configurations with n_+ up-spins and n_- down-spins
 share the weight exp[-beta (n_+ + n_-) + beta K k^2 / n] with k = n_+ - n_-,
-so the mass at total spin k is a single multinomial sum, accumulated here in
-log space.  As n grows, S_n / n^(1 - 1/2r) converges to a limit density
-governed by the type r of the potential's minimum: Gaussian for r = 1,
-exp(-const x^4) or exp(-const x^6) at critical couplings.  This module
-computes the exact laws, classifies minima, builds the limit densities and
-measures Kolmogorov-Smirnov distances between the two, plus a seeded
-single-site Metropolis chain as an independent stochastic cross-check.
+so the mass at total spin k is T_k e^(beta K k^2 / n), where T_k is the
+coefficient of x^k in (a/x + 1 + a x)^n with a = e^-beta.  A three-term
+recurrence in k gives every T_k in O(n), in log space.  As n grows,
+S_n / n^(1 - 1/2r) converges to a limit density governed by the type r of
+the potential's minimum: Gaussian for r = 1, exp(-const x^4) or
+exp(-const x^6) at critical couplings (Ellis-Newman).  This module computes
+the exact laws, classifies minima, builds the limit densities and measures
+Kolmogorov-Smirnov distances between the two, plus a seeded single-site
+Metropolis chain as an independent stochastic cross-check.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, logsumexp, ndtr
+from scipy.special import gammainc, logsumexp, ndtr
 
 from .canonical import minimum_type, solve_canonical
 from .core import CanonicalParams, DomainError, Macrostate, cumulant
 
-MAX_PMF_N = 20000  # O(n^2) enumeration cost bound
+#: Largest n accepted by exact_spin_pmf.  It bounds the size of the output
+#: (three arrays of 2n + 1 entries); the cost of the law is O(n).
+MAX_PMF_N = 20000
 
 #: Largest n for which the sampler also tallies full configurations
 #: (3^n states), enabling exact stationarity checks on tiny systems.
@@ -70,25 +75,38 @@ class TypeReport:
 
 
 def exact_spin_pmf(n: int, params: CanonicalParams) -> SpinPmf:
-    """Exact total-spin distribution by multinomial summation (no sampling).
+    """Exact total-spin distribution by a three-term recurrence (no sampling).
 
-    For each k the masses of all (n_+, n_-) with n_+ - n_- = k are summed in
-    log space with a max shift; weights span thousands of orders of magnitude
-    already at n of a few thousand.  Cost is O(n^2); n is capped at
-    MAX_PMF_N.
+    With a = e^-beta, the mass at total spin k is T_k e^(beta K k^2 / n),
+    where T_k, the coefficient of x^k in (a/x + 1 + a x)^n, sums the
+    multinomial weights of all (n_+, n_-) with n_+ - n_- = k.  Writing
+    T_k = a^k U_k, the U_k obey U_n = 1, U_(n-1) = n and
+
+        U_(k-1) = [a^2 (n + k + 1) U_(k+1) + k U_k] / (n - k + 1),
+
+    run downward on the log ratios log(U_(k-1) / U_k), which stay O(log n),
+    and summed with compensation into log U_k.  Every term is positive, so
+    nothing cancels; the weights span thousands of orders of magnitude
+    already at n of a few thousand.  Both choices bound the roundoff: run on
+    log T_k = log U_k - beta k itself, the recurrence carries an error of
+    order eps beta n, and an uncompensated sum of n ratios one of order
+    eps |log U_k| sqrt(n).  Cost is O(n); n is capped at MAX_PMF_N.
     """
     if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_PMF_N):
         raise DomainError(f"n must be an integer in [1, {MAX_PMF_N}], got {n}")
     beta, K = params.beta, params.K
-    lgfact = gammaln(np.arange(n + 1) + 1.0)
-    half = np.empty(n + 1)
-    for k in range(n + 1):
-        n_minus = np.arange(0, (n - k) // 2 + 1)
-        n_plus = n_minus + k
-        n_zero = n - n_plus - n_minus
-        terms = (lgfact[n] - lgfact[n_plus] - lgfact[n_minus] - lgfact[n_zero]
-                 - beta * (n_plus + n_minus) + beta * K * k * k / n)
-        half[k] = logsumexp(terms)
+    exp, log = math.exp, math.log
+    log_u = [0.0] * (n + 1)
+    d = math.inf  # log U_(k-1) - log U_k, here at k = n + 1 (U_(n+1) = 0)
+    s = c = 0.0   # log U_k = s + c, compensated (Neumaier) running sum of d
+    for k in range(n, 0, -1):
+        d = log(((n + k + 1) * exp(-2.0 * beta - d) + k) / (n - k + 1))
+        t = s + d
+        c += (s - t) + d if abs(s) >= abs(d) else (d - t) + s
+        s = t
+        log_u[k - 1] = s + c
+    k = np.arange(n + 1)
+    half = np.array(log_u) + beta * k * (K * k / n - 1.0)
     log_w = np.concatenate([half[:0:-1], half])  # evenness in k -> -k
     probs = np.exp(log_w - logsumexp(log_w))
     probs /= probs.sum()
@@ -171,13 +189,6 @@ def ks_distance(points: np.ndarray, probabilities: np.ndarray, cdf,
     return float(np.max(np.abs(disc - cont)))
 
 
-def _window_masses(pmf: SpinPmf, centers) -> list[float]:
-    sol = solve_canonical(CanonicalParams(pmf.beta, pmf.K))
-    zpos = max(abs(z) for z in sol.z_points)
-    a = min(0.1, zpos / 2.0) if zpos > 0 else 0.1
-    return [pmf.mass_near(c, a) for c in centers]
-
-
 def phase_weights(params: CanonicalParams) -> tuple:
     """Limit weights b_j of the minimizers z_j for the law of S_n / n.
 
@@ -213,9 +224,11 @@ def convergence_diagnostic(n_ladder, params: CanonicalParams) -> list[float]:
                                    density.cdf, 1.0 / scale))
         return out
     weights = phase_weights(params)
+    # the window half-width of conditioned_clt_check: one phase per window
+    a = min(0.1, max(abs(z) for z in sol.z_points) / 2.0)
     for n in n_ladder:
         pmf = exact_spin_pmf(n, params)
-        masses = _window_masses(pmf, sol.z_points)
+        masses = [pmf.mass_near(z, a) for z in sol.z_points]
         outside = 1.0 - sum(masses)
         tv = 0.5 * (sum(abs(m - b) for m, b in zip(masses, weights)) + outside)
         out.append(tv)
@@ -288,56 +301,80 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
 
     A uniformly chosen site proposes one of its two other spin values
     (symmetric proposal), accepted with probability min(1, e^-dE) where
-    dE = beta d(quad) - beta K (2 S ds + ds^2)/n.  Deterministic for a given
-    seed; randomness is pre-drawn in blocks for speed.  The initial state is
-    all zeros.
+    dE = beta d(quad) - beta K (2 S ds + ds^2)/n, read from a table built
+    once per (spin, proposal, S).  Deterministic for a given seed;
+    randomness is pre-drawn in blocks for speed.  The initial state is all
+    zeros.
     """
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise DomainError(f"n must be a positive integer, got {n}")
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise DomainError(f"steps must be a positive integer, got {steps}")
     beta, K = params.beta, params.K
+    bK = beta * K
+    m = min(n, steps)  # |S| <= m all along the chain, which starts at S = 0
+    # moves[s + 1][pick] = (proposed spin, ds, dq, row), where row[S + m] is
+    # e^-dE at total spin S, or 1.0 where dE <= 0: a uniform u in [0, 1) then
+    # accepts exactly when dE <= 0 or u < e^-dE
+    moves = []
+    for s, props in zip((-1, 0, 1), _PROPOSALS):
+        pair = []
+        for prop in props:
+            ds, dq = prop - s, prop * prop - s * s
+            des = (beta * dq - bK * (2 * S * ds + ds * ds) / n
+                   for S in range(-m, m + 1))
+            pair.append((prop, ds, dq,
+                         [1.0 if de <= 0.0 else math.exp(-de) for de in des]))
+        moves.append(pair)
     rng = np.random.default_rng(seed)
     state = [0] * n
     S = 0
     Q = 0
-    bK = beta * K
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     trace = np.empty(steps, dtype=np.int32)
     acc = 0
-    sum_plus = 0
-    sum_zero = 0
+    sum_q = 0  # sum of Q over the steps; Q + S = 2 n_+ at every step
     tally_configs = n <= CONFIG_TALLY_MAX_N
     if tally_configs:
         config_counts = np.zeros(3 ** n, dtype=np.int64)
         pow3 = [3 ** j for j in range(n)]
         code = sum(pow3[j] * (state[j] + 1) for j in range(n))
-    exp = math.exp
     done = 0
     while done < steps:
         block = min(65536, steps - done)
-        sites = rng.integers(0, n, size=block)
-        picks = rng.integers(0, 2, size=block)
-        us = rng.random(block)
-        for i in range(block):
-            jsite = sites[i]
+        # memoryviews hand out Python numbers one at a time: no per-block
+        # lists of boxed values, which would raise the peak memory
+        sites = memoryview(rng.integers(0, n, size=block))
+        picks = memoryview(rng.integers(0, 2, size=block))
+        us = memoryview(rng.random(block))
+        s_buf = array("i")
+        put_s = s_buf.append
+        if tally_configs:
+            code_buf = array("i")
+            put_code = code_buf.append
+        for jsite, pick, u in zip(sites, picks, us):
             s = state[jsite]
-            prop = _PROPOSALS[s + 1][picks[i]]
-            ds = prop - s
-            dq = prop * prop - s * s
-            dE = beta * dq - bK * (2 * S * ds + ds * ds) / n
-            if dE <= 0.0 or us[i] < exp(-dE):
+            prop, ds, dq, row = moves[s + 1][pick]
+            if u < row[S + m]:
                 state[jsite] = prop
                 S += ds
                 Q += dq
                 acc += 1
                 if tally_configs:
                     code += ds * pow3[jsite]
-            counts[S + n] += 1
-            trace[done + i] = S
-            sum_plus += (Q + S) >> 1
-            sum_zero += n - Q
+            put_s(S)
+            sum_q += Q
             if tally_configs:
-                config_counts[code] += 1
+                put_code(code)
+        block_s = np.frombuffer(s_buf, dtype=np.intc)
+        trace[done:done + block] = block_s
+        counts += np.bincount(block_s + n, minlength=2 * n + 1)
+        if tally_configs:
+            config_counts += np.bincount(np.frombuffer(code_buf, dtype=np.intc),
+                                         minlength=3 ** n)
         done += block
+    sum_plus = (sum_q + int(trace.sum(dtype=np.int64))) >> 1
+    sum_zero = steps * n - sum_q
     s_probs = counts / steps
     freq_plus = sum_plus / (steps * n)
     freq_zero = sum_zero / (steps * n)

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from begphase.core import Macrostate
 
@@ -30,6 +31,23 @@ def brute_force_spin_pmf(n, beta, K):
         masses[S] = masses.get(S, 0.0) + w
     total = sum(masses.values())
     return np.array([masses.get(k, 0.0) / total for k in range(-n, n + 1)])
+
+
+def summed_spin_pmf(n, beta, K):
+    """Total-spin law by multinomial summation, O(n^2): for each k the
+    masses of all (n_+, n_-) with n_+ - n_- = k are summed in log space."""
+    lgfact = gammaln(np.arange(n + 1) + 1.0)
+    half = np.empty(n + 1)
+    for k in range(n + 1):
+        n_minus = np.arange(0, (n - k) // 2 + 1)
+        n_plus = n_minus + k
+        n_zero = n - n_plus - n_minus
+        terms = (lgfact[n] - lgfact[n_plus] - lgfact[n_minus] - lgfact[n_zero]
+                 - beta * (n_plus + n_minus) + beta * K * k * k / n)
+        half[k] = logsumexp(terms)
+    log_w = np.concatenate([half[:0:-1], half])
+    probs = np.exp(log_w - logsumexp(log_w))
+    return probs / probs.sum()
 
 
 def constrained_mean_entropy(beta, z, step=1e-4):

@@ -75,6 +75,29 @@ def test_invert_first_order_curve():
         beta_c1_of_K(1.5)   # defined only below the canonical tricritical
 
 
+@pytest.mark.parametrize("K", [1.0, 0.5])
+def test_first_order_inversion_refuses_K_at_most_one(K):
+    # Kc1(beta) > 1 at every finite beta; in floating point it rounds to 1
+    # from beta ~ 37 on, and K = 1 used to come back as BETA_MAX
+    with pytest.raises(DomainError, match="exceeds 1 at every finite beta"):
+        beta_c1_of_K(K)
+
+
+def test_equivalence_at_unit_coupling_keeps_the_base_beta_grid(monkeypatch):
+    from begphase import diagram
+
+    betas = []
+
+    def spy(params):
+        betas.append(params.beta)
+        return solve_canonical(params)
+
+    monkeypatch.setattr(diagram, "solve_canonical", spy)
+    rep = equivalence_report(1.0)
+    assert rep.verdict == "equivalent"
+    assert betas and max(betas) <= 8.0
+
+
 def test_invert_micro_second_order_curve():
     K = second_order_coupling_u(0.5)
     assert abs(u_c2_of_K(K) - 0.5) < 1e-6

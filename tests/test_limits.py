@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import brute_force_spin_pmf
+from conftest import brute_force_spin_pmf, summed_spin_pmf
 
 import begphase
 from begphase.canonical import first_order_coupling, second_order_coupling
@@ -63,6 +64,59 @@ def test_pmf_domain_errors():
         exact_spin_pmf(0, CanonicalParams(1.0, 1.0))
     with pytest.raises(DomainError):
         exact_spin_pmf(20001, CanonicalParams(1.0, 1.0))
+
+
+@pytest.mark.parametrize("K", [0.2, 1.0, 1.0817, 3.0])
+@pytest.mark.parametrize("beta", [1e-3, 1.0, math.log(4.0), 8.0, 50.0, 300.0])
+def test_pmf_recurrence_matches_summation(beta, K):
+    # the O(n) recurrence against the O(n^2) multinomial sum over both
+    # ensembles' regimes; beta = 8, K = 1 at n = 2000 is the largest gap seen
+    ns = (1, 2, 7, 500) + ((2000,) if (beta, K) == (8.0, 1.0) else ())
+    for n in ns:
+        pmf = exact_spin_pmf(n, CanonicalParams(beta, K))
+        gap = np.abs(pmf.probabilities - summed_spin_pmf(n, beta, K)).max()
+        assert gap <= 1e-12
+
+
+def test_pmf_recurrence_at_large_beta_against_high_precision():
+    # written as T_k = a^k U_k, the recurrence in log U_k keeps its roundoff
+    # at machine level; run on T_k itself it would carry eps * beta * n
+    # (1.7e-11 in probability here)
+    mpmath = pytest.importorskip("mpmath")
+    n, beta, K = 500, 300.0, 1.0
+    with mpmath.workdps(40):
+        a2j = [mpmath.exp(-2 * beta * j) for j in range(n // 2 + 1)]
+        half = []  # weights of k = 0..n; the law is even in k
+        for k in range(n + 1):
+            u = mpmath.fsum(math.comb(n, k + j) * math.comb(n - k - j, j) * a2j[j]
+                            for j in range((n - k) // 2 + 1))
+            half.append(u * mpmath.exp(beta * k * (mpmath.mpf(K) * k / n - 1)))
+        weights = half[:0:-1] + half
+        total = mpmath.fsum(weights)
+        expect = np.array([float(w / total) for w in weights])
+    pmf = exact_spin_pmf(n, CanonicalParams(beta, K))
+    assert np.abs(pmf.probabilities - expect).max() <= 1e-13
+
+
+def test_pmf_at_the_tricritical_point_against_high_precision():
+    # the same recurrence run in 40 digits at the top of the KS ladders;
+    # summed without compensation, the n log ratios drift to 1.2e-15 in
+    # probability here, and run on log U_k itself to 1.1e-14
+    mpmath = pytest.importorskip("mpmath")
+    n, beta, K = 4000, math.log(4.0), 3.0 / (2.0 * math.log(4.0))
+    with mpmath.workdps(40):
+        b, kk = mpmath.mpf(beta), mpmath.mpf(K)
+        a2 = mpmath.exp(-2 * b)
+        u = [mpmath.mpf(0)] * (n + 2)
+        u[n] = mpmath.mpf(1)
+        for k in range(n, 0, -1):
+            u[k - 1] = (a2 * (n + k + 1) * u[k + 1] + k * u[k]) / (n - k + 1)
+        half = [u[k] * mpmath.exp(b * k * (kk * k / n - 1)) for k in range(n + 1)]
+        weights = half[:0:-1] + half
+        total = mpmath.fsum(weights)
+        expect = np.array([float(w / total) for w in weights])
+    pmf = exact_spin_pmf(n, CanonicalParams(beta, K))
+    assert np.abs(pmf.probabilities - expect).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +233,25 @@ def test_two_phase_masses():
     assert tv[1] < tv[0]
 
 
+def test_two_phase_diagnostic_solves_once_per_ladder(monkeypatch):
+    from begphase import limits
+    from begphase.canonical import solve_canonical
+
+    calls = []
+
+    def spy(params):
+        calls.append(params)
+        return solve_canonical(params)
+
+    monkeypatch.setattr(limits, "solve_canonical", spy)
+    params = CanonicalParams(1.0, 1.5)
+    convergence_diagnostic([100], params)
+    short = len(calls)
+    calls.clear()
+    convergence_diagnostic([100, 200, 300, 400], params)
+    assert len(calls) == short
+
+
 def test_conditioned_clt():
     params = CanonicalParams(1.0, 1.5)
     d1 = conditioned_clt_check(600, params, j="+")
@@ -238,6 +311,51 @@ def test_metropolis_kernel_exactly_stationary(beta, K):
     pi = exact_config_probs(n, params)
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-15, rtol=0.0)
     assert np.max(np.abs(pi @ P - pi)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,K,steps,seed,acceptance,freq,trace_sha,s_sha,config_sha", [
+        (50, 1.0, 10 ** 5, 1, 0.60077,
+         (0.21519939999999993, 0.553528, 0.2312726),
+         "c0e65015584fab5e27fb74d49b328f535f8cadbacebe5d1fb3f8216f7943dfb6",
+         "8cbddf8ad571df5c5f90da0425a2f611413b73a18c72144f0ded52ab2504d781",
+         None),
+        (4, 1.5, 10 ** 5, 99, 0.37318, (0.363615, 0.279525, 0.35686),
+         "f6ce3e37ac30499a988419df7b6d01c818a531897b804412af35fe4988d87324",
+         "db9effaa5cb8d4b29eaafb09f5963736d6ffa032a10740309d34dd3a126aa05d",
+         "7c53611f8a5b14e0bf6bb2de6d5518d1cd1608782ae54cc60ec9fd4b893d14c3"),
+        # fewer steps than sites: the chain cannot reach |S| = n
+        (50, 1.0, 30, 1, 0.3,
+         (0.04200000000000004, 0.9406666666666667, 0.017333333333333333),
+         "e06037f4f60bd9f180b5db91052ecb2eecb68e3df654b00e3fe56b2b839ba411",
+         "8a8d928de3bfb9a87089beedec9ff2fa41e1cf4e43fa0ce844d82d6bed821b92",
+         None),
+    ])
+def test_metropolis_outputs_pinned(n, K, steps, seed, acceptance, freq,
+                                   trace_sha, s_sha, config_sha):
+    # the chain of a given seed is fixed bit for bit: the draw order, the
+    # block size and the acceptance test u < min(1, e^-dE) must not move
+    res = metropolis_sampler(n, CanonicalParams(1.0, K), steps, seed=seed)
+
+    def sha(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    assert res.acceptance_rate == acceptance
+    assert (res.spin_freq.nu_minus, res.spin_freq.nu_zero,
+            res.spin_freq.nu_plus) == freq
+    assert res.trace.dtype == np.int32 and sha(res.trace) == trace_sha
+    assert res.s_probs.dtype == np.float64 and sha(res.s_probs) == s_sha
+    if config_sha is None:
+        assert res.config_probs is None
+    else:
+        assert sha(res.config_probs) == config_sha
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.0])
+def test_metropolis_rejects_bad_size(n):
+    # n = 0 ended in a ValueError from numpy's integer draw
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        metropolis_sampler(n, CanonicalParams(1.0, 1.0), 10, seed=0)
 
 
 def test_metropolis_detailed_balance_tiny_system():

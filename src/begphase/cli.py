@@ -235,9 +235,9 @@ def _cmd_limits(args):
             rep = limits.classify_minimum(params, z)
             rows.append((z, rep.r, *rep.derivative_values, rep.sigma2))
         _emit(args, ("z", "r", "G2", "G4", "G6", "sigma2"), rows)
-    else:  # metropolis
-        res = limits.metropolis_sampler(args.n, params, args.steps, args.seed)
+    else:  # metropolis; the exact law first, so a refused n runs no chain
         pmf = limits.exact_spin_pmf(args.n, params)
+        res = limits.metropolis_sampler(args.n, params, args.steps, args.seed)
         tv = 0.5 * float(np.abs(res.s_probs - pmf.probabilities).sum())
         payload = {"tv_vs_exact": tv, "acceptance_rate": res.acceptance_rate,
                    "freq_minus": res.spin_freq.nu_minus,

@@ -6,11 +6,12 @@ phase transitions live on the other axes (inverse temperature for the
 canonical ensemble, energy per site for the microcanonical one).  This module
 sweeps grids, inverts the monotone critical curves onto the physical axes,
 locates both tricritical couplings and compares the sets of order-parameter
-values the two ensembles realize at a fixed coupling.  For couplings strictly
-between the microcanonical and canonical tricritical values the canonical
-order parameter jumps while the microcanonical one moves continuously, so a
-band of magnetizations is realized only microcanonically: the ensembles are
-nonequivalent there at the level of equilibrium macrostates.
+values the two ensembles realize at a fixed coupling.  For 1 < K < 3/(2 log 4)
+the canonical order parameter jumps from 0 to a well farther out than the
+microcanonical one reaches by its own jump (or by its continuous growth, above
+the microcanonical tricritical coupling), so a band of magnetizations is
+realized only microcanonically: the ensembles are nonequivalent there at the
+level of equilibrium macrostates.
 """
 
 import math
@@ -24,6 +25,7 @@ from .canonical import (
     _solve_at,
     canonical_criticals,
     first_order_coupling,
+    positive_well,
     second_order_coupling,
     solve_canonical,
 )
@@ -36,6 +38,7 @@ from .core import (
     energy_domain,
 )
 from .micro import (
+    _local_minima,
     _origin_band,
     first_order_coupling_u,
     micro_criticals,
@@ -43,11 +46,6 @@ from .micro import (
     solve_micro,
 )
 from .rootfind import BracketError, bisect_monotone
-
-#: Order-parameter values closer than this are considered realized by both
-#: ensembles when hunting for microcanonical-only gaps.
-GAP_CLUSTER_TOL = 1e-3
-
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
@@ -68,13 +66,15 @@ class PhaseDiagramRow:
 class EquivalenceReport:
     """Order-parameter sets realized by each ensemble at a fixed coupling.
 
-    gap_intervals lists maximal bands of |z| values realized only
-    microcanonically (clusters wider than 3 * GAP_CLUSTER_TOL); the verdict
-    is 'nonequivalent' exactly when gap_intervals is nonempty.  An interval
-    end is a sampled micro |z|, so the lower end of a gap that opens at the
-    canonical value 0 is the first sample above GAP_CLUSTER_TOL: it is
-    resolved only to the 8e-4 refinement target and moves within that
-    width under tiny shifts of the grid.
+    canonical_z and micro_z are the |z| values solved at the grid points.
+    gap_intervals holds the band [z_m, z_c) of |z| values realized only
+    microcanonically, computed exactly for 1 < K < K_c* = 3/(2 log 4) and
+    empty otherwise: z_c is the canonical positive well at beta_c1(K), which
+    both ensembles realize, and z_m the tied microcanonical well at u_c1(K)
+    for K below the microcanonical tricritical coupling K_m*, and 0 above
+    it.  lo is included when it is positive (0 is realized by both), hi is
+    excluded.  The verdict is 'nonequivalent' exactly when gap_intervals is
+    nonempty.
     """
 
     K: float
@@ -232,39 +232,32 @@ def sweep_micro(u_grid, K_grid):
 # Ensemble equivalence at fixed coupling
 # ---------------------------------------------------------------------------
 
-def _fill_gaps(controls, values, solver, budget=4000, target=8e-4):
-    """Insert control points until realized |z| values step by at most
-    `target` (except across genuine jumps, where refinement bottoms out)."""
-    pts = sorted(zip(controls, values))
-    rounds = 0
-    while len(pts) < budget and rounds < 60:
-        inserts = []
-        for (c1, v1), (c2, v2) in zip(pts, pts[1:]):
-            if abs(v2 - v1) > target and c2 - c1 > 1e-12:
-                inserts.append(0.5 * (c1 + c2))
-        if not inserts:
-            break
-        for c in inserts[: budget - len(pts)]:
-            pts.append((c, solver(c)))
-        pts.sort()
-        rounds += 1
-    return pts
-
-
 def _realized(grid, solve):
-    """Sorted array of |z| values realized over the refined control grid.
+    """Sorted array of the |z| values solve(control).z_points realizes over
+    the grid."""
+    return np.array(sorted({abs(z) for c in grid for z in solve(c).z_points}))
 
-    solve(control) returns a solution with z_points; each control is solved
-    once, and the refinement's own solves supply the realized values.
+
+def _gap_intervals(K):
+    """((z_m, z_c),), the nonequivalence gap [lo, hi) at K, or ().
+
+    For 1 < K < K_c* the canonical |z| jumps at beta_c1(K) from 0 to the
+    positive well z_c and grows with beta beyond it, so no beta realizes a
+    |z| in (0, z_c).  The microcanonical |z| jumps at u_c1(K) from 0 to the
+    tied well z_m < z_c when K < K_m*, grows continuously from 0 when
+    K >= K_m*, and grows as u falls in both cases; so [z_m, z_c) is
+    realized only microcanonically (z_m = 0 is realized by both).
     """
-    solved = {}
-
-    def op(control):
-        solved[control] = solve(control).z_points
-        return max(abs(z) for z in solved[control])
-
-    pts = _fill_gaps(list(grid), [op(c) for c in grid], op)
-    return np.array(sorted({abs(z) for c, _ in pts for z in solved[c]}))
+    if not 1.0 < K < tricritical_canonical():
+        return ()
+    b = beta_c1_of_K(K)
+    hi = positive_well(b, K) / (2.0 * b * K)
+    if K >= tricritical_micro()[1]:
+        return ((0.0, hi),)
+    # u_c1 is bisected to 1e-9, so its two wells differ there by more than
+    # TIE_TOL and solve_micro keeps one; the tied well is the outer local
+    # minimizer, beside z = 0
+    return ((max(_local_minima(u_c1_of_K(K), K)), hi),)
 
 
 def _default_beta_grid(K):
@@ -305,12 +298,11 @@ def _default_u_grid(K):
 def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceReport:
     """Compare the order-parameter sets realized by the two ensembles at K.
 
-    Both grids are refined adaptively until realized values are dense (steps
-    below GAP_CLUSTER_TOL) away from genuine jumps; by default they are built
-    around the inverted transition points.  A microcanonical value counts as
-    canonically realized when a canonical value lies within GAP_CLUSTER_TOL;
-    leftover values are merged into intervals and intervals wider than
-    3 * GAP_CLUSTER_TOL constitute the nonequivalence gap.
+    The gap comes from the inverted critical points alone (see _gap_intervals); the
+    inversions do not attain K within about 3e-13 above 1, 2e-10 below K_m*
+    and 6e-11 below K_c*, and raise DomainError there.  The realized |z|
+    values are solved at the grid points; by default the grids cluster
+    around the inverted transition points.
     """
     if not (math.isfinite(K) and K > 0.0):
         raise DomainError(f"K must be finite and positive, got {K}")
@@ -320,27 +312,11 @@ def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceRepo
         u_grid = _default_u_grid(K)
     canon = _realized(beta_grid, lambda b: solve_canonical(CanonicalParams(b, K)))
     mic = _realized(u_grid, lambda u: solve_micro(MicroParams(u, K)))
-
-    idx = np.searchsorted(canon, mic)
-    left = np.abs(mic - canon[np.clip(idx - 1, 0, len(canon) - 1)])
-    right = np.abs(mic - canon[np.clip(idx, 0, len(canon) - 1)])
-    only = mic[np.minimum(left, right) > GAP_CLUSTER_TOL]
-
-    intervals = []
-    if len(only):
-        start = prev = only[0]
-        for v in only[1:]:
-            if v - prev > 10.0 * GAP_CLUSTER_TOL:
-                intervals.append((start, prev))
-                start = v
-            prev = v
-        intervals.append((start, prev))
-    gaps = tuple((a, b) for a, b in intervals if b - a > 3.0 * GAP_CLUSTER_TOL)
-    measure = sum(b - a for a, b in gaps)
-    verdict = "nonequivalent" if gaps else "equivalent"
-    return EquivalenceReport(K=K, canonical_z=canon, micro_z=mic,
-                             gap_intervals=gaps, gap_measure=measure,
-                             verdict=verdict)
+    gaps = _gap_intervals(K)
+    return EquivalenceReport(
+        K=K, canonical_z=canon, micro_z=mic, gap_intervals=gaps,
+        gap_measure=sum(hi - lo for lo, hi in gaps),
+        verdict="nonequivalent" if gaps else "equivalent")
 
 
 # ---------------------------------------------------------------------------

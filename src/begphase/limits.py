@@ -195,8 +195,11 @@ def phase_weights(params: CanonicalParams) -> tuple:
     Each minimizer carries weight proportional to its asymptotic variance;
     a symmetric pair therefore splits as (1/2, 1/2).
     """
-    sol = solve_canonical(params)
-    sigmas = [classify_minimum(params, z).sigma2 for z in sol.z_points]
+    return _phase_weights(params, solve_canonical(params).z_points)
+
+
+def _phase_weights(params, z_points):
+    sigmas = [classify_minimum(params, z).sigma2 for z in z_points]
     if any(s is None for s in sigmas):
         raise DomainError("phase weights need all minima of type 1")
     total = sum(sigmas)
@@ -223,7 +226,7 @@ def convergence_diagnostic(n_ladder, params: CanonicalParams) -> list[float]:
             out.append(ks_distance(pmf.spins / scale, pmf.probabilities,
                                    density.cdf, 1.0 / scale))
         return out
-    weights = phase_weights(params)
+    weights = _phase_weights(params, sol.z_points)
     # the window half-width of conditioned_clt_check: one phase per window
     a = min(0.1, max(abs(z) for z in sol.z_points) / 2.0)
     for n in n_ladder:

@@ -209,12 +209,11 @@ def _rate_curvature(u, K, z):
             + K * (math.log(a) + math.log(b) - 2.0 * math.log(2.0 * c)))
 
 
-def _global_minima(u, K):
-    """(global minimizers, minimum value) of the shell rate; local minima
-    within TIE_TOL of the least all count.  The rate is even, so
-    piecewise_minima searches the nonnegative part of each component and the
-    minimizers are mirrored.  z = 0 is a minimum exactly when the closed-form
-    F''(0), from which F' is summed, is positive: no tolerance decides it.
+def _local_minima(u, K):
+    """Every local minimizer z >= 0 of the shell rate.  The rate is even, so
+    piecewise_minima searches the nonnegative part of each component.  z = 0
+    is a minimum exactly when the closed-form F''(0), from which F' is
+    summed, is positive: no tolerance decides it.
     """
     cuts = [math.sqrt(t) for t in _phi3_roots(u, K)]
     cands = []
@@ -223,6 +222,13 @@ def _global_minima(u, K):
             cands += piecewise_minima(lambda z: _rate_slope(u, K, z),
                                       lambda z: _rate_curvature(u, K, z),
                                       cuts, max(0.0, lo), hi)
+    return cands
+
+
+def _global_minima(u, K):
+    """(global minimizers, minimum value) of the shell rate; local minima
+    within TIE_TOL of the least all count, mirrored to z < 0."""
+    cands = _local_minima(u, K)
     vals = [float(_shell_rate_vec(u, K, z)) for z in cands]
     best = min(vals)
     kept = sorted(z for z, v in zip(cands, vals) if v <= best + TIE_TOL)

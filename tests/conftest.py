@@ -6,7 +6,10 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from begphase.core import Macrostate
+from begphase.canonical import solve_canonical
+from begphase.core import CanonicalParams, Macrostate, MicroParams
+from begphase.diagram import _default_beta_grid, _default_u_grid
+from begphase.micro import solve_micro
 
 
 def central_diff(f, x, h=1e-4):
@@ -94,3 +97,81 @@ def assert_sets_close(solver_macs, oracle_macs, tol):
     for o in oracle_macs:
         assert any(close(o, m) for m in solver_macs), \
             f"oracle state {o} unmatched by solver"
+
+
+# ---------------------------------------------------------------------------
+# Sampled equivalence oracle: the adaptive sampling that estimated the
+# nonequivalence gap before it was computed from the critical points
+# ---------------------------------------------------------------------------
+
+#: Order-parameter values closer than this are considered realized by both
+#: ensembles when hunting for microcanonical-only gaps.
+GAP_CLUSTER_TOL = 1e-3
+
+
+def _fill_gaps(controls, values, solver, budget=4000, target=8e-4):
+    """Insert control points until realized |z| values step by at most
+    `target` (except across genuine jumps, where refinement bottoms out)."""
+    pts = sorted(zip(controls, values))
+    rounds = 0
+    while len(pts) < budget and rounds < 60:
+        inserts = []
+        for (c1, v1), (c2, v2) in zip(pts, pts[1:]):
+            if abs(v2 - v1) > target and c2 - c1 > 1e-12:
+                inserts.append(0.5 * (c1 + c2))
+        if not inserts:
+            break
+        for c in inserts[: budget - len(pts)]:
+            pts.append((c, solver(c)))
+        pts.sort()
+        rounds += 1
+    return pts
+
+
+def _realized(grid, solve):
+    """Sorted array of |z| values realized over the refined control grid.
+
+    solve(control) returns a solution with z_points; each control is solved
+    once, and the refinement's own solves supply the realized values.
+    """
+    solved = {}
+
+    def op(control):
+        solved[control] = solve(control).z_points
+        return max(abs(z) for z in solved[control])
+
+    pts = _fill_gaps(list(grid), [op(c) for c in grid], op)
+    return np.array(sorted({abs(z) for c, _ in pts for z in solved[c]}))
+
+
+def sampled_gap_intervals(K):
+    """Bands of |z| realized only microcanonically at K, estimated from the
+    default grids refined adaptively until realized values are dense (steps
+    below GAP_CLUSTER_TOL) away from genuine jumps.  A microcanonical value
+    counts as canonically realized when a canonical value lies within
+    GAP_CLUSTER_TOL; leftover values are merged into intervals and intervals
+    wider than 3 * GAP_CLUSTER_TOL constitute the gap.  An interval end is a
+    sampled micro |z|, so the lower end of a gap that opens at the canonical
+    value 0 is the first sample above GAP_CLUSTER_TOL, resolved only to the
+    8e-4 refinement target.
+    """
+    beta_grid = _default_beta_grid(K)
+    u_grid = _default_u_grid(K)
+    canon = _realized(beta_grid, lambda b: solve_canonical(CanonicalParams(b, K)))
+    mic = _realized(u_grid, lambda u: solve_micro(MicroParams(u, K)))
+
+    idx = np.searchsorted(canon, mic)
+    left = np.abs(mic - canon[np.clip(idx - 1, 0, len(canon) - 1)])
+    right = np.abs(mic - canon[np.clip(idx, 0, len(canon) - 1)])
+    only = mic[np.minimum(left, right) > GAP_CLUSTER_TOL]
+
+    intervals = []
+    if len(only):
+        start = prev = only[0]
+        for v in only[1:]:
+            if v - prev > 10.0 * GAP_CLUSTER_TOL:
+                intervals.append((start, prev))
+                start = v
+            prev = v
+        intervals.append((start, prev))
+    return tuple((a, b) for a, b in intervals if b - a > 3.0 * GAP_CLUSTER_TOL)

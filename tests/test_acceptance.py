@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from conftest import assert_sets_close
+from conftest import GAP_CLUSTER_TOL, assert_sets_close, sampled_gap_intervals
 
 from begphase.canonical import (
     dual_route_minimum,
@@ -18,7 +18,6 @@ from begphase.canonical import (
 )
 from begphase.core import BETA_C, CanonicalParams, MicroParams
 from begphase.diagram import (
-    GAP_CLUSTER_TOL,
     equivalence_report,
     simplex_oracle,
     tricritical_micro,
@@ -167,18 +166,25 @@ def test_criterion_09_variance_identity():
 
 
 def test_criterion_10_nonequivalence_regime():
-    rep = equivalence_report(1.0817)
-    ok_gap = rep.verdict == "nonequivalent" and len(rep.gap_intervals) > 0
-    # the gap opens at the canonical value 0, so its lower end is the first
-    # sampled micro |z| above the cluster tolerance, within the 8e-4
+    sampled = sampled_gap_intervals(1.0817)
+    ok_sampled = len(sampled) == 1
+    # the gap opens at the canonical value 0, so the sampled lower end is the
+    # first sampled micro |z| above the cluster tolerance, within the 8e-4
     # refinement target of it
-    lo = rep.gap_intervals[0][0] if ok_gap else math.nan
-    ok_gap = ok_gap and GAP_CLUSTER_TOL < lo <= GAP_CLUSTER_TOL + 8e-4
+    s_lo, s_hi = sampled[0] if ok_sampled else (math.nan, math.nan)
+    ok_sampled = ok_sampled and GAP_CLUSTER_TOL < s_lo <= GAP_CLUSTER_TOL + 8e-4
+    rep = equivalence_report(1.0817)
+    ok_gap = rep.verdict == "nonequivalent" and len(rep.gap_intervals) == 1
+    # exactly: from 0 (realized by both) to the canonical jump, both ends
+    # within the sampling resolution of the sampled ones
+    lo, hi = rep.gap_intervals[0] if ok_gap else (math.nan, math.nan)
+    ok_gap = (ok_gap and lo == 0.0 and abs(hi - 0.0946349385) < 1e-8
+              and abs(lo - s_lo) < 2e-3 and abs(hi - s_hi) < 2e-3)
     rep2 = equivalence_report(1.5)
     ok_eq = rep2.verdict == "equivalent" and len(rep2.gap_intervals) == 0
-    report(10, ok_gap and ok_eq,
-           f"K=1.0817 -> {rep.verdict} with gap {rep.gap_intervals}; "
-           f"K=1.5 -> {rep2.verdict}")
+    report(10, ok_sampled and ok_gap and ok_eq,
+           f"K=1.0817 -> {rep.verdict} with gap {rep.gap_intervals}, sampled "
+           f"{sampled}; K=1.5 -> {rep2.verdict}")
 
 
 def test_criterion_11_metropolis_cross_check():

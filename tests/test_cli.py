@@ -5,12 +5,12 @@ import pytest
 
 from conftest import brute_force_spin_pmf
 
-from begphase import diagram
-from begphase.canonical import second_order_coupling
+from begphase import diagram, limits
+from begphase.canonical import second_order_coupling, solve_canonical
 from begphase.cli import fmt, main
-from begphase.core import MicroParams, energy_domain
+from begphase.core import CanonicalParams, MicroParams, energy_domain
 from begphase.diagram import tricritical_micro
-from begphase.micro import solve_micro
+from begphase.micro import micro_criticals, solve_micro
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -19,6 +19,12 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def csv_rows(out):
+    """The data rows of a csv output, split into cells."""
+    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+    return [l.split(",") for l in lines[1:]]
 
 
 def test_canon_critical_prints_tricritical_coupling(capsys):
@@ -267,3 +273,55 @@ def test_equivalence_cli_nonequivalent_regime(capsys):
     code, out, _ = run(capsys, ["equivalence", "--K", "1.0817"])
     assert code == 0
     assert "# verdict=nonequivalent" in out
+    assert csv_rows(out) == [["0", "0.0946349385122"]]
+
+
+def test_micro_critical_cli_formats_the_library_record(capsys):
+    code, out, _ = run(capsys, ["micro-critical", "--u", "0.25", "--K", "1.0"])
+    assert code == 0
+    crit = micro_criticals(0.25, 1.0)
+    assert csv_rows(out) == [[fmt(crit.u), fmt(crit.k_second_order),
+                              fmt(crit.k_first_order), fmt(crit.k_convexity),
+                              crit.region]]
+
+
+@pytest.mark.parametrize("K, mode, ns, call", [
+    (1.0, "ks", [200, 400],
+     lambda ns, p: limits.convergence_diagnostic(ns, p)),
+    (1.5, "conditioned", [300, 600],
+     lambda ns, p: [limits.conditioned_clt_check(n, p) for n in ns]),
+], ids=["ks", "conditioned"])
+def test_limits_ladder_cli_formats_the_library_distances(capsys, K, mode, ns,
+                                                         call):
+    code, out, _ = run(capsys, ["limits", "--beta", "1", "--K", str(K),
+                                "--mode", mode,
+                                "--ns", ",".join(map(str, ns))])
+    assert code == 0
+    dists = call(ns, CanonicalParams(1.0, K))
+    assert csv_rows(out) == [[fmt(n), fmt(d)] for n, d in zip(ns, dists)]
+
+
+def test_limits_classify_cli_formats_the_library_reports(capsys):
+    code, out, _ = run(capsys, ["limits", "--beta", "1", "--K", "1.5",
+                                "--mode", "classify"])
+    assert code == 0
+    params = CanonicalParams(1.0, 1.5)
+    expect = []
+    for z in solve_canonical(params).z_points:
+        rep = limits.classify_minimum(params, z)
+        expect.append([fmt(z), fmt(rep.r), *map(fmt, rep.derivative_values),
+                       fmt(rep.sigma2)])
+    assert len(expect) == 2
+    assert csv_rows(out) == expect
+
+
+def test_metropolis_refused_n_runs_no_chain(capsys, monkeypatch):
+    def chain(*args):
+        raise AssertionError("the chain ran before n was checked")
+
+    monkeypatch.setattr(limits, "metropolis_sampler", chain)
+    code, _, err = run(capsys, ["limits", "--beta", "1", "--K", "1",
+                                "--mode", "metropolis", "--n", "25000",
+                                "--steps", "100"])
+    assert code == 2
+    assert "n must be an integer in [1, 20000]" in err

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sampled_gap_intervals
+
 from begphase import canonical
 from begphase.canonical import (
     BETA_MAX,
+    dual_route_minimum,
     first_order_coupling,
     second_order_coupling,
     solve_canonical,
@@ -285,6 +288,48 @@ def test_equivalence_no_transition_coupling():
     assert (len(rep.gap_intervals) > 0) == (rep.verdict == "nonequivalent")
     assert rep.verdict == "equivalent"
     assert rep.gap_measure == 0.0
+
+
+def test_equivalence_above_the_canonical_tricritical_coupling():
+    # above 3/(2 log 4) ~ 1.08202 both ensembles grow |z| continuously from 0
+    rep = equivalence_report(1.0821)
+    assert rep.verdict == "equivalent"
+    assert rep.gap_intervals == () and rep.gap_measure == 0.0
+
+
+# (K, lo, hi) of the gap [lo, hi), to 10 digits; at K = 1.0817, above the
+# microcanonical tricritical coupling, it opens at 0
+EXACT_GAPS = [
+    (1.001, 0.9915925440, 0.9943973061),
+    (1.02, 0.8756908463, 0.9095287694),
+    (1.05, 0.6688213195, 0.7301721465),
+    (1.0812, 0.04565200279, 0.1501164151),
+    (1.0817, 0.0, 0.09463493851),
+]
+
+
+@pytest.mark.parametrize("K, lo, hi", EXACT_GAPS)
+def test_equivalence_gap_is_exact(K, lo, hi):
+    rep = equivalence_report(K)
+    assert rep.verdict == "nonequivalent"
+    (g_lo, g_hi), = rep.gap_intervals
+    assert abs(g_lo - lo) < 1e-8 and abs(g_hi - hi) < 1e-8
+    assert rep.gap_measure == g_hi - g_lo
+    # hi is the canonical jump: the dual route's well just past beta_c1
+    _, args = dual_route_minimum(CanonicalParams(beta_c1_of_K(K),
+                                                 K * (1.0 + 1e-9)))
+    assert abs(max(abs(z) for z in args) - g_hi) < 1e-5
+    # the values solved at the default grid points respect the gap
+    assert not any(g_lo < z < g_hi for z in rep.canonical_z)
+    assert any(g_lo <= z < g_hi for z in rep.micro_z)
+
+
+def test_equivalence_gap_matches_the_sampled_oracle():
+    # the adaptive sampling the exact ends replaced resolves them to its
+    # 8e-4 refinement target and its 1e-3 cluster tolerance
+    (lo, hi), = equivalence_report(1.05).gap_intervals
+    (s_lo, s_hi), = sampled_gap_intervals(1.05)
+    assert abs(lo - s_lo) < 2e-3 and abs(hi - s_hi) < 2e-3
 
 
 @pytest.mark.parametrize("beta", [10.0, 20.0])

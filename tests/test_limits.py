@@ -247,6 +247,7 @@ def test_two_phase_diagnostic_solves_once_per_ladder(monkeypatch):
     params = CanonicalParams(1.0, 1.5)
     convergence_diagnostic([100], params)
     short = len(calls)
+    assert short == 1
     calls.clear()
     convergence_diagnostic([100, 200, 300, 400], params)
     assert len(calls) == short

@@ -75,6 +75,7 @@ from .diagram import (
     beta_c2_of_K,
     equivalence_report,
     invert_critical_curve,
+    nonequivalence_gap,
     simplex_oracle,
     sweep_canonical,
     sweep_micro,

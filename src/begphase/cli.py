@@ -206,15 +206,10 @@ def _cmd_diagram(args):
 
 
 def _cmd_equivalence(args):
-    beta_grid = _parse_grid(args.beta_grid) if args.beta_grid else None
-    u_grid = _parse_grid(args.u_grid) if args.u_grid else None
-    rep = diagram.equivalence_report(args.K, beta_grid=beta_grid, u_grid=u_grid)
-    payload = {"verdict": rep.verdict, "gap_measure": rep.gap_measure,
-               "n_canonical_values": len(rep.canonical_z),
-               "n_micro_values": len(rep.micro_z)}
-    cols = ("gap_lo", "gap_hi")
-    rows = [(a, b) for a, b in rep.gap_intervals]
-    _emit(args, cols, rows, payload)
+    gaps = diagram.nonequivalence_gap(args.K)
+    payload = {"verdict": "nonequivalent" if gaps else "equivalent",
+               "gap_measure": sum(hi - lo for lo, hi in gaps)}
+    _emit(args, ("gap_lo", "gap_hi"), list(gaps), payload)
 
 
 def _cmd_limits(args):
@@ -319,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("equivalence",
                         help="order-parameter sets realized by both ensembles at K")
     sp.add_argument("--K", type=float, required=True)
-    sp.add_argument("--beta-grid", default=None, metavar="START:STOP:STEP")
-    sp.add_argument("--u-grid", default=None, metavar="START:STOP:STEP")
     common(sp)
     sp.set_defaults(fn=_cmd_equivalence)
 

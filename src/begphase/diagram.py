@@ -68,13 +68,12 @@ class EquivalenceReport:
 
     canonical_z and micro_z are the |z| values solved at the grid points.
     gap_intervals holds the band [z_m, z_c) of |z| values realized only
-    microcanonically, computed exactly for 1 < K < K_c* = 3/(2 log 4) and
-    empty otherwise: z_c is the canonical positive well at beta_c1(K), which
-    both ensembles realize, and z_m the tied microcanonical well at u_c1(K)
-    for K below the microcanonical tricritical coupling K_m*, and 0 above
-    it.  lo is included when it is positive (0 is realized by both), hi is
-    excluded.  The verdict is 'nonequivalent' exactly when gap_intervals is
-    nonempty.
+    microcanonically, one interval for 1 < K < K_c* = 3/(2 log 4) and none
+    otherwise: z_c is the canonical positive well at beta_c1(K), which both
+    ensembles realize, and z_m the tied microcanonical well at u_c1(K) below
+    the microcanonical tricritical coupling K_m*, 0 from K_m* on.  lo is
+    included when positive (0 is realized by both), hi is excluded.  The
+    verdict is 'nonequivalent' exactly when gap_intervals is nonempty.
     """
 
     K: float
@@ -238,36 +237,56 @@ def _realized(grid, solve):
     return np.array(sorted({abs(z) for c in grid for z in solve(c).z_points}))
 
 
-def _gap_intervals(K):
-    """((z_m, z_c),), the nonequivalence gap [lo, hi) at K, or ().
+def _beta_star(K):
+    """beta of the canonical transition at K, or None where not attained."""
+    try:
+        return (beta_c2_of_K if K >= tricritical_canonical() else beta_c1_of_K)(K)
+    except DomainError:
+        return None
 
-    For 1 < K < K_c* the canonical |z| jumps at beta_c1(K) from 0 to the
-    positive well z_c and grows with beta beyond it, so no beta realizes a
-    |z| in (0, z_c).  The microcanonical |z| jumps at u_c1(K) from 0 to the
-    tied well z_m < z_c when K < K_m*, grows continuously from 0 when
-    K >= K_m*, and grows as u falls in both cases; so [z_m, z_c) is
-    realized only microcanonically (z_m = 0 is realized by both).
-    """
+
+def _u_star(K):
+    """u of the microcanonical transition at K, or None where not attained."""
+    try:
+        return u_c2_of_K(K) if K >= tricritical_micro()[1] else u_c1_of_K(K)
+    except DomainError:
+        return None
+
+
+def _gap_intervals(K, b, u):
+    """The gap_intervals of EquivalenceReport at K, from b = _beta_star(K)
+    and u = _u_star(K).  The canonical |z| jumps from 0 to z_c, the
+    microcanonical one to z_m (or grows from 0), and both grow from there.
+    Where K lies past an inversion's bracket (6e-11 below K_c*, 3e-13 above
+    1, 2.2e-10 below K_m*), the bracket end stands in for the transition,
+    which lies within the bisection tolerance of it."""
     if not 1.0 < K < tricritical_canonical():
         return ()
-    b = beta_c1_of_K(K)
+    b = BETA_C + 1e-9 if b is None else b
     hi = positive_well(b, K) / (2.0 * b * K)
-    if K >= tricritical_micro()[1]:
+    u_top, K_m = tricritical_micro()
+    if K >= K_m:
         return ((0.0, hi),)
-    # u_c1 is bisected to 1e-9, so its two wells differ there by more than
-    # TIE_TOL and solve_micro keeps one; the tied well is the outer local
-    # minimizer, beside z = 0
-    return ((max(_local_minima(u_c1_of_K(K), K)), hi),)
+    if u is None:
+        u = 1e-15 if K - 1.0 < K_m - K else u_top - 1e-9
+    # the tied well of the bisected u at its own coupling: at (u, K) the
+    # wells differ by the bisection residual, and near K_m* the outer one
+    # is gone.  The cap holds z_m <= z_c where the two agree to rounding
+    z_m = max(_local_minima(u, first_order_coupling_u(u)))
+    return ((min(z_m, hi), hi),)
 
 
-def _default_beta_grid(K):
+def nonequivalence_gap(K: float) -> tuple:
+    """The gap_intervals of equivalence_report(K), from the inverted
+    critical points alone: no ensemble is solved at any grid point."""
+    if not (math.isfinite(K) and K > 0.0):
+        raise DomainError(f"K must be finite and positive, got {K}")
+    return _gap_intervals(K, _beta_star(K), _u_star(K))
+
+
+def _beta_grid(b_star):
     base = list(np.linspace(0.3, 8.0, 40))
-    try:
-        if K >= tricritical_canonical():
-            b_star = beta_c2_of_K(K)
-        else:
-            b_star = beta_c1_of_K(K)
-    except DomainError:
+    if b_star is None:
         return sorted(base)
     # approach up to the base grid's top, or over 2 when b_star lies above it
     span = min(2.0, 8.0 - b_star) if b_star < 8.0 else 2.0
@@ -277,16 +296,11 @@ def _default_beta_grid(K):
                   if 0.0 < b <= BETA_MAX)
 
 
-def _default_u_grid(K):
+def _u_grid(K, u_star):
     u_min, u_max = energy_domain(K)
     eps = 1e-9
     base = list(np.linspace(u_min + eps, u_max - eps, 40))
-    try:
-        if K >= tricritical_micro()[1]:
-            u_star = u_c2_of_K(K)
-        else:
-            u_star = u_c1_of_K(K)
-    except DomainError:
+    if u_star is None:
         return sorted(base)
     span = u_star - u_min - eps
     approach = list(u_star - np.geomspace(1e-8, span, 80))
@@ -295,24 +309,30 @@ def _default_u_grid(K):
                   if u_min + eps <= u <= u_max - eps)
 
 
+def _default_beta_grid(K):
+    return _beta_grid(_beta_star(K))
+
+
+def _default_u_grid(K):
+    return _u_grid(K, _u_star(K))
+
+
 def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceReport:
     """Compare the order-parameter sets realized by the two ensembles at K.
 
-    The gap comes from the inverted critical points alone (see _gap_intervals); the
-    inversions do not attain K within about 3e-13 above 1, 2e-10 below K_m*
-    and 6e-11 below K_c*, and raise DomainError there.  The realized |z|
-    values are solved at the grid points; by default the grids cluster
-    around the inverted transition points.
+    The gap is nonequivalence_gap(K); the |z| values are solved at the grid
+    points, by default clustered around the transitions the gap comes from.
     """
     if not (math.isfinite(K) and K > 0.0):
         raise DomainError(f"K must be finite and positive, got {K}")
+    b_star, u_star = _beta_star(K), _u_star(K)
     if beta_grid is None:
-        beta_grid = _default_beta_grid(K)
+        beta_grid = _beta_grid(b_star)
     if u_grid is None:
-        u_grid = _default_u_grid(K)
+        u_grid = _u_grid(K, u_star)
     canon = _realized(beta_grid, lambda b: solve_canonical(CanonicalParams(b, K)))
     mic = _realized(u_grid, lambda u: solve_micro(MicroParams(u, K)))
-    gaps = _gap_intervals(K)
+    gaps = _gap_intervals(K, b_star, u_star)
     return EquivalenceReport(
         K=K, canonical_z=canon, micro_z=mic, gap_intervals=gaps,
         gap_measure=sum(hi - lo for lo, hi in gaps),

@@ -276,6 +276,21 @@ def test_equivalence_cli_nonequivalent_regime(capsys):
     assert csv_rows(out) == [["0", "0.0946349385122"]]
 
 
+def test_equivalence_cli_solves_no_ensemble(capsys, monkeypatch):
+    # the verdict and the gap come from the inverted critical points alone
+    def refuse(params):
+        raise AssertionError(f"solved an ensemble at {params}")
+
+    monkeypatch.setattr(diagram, "solve_canonical", refuse)
+    monkeypatch.setattr(diagram, "solve_micro", refuse)
+    code, out, _ = run(capsys, ["equivalence", "--K", "1.05"])
+    assert code == 0
+    (lo, hi), = diagram.nonequivalence_gap(1.05)
+    assert "# verdict=nonequivalent" in out
+    assert f"# gap_measure={fmt(hi - lo)}" in out
+    assert csv_rows(out) == [[fmt(lo), fmt(hi)]]
+
+
 def test_micro_critical_cli_formats_the_library_record(capsys):
     code, out, _ = run(capsys, ["micro-critical", "--u", "0.25", "--K", "1.0"])
     assert code == 0

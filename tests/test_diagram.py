@@ -25,6 +25,7 @@ from begphase.diagram import (
     beta_c1_of_K,
     beta_c2_of_K,
     equivalence_report,
+    nonequivalence_gap,
     simplex_oracle,
     sweep_canonical,
     sweep_micro,
@@ -297,14 +298,15 @@ def test_equivalence_above_the_canonical_tricritical_coupling():
     assert rep.gap_intervals == () and rep.gap_measure == 0.0
 
 
-# (K, lo, hi) of the gap [lo, hi), to 10 digits; at K = 1.0817, above the
-# microcanonical tricritical coupling, it opens at 0
+# (K, lo, hi) of the gap [lo, hi), to 12 digits, from beta_c1 bisected to
+# 1e-14 and u_c1 to 1e-15; the report's 1e-9 bisections leave up to 7e-9.
+# At K = 1.0817, above the microcanonical tricritical coupling, it opens at 0
 EXACT_GAPS = [
-    (1.001, 0.9915925440, 0.9943973061),
-    (1.02, 0.8756908463, 0.9095287694),
-    (1.05, 0.6688213195, 0.7301721465),
-    (1.0812, 0.04565200279, 0.1501164151),
-    (1.0817, 0.0, 0.09463493851),
+    (1.001, 0.991592544255, 0.99439730612),
+    (1.02, 0.875690846472, 0.909528769434),
+    (1.05, 0.668821319138, 0.730172146496),
+    (1.0812, 0.0456522002434, 0.150116418875),
+    (1.0817, 0.0, 0.0946349454256),
 ]
 
 
@@ -322,6 +324,47 @@ def test_equivalence_gap_is_exact(K, lo, hi):
     # the values solved at the default grid points respect the gap
     assert not any(g_lo < z < g_hi for z in rep.canonical_z)
     assert any(g_lo <= z < g_hi for z in rep.micro_z)
+
+
+def test_equivalence_gap_lower_end_near_the_micro_tricritical_coupling():
+    # 6.5e-6 below K_m*, where z_m varies fast with u: the well at (u_c1, K)
+    # read 0.0118273, 6e-6 off; the tie at u_c1's own coupling is 1.6e-8 off
+    (lo, hi), = nonequivalence_gap(1.08129)
+    assert abs(lo - 0.0118210297456) < 3e-8
+    assert abs(hi - 0.141850511333) < 1e-8
+
+
+@pytest.mark.parametrize("dK", [1e-10, 3e-10])
+def test_equivalence_gap_at_the_end_of_the_micro_inversion(dK):
+    # u_c1_of_K does not attain K within 2.2e-10 below K_m*, and the tie
+    # (z_m < 1.5e-3 within 1e-7 of K_m*) is not resolved there: lo reads 0
+    # or a few 1e-5, and hi the canonical jump, which moves by about 150 dK
+    K_m = tricritical_micro()[1]
+    rep = equivalence_report(K_m - dK)
+    assert rep.verdict == "nonequivalent"
+    (lo, hi), = rep.gap_intervals
+    assert 0.0 <= lo < 1.5e-3
+    (_, hi_m), = nonequivalence_gap(K_m)
+    assert abs(hi - hi_m) < 1e-7
+
+
+def test_equivalence_gap_at_the_end_of_the_canonical_inversion():
+    # beta_c1_of_K does not attain K within 6e-11 below K_c*; the jump
+    # shrinks to 0 there like (K_c* - K)^(1/4)
+    rep = equivalence_report(tricritical_canonical() - 1e-11)
+    assert rep.verdict == "nonequivalent"
+    (lo, hi), = rep.gap_intervals
+    assert lo == 0.0 and 1e-3 < hi < 5e-3
+
+
+def test_equivalence_gap_next_to_unit_coupling():
+    # u_c1_of_K does not attain K within 3e-13 above 1.  There z_c ~ 1 -
+    # 2.7e-12 and z_m ~ 1 - 4e-12 (1 - z_m ~ 1.5 (1 - z_c) as K -> 1), finer
+    # than the microcanonical inversion resolves, and lo is capped at hi
+    rep = equivalence_report(1.0 + 1e-13)
+    assert rep.verdict == "nonequivalent"
+    (lo, hi), = rep.gap_intervals
+    assert 1.0 - 5e-12 < lo <= hi < 1.0 - 2e-12
 
 
 def test_equivalence_gap_matches_the_sampled_oracle():

@@ -35,21 +35,18 @@ from .core import (
     mean_tilt,
     rel_entropy,
 )
-from .rootfind import bisect_newton, golden_min, piecewise_minima
+from .rootfind import (TIE_TOL, bisect_newton, even_global_minima, golden_min,
+                       piecewise_minima)
 
-#: Couplings within this distance of a computed critical value are treated as
-#: exactly critical when selecting a solution branch.
-CRITICAL_EQ_TOL = 1e-9
-
-#: Inverse temperatures this close to BETA_C take the continuous branch;
-#: decimal approximations of log 4 otherwise land arbitrarily on either side.
+#: Inverse temperatures this close to BETA_C get the continuous critical
+#: record (Kc2 alone); decimal approximations of log 4 otherwise land
+#: arbitrarily on either side.  It shapes only the record: solve_canonical
+#: selects its minimizers by value.
 BETA_SNAP_TOL = 1e-7
 
 #: Even-derivative magnitude below which a derivative counts as vanishing in
 #: the minimum-type ladder.
 DERIV_ZERO_TOL = 1e-10
-
-_TIE_TOL = 1e-12
 
 #: Largest inverse temperature the critical couplings accept: the range
 #: where well_depth, the independent check of the first-order coupling,
@@ -213,20 +210,33 @@ def tangency(beta: float) -> tuple[float, float, float]:
     return w1, k1, k2
 
 
-def positive_well(beta: float, K: float) -> float:
-    """Location of the positive local minimum of the tilt potential P(w).
+def _local_wells(beta, K):
+    """Every local minimizer w >= 0 of the tilt potential P, increasing.
 
-    P''' = -c''' changes sign on w > 0 only at the inflection of c' (beta >
-    BETA_C), so rootfind.piecewise_minima finds every local minimum of P on
-    [0, 2 beta K + 1], at most one of them positive; P' > 0 at that end even
-    where c' rounds to 1.  Raises DomainError when no positive well exists
-    (K at or below the second-order or the tangency coupling).
+    w = 0 is one exactly when K <= second_order_coupling(beta).  A positive
+    well lies where P'' = 1/(2 beta K) - c'' increases: beyond the
+    inflection w_c of c' above log 4, anywhere below it (and there only for
+    K > Kc2).  One piecewise_minima call with no cuts searches that piece up
+    to 2 beta K + 1, where P' > 0 even if c' rounds to 1.  Its left end is
+    no well; the origin stands in when none resolves (K just above Kc2).
     """
     params = CanonicalParams(beta, K)
-    cuts = (cumulant_inflection(beta),) if beta > BETA_C else ()
-    w = piecewise_minima(lambda w: tilt_potential(params, w, 1),
-                         lambda w: tilt_potential(params, w, 2),
-                         cuts, 0.0, 2.0 * beta * K + 1.0)[-1]
+    wells = [0.0] if K <= second_order_coupling(beta) else []
+    if beta <= BETA_C and wells:
+        return wells
+    lo = cumulant_inflection(beta) if beta > BETA_C else 0.0
+    wells += [w for w in piecewise_minima(
+        lambda w: tilt_potential(params, w, 1),
+        lambda w: tilt_potential(params, w, 2), (), lo, 2.0 * beta * K + 1.0)
+        if w > lo]
+    return wells or [0.0]
+
+
+def positive_well(beta: float, K: float) -> float:
+    """Location of the positive local minimum of the tilt potential P(w).
+    Raises DomainError when there is none (K at or below the second-order or
+    the tangency coupling)."""
+    w = _local_wells(beta, K)[-1]
     if w <= 0.0:
         raise DomainError(f"no positive well at (beta, K) = ({beta}, {K}): K is "
                           f"at or below the coupling where it appears")
@@ -278,14 +288,10 @@ def _first_order_coupling(beta, w1, k1, k2):
     return w / (2.0 * beta * cumulant(beta, w, 1)), False
 
 
-def _continuous_branch(beta):
-    return beta <= BETA_C or abs(beta - BETA_C) <= BETA_SNAP_TOL
-
-
 def canonical_criticals(beta: float) -> CanonicalCriticals:
     """All critical couplings at this beta, with undefined entries left None."""
     _check_beta(beta)
-    if _continuous_branch(beta):
+    if beta - BETA_C <= BETA_SNAP_TOL:
         return CanonicalCriticals(beta=beta, k_second_order=second_order_coupling(beta))
     w1, k1, k2 = tangency(beta)
     kc1, near = _first_order_coupling(beta, w1, k1, k2)
@@ -335,46 +341,31 @@ def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
 def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
     """Global minimizers of the magnetization potential, lifted to macrostates.
 
-    Branch selection follows the exact critical couplings: below the critical
-    coupling the disordered point 0 is the unique minimizer; above it the
-    symmetric pair +-z takes over; exactly at a first-order coupling all
-    three coexist.  A coupling within CRITICAL_EQ_TOL of a critical value is
-    treated as critical so branch labels are deterministic.
+    As in solve_micro, the local minimizers (here from _local_wells) within
+    TIE_TOL of the least value are all global, mirrored to z < 0: the
+    disordered point 0 alone, the symmetric pair +-z, or all three where they
+    tie at a first-order coupling.  No critical coupling is computed.
     """
-    return _solve_at(params, canonical_criticals(params.beta))
-
-
-def _solve_at(params, crit):
-    """solve_canonical given crit = canonical_criticals(params.beta)."""
     beta, K = params.beta, params.K
-    kc1 = crit.k_first_order
-    if kc1 is None:
-        if K <= crit.k_second_order + CRITICAL_EQ_TOL:
-            zs = (0.0,)
-        else:
-            z = positive_well(beta, K) / (2.0 * beta * K)
-            zs = (-z, z)
-    elif K < kc1 - CRITICAL_EQ_TOL:
-        zs = (0.0,)
-    else:
-        z = positive_well(beta, K) / (2.0 * beta * K)
-        zs = (-z, 0.0, z) if K <= kc1 + CRITICAL_EQ_TOL else (-z, z)
+    a = 2.0 * beta * K
+    zs, best = even_global_minima(lambda z: mag_potential(params, z, 0),
+                                  [w / a for w in _local_wells(beta, K)])
+    return CanonicalSolution(
+        params=params, z_points=tuple(zs), w_points=tuple(a * z for z in zs),
+        macrostates=tuple(tilt_macrostate(params, z) for z in zs),
+        min_value=best, types=tuple(minimum_type(params, z)[0] for z in zs),
+        phase_label={1: "unique", 2: "pair", 3: "triple"}[len(zs)])
 
-    ws = tuple(2.0 * beta * K * z for z in zs)
-    macs = tuple(tilt_macrostate(params, z) for z in zs)
-    types = tuple(minimum_type(params, z)[0] for z in zs)
-    gvals = [mag_potential(params, z, 0) for z in zs]
-    label = {1: "unique", 2: "pair", 3: "triple"}[len(zs)]
-    return CanonicalSolution(params=params, z_points=zs, w_points=ws,
-                             macrostates=macs, min_value=min(gvals),
-                             types=types, phase_label=label)
+
+def free_energy_at(params: CanonicalParams, mu: Macrostate) -> float:
+    """R(mu|uniform) + beta * energy_per_site(mu, K) at the macrostate mu."""
+    return rel_entropy(mu, UNIFORM) + params.beta * energy_per_site(mu, params.K)
 
 
 def canonical_free_energy(params: CanonicalParams) -> float:
     """inf over macrostates of R(mu|uniform) + beta * energy_per_site(mu, K),
     evaluated at a lifted minimizer."""
-    mu = solve_canonical(params).macrostates[0]
-    return rel_entropy(mu, UNIFORM) + params.beta * energy_per_site(mu, params.K)
+    return free_energy_at(params, solve_canonical(params).macrostates[0])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +425,7 @@ def dual_route_minimum(params: CanonicalParams):
             zmin = polish(zmin)
             cands.append((zmin, scalar(zmin)))
     best = min(v for _, v in cands)
-    kept = sorted(z for z, v in cands if v <= best + _TIE_TOL)
+    kept = sorted(z for z, v in cands if v <= best + TIE_TOL)
     merged = []
     for z in kept:
         if not merged or abs(z - merged[-1]) > 1e-7:

@@ -131,7 +131,7 @@ def _check_tol(value):
 def _cmd_canon(args):
     params = CanonicalParams(args.beta, args.K)
     sol = canonical.solve_canonical(params)
-    free = canonical.canonical_free_energy(params)
+    free = canonical.free_energy_at(params, sol.macrostates[0])
     payload = {"phase": sol.phase_label, "min_value": sol.min_value,
                "free_energy": free}
     cols = ("z", "w", "nu_minus", "nu_zero", "nu_plus", "type")

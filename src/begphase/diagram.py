@@ -22,7 +22,6 @@ from scipy.special import xlogy
 
 from .canonical import (
     BETA_MAX,
-    _solve_at,
     canonical_criticals,
     first_order_coupling,
     positive_well,
@@ -176,7 +175,7 @@ def u_c1_of_K(K: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _canonical_row(crit, K):
-    sol = _solve_at(CanonicalParams(crit.beta, K), crit)
+    sol = solve_canonical(CanonicalParams(crit.beta, K))
     return PhaseDiagramRow(
         ensemble="canonical", control=(crit.beta, K), minimizers=sol.z_points,
         order_parameter=max(abs(z) for z in sol.z_points),
@@ -189,8 +188,8 @@ def sweep_canonical(beta_grid, K_grid):
     """(rows, curves) over a (beta, K) grid.
 
     rows holds one PhaseDiagramRow per grid point, sorted by (beta, K);
-    curves holds canonical_criticals(beta) per beta, and each row is solved
-    from the record of its beta.
+    curves holds canonical_criticals(beta) per beta, which labels the
+    transition order of the rows at that beta.
     """
     betas = sorted(float(b) for b in beta_grid)
     Ks = sorted(float(K) for K in K_grid)

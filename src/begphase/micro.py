@@ -27,9 +27,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from .core import DomainError, Macrostate, MicroParams, energy_domain
-from .rootfind import bisect_newton, golden_min, piecewise_minima
+from .rootfind import bisect_newton, even_global_minima, golden_min, piecewise_minima
 
-TIE_TOL = 1e-12
 _LOG2 = math.log(2.0)
 
 
@@ -39,7 +38,7 @@ class MicroSolution:
 
     z_points is symmetric under negation; entropy is the negative minimum
     value (always <= 0); tied marks solutions where z = 0 and a positive well
-    coexist within the tie tolerance TIE_TOL.
+    coexist within the tie tolerance rootfind.TIE_TOL.
     """
 
     params: MicroParams
@@ -226,13 +225,9 @@ def _local_minima(u, K):
 
 
 def _global_minima(u, K):
-    """(global minimizers, minimum value) of the shell rate; local minima
-    within TIE_TOL of the least all count, mirrored to z < 0."""
-    cands = _local_minima(u, K)
-    vals = [float(_shell_rate_vec(u, K, z)) for z in cands]
-    best = min(vals)
-    kept = sorted(z for z, v in zip(cands, vals) if v <= best + TIE_TOL)
-    return [-z for z in reversed(kept) if z > 0.0] + kept, best
+    """(global minimizers, minimum value) of the shell rate."""
+    return even_global_minima(lambda z: float(_shell_rate_vec(u, K, z)),
+                              _local_minima(u, K))
 
 
 def solve_micro(params: MicroParams) -> MicroSolution:

@@ -4,13 +4,17 @@ Every solver in this package locates roots the same way: a sign-change
 bracket is shrunk by bisection until it is small, then Newton polishes the
 root to near machine precision while a safeguard keeps the iterates inside
 the bracket.  piecewise_minima finds every local minimum of a function whose
-third derivative changes sign only at known points, without a grid; golden
-section serves the searches that have no derivatives at hand.
+third derivative changes sign only at known points, without a grid, and
+even_global_minima keeps those of an even function that tie for the least
+value; golden section serves the searches that have no derivatives at hand.
 """
 
 import math
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618
+
+#: Local minima within this of the least value all count as global minima.
+TIE_TOL = 1e-12
 
 
 class BracketError(RuntimeError):
@@ -163,3 +167,12 @@ def piecewise_minima(fp, fpp, cuts, lo, hi):
         elif d[i + 1] == 0.0 and d[i] < 0.0 < d[i + 2]:
             mins.append(b)
     return mins
+
+
+def even_global_minima(f, cands):
+    """(global minimizers, least value) of an even f from its local minimizers
+    z >= 0: those within TIE_TOL of the least value, mirrored to -z, sorted."""
+    vals = [f(z) for z in cands]
+    best = min(vals)
+    kept = sorted(z for z, v in zip(cands, vals) if v <= best + TIE_TOL)
+    return [-z for z in reversed(kept) if z > 0.0] + kept, best

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import central_diff
 
+from begphase import canonical
 from begphase.canonical import (
     BETA_MAX,
+    BETA_SNAP_TOL,
     DERIV_ZERO_TOL,
     canonical_criticals,
     canonical_free_energy,
@@ -176,9 +178,8 @@ def test_positive_well():
 
 
 def test_snap_band_pair_rows_make_no_tangency_call(monkeypatch):
-    # beta = 1.3862944 lies within BETA_SNAP_TOL above log 4, so its rows
-    # take the continuous branch, whose record holds no tangency data
-    from begphase import canonical
+    # beta = 1.3862944 lies within BETA_SNAP_TOL above log 4, so its record
+    # is the continuous one, which holds no tangency data
     from begphase.diagram import sweep_canonical
     calls = []
     real = canonical.tangency
@@ -288,12 +289,56 @@ def test_branch_boundaries():
         kc2 = second_order_coupling(beta)
         assert len(solve_canonical(CanonicalParams(beta, kc2 - 1e-4)).z_points) == 1
         assert len(solve_canonical(CanonicalParams(beta, kc2)).z_points) == 1
+        # G''(0) < 0 just above Kc2: the origin is no minimizer there
+        assert len(solve_canonical(CanonicalParams(beta, kc2 + 5e-10)).z_points) == 2
         assert len(solve_canonical(CanonicalParams(beta, kc2 + 1e-4)).z_points) == 2
     for beta in (2.0, 3.0):
         kc1 = first_order_coupling(beta)
         assert len(solve_canonical(CanonicalParams(beta, kc1 - 1e-4)).z_points) == 1
         assert len(solve_canonical(CanonicalParams(beta, kc1)).z_points) == 3
         assert len(solve_canonical(CanonicalParams(beta, kc1 + 1e-4)).z_points) == 2
+
+
+def test_solve_in_the_snap_band():
+    # beta = beta_c1(K) for K = 3/(2 log 4) - 1e-10 lies within BETA_SNAP_TOL
+    # above log 4, where the critical record is the continuous one; K exceeds
+    # its Kc2, so the origin is no minimizer (G''(0) < 0).  Branch selection
+    # from the record kept z = 0 there and the type ladder raised
+    K = 3.0 / (2.0 * math.log(4.0)) - 1e-10
+    params = CanonicalParams(1.3862943629346534, K)
+    assert K > canonical_criticals(params.beta).k_second_order
+    assert mag_potential(params, 0.0, 2) < 0.0
+    sol = solve_canonical(params)
+    assert sol.phase_label == "pair"
+    z = sol.z_points[1]
+    assert sol.z_points[0] == -z and abs(z - 0.00197355860319) < 1e-12
+
+
+@pytest.mark.parametrize("beta, K", [(1.0, 1.0), (1.0, 1.5), (BETA_C, 1.1),
+                                     (BETA_C + 1e-8, 1.0821), (2.0, 1.0),
+                                     (2.0, 1.1), (2.0, first_order_coupling(2.0))])
+def test_solve_canonical_derives_no_critical_coupling(monkeypatch, beta, K):
+    # the minimizers are selected by value: no tangency or first-order root
+    def refuse(*args):
+        raise AssertionError(f"derived a critical coupling at {args}")
+
+    for name in ("canonical_criticals", "tangency", "_first_order_coupling"):
+        monkeypatch.setattr(canonical, name, refuse)
+    sol = solve_canonical(CanonicalParams(beta, K))
+    assert sol.phase_label in ("unique", "pair", "triple")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(1e-2, BETA_MAX), st.floats(-0.5, 0.5))
+def test_solver_agrees_with_the_critical_record(beta, s):
+    # two independent routes: the record's critical coupling against the
+    # value comparison of the solver, away from the coupling by > 1e-6
+    assume(abs(s) > 1e-6 and not BETA_C < beta <= BETA_C + BETA_SNAP_TOL)
+    crit = canonical_criticals(beta)
+    kc = crit.k_second_order if beta <= BETA_C else crit.k_first_order
+    K = kc * (1.0 + s)
+    label = solve_canonical(CanonicalParams(beta, K)).phase_label
+    assert label == ("unique" if K < kc else "pair")
 
 
 def test_continuity_versus_jump():

@@ -95,6 +95,18 @@ def test_canon_near_log4_classifies_the_origin(capsys):
     assert [r[-1] for r in rows if float(r[0]) == 0.0] == ["1"]
 
 
+def test_canon_in_the_snap_band(capsys):
+    # beta_c1(K) for K = 3/(2 log 4) - 1e-10, within BETA_SNAP_TOL above
+    # log 4: the origin is no minimizer there, and a RuntimeError escaped
+    code, out, _ = run(capsys, ["canon", "--beta", "1.3862943629346534",
+                                "--K", "1.0820212805667226"])
+    assert code == 0
+    assert "# phase=pair" in out
+    sol = solve_canonical(CanonicalParams(1.3862943629346534,
+                                          1.0820212805667226))
+    assert [r[0] for r in csv_rows(out)] == [fmt(z) for z in sol.z_points]
+
+
 def test_canon_sixth_derivative_overflow_exits_2(capsys):
     K = second_order_coupling(150.0) * (1.0 + 1e-6)
     code, _, err = run(capsys, ["canon", "--beta", "150", "--K", repr(K)])

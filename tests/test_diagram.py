@@ -158,7 +158,7 @@ def test_sweep_canonical_topology():
 
 def test_sweep_canonical_transition_order_at_log4_decimal():
     # the README's decimal for log 4 lies within BETA_SNAP_TOL of BETA_C, so
-    # the row takes the continuous branch, as solve_canonical does
+    # its record, which labels the row's transition order, is continuous
     beta = 1.3862944
     rows, curves = sweep_canonical([beta], [1.0])
     assert rows[0].transition_order == 2
@@ -166,8 +166,9 @@ def test_sweep_canonical_transition_order_at_log4_decimal():
 
 
 def test_tangency_derived_once_per_beta(monkeypatch):
-    # each beta's critical record is handed to its rows and to the well
-    # search, so neither re-derives the tangency
+    # a sweep derives each beta's critical record once, for its curves; the
+    # rows and a standalone solve select their minimizers by value and
+    # derive no tangency
     calls = []
     tangency = canonical.tangency
 
@@ -181,7 +182,7 @@ def test_tangency_derived_once_per_beta(monkeypatch):
     calls.clear()
     sol = solve_canonical(CanonicalParams(2.0, 1.1))
     assert sol.phase_label == "pair"
-    assert calls == [2.0]
+    assert calls == []
 
 
 def test_sweep_rows_carry_the_optimal_value():
@@ -355,6 +356,17 @@ def test_equivalence_gap_at_the_end_of_the_canonical_inversion():
     assert rep.verdict == "nonequivalent"
     (lo, hi), = rep.gap_intervals
     assert lo == 0.0 and 1e-3 < hi < 5e-3
+
+
+def test_equivalence_in_the_snap_band():
+    # beta_c1 lies within BETA_SNAP_TOL above log 4 there, where the
+    # critical record is the continuous one although G''(0) < 0 at its Kc2;
+    # solving that grid point raised a RuntimeError from the type ladder
+    # (the jump moves by ~2e-7 per ulp of K here, so K is spelled out)
+    rep = equivalence_report(3.0 / (2.0 * math.log(4.0)) - 1e-10)
+    assert rep.verdict == "nonequivalent"
+    (lo, hi), = rep.gap_intervals
+    assert lo == 0.0 and abs(hi - 0.00197355860319) < 1e-12
 
 
 def test_equivalence_gap_next_to_unit_coupling():

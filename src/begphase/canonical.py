@@ -60,11 +60,10 @@ BETA_MAX = 300.0
 class CanonicalCriticals:
     """Critical couplings at fixed beta.
 
-    Below BETA_C only the second-order coupling exists.  Above it the
-    tangency coupling k_tangent (where the positive well first appears), the
-    first-order coupling k_first_order (where it reaches depth zero) and the
-    spinodal k_spinodal (where z = 0 destabilizes) satisfy
-    k_tangent < k_first_order < k_spinodal; w_tangent is the tilt at tangency.
+    Below BETA_C only the second-order coupling exists.  Above it come the
+    tangency coupling k_tangent (the positive well appears, at the tilt
+    w_tangent), the first-order k_first_order (it reaches depth zero) and
+    the spinodal k_spinodal (z = 0 destabilizes), in increasing order.
     """
 
     beta: float
@@ -73,7 +72,6 @@ class CanonicalCriticals:
     k_tangent: float | None = None
     k_spinodal: float | None = None
     w_tangent: float | None = None
-    near_tricritical: bool = False
 
 
 @dataclass(frozen=True)
@@ -119,11 +117,8 @@ def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
 
 
 def tilt_potential(params: CanonicalParams, w: float, order: int = 0) -> float:
-    """Derivative of order 0..6 of w^2/(4 beta K) - c(w) at w.
-
-    Same curve as mag_potential after the substitution w = 2 beta K z, which
-    isolates the K-dependence in the quadratic term.
-    """
+    """Derivative of order 0..6 of w^2/(4 beta K) - c(w) at w: mag_potential
+    after w = 2 beta K z, which isolates K in the quadratic term."""
     a = 2.0 * params.beta * params.K
     if order == 0:
         return 0.5 * w * w / a - cumulant(params.beta, w, 0)
@@ -147,12 +142,9 @@ def _check_beta(beta):
 
 
 def second_order_coupling(beta: float) -> float:
-    """Coupling at which the curvature of the potential at z = 0 vanishes:
-    1/(2 beta c''(0)) = e^beta/(4 beta) + 1/(2 beta).
-
-    This is the continuous critical coupling for beta <= BETA_C; for larger
-    beta the same expression is the spinodal of the disordered branch.
-    """
+    """1/(2 beta c''(0)) = e^beta/(4 beta) + 1/(2 beta), where the curvature
+    at z = 0 vanishes: the continuous critical coupling for beta <= BETA_C,
+    and above it the spinodal of the disordered branch."""
     _check_beta(beta)
     return math.exp(beta) / (4.0 * beta) + 1.0 / (2.0 * beta)
 
@@ -168,46 +160,72 @@ def cumulant_inflection(beta: float) -> float:
     return math.acosh(x)
 
 
-def _tangent_gap(beta, w):
-    """g(w) = w c''(w) - c'(w), the derivative of w c'(w) - 2 c(w)."""
-    return w * cumulant(beta, w, 2) - cumulant(beta, w, 1)
+def _tilt_terms(beta, w):
+    """(a, y, c'(w)) with a = 2/(e^beta + 2), y = 2a sinh(w/2)^2 = a s and
+    c = log1p(y); c' = a sinh(w)/(1 + y) up to w = 2, where cumulant's c'
+    loses eps/w to cancellation."""
+    a = 2.0 / (math.exp(beta) + 2.0)
+    y = 2.0 * a * math.sinh(0.5 * w) ** 2
+    return a, y, cumulant(beta, w, 1) if w > 2.0 else a * math.sinh(w) / (1.0 + y)
+
+
+def _scaled_h_g(beta, w):
+    """(h/w^4, g/w^3) at w >= 0 for h = w c' - 2c and g = h' = w c'' - c'.
+
+    Up to w = 2, h = a D/(1 + y) - 2B and g = a E/(1 + y) - w c'^2, with
+    D = w sinh w - 2s, E = w cosh w - sinh w, s = cosh w - 1 and
+    B = log1p(y) - y/(1 + y).  Their values a(1 - 3a)/12 and a(1 - 3a)/3 at
+    w = 0 are split off, 1 - 3a = -expm1(log 4 - beta)(1 - a) > 0 above
+    log 4, and B/y^2 = [2/(1 + v) + 2v sum_k v^2k/(2k + 3)]/(2 + y)^2 with
+    v = y/(2 + y); s/w^2 - 1/2, sinh(w)/w - 1, D/w^4 - 1/12 and E/w^3 - 1/3
+    are sums over j >= 1 of x^j/(2j+2)!, x^j/(2j+1)!, (2j+2) x^j/(2j+4)! and
+    (2j+2) x^j/(2j+3)!, x = w^2.  No term cancels as w -> 0 or beta -> log 4.
+    """
+    a, y, c1 = _tilt_terms(beta, w)
+    if w > 2.0:   # h and g cancel only at their roots
+        return ((w * c1 - 2.0 * math.log1p(y)) / w ** 4,
+                (w * ((a + y) / (1.0 + y) - c1 * c1) - c1) / w ** 3)
+    x, sw, shw, d4, e3 = w * w, 0.0, 0.0, 0.0, 0.0
+    t, n = x / 6.0, 2   # t = x^j/(2j+1)!, n = 2j
+    while t > 1e-17 * shw:
+        r = t / ((n + 2) * (n + 3))   # x^j/(2j+3)!
+        sw, shw = sw + t / (n + 2), shw + t
+        e3, d4 = e3 + (n + 2) * r, d4 + (n + 2) * r / (n + 4)
+        t, n = x * r, n + 2
+    eps = -math.expm1(BETA_C - beta) * (1.0 - a)
+    v = y / (2.0 + y)
+    r, t, k = 0.0, 1.0, 3
+    while t > 1e-17 * r:
+        r, t, k = r + t / k, t * v * v, k + 2
+    p1 = v * (2.0 * (1.0 + y) * r / (2.0 + y) ** 2 - 0.5)   # (1 + y) B/y^2 - 1/2
+    h = eps / 12.0 + d4 - 2.0 * a * (sw * (1.0 + sw) * (0.5 + p1) + 0.25 * p1)
+    g = eps / 3.0 + y / 3.0 + e3 * (1.0 + y) - a * shw * (2.0 + shw)
+    return a * h / (1.0 + y), a * g / (1.0 + y) ** 2
+
+
+def _tilt_root(beta, i):
+    """(w, w/(2 beta c'(w)), a, y) at the one root w > 0 of h/w^4 (i = 0) or
+    g/w^3 (i = 1), with the K whose line w/(2 beta K) meets c' there.  Both
+    are positive at 0 above log 4, and w < 2 beta Kc1 z* < 3 beta/log 4."""
+    if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
+        raise DomainError(f"the tangency and first-order couplings take beta "
+                          f"in (log 4, BETA_MAX = {BETA_MAX}], got {beta}")
+
+    def slope(x):   # (g/w^3 - 4 h/w^4)/w and c'''/w^2 - 3 (g/w^3)/w
+        h, g = _scaled_h_g(beta, x)
+        return (g - 4.0 * h if i == 0 else cumulant(beta, x, 3) / x - 3.0 * g) / x
+
+    w = bisect_newton(lambda x: _scaled_h_g(beta, x)[i], slope, 0.0,
+                      3.0 * beta / BETA_C + 1.0, newton_tol=0.0)
+    a, y, c1 = _tilt_terms(beta, w)
+    return w, w / (2.0 * beta * c1), a, y
 
 
 def tangency(beta: float) -> tuple[float, float, float]:
-    """(w_tangent, k_tangent, k_spinodal) for beta > BETA_C.
-
-    w_tangent is the unique positive root of g(w) = w c''(w) - c'(w) beyond
-    the inflection of c' (g is positive at the inflection and tends to -1),
-    i.e. the point where the line through the origin is tangent to c'.  The
-    tangency coupling is 1/(2 beta c''(w_tangent)), which equals
-    w_tangent/(2 beta c'(w_tangent)); the spinodal is the z = 0 curvature
-    coupling.
-    """
-    if not (math.isfinite(beta) and beta > BETA_C):
-        raise DomainError(f"tangency exists only for beta > {BETA_C} (log 4), got {beta}")
-    wc = cumulant_inflection(beta)
-    lo = wc
-    if _tangent_gap(beta, lo) <= 0.0:
-        # g's positive hump peaks at the inflection and scales like
-        # (beta - BETA_C)^(3/2); immediately above BETA_C it sinks below
-        # floating-point noise and the tangency data degenerate to the
-        # inflection point (the couplings pinch onto the spinodal)
-        probes = [wc * f for f in (1.25, 1.5, 2.0)]
-        lo = next((p for p in probes if _tangent_gap(beta, p) > 0.0), None)
-        if lo is None:
-            k2 = second_order_coupling(beta)
-            return wc, 1.0 / (2.0 * beta * cumulant(beta, wc, 2)), k2
-    hi = max(2.0 * wc, 1.0)
-    while _tangent_gap(beta, hi) >= 0.0:
-        hi *= 2.0
-        if hi > 1e6:  # g -> -1, so this cannot happen
-            raise RuntimeError("tangency bracket expansion failed")
-    w1 = bisect_newton(lambda w: _tangent_gap(beta, w),
-                       lambda w: w * cumulant(beta, w, 3), lo, hi,
-                       newton_tol=1e-13)
-    k1 = 1.0 / (2.0 * beta * cumulant(beta, w1, 2))
-    k2 = second_order_coupling(beta)
-    return w1, k1, k2
+    """(w_tangent, k_tangent, k_spinodal) for beta > BETA_C: the root of
+    g = w c'' - c', where the line through 0 touches c' (sqrt(10 (beta -
+    log 4)) next to log 4), its coupling and the z = 0 curvature coupling."""
+    return (*_tilt_root(beta, 1)[:2], second_order_coupling(beta))
 
 
 def _local_wells(beta, K):
@@ -258,34 +276,20 @@ def well_depth(beta: float, K: float) -> float:
 def first_order_coupling(beta: float) -> float:
     """Coupling at which the positive well reaches depth zero (beta > BETA_C).
 
-    With a = 2 beta K, the well is stationary (w/a = c'(w)) and level with
-    the origin (w^2/(2a) = c(w)) there.  Eliminating a leaves
-    h(w) = w c'(w) - 2 c(w) = 0, whose derivative h' = w c'' - c' is the g
-    of tangency: h rises from h(0) = 0 to a hump at w_tangent and falls to
-    -inf beyond it.  Its positive root w* gives the coupling
-    w*/(2 beta c'(w*)).  When the tangency and spinodal couplings have
-    already pinched together (beta just above BETA_C) their midpoint is
-    returned as the tricritical continuation; canonical_criticals flags this.
+    There the well is stationary (w = 2 beta K c'(w)) and level with the
+    origin (w^2 = 4 beta K c(w)): h = w c' - 2c = 0, with h' the g of
+    tangency.  h rises to a hump at w_tangent and falls to -inf; its root w*
+    (sqrt(15 (beta - log 4)) next to log 4) gives w*/(2 beta c'(w*)).
     """
-    return _first_order_coupling(beta, *tangency(beta))[0]
+    return _first_order_coupling(beta)[0]
 
 
-def _first_order_coupling(beta, w1, k1, k2):
-    """(Kc1, near_tricritical) from the tangency data (w1, k1, k2) of beta."""
-    if k2 - k1 < 1e-8:
-        return 0.5 * (k1 + k2), True
-
-    def h(w):
-        return w * cumulant(beta, w, 1) - 2.0 * cumulant(beta, w, 0)
-
-    hi = max(2.0 * w1, 1.0)
-    while h(hi) >= 0.0:
-        hi *= 2.0
-    # the hump height h(w1) falls like (beta - BETA_C)^3 (6e-10 at 1e-3
-    # above it), so the residual target sits far below it
-    w = bisect_newton(h, lambda x: _tangent_gap(beta, x), w1, hi,
-                      newton_tol=1e-15)
-    return w / (2.0 * beta * cumulant(beta, w, 1)), False
+def _first_order_coupling(beta):
+    """(Kc1, w*, dKc1/dbeta) at beta > BETA_C.  The slope is the envelope
+    theorem on the depth min_w [w^2/(4 beta K) - c(w)], which vanishes along
+    Kc1: -K/beta - 4 beta K^2 c_beta(w*)/w*^2, c_beta = -(1 - a) y/(1 + y)."""
+    w, k, a, y = _tilt_root(beta, 0)
+    return k, w, -k / beta + 4.0 * beta * k * k * (1.0 - a) * y / ((1.0 + y) * w * w)
 
 
 def canonical_criticals(beta: float) -> CanonicalCriticals:
@@ -294,9 +298,8 @@ def canonical_criticals(beta: float) -> CanonicalCriticals:
     if beta - BETA_C <= BETA_SNAP_TOL:
         return CanonicalCriticals(beta=beta, k_second_order=second_order_coupling(beta))
     w1, k1, k2 = tangency(beta)
-    kc1, near = _first_order_coupling(beta, w1, k1, k2)
-    return CanonicalCriticals(beta=beta, k_first_order=kc1, k_tangent=k1,
-                              k_spinodal=k2, w_tangent=w1, near_tricritical=near)
+    return CanonicalCriticals(beta=beta, k_first_order=_first_order_coupling(beta)[0],
+                              k_tangent=k1, k_spinodal=k2, w_tangent=w1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +327,8 @@ def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
     When the ladder finds no type but G'' itself is positive (just above
     log 4, G'' can fall under the tolerance while a rounded G'''' is
     negative), r = 1: the exact sign of G'' decides, as the sign of F''(0)
-    does at the origin in solve_micro.
+    does at the origin in solve_micro.  At z = 0 (K = Kc2 to rounding above
+    log 4) it stands for wells too close to resolve, and r = 1 too.
     """
     evens = tuple(mag_potential(params, z, j) for j in (2, 4, 6))
     for idx, val in enumerate(evens):
@@ -332,7 +336,7 @@ def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
             break
         if val > DERIV_ZERO_TOL:
             return idx + 1, evens
-    if evens[0] > 0.0:
+    if evens[0] > 0.0 or z == 0.0:
         return 1, evens
     raise RuntimeError(
         f"type classification failed at z = {z}: even derivatives {evens}")

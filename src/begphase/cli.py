@@ -143,9 +143,9 @@ def _cmd_canon(args):
 
 def _cmd_canon_critical(args):
     crit = canonical.canonical_criticals(args.beta)
-    cols = ("beta", "Kc2", "K1", "Kc1", "K2", "w1", "near_tricritical")
+    cols = ("beta", "Kc2", "K1", "Kc1", "K2", "w1")
     rows = [(crit.beta, crit.k_second_order, crit.k_tangent, crit.k_first_order,
-             crit.k_spinodal, crit.w_tangent, crit.near_tricritical)]
+             crit.k_spinodal, crit.w_tangent)]
     _emit(args, cols, rows)
 
 

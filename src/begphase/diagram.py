@@ -22,9 +22,8 @@ from scipy.special import xlogy
 
 from .canonical import (
     BETA_MAX,
+    _first_order_coupling,
     canonical_criticals,
-    first_order_coupling,
-    positive_well,
     second_order_coupling,
     solve_canonical,
 )
@@ -44,7 +43,7 @@ from .micro import (
     second_order_coupling_u,
     solve_micro,
 )
-from .rootfind import BracketError, bisect_monotone
+from .rootfind import BracketError, bisect_monotone, bisect_newton
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
@@ -68,9 +67,9 @@ class EquivalenceReport:
     canonical_z and micro_z are the |z| values solved at the grid points.
     gap_intervals holds the band [z_m, z_c) of |z| values realized only
     microcanonically, one interval for 1 < K < K_c* = 3/(2 log 4) and none
-    otherwise: z_c is the canonical positive well at beta_c1(K), which both
-    ensembles realize, and z_m the tied microcanonical well at u_c1(K) below
-    the microcanonical tricritical coupling K_m*, 0 from K_m* on.  lo is
+    otherwise: z_c = w*/(2 beta K) from the tie tilt w* at beta_c1(K), which
+    both ensembles realize, and z_m the tied microcanonical well at u_c1(K)
+    below the microcanonical tricritical coupling K_m*, 0 from K_m* on.  lo is
     included when positive (0 is realized by both), hi is excluded.  The
     verdict is 'nonequivalent' exactly when gap_intervals is nonempty.
     """
@@ -121,30 +120,27 @@ def invert_critical_curve(curve, K: float, lo: float, hi: float) -> float:
 
 
 def beta_c2_of_K(K: float) -> float:
-    """Inverse temperature of the second-order canonical transition at K.
-
-    Defined for K above the canonical tricritical coupling; the second-order
-    curve decreases from second_order_coupling(0.02) down to the tricritical
-    value at BETA_C.
-    """
+    """Inverse temperature of the second-order canonical transition at K,
+    for K from the tricritical value at BETA_C to second_order_coupling(0.02)."""
     return invert_critical_curve(second_order_coupling, K, 0.02, BETA_C)
 
 
 def beta_c1_of_K(K: float) -> float:
     """Inverse temperature of the first-order canonical transition at K.
 
-    Defined for 1 < K below the canonical tricritical coupling.  The
-    first-order curve decreases toward 1 for large beta but stays above it
-    at every finite beta, while in floating point it rounds to exactly 1
-    from beta ~ 37 on; so K <= 1 is refused up front instead of being
-    matched at a rounded end of the bracket.
+    Kc1(beta) falls from K_c* at BETA_C toward 1, staying above 1 at every
+    finite beta (it rounds to 1 from beta ~ 37 on), so one Newton search on
+    [BETA_C, BETA_MAX] with its envelope slope attains every float K between.
     """
-    if not K > 1.0:
+    k_star = tricritical_canonical()
+    if not 1.0 < K < k_star:
         raise DomainError(
-            f"K = {K} has no first-order canonical transition: the "
-            f"first-order coupling Kc1(beta) exceeds 1 at every finite beta")
-    return invert_critical_curve(first_order_coupling, K, BETA_C + 1e-9,
-                                 BETA_MAX)
+            f"K = {K} has no first-order canonical transition: the first-order "
+            f"coupling Kc1(beta) falls from {k_star} at log 4 and exceeds 1 at "
+            f"every finite beta")
+    return bisect_newton(
+        lambda b: (_first_order_coupling(b)[0] if b > BETA_C else k_star) - K,
+        lambda b: _first_order_coupling(b)[2], BETA_C, BETA_MAX, newton_tol=0.0)
 
 
 def u_c2_of_K(K: float) -> float:
@@ -254,15 +250,13 @@ def _u_star(K):
 
 def _gap_intervals(K, b, u):
     """The gap_intervals of EquivalenceReport at K, from b = _beta_star(K)
-    and u = _u_star(K).  The canonical |z| jumps from 0 to z_c, the
-    microcanonical one to z_m (or grows from 0), and both grow from there.
-    Where K lies past an inversion's bracket (6e-11 below K_c*, 3e-13 above
-    1, 2.2e-10 below K_m*), the bracket end stands in for the transition,
-    which lies within the bisection tolerance of it."""
+    and u = _u_star(K).  The canonical |z| jumps from 0 to z_c = w*(b)/(2bK),
+    the microcanonical one to z_m (or grows from 0), and both grow from
+    there.  Where K lies past the microcanonical inversion's bracket (3e-13
+    above 1, 2.2e-10 below K_m*), its end stands in for the transition."""
     if not 1.0 < K < tricritical_canonical():
         return ()
-    b = BETA_C + 1e-9 if b is None else b
-    hi = positive_well(b, K) / (2.0 * b * K)
+    hi = _first_order_coupling(b)[1] / (2.0 * b * K)
     u_top, K_m = tricritical_micro()
     if K >= K_m:
         return ((0.0, hi),)

@@ -178,7 +178,7 @@ def test_criterion_10_nonequivalence_regime():
     # exactly: from 0 (realized by both) to the canonical jump, both ends
     # within the sampling resolution of the sampled ones
     lo, hi = rep.gap_intervals[0] if ok_gap else (math.nan, math.nan)
-    ok_gap = (ok_gap and lo == 0.0 and abs(hi - 0.0946349454) < 1e-8
+    ok_gap = (ok_gap and lo == 0.0 and abs(hi - 0.0946349454213502) < 1e-12
               and abs(lo - s_lo) < 2e-3 and abs(hi - s_hi) < 2e-3)
     rep2 = equivalence_report(1.5)
     ok_eq = rep2.verdict == "equivalent" and len(rep2.gap_intervals) == 0

@@ -218,6 +218,31 @@ def test_first_order_coupling():
     assert 1.0 < first_order_coupling(5.0) < 1.0820
 
 
+@pytest.mark.parametrize("delta", [1e-6, 1e-5, 1e-4, 1e-3])
+def test_tricritical_landau_limit(delta):
+    # with G = a2 z^2 + a4 z^4 + a6 z^6 the tangency is a2 = a4^2/(3 a6)
+    # and the tie a2 = a4^2/(4 a6), so Kc1 sits 3/4 of the way from the
+    # spinodal k2 down to the tangency coupling k_t; w_t ~ sqrt(10 delta)
+    beta = BETA_C + delta
+    w1, k1, k2 = tangency(beta)
+    assert abs((k2 - first_order_coupling(beta)) / (k2 - k1) - 0.75) < 1e-3
+    assert abs(w1 / math.sqrt(10.0 * delta) - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("ulps", [1, 4, 100])
+def test_first_order_data_next_to_log4(ulps):
+    # the scaled h and g start from a(1 - 3a) > 0 at w = 0 for every
+    # beta > log 4, so both roots exist a few ulps above it; the couplings
+    # lie within 0.6 (beta - log 4)^2 of each other, far under an ulp
+    beta = BETA_C
+    for _ in range(ulps):
+        beta = math.nextafter(beta, 2.0)
+    w1, k1, k2 = tangency(beta)
+    kc1 = first_order_coupling(beta)
+    assert 0.0 < w1 < 1e-6
+    assert max(abs(k1 - k2), abs(kc1 - k2)) <= 2.0 * math.ulp(k2)
+
+
 @pytest.mark.parametrize("beta, kc1", [(1.39, 1.0818013889715028),
                                        (2.0, 1.0448832063996722),
                                        (5.0, 1.0013046030279322),
@@ -227,9 +252,10 @@ def test_first_order_coupling_pins(beta, kc1):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(BETA_C + 1e-3, BETA_MAX))
+@given(st.floats(BETA_C + 1e-5, BETA_MAX))
 def test_first_order_coupling_levels_the_well(beta):
-    # the root of w c'(w) = 2 c(w) is checked against the well search
+    # the root of w c'(w) = 2 c(w) is checked against the well search, down
+    # to log 4 + 1e-5, where k2 - k_t is 6e-11
     _, k1, k2 = tangency(beta)
     kc1 = first_order_coupling(beta)
     assert k1 < kc1 < k2
@@ -243,7 +269,6 @@ def test_criticals_report():
     high = canonical_criticals(2.0)
     assert high.k_second_order is None
     assert high.k_tangent < high.k_first_order < high.k_spinodal
-    assert not high.near_tricritical
     # decimal approximations of log 4 take the continuous branch
     snapped = canonical_criticals(1.3862944)
     assert snapped.k_second_order is not None
@@ -300,8 +325,8 @@ def test_branch_boundaries():
 
 
 def test_solve_in_the_snap_band():
-    # beta = beta_c1(K) for K = 3/(2 log 4) - 1e-10 lies within BETA_SNAP_TOL
-    # above log 4, where the critical record is the continuous one; K exceeds
+    # beta = log 4 + 1.8e-9 lies within BETA_SNAP_TOL above log 4, where the
+    # critical record is the continuous one; K = 3/(2 log 4) - 1e-10 exceeds
     # its Kc2, so the origin is no minimizer (G''(0) < 0).  Branch selection
     # from the record kept z = 0 there and the type ladder raised
     K = 3.0 / (2.0 * math.log(4.0)) - 1e-10

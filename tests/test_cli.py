@@ -96,8 +96,9 @@ def test_canon_near_log4_classifies_the_origin(capsys):
 
 
 def test_canon_in_the_snap_band(capsys):
-    # beta_c1(K) for K = 3/(2 log 4) - 1e-10, within BETA_SNAP_TOL above
-    # log 4: the origin is no minimizer there, and a RuntimeError escaped
+    # beta = log 4 + 1.8e-9, within BETA_SNAP_TOL above log 4, and
+    # K = 3/(2 log 4) - 1e-10: the origin is no minimizer there, and a
+    # RuntimeError escaped
     code, out, _ = run(capsys, ["canon", "--beta", "1.3862943629346534",
                                 "--K", "1.0820212805667226"])
     assert code == 0
@@ -285,7 +286,7 @@ def test_equivalence_cli_nonequivalent_regime(capsys):
     code, out, _ = run(capsys, ["equivalence", "--K", "1.0817"])
     assert code == 0
     assert "# verdict=nonequivalent" in out
-    assert csv_rows(out) == [["0", "0.0946349385122"]]
+    assert csv_rows(out) == [["0", "0.0946349454214"]]
 
 
 def test_equivalence_cli_solves_no_ensemble(capsys, monkeypatch):

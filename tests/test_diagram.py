@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import sampled_gap_intervals
 
@@ -299,15 +300,16 @@ def test_equivalence_above_the_canonical_tricritical_coupling():
     assert rep.gap_intervals == () and rep.gap_measure == 0.0
 
 
-# (K, lo, hi) of the gap [lo, hi), to 12 digits, from beta_c1 bisected to
-# 1e-14 and u_c1 to 1e-15; the report's 1e-9 bisections leave up to 7e-9.
-# At K = 1.0817, above the microcanonical tricritical coupling, it opens at 0
+# (K, lo, hi) of the gap [lo, hi), to 12 digits: lo from u_c1 bisected to
+# 1e-15, where the report's 1e-9 bisection leaves up to 7e-9, hi from the
+# 60-digit roots of REFERENCE_TIES.  At K = 1.0817, above the microcanonical
+# tricritical coupling, it opens at 0
 EXACT_GAPS = [
-    (1.001, 0.991592544255, 0.99439730612),
+    (1.001, 0.991592544255, 0.994397306120),
     (1.02, 0.875690846472, 0.909528769434),
     (1.05, 0.668821319138, 0.730172146496),
     (1.0812, 0.0456522002434, 0.150116418875),
-    (1.0817, 0.0, 0.0946349454256),
+    (1.0817, 0.0, 0.0946349454214),
 ]
 
 
@@ -316,15 +318,67 @@ def test_equivalence_gap_is_exact(K, lo, hi):
     rep = equivalence_report(K)
     assert rep.verdict == "nonequivalent"
     (g_lo, g_hi), = rep.gap_intervals
-    assert abs(g_lo - lo) < 1e-8 and abs(g_hi - hi) < 1e-8
+    assert abs(g_lo - lo) < 1e-8 and abs(g_hi - hi) < 1e-12
     assert rep.gap_measure == g_hi - g_lo
     # hi is the canonical jump: the dual route's well just past beta_c1
     _, args = dual_route_minimum(CanonicalParams(beta_c1_of_K(K),
                                                  K * (1.0 + 1e-9)))
     assert abs(max(abs(z) for z in args) - g_hi) < 1e-5
-    # the values solved at the default grid points respect the gap
-    assert not any(g_lo < z < g_hi for z in rep.canonical_z)
+    # the values solved at the default grid points respect the gap.  The
+    # grid holds beta_c1 itself, where the solver's well is z_c from its own
+    # root of P' = w/(2 beta K) - c', good to eps c'/|w c'' - c'| relative:
+    # 2.8e-12 below the tie root at K = 1.0817
+    assert not any(g_lo < z < g_hi * (1.0 - 1e-10) for z in rep.canonical_z)
     assert any(g_lo <= z < g_hi for z in rep.micro_z)
+
+
+# (K, beta_c1, z_c): 60-digit roots of h(beta, w) = 0 and
+# c'(w)/w = 1/(2 beta K) in the unknowns (beta, w^2), with z_c = c'(w).
+# K_c* - 10^-k is the float tricritical_canonical() minus 10^-k
+_KS = tricritical_canonical()
+REFERENCE_TIES = [
+    (1.001, 5.2270653596929645392, 0.99439730612043092341),
+    (1.02, 2.6990110495177380098, 0.90952876943396795771),
+    (1.05, 1.9020099377217236413, 0.73017214649558251517),
+    (1.0812, 1.4000304237997002411, 0.15011641887537310851),
+    (1.0817, 1.3917014675404633, 0.094634945421350176503),
+    (_KS - 1e-4, 1.3879822509538066974, 0.052987384669197184574),
+    (_KS - 1e-6, 1.3863112625330957191, 0.0053073977450579121964),
+    (_KS - 1e-7, 1.3862960512818483106, 0.0016783715572187595952),
+    (_KS - 1e-8, 1.3862945301362935411, 0.00053074848068506087621),
+    (_KS - 1e-10, 1.3862943628100571383, 5.3074892309049107023e-5),
+    (_KS - 1e-11, 1.386294361288909192, 1.6783850033079012407e-5),
+    (_KS - 1e-12, 1.3862943611367958984, 5.3080566951117863797e-6),
+]
+
+
+@pytest.mark.parametrize("K, beta, z_c", REFERENCE_TIES)
+def test_canonical_tie_matches_60_digit_roots(K, beta, z_c):
+    # z_c moves by eps K/(K_c* - K) relative per ulp of K, and log 4 itself
+    # is a float: that is the bound next to K_c*
+    assert abs(beta_c1_of_K(K) - beta) <= 1e-12
+    (_, hi), = nonequivalence_gap(K)
+    assert abs(hi / z_c - 1.0) <= max(1e-12, 1e-15 / (_KS - K))
+
+
+_GAP_KS = st.one_of(
+    st.floats(1.0, _KS, exclude_min=True, exclude_max=True),
+    st.floats(3.0, 13.0).map(lambda x: _KS - 10.0 ** -x),
+    st.floats(3.0, 12.0).map(lambda x: 1.0 + 10.0 ** -x))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_GAP_KS, _GAP_KS)
+def test_gap_upper_end_is_total_and_monotone(K1, K2):
+    # every K in (1, K_c*) has its tie, solved to the last ulp of K; z_c
+    # falls with K to within the accuracy bound of the reference test
+    his = []
+    for K in sorted((K1, K2)):
+        (_, hi), = nonequivalence_gap(K)
+        assert abs(first_order_coupling(beta_c1_of_K(K)) - K) <= 1e-15
+        his.append((hi, max(1e-12, 1e-15 / (_KS - K))))
+    (hi1, tol1), (hi2, tol2) = his
+    assert hi2 <= hi1 * (1.0 + tol1 + tol2)
 
 
 def test_equivalence_gap_lower_end_near_the_micro_tricritical_coupling():
@@ -350,23 +404,24 @@ def test_equivalence_gap_at_the_end_of_the_micro_inversion(dK):
 
 
 def test_equivalence_gap_at_the_end_of_the_canonical_inversion():
-    # beta_c1_of_K does not attain K within 6e-11 below K_c*; the jump
-    # shrinks to 0 there like (K_c* - K)^(1/4)
+    # beta_c1_of_K stopped 6e-11 below K_c*, where a bracket end stood in
+    # for the transition; it now attains K, and the jump shrinks to 0 like
+    # 5.3 (K_c* - K)^(1/2)
     rep = equivalence_report(tricritical_canonical() - 1e-11)
     assert rep.verdict == "nonequivalent"
     (lo, hi), = rep.gap_intervals
-    assert lo == 0.0 and 1e-3 < hi < 5e-3
+    assert lo == 0.0 and abs(hi / 1.6783850033079e-5 - 1.0) < 1e-4
 
 
 def test_equivalence_in_the_snap_band():
-    # beta_c1 lies within BETA_SNAP_TOL above log 4 there, where the
-    # critical record is the continuous one although G''(0) < 0 at its Kc2;
-    # solving that grid point raised a RuntimeError from the type ladder
-    # (the jump moves by ~2e-7 per ulp of K here, so K is spelled out)
+    # beta_c1 = log 4 + 1.7e-9 lies within BETA_SNAP_TOL above log 4 there,
+    # and K equals Kc2(beta_c1) to the last ulp: solving that grid point
+    # raised a RuntimeError from the type ladder (z_c moves by 1.1e-6
+    # relative per ulp of K here, so K is spelled out)
     rep = equivalence_report(3.0 / (2.0 * math.log(4.0)) - 1e-10)
     assert rep.verdict == "nonequivalent"
     (lo, hi), = rep.gap_intervals
-    assert lo == 0.0 and abs(hi - 0.00197355860319) < 1e-12
+    assert lo == 0.0 and abs(hi / 5.3074833384128412e-5 - 1.0) < 1e-5
 
 
 def test_equivalence_gap_next_to_unit_coupling():

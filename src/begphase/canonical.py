@@ -60,10 +60,11 @@ BETA_MAX = 300.0
 class CanonicalCriticals:
     """Critical couplings at fixed beta.
 
-    Below BETA_C only the second-order coupling exists.  Above it come the
-    tangency coupling k_tangent (the positive well appears, at the tilt
-    w_tangent), the first-order k_first_order (it reaches depth zero) and
-    the spinodal k_spinodal (z = 0 destabilizes), in increasing order.
+    Below BETA_C only the second-order coupling exists.  Above it the
+    tangency coupling k_tangent (where the positive well first appears), the
+    first-order coupling k_first_order (where it reaches depth zero) and the
+    spinodal k_spinodal (where z = 0 destabilizes) satisfy
+    k_tangent < k_first_order < k_spinodal; w_tangent is the tilt at tangency.
     """
 
     beta: float
@@ -117,8 +118,11 @@ def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
 
 
 def tilt_potential(params: CanonicalParams, w: float, order: int = 0) -> float:
-    """Derivative of order 0..6 of w^2/(4 beta K) - c(w) at w: mag_potential
-    after w = 2 beta K z, which isolates K in the quadratic term."""
+    """Derivative of order 0..6 of w^2/(4 beta K) - c(w) at w.
+
+    Same curve as mag_potential after the substitution w = 2 beta K z, which
+    isolates the K-dependence in the quadratic term.
+    """
     a = 2.0 * params.beta * params.K
     if order == 0:
         return 0.5 * w * w / a - cumulant(params.beta, w, 0)
@@ -142,9 +146,12 @@ def _check_beta(beta):
 
 
 def second_order_coupling(beta: float) -> float:
-    """1/(2 beta c''(0)) = e^beta/(4 beta) + 1/(2 beta), where the curvature
-    at z = 0 vanishes: the continuous critical coupling for beta <= BETA_C,
-    and above it the spinodal of the disordered branch."""
+    """Coupling at which the curvature of the potential at z = 0 vanishes:
+    1/(2 beta c''(0)) = e^beta/(4 beta) + 1/(2 beta).
+
+    This is the continuous critical coupling for beta <= BETA_C; for larger
+    beta the same expression is the spinodal of the disordered branch.
+    """
     _check_beta(beta)
     return math.exp(beta) / (4.0 * beta) + 1.0 / (2.0 * beta)
 
@@ -160,19 +167,12 @@ def cumulant_inflection(beta: float) -> float:
     return math.acosh(x)
 
 
-def _tilt_terms(beta, w):
-    """(a, y, c'(w)) with a = 2/(e^beta + 2), y = 2a sinh(w/2)^2 = a s and
-    c = log1p(y); c' = a sinh(w)/(1 + y) up to w = 2, where cumulant's c'
-    loses eps/w to cancellation."""
-    a = 2.0 / (math.exp(beta) + 2.0)
-    y = 2.0 * a * math.sinh(0.5 * w) ** 2
-    return a, y, cumulant(beta, w, 1) if w > 2.0 else a * math.sinh(w) / (1.0 + y)
-
-
 def _scaled_h_g(beta, w):
-    """(h/w^4, g/w^3) at w >= 0 for h = w c' - 2c and g = h' = w c'' - c'.
+    """(h/w^4, g/w^3, a, y, c'(w)) at w >= 0 for h = w c' - 2c and
+    g = h' = w c'' - c', with a = 2/(e^beta + 2), y = a s and c = log1p(y).
 
-    Up to w = 2, h = a D/(1 + y) - 2B and g = a E/(1 + y) - w c'^2, with
+    Up to w = 2, c' = a sinh(w)/(1 + y) (cumulant's c' loses eps/w there),
+    h = a D/(1 + y) - 2B and g = a E/(1 + y) - w c'^2, with
     D = w sinh w - 2s, E = w cosh w - sinh w, s = cosh w - 1 and
     B = log1p(y) - y/(1 + y).  Their values a(1 - 3a)/12 and a(1 - 3a)/3 at
     w = 0 are split off, 1 - 3a = -expm1(log 4 - beta)(1 - a) > 0 above
@@ -181,16 +181,21 @@ def _scaled_h_g(beta, w):
     are sums over j >= 1 of x^j/(2j+2)!, x^j/(2j+1)!, (2j+2) x^j/(2j+4)! and
     (2j+2) x^j/(2j+3)!, x = w^2.  No term cancels as w -> 0 or beta -> log 4.
     """
-    a, y, c1 = _tilt_terms(beta, w)
+    a = 2.0 / (math.exp(beta) + 2.0)
+    y = 2.0 * a * math.sinh(0.5 * w) ** 2
     if w > 2.0:   # h and g cancel only at their roots
+        c1 = cumulant(beta, w, 1)
         return ((w * c1 - 2.0 * math.log1p(y)) / w ** 4,
-                (w * ((a + y) / (1.0 + y) - c1 * c1) - c1) / w ** 3)
-    x, sw, shw, d4, e3 = w * w, 0.0, 0.0, 0.0, 0.0
+                (w * ((a + y) / (1.0 + y) - c1 * c1) - c1) / w ** 3, a, y, c1)
+    x = w * w
+    sw = shw = d4 = e3 = 0.0
     t, n = x / 6.0, 2   # t = x^j/(2j+1)!, n = 2j
     while t > 1e-17 * shw:
         r = t / ((n + 2) * (n + 3))   # x^j/(2j+3)!
-        sw, shw = sw + t / (n + 2), shw + t
-        e3, d4 = e3 + (n + 2) * r, d4 + (n + 2) * r / (n + 4)
+        sw += t / (n + 2)
+        shw += t
+        e3 += (n + 2) * r
+        d4 += (n + 2) * r / (n + 4)
         t, n = x * r, n + 2
     eps = -math.expm1(BETA_C - beta) * (1.0 - a)
     v = y / (2.0 + y)
@@ -200,7 +205,8 @@ def _scaled_h_g(beta, w):
     p1 = v * (2.0 * (1.0 + y) * r / (2.0 + y) ** 2 - 0.5)   # (1 + y) B/y^2 - 1/2
     h = eps / 12.0 + d4 - 2.0 * a * (sw * (1.0 + sw) * (0.5 + p1) + 0.25 * p1)
     g = eps / 3.0 + y / 3.0 + e3 * (1.0 + y) - a * shw * (2.0 + shw)
-    return a * h / (1.0 + y), a * g / (1.0 + y) ** 2
+    return (a * h / (1.0 + y), a * g / (1.0 + y) ** 2, a, y,
+            a * math.sinh(w) / (1.0 + y))
 
 
 def _tilt_root(beta, i):
@@ -212,12 +218,12 @@ def _tilt_root(beta, i):
                           f"in (log 4, BETA_MAX = {BETA_MAX}], got {beta}")
 
     def slope(x):   # (g/w^3 - 4 h/w^4)/w and c'''/w^2 - 3 (g/w^3)/w
-        h, g = _scaled_h_g(beta, x)
+        h, g = _scaled_h_g(beta, x)[:2]
         return (g - 4.0 * h if i == 0 else cumulant(beta, x, 3) / x - 3.0 * g) / x
 
     w = bisect_newton(lambda x: _scaled_h_g(beta, x)[i], slope, 0.0,
                       3.0 * beta / BETA_C + 1.0, newton_tol=0.0)
-    a, y, c1 = _tilt_terms(beta, w)
+    a, y, c1 = _scaled_h_g(beta, w)[2:]
     return w, w / (2.0 * beta * c1), a, y
 
 
@@ -327,8 +333,7 @@ def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
     When the ladder finds no type but G'' itself is positive (just above
     log 4, G'' can fall under the tolerance while a rounded G'''' is
     negative), r = 1: the exact sign of G'' decides, as the sign of F''(0)
-    does at the origin in solve_micro.  At z = 0 (K = Kc2 to rounding above
-    log 4) it stands for wells too close to resolve, and r = 1 too.
+    does at the origin in solve_micro.
     """
     evens = tuple(mag_potential(params, z, j) for j in (2, 4, 6))
     for idx, val in enumerate(evens):
@@ -336,7 +341,7 @@ def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
             break
         if val > DERIV_ZERO_TOL:
             return idx + 1, evens
-    if evens[0] > 0.0 or z == 0.0:
+    if evens[0] > 0.0:
         return 1, evens
     raise RuntimeError(
         f"type classification failed at z = {z}: even derivatives {evens}")

@@ -142,11 +142,9 @@ def _cmd_canon(args):
 
 
 def _cmd_canon_critical(args):
-    crit = canonical.canonical_criticals(args.beta)
-    cols = ("beta", "Kc2", "K1", "Kc1", "K2", "w1")
-    rows = [(crit.beta, crit.k_second_order, crit.k_tangent, crit.k_first_order,
-             crit.k_spinodal, crit.w_tangent)]
-    _emit(args, cols, rows)
+    # one row of diagram-canon --curves-out
+    _, _, cols, curve_row = _DIAGRAMS["diagram-canon"]
+    _emit(args, cols, [curve_row(canonical.canonical_criticals(args.beta))])
 
 
 def _cmd_micro(args):

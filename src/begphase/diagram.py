@@ -64,7 +64,9 @@ class PhaseDiagramRow:
 class EquivalenceReport:
     """Order-parameter sets realized by each ensemble at a fixed coupling.
 
-    canonical_z and micro_z are the |z| values solved at the grid points.
+    canonical_z and micro_z are the |z| values solved at the grid points,
+    except at beta_c1(K), where the tie gives {0, z_c}: a solve at the float
+    beta_c1 answers for that float, whose rounding moves its well off z_c.
     gap_intervals holds the band [z_m, z_c) of |z| values realized only
     microcanonically, one interval for 1 < K < K_c* = 3/(2 log 4) and none
     otherwise: z_c = w*/(2 beta K) from the tie tilt w* at beta_c1(K), which
@@ -120,8 +122,12 @@ def invert_critical_curve(curve, K: float, lo: float, hi: float) -> float:
 
 
 def beta_c2_of_K(K: float) -> float:
-    """Inverse temperature of the second-order canonical transition at K,
-    for K from the tricritical value at BETA_C to second_order_coupling(0.02)."""
+    """Inverse temperature of the second-order canonical transition at K.
+
+    Defined for K above the canonical tricritical coupling; the second-order
+    curve decreases from second_order_coupling(0.02) down to the tricritical
+    value at BETA_C.
+    """
     return invert_critical_curve(second_order_coupling, K, 0.02, BETA_C)
 
 
@@ -323,9 +329,12 @@ def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceRepo
         beta_grid = _beta_grid(b_star)
     if u_grid is None:
         u_grid = _u_grid(K, u_star)
-    canon = _realized(beta_grid, lambda b: solve_canonical(CanonicalParams(b, K)))
-    mic = _realized(u_grid, lambda u: solve_micro(MicroParams(u, K)))
     gaps = _gap_intervals(K, b_star, u_star)
+    tie = (0.0, gaps[0][1]) if gaps and b_star in beta_grid else ()
+    canon = np.union1d(tie, _realized(
+        [b for b in beta_grid if not tie or b != b_star],
+        lambda b: solve_canonical(CanonicalParams(b, K))))
+    mic = _realized(u_grid, lambda u: solve_micro(MicroParams(u, K)))
     return EquivalenceReport(
         K=K, canonical_z=canon, micro_z=mic, gap_intervals=gaps,
         gap_measure=sum(hi - lo for lo, hi in gaps),

@@ -324,11 +324,10 @@ def test_equivalence_gap_is_exact(K, lo, hi):
     _, args = dual_route_minimum(CanonicalParams(beta_c1_of_K(K),
                                                  K * (1.0 + 1e-9)))
     assert abs(max(abs(z) for z in args) - g_hi) < 1e-5
-    # the values solved at the default grid points respect the gap.  The
-    # grid holds beta_c1 itself, where the solver's well is z_c from its own
-    # root of P' = w/(2 beta K) - c', good to eps c'/|w c'' - c'| relative:
-    # 2.8e-12 below the tie root at K = 1.0817
-    assert not any(g_lo < z < g_hi * (1.0 - 1e-10) for z in rep.canonical_z)
+    # the values solved at the default grid points respect the gap, and
+    # beta_c1 itself contributes the tie {0, z_c}
+    assert not any(g_lo < z < g_hi for z in rep.canonical_z)
+    assert g_hi in rep.canonical_z
     assert any(g_lo <= z < g_hi for z in rep.micro_z)
 
 
@@ -415,9 +414,10 @@ def test_equivalence_gap_at_the_end_of_the_canonical_inversion():
 
 def test_equivalence_in_the_snap_band():
     # beta_c1 = log 4 + 1.7e-9 lies within BETA_SNAP_TOL above log 4 there,
-    # and K equals Kc2(beta_c1) to the last ulp: solving that grid point
-    # raised a RuntimeError from the type ladder (z_c moves by 1.1e-6
-    # relative per ulp of K here, so K is spelled out)
+    # and K equals Kc2(beta_c1) to the last ulp: a solve at that grid point
+    # raises a RuntimeError from the type ladder, so the report takes the
+    # tie there (z_c moves by 1.1e-6 relative per ulp of K here, so K is
+    # spelled out)
     rep = equivalence_report(3.0 / (2.0 * math.log(4.0)) - 1e-10)
     assert rep.verdict == "nonequivalent"
     (lo, hi), = rep.gap_intervals

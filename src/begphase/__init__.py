@@ -74,7 +74,6 @@ from .diagram import (
     beta_c1_of_K,
     beta_c2_of_K,
     equivalence_report,
-    invert_critical_curve,
     nonequivalence_gap,
     simplex_oracle,
     sweep_canonical,

@@ -36,14 +36,14 @@ from .core import (
     energy_domain,
 )
 from .micro import (
-    _local_minima,
+    _first_order_coupling_u,
+    _log_odds,
     _origin_band,
-    first_order_coupling_u,
     micro_criticals,
     second_order_coupling_u,
     solve_micro,
 )
-from .rootfind import BracketError, bisect_monotone, bisect_newton
+from .rootfind import bisect_monotone, bisect_newton
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
@@ -73,7 +73,10 @@ class EquivalenceReport:
     both ensembles realize, and z_m the tied microcanonical well at u_c1(K)
     below the microcanonical tricritical coupling K_m*, 0 from K_m* on.  lo is
     included when positive (0 is realized by both), hi is excluded.  The
-    verdict is 'nonequivalent' exactly when gap_intervals is nonempty.
+    verdict is 'nonequivalent' exactly when gap_intervals is nonempty.  Both
+    ends are Newton roots: hi to max(1e-12, 1e-15/(K_c* - K)) relative and
+    lo to max(1e-12, 1e-15/(K_m* - K)) relative or 5e-14 absolute, the
+    scale on which each moves per ulp of K next to its tricritical coupling.
     """
 
     K: float
@@ -109,26 +112,23 @@ def tricritical_micro() -> tuple:
 # Critical-curve inversion onto the physical axes
 # ---------------------------------------------------------------------------
 
-def invert_critical_curve(curve, K: float, lo: float, hi: float) -> float:
-    """Control value x in [lo, hi] with curve(x) = K, for monotone curves.
-
-    Bisection to 1e-9; raises DomainError naming the attainable interval
-    when K lies outside the curve's range on [lo, hi].
-    """
-    try:
-        return bisect_monotone(curve, lo, hi, K, tol=1e-9)
-    except BracketError as exc:
-        raise DomainError(f"K = {K} is not attained by the curve: {exc}") from exc
-
-
 def beta_c2_of_K(K: float) -> float:
     """Inverse temperature of the second-order canonical transition at K.
 
-    Defined for K above the canonical tricritical coupling; the second-order
-    curve decreases from second_order_coupling(0.02) down to the tricritical
-    value at BETA_C.
+    The second-order curve e^beta/(4 beta) + 1/(2 beta) falls from its value
+    at beta = 0.02 to K_c* at BETA_C, so one Newton search with its
+    closed-form slope attains every K between.
     """
-    return invert_critical_curve(second_order_coupling, K, 0.02, BETA_C)
+    k_lo, k_hi = tricritical_canonical(), second_order_coupling(0.02)
+    if not k_lo <= K <= k_hi:
+        raise DomainError(
+            f"K = {K} has no second-order canonical transition on "
+            f"[0.02, log 4]: the second-order coupling falls from {k_hi} at "
+            f"beta = 0.02 to K_c* = {k_lo} at log 4")
+    return bisect_newton(
+        lambda b: second_order_coupling(b) - K,
+        lambda b: (math.exp(b) * (b - 1.0) - 2.0) / (4.0 * b * b),
+        0.02, BETA_C, newton_tol=0.0)
 
 
 def beta_c1_of_K(K: float) -> float:
@@ -152,24 +152,48 @@ def beta_c1_of_K(K: float) -> float:
 def u_c2_of_K(K: float) -> float:
     """Energy per site of the second-order microcanonical transition at K.
 
-    Uses the increasing branch of the second-order critical curve between the
-    tricritical energy and 2/3 (where the curve diverges).
+    The second-order curve 1/(2u lambda(u)) rises from K_m* at the
+    tricritical energy u* to +inf at u = 2/3, where lambda(2/3) = 0; one
+    Newton search on 2u lambda(u) - 1/K, with its closed-form slope
+    2(lambda - 1/(1-u)), attains every K from K_m* on.
     """
-    u_star, _ = tricritical_micro()
-    return invert_critical_curve(second_order_coupling_u, K, u_star,
-                                 2.0 / 3.0 - 1e-9)
+    u_star, k_star = tricritical_micro()
+    if not k_star <= K < math.inf:
+        raise DomainError(
+            f"K = {K} has no second-order microcanonical transition: the "
+            f"second-order coupling rises from K_m* = {k_star} at u* = "
+            f"{u_star} to +inf at u = 2/3")
+
+    def excess(u):
+        # closed forms at the ends: 1/K_m* at u*, and 0 at 2/3; the float
+        # 2/3 lies 3.7e-17 below it, where 2u lambda reads 2.2e-16 and would
+        # leave K above 4.5e15 unattained
+        if u_star < u < 2.0 / 3.0:
+            return 2.0 * u * _log_odds(u) - 1.0 / K
+        return (1.0 / k_star if u == u_star else 0.0) - 1.0 / K
+
+    return bisect_newton(excess, lambda u: 2.0 * (_log_odds(u) - 1.0 / (1.0 - u)),
+                         u_star, 2.0 / 3.0, newton_tol=0.0)
 
 
 def u_c1_of_K(K: float) -> float:
     """Energy per site of the first-order microcanonical transition at K.
 
-    Uses the first-order critical curve, which increases from 1 as u -> 0 up
-    to the tricritical energy u* (where it meets the second-order curve), so
-    K is attained between Kc1(1e-15) and the tricritical coupling.
+    Kc1(u) rises from 1 as u -> 0 to K_m* at the tricritical energy u*,
+    where it meets the second-order curve, so one Newton search on [0, u*]
+    with its envelope slope, and the closed forms at both ends, attains
+    every float K between.
     """
-    u_star, _ = tricritical_micro()
-    return invert_critical_curve(first_order_coupling_u, K, 1e-15,
-                                 u_star - 1e-9)
+    u_star, k_star = tricritical_micro()
+    if not 1.0 < K < k_star:
+        raise DomainError(
+            f"K = {K} has no first-order microcanonical transition: the "
+            f"first-order coupling Kc1(u) rises from 1 as u -> 0 to K_m* = "
+            f"{k_star} at u* = {u_star}")
+    return bisect_newton(
+        lambda u: (1.0 if u == 0.0 else k_star if u == u_star
+                   else _first_order_coupling_u(u)[0]) - K,
+        lambda u: _first_order_coupling_u(u)[2], 0.0, u_star, newton_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +281,14 @@ def _u_star(K):
 def _gap_intervals(K, b, u):
     """The gap_intervals of EquivalenceReport at K, from b = _beta_star(K)
     and u = _u_star(K).  The canonical |z| jumps from 0 to z_c = w*(b)/(2bK),
-    the microcanonical one to z_m (or grows from 0), and both grow from
-    there.  Where K lies past the microcanonical inversion's bracket (3e-13
-    above 1, 2.2e-10 below K_m*), its end stands in for the transition."""
+    the microcanonical one to the tied well z_m at u_c1(K) (or grows from 0
+    from K_m* on), and both grow from there."""
     if not 1.0 < K < tricritical_canonical():
         return ()
     hi = _first_order_coupling(b)[1] / (2.0 * b * K)
-    u_top, K_m = tricritical_micro()
-    if K >= K_m:
+    if K >= tricritical_micro()[1]:
         return ((0.0, hi),)
-    if u is None:
-        u = 1e-15 if K - 1.0 < K_m - K else u_top - 1e-9
-    # the tied well of the bisected u at its own coupling: at (u, K) the
-    # wells differ by the bisection residual, and near K_m* the outer one
-    # is gone.  The cap holds z_m <= z_c where the two agree to rounding
-    z_m = max(_local_minima(u, first_order_coupling_u(u)))
-    return ((min(z_m, hi), hi),)
+    return ((_first_order_coupling_u(u)[1], hi),)
 
 
 def nonequivalence_gap(K: float) -> tuple:
@@ -301,7 +317,8 @@ def _u_grid(K, u_star):
     base = list(np.linspace(u_min + eps, u_max - eps, 40))
     if u_star is None:
         return sorted(base)
-    span = u_star - u_min - eps
+    # next to K = 1, u_c1 lies within eps of u_min: nothing to approach from
+    span = max(u_star - u_min - eps, 1e-8)
     approach = list(u_star - np.geomspace(1e-8, span, 80))
     above = [u_star + (u_max - u_star) * f for f in (1e-4, 0.01, 0.1, 0.5)]
     return sorted(u for u in base + approach + above + [u_star]

@@ -16,8 +16,9 @@ up to five stationary points in the first-order regime), but F''' = 2 z
 Q(z^2)/(abc)^2 with Q a quartic: F'' is monotone between the roots of Q, so
 rootfind.piecewise_minima finds every local minimum, and F' summed from the
 curvature at z = 0 resolves the wells just above the second-order coupling.
-The first-order coupling is the least coupling (q - u)/z^2 over the points
-(z, q) whose rate is at most that of z = 0: one golden-section minimization.
+The first-order coupling is where a positive well ties with z = 0: one
+Newton solve of the tie and the stationarity of the rate, in unknowns scaled
+so that they stay well conditioned at both ends of the first-order regime.
 """
 
 import math
@@ -27,9 +28,13 @@ import numpy as np
 from scipy.special import xlogy
 
 from .core import DomainError, Macrostate, MicroParams, energy_domain
-from .rootfind import bisect_newton, even_global_minima, golden_min, piecewise_minima
+from .rootfind import even_global_minima, piecewise_minima
 
 _LOG2 = math.log(2.0)
+_SQRT_EPS = math.sqrt(2.0 ** -52)
+
+#: Newton steps allowed to the tie solve; from its starts it takes 1 to 15.
+_TIE_MAX_NEWTON = 80
 
 
 @dataclass(frozen=True)
@@ -387,73 +392,199 @@ def convexity_threshold(u: float) -> float:
     return (1.0 + x) / (4.0 * u)
 
 
-def _gap(u, z, p):
-    """F(z, u+p) - F(0, u), where F(z, q) is the shell rate at free q.
+def _series(y, coef):
+    """(sum_j coef(j) y^j, its derivative in y) for |y| <= 1/4, summed until
+    y^j falls under the rounding of the leading term."""
+    v = dv = 0.0
+    yj, j = 1.0, 0
+    while abs(yj) > 1e-17:
+        v += coef(j) * yj
+        dv += (j + 1) * coef(j + 1) * yj
+        yj *= y
+        j += 1
+    return v, dv
 
-    Summed from terms in x = z/q and p that each stay relatively accurate as
-    z, p -> 0; the plain difference of the two rates loses eps / z^2 there.
+
+def _xi_terms(xi):
+    """(x, t, t', A, A', l, l', m, m') at xi = atanh(z/q) > 0, primes d/dxi.
+
+    x = tanh xi, t = x^2, A = xi/x, l = L/t with L = x xi - log cosh xi the
+    mixing part of F(z, q)/q, and m = M/t^2 with M = x xi - 2L =
+    sum_{k>=2} (k-1)/(k(2k-1)) t^k, so that l = (A - t m)/2.  Below x = 1/2,
+    A and m are power series in t; above, they are read from xi and
+    e = exp(-2 xi), so that 1 - t = 4e/(1+e)^2 and L stay exact where t
+    rounds to 1.
     """
-    q = u + p
-    x = min(z / q, 1.0)
-    mix = (1.0 + x) * math.log1p(x)
-    if x < 1.0:
-        mix += (1.0 - x) * math.log1p(-x)
-    return (0.5 * q * mix + p * math.log(q) + u * math.log1p(p / u)
-            - p * math.log1p(-q) + (1.0 - u) * math.log1p(-p / (1.0 - u))
-            - p * _LOG2)
+    x = math.tanh(xi)
+    t = x * x
+    if x < 0.5:
+        dt = 2.0 * x * (1.0 - t)
+        A, dA = _series(t, lambda j: 1.0 / (2 * j + 1))
+        m, dm = _series(t, lambda j: (j + 1) / ((j + 2) * (2 * j + 3)))
+        return (x, t, dt, A, dt * dA, 0.5 * (A - t * m),
+                0.5 * dt * (dA - m - t * dm), m, dt * dm)
+    e = math.exp(-2.0 * xi)
+    omt = 4.0 * e / (1.0 + e) ** 2
+    L = _LOG2 - math.log1p(e) - 2.0 * e * xi / (1.0 + e)
+    M = x * xi - 2.0 * L
+    dA = (x - xi * omt) / t
+    m = M / (t * t)
+    return (x, t, 2.0 * x * omt, xi / x, dA, L / t, omt * M / (t * x), m,
+            (dA - 4.0 * x * omt * m) / t)
 
 
-def _level_coupling(u, p):
-    """Least coupling p / z^2 over the magnetizations z > 0 whose rate at
-    occupation q = u + p is at most the rate of z = 0 (inf when none is).
+def _p_terms(u, p):
+    """(d0, d0', G, G', lambda(q), (lambda(u) - lambda(q))/p) at p = q - u > 0,
+    primes d/dp, with lambda = _log_odds.
 
-    F increases in z on [0, q] (F_z = atanh(z/q)), so those z form an
-    interval [0, z_p] and the least coupling belongs to its end z_p, the
-    root of the gap, or z_p = q when the whole interval qualifies.
+    d0 = [F(0, q) - F(0, u)]/p, summed as log(q/(2(1-u))) + log1p(r)/r +
+    nu0 log1p(-r')/p with r = p/u, r' = p/(1-u) and nu0 = (1-u) - p, so that
+    no term grows as nu0 -> 0, and G = KL(u||q)/p^2.  Below r = 0.1 the
+    terms that cancel to O(p) are series: KL(u||q)/p^2 = g(r)/u +
+    g(-r')/(1-u) and KL(q||u)/p^2 = psi(r)/u + psi(-r')/(1-u), with
+    g(r) = (r - log1p r)/r^2 and psi(r) = ((1+r) log1p r - r)/r^2.
     """
+    w = 1.0 - u
     q = u + p
-    # q = 1 (nu_0 = 0) is the end of the search, where F_q = +inf: no tied
-    # well sits there
-    if q >= 1.0 or _gap(u, 0.0, p) >= 0.0:
-        return math.inf
-    if _gap(u, q, p) <= 0.0:
-        return p / (q * q)
+    nu0 = w - p
+    r, rw = p / u, p / w
+    lq = math.log1p(r)
+    # past r' = 1/2, 1 - r' cancels; nu0/w keeps the digits of nu0 -> 0
+    l0 = math.log1p(-rw) if rw < 0.5 else math.log(nu0 / w)
+    d0 = math.log(q / (2.0 * w)) + lq / r + nu0 * l0 / p
+    lam_q = math.log(2.0 * nu0 / q)
+    if r < 0.1:
+        g_u, dg_u = _series(-r, lambda j: 1.0 / (j + 2))
+        g_w, dg_w = _series(rw, lambda j: 1.0 / (j + 2))
+        h_u, dh_u = _series(-r, lambda j: 1.0 / ((j + 1) * (j + 2)))
+        h_w, dh_w = _series(rw, lambda j: 1.0 / ((j + 1) * (j + 2)))
+        kl = h_u / u + h_w / w
+        dd0 = kl + p * (dh_w / (w * w) - dh_u / (u * u))
+        return (d0, dd0, g_u / u + g_w / w, dg_w / (w * w) - dg_u / (u * u),
+                lam_q, dd0 + kl)
+    G = (-u * lq - w * l0) / (p * p)
+    return (d0, -(lam_q + d0) / p, G, (1.0 / (q * nu0) - 2.0 * G) / p, lam_q,
+            (lq - l0) / p)
 
-    def slope(z):
-        x = z / q
-        return math.atanh(x) if x < 1.0 else math.inf
 
-    # the gap terms are of size p, so this tolerance is their roundoff
-    z = bisect_newton(lambda z: _gap(u, z, p), slope, 0.0, q,
-                      newton_tol=1e-15 * p)
-    return p / (z * z)
+def _tie(u, xi, s):
+    """The tie at fixed u in the unknowns xi = atanh(z/q) and s = K q^2.
+
+    With t = tanh(xi)^2, p = s t = K z^2 and q = u + p, the residuals are
+    e1 = E1/t and e2 = (E2 - 2 E1)/t^2, where E1 = F(z, q) - F(0, u) is the
+    tie and E2 = z F_z + 2p F_q is z times the shell-rate slope.  Divided by
+    t alone, both lead with terms that vanish together at K = k2(u), which
+    is why E2 - 2 E1 = u M - p x xi + 2 KL(u||q) stands in for E2:
+    e1 = q l + s d0 and e2 = u m - s A + 2 s^2 KL(u||q)/p^2, which tend to
+    u/2 - lambda(u) s and u/6 - s + s^2/(u(1-u)) as t -> 0.
+
+    Returns ((e1, e2), ((de1/dxi, de1/ds), (de2/dxi, de2/ds)), dt/dxi,
+    readouts), the readouts being Kc1 = s/q^2, z* = q x and the envelope slope
+    dKc1/du = -(F_q + lambda(u))/(z^2 F_q), with F_q = -lambda(q) -
+    log cosh xi and both parts of the numerator divided by t, so that it
+    stays finite as t -> 0.
+    """
+    x, t, dt, A, dA, l, dl, m, dm = _xi_terms(xi)
+    p = s * t
+    q = u + p
+    d0, dd0, G, dG, lam_q, dlam = _p_terms(u, p)
+    dp = s * dt
+    h = l + s * dd0
+    logcosh_t = A - l    # log cosh(xi)/t
+    return ((q * l + s * d0, u * m - s * A + 2.0 * s * s * G),
+            ((dp * h + q * dl, t * h + d0),
+             (u * dm - s * dA + 2.0 * s * s * dG * dp,
+              4.0 * s * G + 2.0 * s * s * dG * t - A)), dt,
+            (s / (q * q), q * x,
+             (s * dlam - logcosh_t) / (q * q * (lam_q + t * logcosh_t))))
+
+
+def _tie_start(u, lam, k2, top):
+    """(xi, s) to start Newton from: the Landau start where it predicts a
+    smaller t than the corner start does, else the corner start.
+
+    Landau: as t -> 0, e1 ~ a(s) + b t and e2 ~ c(s) + d t with
+    a = u/2 - lambda s, b = s/2 + u/12 + s^2/(2u(1-u)), c = u/6 - s +
+    s^2/(u(1-u)) and d = 2u/15 - s/3 + (2s^3/3)(1/(1-u)^2 - 1/u^2).  c
+    vanishes at s0 = u^2 C(u), C the top of the origin band, where
+    a = (u/2)(k2 - C)/k2 < 0 below u*; one linear step from (t, s) =
+    (0, s0) gives t0 ~ u* - u.  Corner: next to u = 0 the tie has
+    nu_- = nu_0^4 and nu_0 (log nu_0 - 1) = u (log(u/2) - 1), which three
+    fixed-point steps from nu_0 = u solve well enough.
+    """
+    w = u * (1.0 - u)
+    s0 = u * u * top
+    b = 0.5 * s0 + u / 12.0 + s0 * s0 / (2.0 * w)
+    d = (2.0 * u / 15.0 - s0 / 3.0
+         + 2.0 * s0 ** 3 * (1.0 / (1.0 - u) ** 2 - 1.0 / (u * u)) / 3.0)
+    dc = 2.0 * s0 / w - 1.0
+    t0 = -0.5 * u * (k2 - top) / k2 / (b + lam * d / dc)
+    n0 = u
+    for _ in range(3):
+        n0 = u * (math.log(0.5 * u) - 1.0) / (math.log(n0) - 1.0)
+    xi = 0.5 * math.log1p(-n0 - n0 ** 4) - 2.0 * math.log(n0)
+    t = math.tanh(xi) ** 2
+    if 0.0 < t0 < t:
+        return math.atanh(math.sqrt(t0)), s0 - d * t0 / dc
+    return xi, (1.0 - u - n0) / t
+
+
+def _first_order_coupling_u(u):
+    """(Kc1, z*, dKc1/du) at 0 < u < 1/3: the first-order coupling, the
+    tied well and the envelope slope along the first-order curve.
+
+    One Newton solve of _tie from _tie_start, until the step stops
+    shrinking at the rounding level.  Where 1 - u rounds to 1, nu_0 ~ u is
+    not representable next to q ~ 1; Kc1 = 1 + O(u/log(1/u)) and
+    z* = 1 - O(u) round to 1 there, and the slope (about log 2/log(1/u)) is
+    left 0.  Where the closed forms put u at or past the tricritical energy
+    (k2 >= C), the transition is continuous: the well is born at the origin
+    at k2(u), which is returned with z* = 0 and dk2/du.
+    """
+    if 1.0 - u == 1.0:
+        return 1.0, 1.0, 0.0
+    lam = _log_odds(u)
+    k2 = 1.0 / (2.0 * u * lam)
+    top = _origin_band(u)[1]
+    if not k2 < top:
+        return k2, 0.0, 2.0 * k2 * k2 * (1.0 / (1.0 - u) - lam)
+    xi, s = _tie_start(u, lam, k2, top)
+    size = math.inf
+    for _ in range(_TIE_MAX_NEWTON):
+        (e1, e2), ((a, b), (c, d)), dt, readouts = _tie(u, xi, s)
+        det = a * d - b * c
+        d_xi, d_s = (b * e2 - d * e1) / det, (c * e1 - a * e2) / det
+        # the step in t = x^2 and in s, relative: z/q is resolved in t, not
+        # in xi, as it shrinks to 0 at u*
+        step = max(abs(dt * d_xi), abs(d_s) / s)
+        # Newton squares its step: once the last one was under sqrt(eps),
+        # a step that does not shrink is the rounding of the residuals
+        if step >= size and size < _SQRT_EPS:
+            return readouts
+        xi, s, size = abs(xi + d_xi), s + d_s, step
+    raise RuntimeError(f"the tie at u = {u} did not converge in "
+                       f"{_TIE_MAX_NEWTON} Newton steps")
 
 
 def first_order_coupling_u(u: float) -> float:
     """Coupling at which a positive well of the shell rate ties with z = 0.
 
     Every shell macrostate is a point (z, q = u + K z^2) and F(0, u) does
-    not depend on K, so Kc1(u), the least K at which some z > 0 reaches the
-    rate of the origin, is the least (q - u)/z^2 over the points with
-    F(z, q) <= F(0, u): the minimum over p = q - u of _level_coupling.  At
-    an interior minimizer the Lagrange condition F_z + 2 K z F_q = 0 is the
-    stationarity of the shell rate, so the minimizer is the tied well.  As
-    p -> 0 the level coupling tends to k2(u), which is part of the infimum,
-    so the golden-section minimum is capped by it.  Defined in the
-    first-order regime k2(u) < C(u), i.e. 0 < u < u* (the tricritical
-    energy); elsewhere the transition in K is continuous and a DomainError
-    is raised.
+    not depend on K, so Kc1(u) solves two equations in (z, K): the tie
+    F(z, q) = F(0, u) and the stationarity F_z + 2 K z F_q = 0 of the shell
+    rate.  _first_order_coupling_u solves them in Landau-scaled unknowns
+    that stay well conditioned both as the tied well shrinks to the origin
+    at the tricritical energy u* and as it runs into the corner z -> 1 as
+    u -> 0.  Defined in the first-order regime k2(u) < C(u), i.e.
+    0 < u < u* (the tricritical energy); elsewhere the transition in K is
+    continuous and a DomainError is raised.
     """
     if not (math.isfinite(u) and 0.0 < u < 0.5
-            and (k2 := second_order_coupling_u(u)) < convexity_threshold(u)):
+            and second_order_coupling_u(u) < convexity_threshold(u)):
         raise DomainError(
             f"first-order coupling needs k2(u) < C(u), i.e. 0 < u < u* "
             f"~ 0.3303 (the transition in K is continuous elsewhere), got {u}")
-    # at small u the tied well sits next to nu_- = 0 and nu_0 = 0, where the
-    # level coupling turns sharply: tol 1e-10 would leave 2e-11 at u = 1e-5
-    _, k = golden_min(lambda p: _level_coupling(u, p), 1e-12, 1.0 - u,
-                      tol=1e-12)
-    return min(k, k2)
+    return _first_order_coupling_u(u)[0]
 
 
 def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:

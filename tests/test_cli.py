@@ -289,6 +289,34 @@ def test_equivalence_cli_nonequivalent_regime(capsys):
     assert csv_rows(out) == [["0", "0.0946349454214"]]
 
 
+def test_equivalence_cli_next_to_the_micro_tricritical_coupling(capsys):
+    # K_m* - 1e-7, where the lower end read 0.  z_m = 0.00147200724007...
+    # moves by 1.3e-10 relative per ulp of u_c1, so its 12th digit is not
+    # resolved in double precision; it is held to the bound of the
+    # reference roots instead
+    K = 1.081296350157609
+    code, out, _ = run(capsys, ["equivalence", "--K", str(K)])
+    assert code == 0
+    (lo, hi), = csv_rows(out)
+    assert hi == "0.141247251807"
+    z_m = 0.001472007240072463312929
+    assert abs(float(lo) - z_m) <= z_m * 1e-15 / (tricritical_micro()[1] - K)
+
+
+def test_equivalence_cli_next_to_unit_coupling(capsys):
+    # the lower end read 0.999999991649, 8e-9 too low
+    code, out, _ = run(capsys, ["equivalence", "--K", "1.000000000001"])
+    assert code == 0
+    assert csv_rows(out) == [["0.999999999964", "0.999999999976"]]
+
+
+def test_micro_critical_cli_next_to_the_corner(capsys):
+    # Kc1 read 0.999999999985 < 1
+    code, out, _ = run(capsys, ["micro-critical", "--u", "1e-9"])
+    assert code == 0
+    assert csv_rows(out)[0][2] == "1.00000000003"
+
+
 def test_equivalence_cli_solves_no_ensemble(capsys, monkeypatch):
     # the verdict and the gap come from the inverted critical points alone
     def refuse(params):

@@ -35,7 +35,12 @@ from begphase.diagram import (
     u_c1_of_K,
     u_c2_of_K,
 )
-from begphase.micro import first_order_coupling_u, second_order_coupling_u, solve_micro
+from begphase.micro import (
+    _first_order_coupling_u,
+    first_order_coupling_u,
+    second_order_coupling_u,
+    solve_micro,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +74,27 @@ def test_tricritical_separation():
 def test_invert_second_order_curve():
     assert abs(beta_c2_of_K(tricritical_canonical()) - BETA_C) < 1e-6
     assert abs(beta_c2_of_K(second_order_coupling(1.0)) - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.5, 1.0, BETA_C])
+def test_second_order_canonical_inversion_round_trips(beta):
+    # Newton on the closed-form curve with its closed-form slope
+    assert abs(beta_c2_of_K(second_order_coupling(beta)) - beta) <= 4.0 * math.ulp(beta)
+
+
+@pytest.mark.parametrize("u", [tricritical_micro()[0], 0.4, 0.5, 0.6])
+def test_second_order_micro_inversion_round_trips(u):
+    assert abs(u_c2_of_K(second_order_coupling_u(u)) - u) <= 4.0 * math.ulp(u)
+
+
+def test_second_order_inversions_name_the_attained_range():
+    with pytest.raises(DomainError, match="falls from .* to K_c\\*"):
+        beta_c2_of_K(1.05)
+    with pytest.raises(DomainError, match="rises from K_m\\*"):
+        u_c2_of_K(1.05)
+    # the curve reaches +inf at u = 2/3, where lambda(2/3) = 0 closes the
+    # bracket: the float 2/3 sits 3.7e-17 below it
+    assert u_c2_of_K(1e300) == pytest.approx(2.0 / 3.0, abs=4.0 * math.ulp(2.0 / 3.0))
 
 
 def test_invert_first_order_curve():
@@ -116,10 +142,10 @@ def test_invert_micro_first_order_curve(K):
 
 @pytest.mark.parametrize("K", [1.001, 1.003])
 def test_invert_micro_first_order_curve_near_one(K):
-    # Kc1(u) -> 1 as u -> 0, so the bracket starts at u = 1e-15; from
-    # u = 0.02 these couplings (below Kc1(0.02) = 1.00324) were not attained
+    # Kc1(u) -> 1 as u -> 0, so the bracket starts at u = 0; from u = 0.02
+    # these couplings (below Kc1(0.02) = 1.00324) were not attained
     u = u_c1_of_K(K)
-    assert 1e-15 < u < 0.02
+    assert 0.0 < u < 0.02
     assert abs(first_order_coupling_u(u) - K) <= 1e-9
 
 
@@ -300,15 +326,14 @@ def test_equivalence_above_the_canonical_tricritical_coupling():
     assert rep.gap_intervals == () and rep.gap_measure == 0.0
 
 
-# (K, lo, hi) of the gap [lo, hi), to 12 digits: lo from u_c1 bisected to
-# 1e-15, where the report's 1e-9 bisection leaves up to 7e-9, hi from the
-# 60-digit roots of REFERENCE_TIES.  At K = 1.0817, above the microcanonical
-# tricritical coupling, it opens at 0
+# (K, lo, hi) of the gap [lo, hi), to 12 digits, from the roots of
+# REFERENCE_MICRO_TIES and REFERENCE_TIES.  At K = 1.0817, above the
+# microcanonical tricritical coupling, it opens at 0
 EXACT_GAPS = [
     (1.001, 0.991592544255, 0.994397306120),
     (1.02, 0.875690846472, 0.909528769434),
     (1.05, 0.668821319138, 0.730172146496),
-    (1.0812, 0.0456522002434, 0.150116418875),
+    (1.0812, 0.0456522002542, 0.150116418875),
     (1.0817, 0.0, 0.0946349454214),
 ]
 
@@ -318,7 +343,7 @@ def test_equivalence_gap_is_exact(K, lo, hi):
     rep = equivalence_report(K)
     assert rep.verdict == "nonequivalent"
     (g_lo, g_hi), = rep.gap_intervals
-    assert abs(g_lo - lo) < 1e-8 and abs(g_hi - hi) < 1e-12
+    assert abs(g_lo - lo) < 1e-12 and abs(g_hi - hi) < 1e-12
     assert rep.gap_measure == g_hi - g_lo
     # hi is the canonical jump: the dual route's well just past beta_c1
     _, args = dual_route_minimum(CanonicalParams(beta_c1_of_K(K),
@@ -380,25 +405,108 @@ def test_gap_upper_end_is_total_and_monotone(K1, K2):
     assert hi2 <= hi1 * (1.0 + tol1 + tol2)
 
 
+# (K, u_c1, z_m): 80- to 100-digit roots of the tie F(z, q) = F(0, u) and
+# the shell-rate stationarity at the float K, solved in (u, z) next to K_m*
+# and in (log nu_0, log nu_-) next to 1.  K_m* - 10^-k is spelled out
+REFERENCE_MICRO_TIES = [
+    (1.0000000000001, 3.789207386728054659477e-12, 0.9999999999961108725410413),
+    (1.000000000001, 3.472763512025050062091e-11, 0.9999999999642722759779621),
+    (1.00000000001, 3.153949119527277805729e-10, 0.9999999996746050871204946),
+    (1.0000000001, 2.836796042967914774613e-9, 0.9999999970632039407206363),
+    (1.000000001, 2.521303387692017384871e-8, 0.9999999737869654056423453),
+    (1.00000001, 2.207875542270498341467e-7, 0.9999997692123971865587588),
+    (1.0000001, 1.897107160719212423557e-6, 0.9999980028892501928052446),
+    (1.000001, 1.590012554257581282675e-5, 0.9999830996226352206489429),
+    (1.00001, 1.288806814878208539398e-4, 0.9998611028038327508656189),
+    (1.0001, 9.992771987828547698482e-4, 0.9988997321472424873567),
+    (1.001, 0.007353523536546990102727, 0.9915925442554016676245),
+    (1.02, 0.09376367319291972168225, 0.8756908464720567676095),
+    (1.05, 0.2073562811994706053692, 0.6688213191375934970261),
+    (1.0812, 0.3299033053209475945767, 0.04565220025424902855997),
+    (1.08129, 0.3303143378991345819959, 0.01182103278058734874118),
+    (1.081196450157609, 0.32988711044523806961, 0.04648236842878849531165),
+    (1.081286450157609, 0.330298109551219443297, 0.01471797571819073364863),
+    (1.081295450157609, 0.3303392562574531675066, 0.004654835309724410060793),
+    (1.081296350157609, 0.3303433713985309237967, 0.001472007240072463312929),
+    (1.081296440157609, 0.3303437829173463740893, 0.0004654901575906481625168),
+    (1.081296449157609, 0.3303438240692742815903, 0.0001472009223527230973057),
+    (1.081296450057609, 0.3303438281844679491886, 4.654896917576821624827e-5),
+    (1.081296450147609, 0.3303438285959873206558, 1.471991761953048935462e-5),
+    (1.081296450156609, 0.3303438286371388517356, 4.654550786606620742501e-6),
+]
+_KM = tricritical_micro()[1]
+
+
+def _lower_end_tol(K, z):
+    # z_m ~ 4.65 (K_m* - K)^(1/2) moves by ulp(K)/(2 (K_m* - K)) relative
+    # per ulp of K, and next to K = 1 it sits within 4e-12 of 1
+    return max(5e-14, z * max(1e-12, 1e-15 / (_KM - K)))
+
+
+@pytest.mark.parametrize("K, u_c1, z_m", REFERENCE_MICRO_TIES)
+def test_micro_tie_matches_80_digit_roots(K, u_c1, z_m):
+    assert abs(u_c1_of_K(K) - u_c1) <= max(1e-12 * u_c1, 5e-14)
+    (lo, hi), = nonequivalence_gap(K)
+    assert abs(lo - z_m) <= _lower_end_tol(K, z_m)
+    assert lo < hi
+    # the tie is a triple point of the shell rate at its own (u, K), which
+    # solve_micro resolves up to 1e-8 below K_m*
+    if _KM - K >= 1e-8:
+        assert solve_micro(MicroParams(u_c1, K)).phase_label == "triple"
+
+
+#: |Kc1(u_c1(K)) - K| allowed: Kc1(u) carries 1.5 ulps of rounding (rms,
+#: next to u = 0.32, where dKc1/de1 ~ 5 meets e1 terms of 0.2), and the
+#: inversion lands on it within 7 ulps in 34000 sampled K there
+_KC1_ROUND_TRIP = 2e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(_GAP_KS, st.floats(4.0, 13.0).map(lambda x: _KM - 10.0 ** -x)),
+       st.one_of(_GAP_KS, st.floats(4.0, 13.0).map(lambda x: _KM - 10.0 ** -x)))
+def test_gap_lower_end_is_total_and_monotone(K1, K2):
+    # every K in (1, K_c*) has its gap, the microcanonical tie below K_m*
+    # solved to the rounding of Kc1(u); z_m falls with K to within the
+    # accuracy bound of the reference test
+    los = []
+    for K in sorted((K1, K2)):
+        (lo, hi), = nonequivalence_gap(K)
+        assert 0.0 <= lo <= hi
+        if K < _KM:
+            # the private form is total: within 2 ulps of K_m*, u_c1 may
+            # round past the last u where the closed forms put k2 < C
+            assert abs(_first_order_coupling_u(u_c1_of_K(K))[0] - K) <= _KC1_ROUND_TRIP
+            los.append((lo, _lower_end_tol(K, lo)))
+        else:
+            los.append((lo, 0.0))
+    (lo1, tol1), (lo2, tol2) = los
+    assert lo2 <= lo1 + tol1 + tol2
+
+
 def test_equivalence_gap_lower_end_near_the_micro_tricritical_coupling():
-    # 6.5e-6 below K_m*, where z_m varies fast with u: the well at (u_c1, K)
-    # read 0.0118273, 6e-6 off; the tie at u_c1's own coupling is 1.6e-8 off
-    (lo, hi), = nonequivalence_gap(1.08129)
-    assert abs(lo - 0.0118210297456) < 3e-8
+    # 6.5e-6 below K_m*, where z_m varies fast with u: the well at the
+    # bisected u_c1 used to read 0.0118273, and the tie there 1.6e-8 off
+    K, _, z_m = REFERENCE_MICRO_TIES[14]
+    (lo, hi), = nonequivalence_gap(K)
+    assert abs(lo - z_m) <= _lower_end_tol(K, z_m)
     assert abs(hi - 0.141850511333) < 1e-8
 
 
 @pytest.mark.parametrize("dK", [1e-10, 3e-10])
 def test_equivalence_gap_at_the_end_of_the_micro_inversion(dK):
-    # u_c1_of_K does not attain K within 2.2e-10 below K_m*, and the tie
-    # (z_m < 1.5e-3 within 1e-7 of K_m*) is not resolved there: lo reads 0
-    # or a few 1e-5, and hi the canonical jump, which moves by about 150 dK
-    K_m = tricritical_micro()[1]
-    rep = equivalence_report(K_m - dK)
+    # u_c1_of_K stopped 2.2e-10 below K_m*, where the bracket end stood in
+    # for the transition and lo read 0 or a few 1e-5; it now attains K, and
+    # hi is the canonical jump, which moves by about 150 dK.  z_m at
+    # K_m* - 1e-10 is a REFERENCE_MICRO_TIES root; at K_m* - 3e-10 =
+    # 1.081296449857609 a 100-digit root in (u, z) gives u_c1 =
+    # 0.3303438272699804601036
+    K = _KM - dK
+    z_m = {1e-10: 4.654896917576821624827e-5, 3e-10: 8.062524390199898241552e-5}[dK]
+    rep = equivalence_report(K)
     assert rep.verdict == "nonequivalent"
     (lo, hi), = rep.gap_intervals
-    assert 0.0 <= lo < 1.5e-3
-    (_, hi_m), = nonequivalence_gap(K_m)
+    assert abs(lo - z_m) <= _lower_end_tol(K, z_m)
+    (_, hi_m), = nonequivalence_gap(_KM)
     assert abs(hi - hi_m) < 1e-7
 
 
@@ -425,13 +533,14 @@ def test_equivalence_in_the_snap_band():
 
 
 def test_equivalence_gap_next_to_unit_coupling():
-    # u_c1_of_K does not attain K within 3e-13 above 1.  There z_c ~ 1 -
-    # 2.7e-12 and z_m ~ 1 - 4e-12 (1 - z_m ~ 1.5 (1 - z_c) as K -> 1), finer
-    # than the microcanonical inversion resolves, and lo is capped at hi
-    rep = equivalence_report(1.0 + 1e-13)
+    # u_c1_of_K stopped 3e-13 above 1, where the bracket end stood in for
+    # the transition.  There z_c ~ 1 - 2.7e-12 and z_m = 1 - 3.8891e-12
+    # (1 - z_m ~ 1.5 (1 - z_c) as K -> 1)
+    K, _, z_m = REFERENCE_MICRO_TIES[0]
+    rep = equivalence_report(K)
     assert rep.verdict == "nonequivalent"
     (lo, hi), = rep.gap_intervals
-    assert 1.0 - 5e-12 < lo <= hi < 1.0 - 2e-12
+    assert abs(lo - z_m) <= 5e-14 and lo < hi < 1.0 - 2e-12
 
 
 def test_equivalence_gap_matches_the_sampled_oracle():

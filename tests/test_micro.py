@@ -10,6 +10,7 @@ from conftest import assert_sets_close, central_diff, second_diff
 from begphase.core import DomainError, MicroParams, UNIFORM, rel_entropy
 from begphase.diagram import simplex_oracle, sweep_micro, tricritical_micro
 from begphase.micro import (
+    _first_order_coupling_u,
     admissible_domain,
     convexity_threshold,
     first_order_coupling_u,
@@ -446,25 +447,42 @@ def test_first_order_coupling_u_pins(u, kc1):
 
 
 @pytest.mark.parametrize("u, kc1", [
-    (1e-8, 1.0000000003766678),
+    (1e-4, 1.0000075461321385),
     (1e-6, 1.0000000502606051),
+    (1e-8, 1.0000000003766678),
+    (1e-9, 1.0000000000334746),
+    (1e-12, 1.000000000000025),
 ])
 def test_first_order_coupling_u_near_the_corner(u, kc1):
-    # the tied well sits next to z = 1 with nu_0 ~ u; references from a
-    # 50-digit solve of the tie
-    assert abs(first_order_coupling_u(u) - kc1) <= 1e-10 * kc1
+    # the tied well sits next to z = 1 with nu_0 ~ u and nu_- ~ nu_0^4;
+    # references are the doubles nearest 50-digit solves of the tie (Kc1 - 1
+    # = 7.5461321384174328e-6, 5.0260605073354510e-8, 3.7666775576975019e-10,
+    # 3.3474515452809015e-11, 2.5097136609148239e-14).  Golden-section
+    # minimization lost the tie below u ~ 1e-8 (Kc1 - 1 read -1.5e-11 at
+    # u = 1e-9)
+    assert abs(first_order_coupling_u(u) - kc1) <= 4.4e-16
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=0.005, max_value=0.325))
+@given(st.floats(min_value=1e-12, max_value=tricritical_micro()[0] - 1e-6))
 def test_first_order_coupling_u_is_the_scan_transition(u):
     # solve_micro finds the minima of the shell rate itself: an independent route
     kc1 = first_order_coupling_u(u)
+    assert kc1 >= 1.0
     assert solve_micro(MicroParams(u, kc1 * (1.0 - 1e-6))).z_points == (0.0,)
     above = solve_micro(MicroParams(u, kc1 * (1.0 + 1e-6)))
     assert len(above.z_points) == 2 and above.z_points[1] > 0.0
     at = solve_micro(MicroParams(u, kc1))
     assert at.phase_label == "triple" and at.tied
+
+
+@pytest.mark.parametrize("u", [1e-3, 0.01, 0.1, 0.3, 0.33])
+def test_first_order_coupling_u_envelope_slope(u):
+    # dKc1/du = -(F_q + lambda(u))/(z*^2 F_q), the slope u_c1_of_K steps
+    # with, against central differences of Kc1 itself
+    h = 1e-5 * u
+    fd = (first_order_coupling_u(u + h) - first_order_coupling_u(u - h)) / (2.0 * h)
+    assert _first_order_coupling_u(u)[2] == pytest.approx(fd, rel=1e-6)
 
 
 def test_first_order_regime_ends_at_tricritical_energy():

@@ -543,9 +543,7 @@ def _first_order_coupling_u(u):
     """
     if 1.0 - u == 1.0:
         return 1.0, 1.0, 0.0
-    lam = _log_odds(u)
-    k2 = 1.0 / (2.0 * u * lam)
-    top = _origin_band(u)[1]
+    lam, k2, top = _log_odds(u), second_order_coupling_u(u), _origin_band(u)[1]
     if not k2 < top:
         return k2, 0.0, 2.0 * k2 * k2 * (1.0 / (1.0 - u) - lam)
     xi, s = _tie_start(u, lam, k2, top)

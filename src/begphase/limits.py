@@ -15,7 +15,6 @@ Metropolis chain as an independent stochastic cross-check.
 """
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,11 @@ MAX_PMF_N = 20000
 #: Largest n for which the sampler also tallies full configurations
 #: (3^n states), enabling exact stationarity checks on tiny systems.
 CONFIG_TALLY_MAX_N = 8
+
+
+def _is_int(x) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ def exact_spin_pmf(n: int, params: CanonicalParams) -> SpinPmf:
     order eps beta n, and an uncompensated sum of n ratios one of order
     eps |log U_k| sqrt(n).  Cost is O(n); n is capped at MAX_PMF_N.
     """
-    if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_PMF_N):
+    if not (_is_int(n) and 1 <= n <= MAX_PMF_N):
         raise DomainError(f"n must be an integer in [1, {MAX_PMF_N}], got {n}")
     beta, K = params.beta, params.K
     exp, log = math.exp, math.log
@@ -298,41 +302,78 @@ class MetropolisResult:
 _PROPOSALS = ((0, 1), (-1, 1), (-1, 0))
 
 
+def _move_table(n: int, params: CanonicalParams, m: int) -> list:
+    """Move records of the single-site rule at system size n, for |S| <= m.
+
+    table[s + 1] is the pair of moves open to a site at spin s, one per
+    proposal in _PROPOSALS[s + 1].  Each move is (next pair, ds, row): the
+    pair of the proposed spin, the change ds of the total spin, and row,
+    where row[S + m] is e^-dE at total spin S, or 1.0 where dE <= 0, with
+    dE = beta d(quad) - beta K (2 S ds + ds^2)/n.  A uniform u in [0, 1)
+    then accepts exactly when dE <= 0 or u < e^-dE.  The pairs refer to one
+    another; the caller clears them when done.
+    """
+    beta, K = params.beta, params.K
+    bK = beta * K
+    table = [[], [], []]
+    for s, props in zip((-1, 0, 1), _PROPOSALS):
+        for prop in props:
+            ds, dq = prop - s, prop * prop - s * s
+            des = (beta * dq - bK * (2 * S * ds + ds * ds) / n
+                   for S in range(-m, m + 1))
+            table[s + 1].append((table[prop + 1], ds,
+                                 [1.0 if de <= 0.0 else math.exp(-de)
+                                  for de in des]))
+    return table
+
+
+def _dq_table() -> np.ndarray:
+    """dq = prop^2 - s^2 of a move, indexed by 2 (ds + 2) + pick: ds and the
+    proposal index fix both the spin s and the proposed spin prop."""
+    dq = np.zeros(10, dtype=np.int64)
+    for s, props in zip((-1, 0, 1), _PROPOSALS):
+        for pick, prop in enumerate(props):
+            dq[2 * (prop - s + 2) + pick] = prop * prop - s * s
+    return dq
+
+
+_DQ = _dq_table()
+
+
 def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
                        seed: int) -> MetropolisResult:
     """Single-site Metropolis chain targeting the fixed-(beta, K) ensemble.
 
     A uniformly chosen site proposes one of its two other spin values
     (symmetric proposal), accepted with probability min(1, e^-dE) where
-    dE = beta d(quad) - beta K (2 S ds + ds^2)/n, read from a table built
-    once per (spin, proposal, S).  Deterministic for a given seed;
-    randomness is pre-drawn in blocks for speed.  The initial state is all
-    zeros.
+    dE = beta d(quad) - beta K (2 S ds + ds^2)/n; the initial state is all
+    zeros.  Randomness is drawn in blocks of 65536 steps, in the order
+    sites, proposal picks, uniforms, so a seed fixes the chain bit for bit
+    (test_metropolis_outputs_pinned holds its SHA-256 hashes).
+
+    Each site holds the move pair of its current spin (_move_table), so a
+    step is one lookup, one comparison u < row[S + m] and, on acceptance,
+    a swap of the site's pair and an update of S + m.  The loop records
+    only S + m.  Everything else comes from the total-spin trace, one block
+    at a time: a step is accepted exactly when S changes, since a proposal
+    always differs from the current spin; the change of the sum of squared
+    spins Q follows from ds and the pick (_DQ); and for n <=
+    CONFIG_TALLY_MAX_N the configuration code sum_j 3^j (spin_j + 1) moves
+    by ds 3^j at the chosen site j.  Memory is O(m) for the table with
+    m = min(n, steps), plus the trace.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+    if not (_is_int(steps) and steps >= 1):
         raise DomainError(f"steps must be a positive integer, got {steps}")
-    beta, K = params.beta, params.K
-    bK = beta * K
+    if not (_is_int(seed) and seed >= 0):
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     m = min(n, steps)  # |S| <= m all along the chain, which starts at S = 0
-    # moves[s + 1][pick] = (proposed spin, ds, dq, row), where row[S + m] is
-    # e^-dE at total spin S, or 1.0 where dE <= 0: a uniform u in [0, 1) then
-    # accepts exactly when dE <= 0 or u < e^-dE
-    moves = []
-    for s, props in zip((-1, 0, 1), _PROPOSALS):
-        pair = []
-        for prop in props:
-            ds, dq = prop - s, prop * prop - s * s
-            des = (beta * dq - bK * (2 * S * ds + ds * ds) / n
-                   for S in range(-m, m + 1))
-            pair.append((prop, ds, dq,
-                         [1.0 if de <= 0.0 else math.exp(-de) for de in des]))
-        moves.append(pair)
+    table = _move_table(n, params, m)
     rng = np.random.default_rng(seed)
-    state = [0] * n
-    S = 0
-    Q = 0
+    state = [table[1]] * n
+    Sm = m      # S + m, the row index
+    S = Q = 0   # at the end of the last block
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     trace = np.empty(steps, dtype=np.int32)
     acc = 0
@@ -340,42 +381,47 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     tally_configs = n <= CONFIG_TALLY_MAX_N
     if tally_configs:
         config_counts = np.zeros(3 ** n, dtype=np.int64)
-        pow3 = [3 ** j for j in range(n)]
-        code = sum(pow3[j] * (state[j] + 1) for j in range(n))
+        code = (3 ** n - 1) // 2  # every spin 0
     done = 0
     while done < steps:
         block = min(65536, steps - done)
-        # memoryviews hand out Python numbers one at a time: no per-block
-        # lists of boxed values, which would raise the peak memory
-        sites = memoryview(rng.integers(0, n, size=block))
-        picks = memoryview(rng.integers(0, 2, size=block))
-        us = memoryview(rng.random(block))
-        s_buf = array("i")
-        put_s = s_buf.append
-        if tally_configs:
-            code_buf = array("i")
-            put_code = code_buf.append
-        for jsite, pick, u in zip(sites, picks, us):
-            s = state[jsite]
-            prop, ds, dq, row = moves[s + 1][pick]
-            if u < row[S + m]:
-                state[jsite] = prop
-                S += ds
-                Q += dq
-                acc += 1
-                if tally_configs:
-                    code += ds * pow3[jsite]
-            put_s(S)
-            sum_q += Q
-            if tally_configs:
-                put_code(code)
-        block_s = np.frombuffer(s_buf, dtype=np.intc)
-        trace[done:done + block] = block_s
+        # narrow copies of the draws offset the memory of the S + m list
+        sites = rng.integers(0, n, size=block).astype(np.int32)
+        picks = rng.integers(0, 2, size=block).astype(np.int8)
+        us = rng.random(block)
+        # memoryviews hand out Python numbers one at a time; list.append
+        # stores a reference where array.append would convert to a C int, and
+        # called as buf.append the interpreter specializes it
+        buf = []
+        for j, pick, u in zip(memoryview(sites), memoryview(picks),
+                              memoryview(us)):
+            nxt, ds, row = state[j][pick]
+            if u < row[Sm]:
+                state[j] = nxt
+                Sm += ds
+            buf.append(Sm)
+        del us
+        block_s = trace[done:done + block]
+        block_s[:] = buf
+        del buf
+        block_s -= m
         counts += np.bincount(block_s + n, minlength=2 * n + 1)
+        ds = np.diff(block_s, prepend=np.int32(S))
+        acc += np.count_nonzero(ds)
+        q = _DQ[2 * (ds + 2) + picks]
+        del picks
+        np.cumsum(q, out=q)
+        q += Q
+        sum_q += int(q.sum())
         if tally_configs:
-            config_counts += np.bincount(np.frombuffer(code_buf, dtype=np.intc),
-                                         minlength=3 ** n)
+            codes = np.cumsum(ds * 3 ** sites)
+            codes += code
+            config_counts += np.bincount(codes, minlength=3 ** n)
+            code = int(codes[-1])
+        S, Q = int(block_s[-1]), int(q[-1])
         done += block
+    for pair in table:
+        pair.clear()  # the pairs refer to one another
     sum_plus = (sum_q + int(trace.sum(dtype=np.int64))) >> 1
     sum_zero = steps * n - sum_q
     s_probs = counts / steps
@@ -383,9 +429,9 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     freq_zero = sum_zero / (steps * n)
     spin_freq = Macrostate(1.0 - freq_plus - freq_zero, freq_zero, freq_plus)
     config_probs = config_counts / steps if tally_configs else None
-    return MetropolisResult(n=n, beta=beta, K=K, steps=steps, seed=seed,
-                            s_probs=s_probs, spin_freq=spin_freq, trace=trace,
-                            acceptance_rate=acc / steps,
+    return MetropolisResult(n=n, beta=params.beta, K=params.K, steps=steps,
+                            seed=seed, s_probs=s_probs, spin_freq=spin_freq,
+                            trace=trace, acceptance_rate=acc / steps,
                             config_probs=config_probs)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from array import array
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -9,6 +10,7 @@ from scipy.special import gammaln, logsumexp
 from begphase.canonical import solve_canonical
 from begphase.core import CanonicalParams, Macrostate, MicroParams
 from begphase.diagram import _default_beta_grid, _default_u_grid
+from begphase.limits import CONFIG_TALLY_MAX_N, _PROPOSALS, MetropolisResult
 from begphase.micro import solve_micro
 
 
@@ -51,6 +53,77 @@ def summed_spin_pmf(n, beta, K):
     log_w = np.concatenate([half[:0:-1], half])
     probs = np.exp(log_w - logsumexp(log_w))
     return probs / probs.sum()
+
+
+def reference_metropolis(n, params, steps, seed):
+    """The Metropolis chain of metropolis_sampler by its first per-step loop:
+    the spin, S, Q, the acceptance count and the configuration code are all
+    updated at every step.  Oracle for the sampler's tallies, which are
+    recovered from the total-spin trace instead."""
+    beta, K = params.beta, params.K
+    bK = beta * K
+    m = min(n, steps)
+    moves = []
+    for s, props in zip((-1, 0, 1), _PROPOSALS):
+        pair = []
+        for prop in props:
+            ds, dq = prop - s, prop * prop - s * s
+            des = (beta * dq - bK * (2 * S * ds + ds * ds) / n
+                   for S in range(-m, m + 1))
+            pair.append((prop, ds, dq,
+                         [1.0 if de <= 0.0 else math.exp(-de) for de in des]))
+        moves.append(pair)
+    rng = np.random.default_rng(seed)
+    state = [0] * n
+    S = 0
+    Q = 0
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    trace = np.empty(steps, dtype=np.int32)
+    acc = 0
+    sum_q = 0
+    tally_configs = n <= CONFIG_TALLY_MAX_N
+    if tally_configs:
+        config_counts = np.zeros(3 ** n, dtype=np.int64)
+        pow3 = [3 ** j for j in range(n)]
+        code = sum(pow3[j] * (state[j] + 1) for j in range(n))
+    done = 0
+    while done < steps:
+        block = min(65536, steps - done)
+        sites = memoryview(rng.integers(0, n, size=block))
+        picks = memoryview(rng.integers(0, 2, size=block))
+        us = memoryview(rng.random(block))
+        s_buf = array("i")
+        code_buf = array("i")
+        for jsite, pick, u in zip(sites, picks, us):
+            s = state[jsite]
+            prop, ds, dq, row = moves[s + 1][pick]
+            if u < row[S + m]:
+                state[jsite] = prop
+                S += ds
+                Q += dq
+                acc += 1
+                if tally_configs:
+                    code += ds * pow3[jsite]
+            s_buf.append(S)
+            sum_q += Q
+            if tally_configs:
+                code_buf.append(code)
+        block_s = np.frombuffer(s_buf, dtype=np.intc)
+        trace[done:done + block] = block_s
+        counts += np.bincount(block_s + n, minlength=2 * n + 1)
+        if tally_configs:
+            config_counts += np.bincount(np.frombuffer(code_buf, dtype=np.intc),
+                                         minlength=3 ** n)
+        done += block
+    sum_plus = (sum_q + int(trace.sum(dtype=np.int64))) >> 1
+    sum_zero = steps * n - sum_q
+    freq_plus = sum_plus / (steps * n)
+    freq_zero = sum_zero / (steps * n)
+    spin_freq = Macrostate(1.0 - freq_plus - freq_zero, freq_zero, freq_plus)
+    return MetropolisResult(
+        n=n, beta=beta, K=K, steps=steps, seed=seed, s_probs=counts / steps,
+        spin_freq=spin_freq, trace=trace, acceptance_rate=acc / steps,
+        config_probs=config_counts / steps if tally_configs else None)
 
 
 def constrained_mean_entropy(beta, z, step=1e-4):

@@ -76,6 +76,15 @@ def test_domain_error_exits_2_and_names_precondition(capsys):
     assert "attainable energy range" in err
 
 
+def test_metropolis_bad_seed_exits_2(capsys):
+    # a negative seed let numpy's ValueError escape as a traceback
+    code, _, err = run(capsys, ["limits", "--beta", "1", "--K", "1",
+                                "--mode", "metropolis", "--n", "5",
+                                "--steps", "10", "--seed", "-1"])
+    assert code == 2
+    assert "seed must be a nonnegative integer" in err
+
+
 def test_large_beta_exits_2(capsys):
     for argv in (["canon", "--beta", "800", "--K", "1"],
                  ["canon-critical", "--beta", "800"]):

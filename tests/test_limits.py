@@ -4,18 +4,22 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from conftest import brute_force_spin_pmf, summed_spin_pmf
+from conftest import (brute_force_spin_pmf, reference_metropolis,
+                      summed_spin_pmf)
 
 import begphase
 from begphase.canonical import first_order_coupling, second_order_coupling
 from begphase.core import BETA_C, CanonicalParams, DomainError
 from begphase.limits import (
     _PROPOSALS,
+    _move_table,
     classify_minimum,
     conditioned_clt_check,
     convergence_diagnostic,
@@ -64,6 +68,8 @@ def test_pmf_domain_errors():
         exact_spin_pmf(0, CanonicalParams(1.0, 1.0))
     with pytest.raises(DomainError):
         exact_spin_pmf(20001, CanonicalParams(1.0, 1.0))
+    with pytest.raises(DomainError):  # a bool is not a size
+        exact_spin_pmf(True, CanonicalParams(1.0, 1.0))
 
 
 @pytest.mark.parametrize("K", [0.2, 1.0, 1.0817, 3.0])
@@ -352,11 +358,103 @@ def test_metropolis_outputs_pinned(n, K, steps, seed, acceptance, freq,
         assert sha(res.config_probs) == config_sha
 
 
-@pytest.mark.parametrize("n", [0, -3, 2.0])
+@pytest.mark.parametrize("n", [0, -3, 2.0, True])
 def test_metropolis_rejects_bad_size(n):
-    # n = 0 ended in a ValueError from numpy's integer draw
+    # n = 0 ended in a ValueError from numpy's integer draw; True ran a
+    # one-site chain
     with pytest.raises(DomainError, match="n must be a positive integer"):
         metropolis_sampler(n, CanonicalParams(1.0, 1.0), 10, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True, "3"])
+def test_metropolis_rejects_bad_seed(seed):
+    # -1 ended in a ValueError from numpy, 1.5 in a TypeError, and None ran
+    # from operating-system entropy, unreproducible
+    with pytest.raises(DomainError,
+                       match="seed must be a nonnegative integer"):
+        metropolis_sampler(5, CanonicalParams(1.0, 1.0), 10, seed=seed)
+
+
+@pytest.mark.parametrize("steps", [0, 2.0, True])
+def test_metropolis_rejects_bad_steps(steps):
+    # a bool is not a step count; True ended in a TypeError
+    with pytest.raises(DomainError, match="steps must be a positive integer"):
+        metropolis_sampler(5, CanonicalParams(1.0, 1.0), steps, seed=0)
+
+
+#: Step counts on and around the 65536-step block edges of the sampler.
+BLOCK_EDGE_STEPS = (65535, 65536, 65537, 2 * 65536 + 3)
+
+
+@st.composite
+def chains(draw):
+    # tallied (n <= 8) and untallied sizes equally often
+    n = draw(st.integers(1, 8) | st.integers(9, 60))
+    short = st.integers(1, n - 1) if n > 1 else st.nothing()
+    steps = draw(short | st.sampled_from(BLOCK_EDGE_STEPS))
+    beta = draw(st.floats(0.0, 5.0, exclude_min=True))
+    K = draw(st.floats(0.0, 3.0, exclude_min=True))
+    return n, steps, beta, K, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=30, deadline=None)
+@given(chains())
+@example((4, 65537, 1.0, 1.5, 99))    # two-phase, tallied, across a block edge
+@example((50, 2 * 65536 + 3, 1.0, 1.0, 1))  # one-phase, three blocks
+@example((50, 30, 1.0, 1.0, 1))       # fewer steps than sites
+def test_metropolis_matches_per_step_reference(chain):
+    # every output bit for bit against the loop that updates every tally at
+    # every step, where the sampler recovers them from the total-spin trace
+    n, steps, beta, K, seed = chain
+    params = CanonicalParams(beta, K)
+    res = metropolis_sampler(n, params, steps, seed)
+    ref = reference_metropolis(n, params, steps, seed)
+
+    def bits(r):
+        return (r.n, r.beta, r.K, r.steps, r.seed, r.trace.dtype,
+                r.trace.tobytes(), r.s_probs.tobytes(),
+                np.array(astuple(r.spin_freq)).tobytes(),
+                np.float64(r.acceptance_rate).tobytes(),
+                None if r.config_probs is None else r.config_probs.tobytes())
+
+    assert bits(res) == bits(ref)
+    assert (res.config_probs is None) == (n > 8)
+
+
+@pytest.mark.parametrize("beta,K", [(1.0, 1.0), (1.0, 1.5)])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_metropolis_lumped_kernel_exact(n, beta, K):
+    # the single-site rule sees a configuration only through S and the
+    # chosen site's spin, so it lumps exactly onto the counts (n+, n0, n-);
+    # the lumped chain built from the sampler's own move table leaves the
+    # lumped exact law invariant and is reversible
+    params = CanonicalParams(beta, K)
+    table = _move_table(n, params, n)
+    states = [(npl, nz, n - npl - nz) for npl in range(n + 1)
+              for nz in range(n + 1 - npl)]
+    index = {x: i for i, x in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for x, counts in enumerate(states):
+        S = counts[0] - counts[2]
+        for s in (-1, 0, 1):
+            for (nxt, ds, row), prop in zip(table[s + 1], _PROPOSALS[s + 1]):
+                assert ds == prop - s and nxt is table[prop + 1]
+                y = list(counts)
+                y[1 - s] -= 1
+                y[1 - prop] += 1
+                if y[1 - s] >= 0:
+                    P[x, index[tuple(y)]] += counts[1 - s] / (2 * n) * row[S + n]
+    P[np.diag_indices_from(P)] = 1.0 - P.sum(axis=1)
+
+    codes = np.arange(3 ** n)
+    digits = (codes[:, None] // 3 ** np.arange(n)) % 3 - 1
+    lumped = [index[(int(np.sum(d == 1)), int(np.sum(d == 0)),
+                     int(np.sum(d == -1)))] for d in digits]
+    pi = np.zeros(len(states))
+    np.add.at(pi, lumped, exact_config_probs(n, params))
+    assert np.max(np.abs(pi @ P - pi)) < 1e-13
+    flow = pi[:, None] * P
+    assert np.max(np.abs(flow - flow.T)) < 1e-13
 
 
 def test_metropolis_detailed_balance_tiny_system():

@@ -27,7 +27,11 @@ from .core import (
     CanonicalParams,
     DomainError,
     Macrostate,
+    _cumulant_from_moments,
+    _finite,
+    _real,
     _tilt_bracket,
+    _tilted_moments,
     cramer_rate,
     cumulant,
     cumulant_vec,
@@ -100,13 +104,16 @@ class CanonicalSolution:
 def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
     """Derivative of order 0..6 of beta K z^2 - c(2 beta K z) at z."""
     a = 2.0 * params.beta * params.K
-    w = a * z
+    z = _finite(z, "z")
+    w = _finite(a * z, "the tilt 2 beta K z")
+    c0, m1, m2 = _tilted_moments(params.beta, w)
     if order == 0:
-        return 0.5 * a * z * z - cumulant(params.beta, w, 0)
+        return 0.5 * a * z * z - c0
     if order == 1:
-        return a * (z - cumulant(params.beta, w, 1))
+        return a * (z - m1)
     if order == 2:
-        return a * (1.0 - a * cumulant(params.beta, w, 2))
+        return a * (1.0 - a * (m2 - m1 * m1))
+    c = _cumulant_from_moments(m1, m2, order)
     try:
         scale = a ** order
     except OverflowError:
@@ -114,23 +121,26 @@ def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
             f"derivative of order {order} of the magnetization potential at "
             f"(beta, K) = ({params.beta}, {params.K}) overflows the float "
             f"range: (2 beta K)^{order} with 2 beta K = {a}") from None
-    return -scale * cumulant(params.beta, w, order)
+    return -scale * c
 
 
 def tilt_potential(params: CanonicalParams, w: float, order: int = 0) -> float:
     """Derivative of order 0..6 of w^2/(4 beta K) - c(w) at w.
 
     Same curve as mag_potential after the substitution w = 2 beta K z, which
-    isolates the K-dependence in the quadratic term.
+    isolates the K-dependence in the quadratic term.  c and its derivatives
+    come from one moments evaluation at the beta the params validated.
     """
+    w = _finite(w, "w")
     a = 2.0 * params.beta * params.K
+    c0, m1, m2 = _tilted_moments(params.beta, w)
     if order == 0:
-        return 0.5 * w * w / a - cumulant(params.beta, w, 0)
+        return 0.5 * w * w / a - c0
     if order == 1:
-        return w / a - cumulant(params.beta, w, 1)
+        return w / a - m1
     if order == 2:
-        return 1.0 / a - cumulant(params.beta, w, 2)
-    return -cumulant(params.beta, w, order)
+        return 1.0 / a - (m2 - m1 * m1)
+    return -_cumulant_from_moments(m1, m2, order)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +148,15 @@ def tilt_potential(params: CanonicalParams, w: float, order: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_beta(beta):
+    """beta as a Python float, or a DomainError where it is not in
+    (0, BETA_MAX]."""
+    beta = _real(beta)
     if not (math.isfinite(beta) and 0.0 < beta <= BETA_MAX):
         raise DomainError(
             f"beta must be finite and in (0, BETA_MAX = {BETA_MAX}]: above it "
             f"the well depth at the spinodal e^beta/(4 beta) is too large for "
             f"float arithmetic, got {beta}")
+    return beta
 
 
 def second_order_coupling(beta: float) -> float:
@@ -152,14 +166,14 @@ def second_order_coupling(beta: float) -> float:
     This is the continuous critical coupling for beta <= BETA_C; for larger
     beta the same expression is the spinodal of the disordered branch.
     """
-    _check_beta(beta)
+    beta = _check_beta(beta)
     return math.exp(beta) / (4.0 * beta) + 1.0 / (2.0 * beta)
 
 
 def cumulant_inflection(beta: float) -> float:
     """Positive w at which c' switches from convex to concave:
     arccosh(e^beta/2 - 4 e^-beta), defined for beta >= BETA_C (zero at BETA_C)."""
-    _check_beta(beta)
+    beta = _check_beta(beta)
     x = 0.5 * math.exp(beta) - 4.0 * math.exp(-beta)
     if x < 1.0:
         raise DomainError(
@@ -231,6 +245,7 @@ def tangency(beta: float) -> tuple[float, float, float]:
     """(w_tangent, k_tangent, k_spinodal) for beta > BETA_C: the root of
     g = w c'' - c', where the line through 0 touches c' (sqrt(10 (beta -
     log 4)) next to log 4), its coupling and the z = 0 curvature coupling."""
+    beta = _real(beta)
     return (*_tilt_root(beta, 1)[:2], second_order_coupling(beta))
 
 
@@ -260,7 +275,7 @@ def positive_well(beta: float, K: float) -> float:
     """Location of the positive local minimum of the tilt potential P(w).
     Raises DomainError when there is none (K at or below the second-order or
     the tangency coupling)."""
-    w = _local_wells(beta, K)[-1]
+    w = _local_wells(_real(beta), _real(K))[-1]
     if w <= 0.0:
         raise DomainError(f"no positive well at (beta, K) = ({beta}, {K}): K is "
                           f"at or below the coupling where it appears")
@@ -272,6 +287,7 @@ def well_depth(beta: float, K: float) -> float:
     the origin.  Continuous and strictly decreasing in K on [k_tangent, inf);
     positive just above tangency, negative beyond the spinodal.  Its unique
     zero is the first-order coupling."""
+    beta, K = _real(beta), _real(K)
     w1, k1, _ = tangency(beta)
     if K < k1 - 1e-12:
         raise DomainError(f"well depth defined for K >= {k1} at beta = {beta}, got {K}")
@@ -287,7 +303,7 @@ def first_order_coupling(beta: float) -> float:
     tangency.  h rises to a hump at w_tangent and falls to -inf; its root w*
     (sqrt(15 (beta - log 4)) next to log 4) gives w*/(2 beta c'(w*)).
     """
-    return _first_order_coupling(beta)[0]
+    return _first_order_coupling(_real(beta))[0]
 
 
 def _first_order_coupling(beta):
@@ -300,7 +316,7 @@ def _first_order_coupling(beta):
 
 def canonical_criticals(beta: float) -> CanonicalCriticals:
     """All critical couplings at this beta, with undefined entries left None."""
-    _check_beta(beta)
+    beta = _check_beta(beta)
     if beta - BETA_C <= BETA_SNAP_TOL:
         return CanonicalCriticals(beta=beta, k_second_order=second_order_coupling(beta))
     w1, k1, k2 = tangency(beta)

@@ -12,6 +12,7 @@ large-deviation rate functions of the two ensembles.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,15 @@ _MASS_TOL = 1e-12
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def _real(x):
+    """x as a Python float when it is a real number (an int, a float or a
+    numpy scalar of any precision), else x itself for the caller's check to
+    refuse.  The solvers then run in double precision on plain floats."""
+    if type(x) is float:
+        return x
+    return float(x) if isinstance(x, numbers.Real) else x
 
 
 @dataclass(frozen=True)
@@ -72,12 +82,18 @@ UNIFORM = Macrostate(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 @dataclass(frozen=True)
 class CanonicalParams:
-    """Inverse temperature beta > 0 and interaction strength K > 0."""
+    """Inverse temperature beta > 0 and interaction strength K > 0.
+
+    Both are stored as Python floats: a numpy scalar of any precision is
+    solved in double precision.
+    """
 
     beta: float
     K: float
 
     def __post_init__(self):
+        object.__setattr__(self, "beta", _real(self.beta))
+        object.__setattr__(self, "K", _real(self.K))
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise DomainError(f"beta must be finite and positive, got {self.beta}")
         if not (math.isfinite(self.K) and self.K > 0.0):
@@ -86,6 +102,7 @@ class CanonicalParams:
 
 def energy_domain(K: float) -> tuple[float, float]:
     """Range [min(1-K, 0), 1] of the energy per site at coupling K."""
+    K = _real(K)
     return (min(1.0 - K, 0.0), 1.0)
 
 
@@ -93,13 +110,17 @@ def energy_domain(K: float) -> tuple[float, float]:
 class MicroParams:
     """Energy per site u and interaction strength K > 0.
 
-    u must lie in the attainable energy range [min(1-K, 0), 1].
+    u must lie in the attainable energy range [min(1-K, 0), 1].  Both are
+    stored as Python floats: a numpy scalar of any precision is solved in
+    double precision.
     """
 
     u: float
     K: float
 
     def __post_init__(self):
+        object.__setattr__(self, "u", _real(self.u))
+        object.__setattr__(self, "K", _real(self.K))
         if not (math.isfinite(self.K) and self.K > 0.0):
             raise DomainError(f"K must be finite and positive, got {self.K}")
         lo, hi = energy_domain(self.K)
@@ -174,6 +195,15 @@ def _cumulant_from_moments(m1, m2, order):
     raise DomainError(f"derivative order must be in 0..6, got {order}")
 
 
+def _finite(x, name):
+    """x as a Python float, or a DomainError naming it where it is not a
+    finite real number."""
+    x = _real(x)
+    if not (type(x) is float and math.isfinite(x)):
+        raise DomainError(f"{name} must be finite, got {x}")
+    return x
+
+
 def cumulant(beta: float, t: float, order: int = 0) -> float:
     """Derivative of order `order` (0..6) of the cumulant generating function
 
@@ -185,10 +215,10 @@ def cumulant(beta: float, t: float, order: int = 0) -> float:
     c'''(t) = c'(t) (1 - 3 m2 + 2 c'(t)^2).  No numerical differentiation
     is involved; finite differences appear only in the test suite.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0.0):
+    beta = _real(beta)
+    if not (type(beta) is float and math.isfinite(beta) and beta > 0.0):
         raise DomainError(f"beta must be finite and positive, got {beta}")
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise DomainError(f"t must be finite, got {t}")
+    t = _finite(t, "t")
     if order not in (0, 1, 2, 3, 4, 5, 6):
         raise DomainError(f"derivative order must be in 0..6, got {order}")
     c0, m1, m2 = _tilted_moments(beta, t)
@@ -277,6 +307,7 @@ def mean_tilt(beta: float, z: float) -> float:
     This is also the derivative of the Cramer rate function at z.  Bracketed
     bisection plus Newton, polished to |c'(t) - z| < 1e-13.
     """
+    beta, z = _real(beta), _real(z)
     if not (math.isfinite(z) and abs(z) < 1.0):
         raise DomainError(f"mean must satisfy |z| < 1, got {z}")
     if z == 0.0:
@@ -294,6 +325,7 @@ def cramer_rate(beta: float, z: float) -> float:
     the root diverges but the rate stays finite with the analytic limit
     beta + log(1 + 2 e^-beta), the relative entropy of a pure +-1 state.
     """
+    beta, z = _real(beta), _real(z)
     if not (math.isfinite(beta) and beta > 0.0):
         raise DomainError(f"beta must be finite and positive, got {beta}")
     if not (math.isfinite(z) and abs(z) <= 1.0):

@@ -33,6 +33,7 @@ from .core import (
     DomainError,
     Macrostate,
     MicroParams,
+    _real,
     energy_domain,
 )
 from .micro import (
@@ -112,6 +113,20 @@ def tricritical_micro() -> tuple:
 # Critical-curve inversion onto the physical axes
 # ---------------------------------------------------------------------------
 
+def _last_point(tie):
+    """tie keeping its result at the last point: bisect_newton takes the
+    slope where it has just taken the value, so both come from one solve."""
+    last = {}
+
+    def at(x):
+        if x not in last:
+            last.clear()
+            last[x] = tie(x)
+        return last[x]
+
+    return at
+
+
 def beta_c2_of_K(K: float) -> float:
     """Inverse temperature of the second-order canonical transition at K.
 
@@ -119,6 +134,7 @@ def beta_c2_of_K(K: float) -> float:
     at beta = 0.02 to K_c* at BETA_C, so one Newton search with its
     closed-form slope attains every K between.
     """
+    K = _real(K)
     k_lo, k_hi = tricritical_canonical(), second_order_coupling(0.02)
     if not k_lo <= K <= k_hi:
         raise DomainError(
@@ -138,15 +154,16 @@ def beta_c1_of_K(K: float) -> float:
     finite beta (it rounds to 1 from beta ~ 37 on), so one Newton search on
     [BETA_C, BETA_MAX] with its envelope slope attains every float K between.
     """
+    K = _real(K)
     k_star = tricritical_canonical()
     if not 1.0 < K < k_star:
         raise DomainError(
             f"K = {K} has no first-order canonical transition: the first-order "
             f"coupling Kc1(beta) falls from {k_star} at log 4 and exceeds 1 at "
             f"every finite beta")
-    return bisect_newton(
-        lambda b: (_first_order_coupling(b)[0] if b > BETA_C else k_star) - K,
-        lambda b: _first_order_coupling(b)[2], BETA_C, BETA_MAX, newton_tol=0.0)
+    tie = _last_point(_first_order_coupling)
+    return bisect_newton(lambda b: (tie(b)[0] if b > BETA_C else k_star) - K,
+                         lambda b: tie(b)[2], BETA_C, BETA_MAX, newton_tol=0.0)
 
 
 def u_c2_of_K(K: float) -> float:
@@ -157,6 +174,7 @@ def u_c2_of_K(K: float) -> float:
     Newton search on 2u lambda(u) - 1/K, with its closed-form slope
     2(lambda - 1/(1-u)), attains every K from K_m* on.
     """
+    K = _real(K)
     u_star, k_star = tricritical_micro()
     if not k_star <= K < math.inf:
         raise DomainError(
@@ -184,16 +202,17 @@ def u_c1_of_K(K: float) -> float:
     with its envelope slope, and the closed forms at both ends, attains
     every float K between.
     """
+    K = _real(K)
     u_star, k_star = tricritical_micro()
     if not 1.0 < K < k_star:
         raise DomainError(
             f"K = {K} has no first-order microcanonical transition: the "
             f"first-order coupling Kc1(u) rises from 1 as u -> 0 to K_m* = "
             f"{k_star} at u* = {u_star}")
+    tie = _last_point(_first_order_coupling_u)
     return bisect_newton(
-        lambda u: (1.0 if u == 0.0 else k_star if u == u_star
-                   else _first_order_coupling_u(u)[0]) - K,
-        lambda u: _first_order_coupling_u(u)[2], 0.0, u_star, newton_tol=0.0)
+        lambda u: (1.0 if u == 0.0 else k_star if u == u_star else tie(u)[0]) - K,
+        lambda u: tie(u)[2], 0.0, u_star, newton_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +313,7 @@ def _gap_intervals(K, b, u):
 def nonequivalence_gap(K: float) -> tuple:
     """The gap_intervals of equivalence_report(K), from the inverted
     critical points alone: no ensemble is solved at any grid point."""
+    K = _real(K)
     if not (math.isfinite(K) and K > 0.0):
         raise DomainError(f"K must be finite and positive, got {K}")
     return _gap_intervals(K, _beta_star(K), _u_star(K))
@@ -339,6 +359,7 @@ def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceRepo
     The gap is nonequivalence_gap(K); the |z| values are solved at the grid
     points, by default clustered around the transitions the gap comes from.
     """
+    K = _real(K)
     if not (math.isfinite(K) and K > 0.0):
         raise DomainError(f"K must be finite and positive, got {K}")
     b_star, u_star = _beta_star(K), _u_star(K)

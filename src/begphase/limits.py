@@ -27,6 +27,10 @@ from .core import CanonicalParams, DomainError, Macrostate, cumulant
 #: (three arrays of 2n + 1 entries); the cost of the law is O(n).
 MAX_PMF_N = 20000
 
+#: Largest chain accepted by metropolis_sampler.  The total-spin trace it
+#: returns takes 4 bytes per step, 1 GiB at this bound.
+MAX_METROPOLIS_STEPS = 2 ** 28
+
 #: Largest n for which the sampler also tallies full configurations
 #: (3^n states), enabling exact stationarity checks on tiny systems.
 CONFIG_TALLY_MAX_N = 8
@@ -360,12 +364,17 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     spins Q follows from ds and the pick (_DQ); and for n <=
     CONFIG_TALLY_MAX_N the configuration code sum_j 3^j (spin_j + 1) moves
     by ds 3^j at the chosen site j.  Memory is O(m) for the table with
-    m = min(n, steps), plus the trace.
+    m = min(n, steps), plus the trace of 4 bytes per step, which caps steps
+    at MAX_METROPOLIS_STEPS.
     """
     if not (_is_int(n) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n}")
     if not (_is_int(steps) and steps >= 1):
         raise DomainError(f"steps must be a positive integer, got {steps}")
+    if steps > MAX_METROPOLIS_STEPS:
+        raise DomainError(
+            f"steps must be at most MAX_METROPOLIS_STEPS = {MAX_METROPOLIS_STEPS}:"
+            f" the total-spin trace takes 4 bytes per step, got {steps}")
     if not (_is_int(seed) and seed >= 0):
         raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     m = min(n, steps)  # |S| <= m all along the chain, which starts at S = 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .core import DomainError, Macrostate, MicroParams, energy_domain
+from .core import DomainError, Macrostate, MicroParams, _real, energy_domain
 from .rootfind import even_global_minima, piecewise_minima
 
 _LOG2 = math.log(2.0)
@@ -271,6 +271,7 @@ def second_order_coupling_u(u: float) -> float:
     At u >= 2/3 the logarithm is nonpositive and the curvature relation
     degenerates (the uniform state, with energy 2/3, never destabilizes).
     """
+    u = _real(u)
     if not (math.isfinite(u) and 0.0 < u < 2.0 / 3.0):
         raise DomainError(
             f"second-order coupling needs 0 < u < 2/3 (the z = 0 curvature "
@@ -374,6 +375,7 @@ def convexity_threshold(u: float) -> float:
     band, so the threshold jumps from 1 to about 0.786 there; at u >= 1/2 no
     coupling is non-convex and a DomainError is raised.
     """
+    u = _real(u)
     if not (math.isfinite(u) and 0.0 < u < 0.5):
         raise DomainError(
             f"convexity threshold needs 0 < u < 1/2 (for u >= 1/2 the shell "
@@ -577,6 +579,7 @@ def first_order_coupling_u(u: float) -> float:
     0 < u < u* (the tricritical energy); elsewhere the transition in K is
     continuous and a DomainError is raised.
     """
+    u = _real(u)
     if not (math.isfinite(u) and 0.0 < u < 0.5
             and second_order_coupling_u(u) < convexity_threshold(u)):
         raise DomainError(
@@ -588,6 +591,7 @@ def first_order_coupling_u(u: float) -> float:
 def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
     """All critical couplings at this u; region labels a supplied K by a
     direct convexity test at (u, K) ('above' = convex = continuous regime)."""
+    u, K = _real(u), _real(K)
     k2 = None
     if 0.0 < u < 2.0 / 3.0:
         k2 = second_order_coupling_u(u)

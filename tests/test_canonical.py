@@ -67,6 +67,38 @@ def test_potentials_agree_under_substitution():
         assert mag_potential(params, z) == mag_potential(params, -z)
 
 
+def test_potentials_take_cumulant_values_exactly():
+    # each potential evaluation reads c and its derivatives from one moments
+    # call; the values are those of the cumulant expressions bit for bit
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        beta, K = rng.uniform(0.05, 8.0), rng.uniform(0.2, 3.0)
+        params = CanonicalParams(beta, K)
+        a = 2.0 * params.beta * params.K
+        w, z = rng.uniform(-30.0, 30.0), rng.uniform(-1.0, 1.0)
+        tilt = [0.5 * w * w / a - cumulant(beta, w, 0), w / a - cumulant(beta, w, 1),
+                1.0 / a - cumulant(beta, w, 2)]
+        mag = [0.5 * a * z * z - cumulant(beta, a * z, 0),
+               a * (z - cumulant(beta, a * z, 1)),
+               a * (1.0 - a * cumulant(beta, a * z, 2))]
+        for j in range(3, 7):
+            tilt.append(-cumulant(beta, w, j))
+            mag.append(-a ** j * cumulant(beta, a * z, j))
+        assert [tilt_potential(params, w, j) for j in range(7)] == tilt
+        assert [mag_potential(params, z, j) for j in range(7)] == mag
+
+
+@pytest.mark.parametrize("potential", [tilt_potential, mag_potential])
+def test_potential_domain_errors(potential):
+    params = CanonicalParams(1.0, 1.0)
+    for x in (math.inf, -math.inf, math.nan, "0.5", None, 0.5j):
+        with pytest.raises(DomainError, match="must be finite"):
+            potential(params, x, 1)
+    for order in (-1, 7, 2.5, None):
+        with pytest.raises(DomainError, match="order must be in 0..6"):
+            potential(params, 0.5, order)
+
+
 def test_potential_derivatives_match_finite_differences():
     params = CanonicalParams(1.3, 0.9)
     for order in range(1, 5):
@@ -272,6 +304,15 @@ def test_criticals_report():
     # decimal approximations of log 4 take the continuous branch
     snapped = canonical_criticals(1.3862944)
     assert snapped.k_second_order is not None
+
+
+def test_float32_beta_is_solved_in_double_precision():
+    # np.float32 is no Python float: the beta check of cumulant refused it
+    # with "beta must be finite and positive, got 1.0"
+    assert repr(solve_canonical(CanonicalParams(np.float32(1.0), 1.5))) == repr(
+        solve_canonical(CanonicalParams(1.0, 1.5)))
+    assert canonical_criticals(np.float32(2.0)) == canonical_criticals(2.0)
+    assert type(canonical_criticals(np.float64(2.0)).beta) is float
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,15 @@ def test_metropolis_bad_seed_exits_2(capsys):
     assert "seed must be a nonnegative integer" in err
 
 
+def test_metropolis_steps_beyond_the_trace_bound_exit_2(capsys):
+    # numpy's _ArrayMemoryError for the 36 TiB trace escaped with exit 1
+    code, out, err = run(capsys, ["limits", "--beta", "1", "--K", "1",
+                                  "--mode", "metropolis", "--n", "5",
+                                  "--steps", "10000000000000", "--seed", "0"])
+    assert code == 2 and out == ""
+    assert "MAX_METROPOLIS_STEPS" in err and "4 bytes per step" in err
+
+
 def test_large_beta_exits_2(capsys):
     for argv in (["canon", "--beta", "800", "--K", "1"],
                  ["canon-critical", "--beta", "800"]):

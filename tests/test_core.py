@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import central_diff, constrained_mean_entropy, random_macrostates
 
-from begphase.canonical import cumulant_inflection
+from begphase import canonical, micro
+from begphase.canonical import cumulant_inflection, solve_canonical
 from begphase.core import (
     BETA_C,
     UNIFORM,
@@ -18,12 +20,14 @@ from begphase.core import (
     cramer_rate_prime,
     cumulant,
     cumulant_ladder,
+    energy_domain,
     energy_per_site,
     mean_tilt,
     micro_rate,
     rel_entropy,
     single_site_measure,
 )
+from begphase.micro import solve_micro
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +218,94 @@ def test_params_validation():
     with pytest.raises(DomainError):
         MicroParams(-0.5, 0.5)   # for K <= 1 the energy floor is 0
     MicroParams(-0.5, 1.5)       # attainable once K > 1
+
+
+# ---------------------------------------------------------------------------
+# Numpy scalars at the parameter boundary
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", [int, float, np.float64, np.float32,
+                                  np.longdouble, np.int64])
+def test_params_store_python_floats(kind):
+    for p in (CanonicalParams(kind(2), kind(1)), MicroParams(kind(0), kind(1))):
+        assert all(type(v) is float for v in vars(p).values())
+    assert vars(CanonicalParams(kind(2), kind(1))) == {"beta": 2.0, "K": 1.0}
+
+
+@pytest.mark.parametrize("bad", ["1", b"1", None])
+def test_params_refuse_non_numbers_as_before(bad):
+    # only real numbers are converted to float: a string is never parsed
+    # into one, and fails the checks it failed before
+    for make in (lambda: CanonicalParams(bad, 1.0), lambda: CanonicalParams(1.0, bad),
+                 lambda: MicroParams(bad, 1.0), lambda: MicroParams(0.5, bad)):
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(DomainError):
+        cumulant(bad, 0.5, 1)
+    with pytest.raises(DomainError):
+        cumulant(1.0, bad, 1)
+
+
+def test_cumulant_takes_numpy_scalars_in_double_precision():
+    # a float32 beta was refused with "beta must be finite and positive,
+    # got 1.0"
+    for order in range(7):
+        expect = cumulant(1.0, 0.5, order)
+        for kind in (np.float32, np.float64):
+            got = cumulant(kind(1.0), kind(0.5), order)
+            assert type(got) is float and got == expect
+
+
+@pytest.mark.parametrize("fn, args, x", [
+    (canonical.second_order_coupling, (), 1.0),
+    (canonical.cumulant_inflection, (), 2.0),
+    (canonical.tangency, (), 2.0),
+    (canonical.first_order_coupling, (), 2.0),
+    (canonical.canonical_criticals, (), 2.0),
+    (canonical.positive_well, (1.05,), 2.0),
+    (lambda K, b: canonical.positive_well(b, K), (2.0,), 1.05),
+    (canonical.well_depth, (1.05,), 2.0),
+    (micro.second_order_coupling_u, (), 0.25),
+    (micro.first_order_coupling_u, (), 0.25),
+    (micro.convexity_threshold, (), 0.25),
+    (micro.micro_criticals, (), 0.25),
+    (mean_tilt, (0.3,), 1.0),
+    (lambda z, b: mean_tilt(b, z), (1.0,), 0.3),
+    (cramer_rate, (0.3,), 1.0),
+    (lambda z, b: cramer_rate(b, z), (1.0,), 0.3),
+    (energy_domain, (), 1.3),
+], ids=lambda v: getattr(v, "__name__", None))
+@pytest.mark.parametrize("kind", [np.float32, np.float64])
+def test_public_functions_solve_numpy_scalars_as_their_float(fn, args, x, kind):
+    # a float32 ran through in single precision: first_order_coupling_u did
+    # not converge, the rest came back as float32, and positive_well and
+    # well_depth bisected forever on a bracket that float32 cannot narrow
+    got, want = fn(kind(x), *args), fn(float(kind(x)), *args)
+    assert repr(got) == repr(want)
+
+
+def _as_kind(kind, x):
+    # the numpy scalar and the float it rounds to, which both solvers see
+    y = kind(x)
+    return y, float(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.float64, np.float32]), st.floats(0.05, 6.0),
+       st.floats(0.3, 2.5), st.floats(0.0, 1.0), st.floats(0.3, 2.5))
+def test_numpy_scalars_solve_as_their_float(kind, beta, K, frac, K_m):
+    b, b_f = _as_kind(kind, beta)
+    k, k_f = _as_kind(kind, K)
+    params = CanonicalParams(b, k)
+    assert type(params.beta) is float and type(params.K) is float
+    assert repr(solve_canonical(params)) == repr(
+        solve_canonical(CanonicalParams(b_f, k_f)))
+    k, k_f = _as_kind(kind, K_m)
+    lo, hi = energy_domain(k_f)
+    u, u_f = _as_kind(kind, lo + (hi - lo) * (0.001 + 0.998 * frac))
+    params = MicroParams(u, k)
+    assert type(params.u) is float and type(params.K) is float
+    assert repr(solve_micro(params)) == repr(solve_micro(MicroParams(u_f, k_f)))
 
 
 # ---------------------------------------------------------------------------

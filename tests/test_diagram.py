@@ -149,6 +149,41 @@ def test_invert_micro_first_order_curve_near_one(K):
     assert abs(first_order_coupling_u(u) - K) <= 1e-9
 
 
+@pytest.mark.parametrize("invert, tie", [(beta_c1_of_K, "_first_order_coupling"),
+                                         (u_c1_of_K, "_first_order_coupling_u")])
+def test_first_order_inversion_solves_the_tie_once_per_iterate(monkeypatch, invert,
+                                                               tie):
+    # bisect_newton takes the slope where it has just taken the value, and
+    # both come from the same tie solve
+    from begphase import diagram
+
+    points = []
+    solve = getattr(diagram, tie)
+
+    def counted(x):
+        points.append(x)
+        return solve(x)
+
+    expect = invert(1.05)
+    monkeypatch.setattr(diagram, tie, counted)
+    assert invert(1.05) == expect
+    assert points and len(points) == len(set(points))
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64])
+def test_numpy_coupling_is_inverted_in_double_precision(kind):
+    # a float32 K left the upper end of the gap in float32 and moved its
+    # lower end by 1.3e-7
+    K = kind(1.05)
+    gap = nonequivalence_gap(K)
+    assert gap == nonequivalence_gap(float(K))
+    assert all(type(x) is float for x in gap[0])
+    for invert in (beta_c1_of_K, u_c1_of_K):
+        assert invert(K) == invert(float(K))
+    assert beta_c2_of_K(kind(1.2)) == beta_c2_of_K(float(kind(1.2)))
+    assert u_c2_of_K(kind(1.2)) == u_c2_of_K(float(kind(1.2)))
+
+
 def test_invert_first_order_curve_near_one():
     # the bracket reaches BETA_MAX; from beta = 12 a coupling below
     # Kc1(12) = 1.0000005 was not attained

@@ -72,6 +72,15 @@ def test_pmf_domain_errors():
         exact_spin_pmf(True, CanonicalParams(1.0, 1.0))
 
 
+def test_pmf_float32_beta_is_solved_in_double_precision():
+    # the law was 2e-8 relative off when beta stayed a float32
+    for n in (1, 50):
+        got = exact_spin_pmf(n, CanonicalParams(np.float32(1.0), 1.0))
+        want = exact_spin_pmf(n, CanonicalParams(1.0, 1.0))
+        assert np.array_equal(got.probabilities, want.probabilities)
+        assert type(got.beta) is float
+
+
 @pytest.mark.parametrize("K", [0.2, 1.0, 1.0817, 3.0])
 @pytest.mark.parametrize("beta", [1e-3, 1.0, math.log(4.0), 8.0, 50.0, 300.0])
 def test_pmf_recurrence_matches_summation(beta, K):
@@ -379,6 +388,17 @@ def test_metropolis_rejects_bad_seed(seed):
 def test_metropolis_rejects_bad_steps(steps):
     # a bool is not a step count; True ended in a TypeError
     with pytest.raises(DomainError, match="steps must be a positive integer"):
+        metropolis_sampler(5, CanonicalParams(1.0, 1.0), steps, seed=0)
+
+
+@pytest.mark.parametrize("steps", [10 ** 13, 2 ** 62, 2 ** 28 + 1])
+def test_metropolis_refuses_steps_beyond_the_trace_bound(steps):
+    # the trace takes 4 bytes per step: 10^13 steps let numpy's
+    # _ArrayMemoryError escape; every case is refused before allocating
+    from begphase.limits import MAX_METROPOLIS_STEPS
+
+    assert MAX_METROPOLIS_STEPS == 2 ** 28
+    with pytest.raises(DomainError, match="4 bytes per step"):
         metropolis_sampler(5, CanonicalParams(1.0, 1.0), steps, seed=0)
 
 

@@ -436,6 +436,16 @@ def test_micro_criticals_regions():
     assert rep2.k_second_order < rep2.k_convexity
 
 
+def test_float32_u_is_solved_in_double_precision():
+    # a float32 u ran the tie in mixed precision, which did not converge in
+    # 80 Newton steps, and solve_micro returned float32 magnetizations
+    assert micro_criticals(np.float32(0.25)) == micro_criticals(0.25)
+    assert micro_criticals(np.float32(0.25), np.float32(1.0)) == micro_criticals(0.25, 1.0)
+    sol = solve_micro(MicroParams(np.float32(0.25), 1.2))
+    assert sol.z_points[-1] == 0.5348653741504781
+    assert repr(sol) == repr(solve_micro(MicroParams(0.25, 1.2)))
+
+
 @pytest.mark.parametrize("u, kc1", [
     (0.025, 1.004210565282942),
     (0.1, 1.021567124887080),

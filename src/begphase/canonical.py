@@ -30,11 +30,9 @@ from .core import (
     _cumulant_from_moments,
     _finite,
     _real,
-    _tilt_bracket,
     _tilted_moments,
     cramer_rate,
     cumulant,
-    cumulant_vec,
     energy_per_site,
     mean_tilt,
     rel_entropy,
@@ -236,7 +234,7 @@ def _tilt_root(beta, i):
         return (g - 4.0 * h if i == 0 else cumulant(beta, x, 3) / x - 3.0 * g) / x
 
     w = bisect_newton(lambda x: _scaled_h_g(beta, x)[i], slope, 0.0,
-                      3.0 * beta / BETA_C + 1.0, newton_tol=0.0)
+                      3.0 * beta / BETA_C + 1.0)
     a, y, c1 = _scaled_h_g(beta, w)[2:]
     return w, w / (2.0 * beta * c1), a, y
 
@@ -401,22 +399,12 @@ def dual_route_minimum(params: CanonicalParams):
     """(min value, argmin tuple) of cramer_rate(z) - beta K z^2 over [-1, 1].
 
     Deliberately bypasses the potential-based solver: the rate is evaluated
-    through the inverse tilt (vectorized bisection on c' over a 4001-point
-    grid), local minima are refined by golden section on the scalar rate.
+    through the closed-form inverse tilt at each point of a 4001-point grid,
+    and local minima are refined by golden section on the same scalar rate.
     Used to verify that both routes of the convex-duality identity agree.
     """
     beta, K = params.beta, params.K
-    zg = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
-    # the tilt bracket grows with |z|, so the outermost point covers the grid
-    lo = np.full_like(zg, -_tilt_bracket(beta, zg[-1]))
-    hi = -lo
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        too_low = cumulant_vec(beta, mid, 1) < zg
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    t = 0.5 * (lo + hi)
-    rate = t * zg - cumulant_vec(beta, t, 0) - beta * K * zg * zg
+    zg = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001).tolist()
 
     def scalar(z):
         return cramer_rate(beta, z) - beta * K * z * z
@@ -439,10 +427,11 @@ def dual_route_minimum(params: CanonicalParams):
             z = z_new
         return z
 
+    rate = [scalar(z) for z in zg]
     cands = []
     for i in range(len(zg)):
-        left = rate[i - 1] if i > 0 else np.inf
-        right = rate[i + 1] if i < len(zg) - 1 else np.inf
+        left = rate[i - 1] if i > 0 else math.inf
+        right = rate[i + 1] if i < len(zg) - 1 else math.inf
         if rate[i] <= left and rate[i] <= right:
             a = zg[max(i - 1, 0)]
             b = zg[min(i + 1, len(zg) - 1)]

@@ -108,6 +108,8 @@ def _parse_grid(spec: str) -> list:
         start, stop, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
         raise DomainError(f"grid spec must be start:stop:step, got {spec!r}") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise DomainError(f"grid spec needs finite start, stop and step, got {spec!r}")
     if step <= 0 or stop < start:
         raise DomainError(f"grid spec needs step > 0 and stop >= start, got {spec!r}")
     npts = int(math.floor((stop - start) / step + 1e-12)) + 1
@@ -115,6 +117,18 @@ def _parse_grid(spec: str) -> list:
     if not grid:
         raise DomainError(f"grid {spec!r} is empty")
     return grid
+
+
+def _parse_ns(spec: str) -> list:
+    """Parse a comma-separated list of integer system sizes."""
+    ns = []
+    for item in spec.split(","):
+        try:
+            ns.append(int(item))
+        except ValueError as exc:
+            raise DomainError(
+                f"--ns items must be integers, got {item!r} in {spec!r}") from exc
+    return ns
 
 
 def _check_tol(value):
@@ -213,11 +227,11 @@ def _cmd_equivalence(args):
 def _cmd_limits(args):
     params = CanonicalParams(args.beta, args.K)
     if args.mode == "ks":
-        ns = [int(x) for x in args.ns.split(",")]
+        ns = _parse_ns(args.ns)
         dists = limits.convergence_diagnostic(ns, params)
         _emit(args, ("n", "distance"), list(zip(ns, dists)))
     elif args.mode == "conditioned":
-        ns = [int(x) for x in args.ns.split(",")]
+        ns = _parse_ns(args.ns)
         dists = [limits.conditioned_clt_check(n, params, j=args.j, a=args.a)
                  for n in ns]
         _emit(args, ("n", "distance"), list(zip(ns, dists)))

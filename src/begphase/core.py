@@ -13,10 +13,12 @@ large-deviation rate functions of the two ensembles.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+# unused here: kept for perfbench, which traces bisect_newton in each importer
 from .rootfind import bisect_newton
 
 #: Inverse temperature at which the concavity of the cumulant derivative
@@ -153,21 +155,6 @@ def _tilted_moments(beta, t):
     return c0, (wp - wm) / d, (wm + wp) / d
 
 
-def _tilted_moments_vec(beta, t):
-    """Vectorized counterpart of _tilted_moments for numpy arrays t."""
-    t = np.asarray(t, dtype=float)
-    lw_m = -beta - t
-    lw_p = -beta + t
-    shift = np.maximum(0.0, np.maximum(lw_m, lw_p))
-    w0 = np.exp(-shift)
-    wm = np.exp(lw_m - shift)
-    wp = np.exp(lw_p - shift)
-    d = w0 + (wm + wp)
-    c0 = shift + np.log(d) - math.log1p(2.0 * math.exp(-beta))
-    c0 = np.where(t == 0.0, 0.0, c0)
-    return c0, (wp - wm) / d, (wm + wp) / d
-
-
 def _cumulant_from_moments(m1, m2, order):
     """Cumulant of given order from the raw moments of a {-1,0,1} variable.
 
@@ -195,6 +182,15 @@ def _cumulant_from_moments(m1, m2, order):
     raise DomainError(f"derivative order must be in 0..6, got {order}")
 
 
+def _beta(beta):
+    """beta as a Python float, or a DomainError where it is not a finite
+    positive real number."""
+    beta = _real(beta)
+    if not (type(beta) is float and math.isfinite(beta) and beta > 0.0):
+        raise DomainError(f"beta must be finite and positive, got {beta}")
+    return beta
+
+
 def _finite(x, name):
     """x as a Python float, or a DomainError naming it where it is not a
     finite real number."""
@@ -215,21 +211,11 @@ def cumulant(beta: float, t: float, order: int = 0) -> float:
     c'''(t) = c'(t) (1 - 3 m2 + 2 c'(t)^2).  No numerical differentiation
     is involved; finite differences appear only in the test suite.
     """
-    beta = _real(beta)
-    if not (type(beta) is float and math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    beta = _beta(beta)
     t = _finite(t, "t")
     if order not in (0, 1, 2, 3, 4, 5, 6):
         raise DomainError(f"derivative order must be in 0..6, got {order}")
     c0, m1, m2 = _tilted_moments(beta, t)
-    if order == 0:
-        return c0
-    return _cumulant_from_moments(m1, m2, order)
-
-
-def cumulant_vec(beta, t, order=0):
-    """Vectorized `cumulant` over an array of t values (internal plumbing)."""
-    c0, m1, m2 = _tilted_moments_vec(beta, t)
     if order == 0:
         return c0
     return _cumulant_from_moments(m1, m2, order)
@@ -292,42 +278,46 @@ def rel_entropy(mu: Macrostate, base: Macrostate) -> float:
 # Cramer rate function of the magnetization
 # ---------------------------------------------------------------------------
 
-def _tilt_bracket(beta, z):
-    """Half-width T of a bracket guaranteed to contain the tilt solving c'(t)=z.
-
-    c' approaches +-1 like 1 - O(e^{beta - |t|}), so beta + log((1+|z|)/(1-|z|))
-    plus slack always over-shoots the needed tilt.
-    """
-    return beta + math.log((1.0 + abs(z)) / (1.0 - abs(z))) + 10.0
-
-
 def mean_tilt(beta: float, z: float) -> float:
     """Unique tilt t with c'(t) = z, for |z| < 1.
 
-    This is also the derivative of the Cramer rate function at z.  Bracketed
-    bisection plus Newton, polished to |c'(t) - z| < 1e-13.
+    This is also the derivative of the Cramer rate function at z.  With
+    a = e^-beta and x = e^t, c'(t) = z is the quadratic
+    a(1-z) x^2 - z x - a(1+z) = 0, so for y = |z| the tilt is
+    log1p(N / (2a(1-y))) with N = y + r - 2a(1-y), r = sqrt(y^2 + 4a^2 s^2)
+    and s = sqrt(1-y^2).  N is summed as positive terms, which leaves no
+    cancellation at small y or small a.  Where 2a(1-y) is not a normal float
+    the tilt is taken in logs, with log a = -beta exactly.  Exactly odd in z.
     """
-    beta, z = _real(beta), _real(z)
-    if not (math.isfinite(z) and abs(z) < 1.0):
+    beta, z = _beta(beta), _real(z)
+    if not (type(z) is float and abs(z) < 1.0):
         raise DomainError(f"mean must satisfy |z| < 1, got {z}")
     if z == 0.0:
         return 0.0
-    T = _tilt_bracket(beta, z)
-    return bisect_newton(lambda t: cumulant(beta, t, 1) - z,
-                         lambda t: cumulant(beta, t, 2),
-                         -T, T, newton_tol=1e-13)
+    y = abs(z)
+    a = math.exp(-beta)
+    lo, hi = math.sqrt(1.0 - y), math.sqrt(1.0 + y)
+    s2a = 2.0 * a * (lo * hi)
+    # N = y + (r - 2as) + 2a(s - (1-y)), each difference in closed form
+    n = y + y * (y / (math.hypot(y, s2a) + s2a)) + 4.0 * a * y * lo / (hi + lo)
+    d = 2.0 * a * (1.0 - y)
+    if d >= sys.float_info.min and (xm1 := n / d) < math.inf:
+        t = math.log1p(xm1)
+    else:
+        big = math.log(n) - math.log(2.0 * (1.0 - y)) + beta
+        t = big + math.log1p(math.exp(-big))
+    return t if z > 0.0 else -t
 
 
 def cramer_rate(beta: float, z: float) -> float:
     """Cramer rate of the magnetization: sup_t { t z - c(t) } for |z| <= 1.
 
-    For |z| < 1 the supremum sits at the tilt t* with c'(t*) = z; at z = +-1
-    the root diverges but the rate stays finite with the analytic limit
-    beta + log(1 + 2 e^-beta), the relative entropy of a pure +-1 state.
+    For |z| < 1 the supremum sits at the tilt t* = mean_tilt(beta, z), the
+    closed-form root of c'(t*) = z; at z = +-1 the root diverges but the
+    rate stays finite with the analytic limit beta + log(1 + 2 e^-beta), the
+    relative entropy of a pure +-1 state.
     """
-    beta, z = _real(beta), _real(z)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and positive, got {beta}")
+    beta, z = _beta(beta), _real(z)
     if not (math.isfinite(z) and abs(z) <= 1.0):
         raise DomainError(f"mean must satisfy |z| <= 1, got {z}")
     if z == 0.0:
@@ -335,13 +325,11 @@ def cramer_rate(beta: float, z: float) -> float:
     if abs(z) == 1.0:
         return beta + math.log1p(2.0 * math.exp(-beta))
     t = mean_tilt(beta, z)
-    return t * z - cumulant(beta, t, 0)
+    return t * z - _tilted_moments(beta, t)[0]
 
 
 def cramer_rate_prime(beta: float, z: float) -> float:
     """Derivative of the Cramer rate: the inverse function of c' at z."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and positive, got {beta}")
     return mean_tilt(beta, z)
 
 

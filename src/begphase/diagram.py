@@ -144,7 +144,7 @@ def beta_c2_of_K(K: float) -> float:
     return bisect_newton(
         lambda b: second_order_coupling(b) - K,
         lambda b: (math.exp(b) * (b - 1.0) - 2.0) / (4.0 * b * b),
-        0.02, BETA_C, newton_tol=0.0)
+        0.02, BETA_C)
 
 
 def beta_c1_of_K(K: float) -> float:
@@ -163,7 +163,7 @@ def beta_c1_of_K(K: float) -> float:
             f"every finite beta")
     tie = _last_point(_first_order_coupling)
     return bisect_newton(lambda b: (tie(b)[0] if b > BETA_C else k_star) - K,
-                         lambda b: tie(b)[2], BETA_C, BETA_MAX, newton_tol=0.0)
+                         lambda b: tie(b)[2], BETA_C, BETA_MAX)
 
 
 def u_c2_of_K(K: float) -> float:
@@ -191,7 +191,7 @@ def u_c2_of_K(K: float) -> float:
         return (1.0 / k_star if u == u_star else 0.0) - 1.0 / K
 
     return bisect_newton(excess, lambda u: 2.0 * (_log_odds(u) - 1.0 / (1.0 - u)),
-                         u_star, 2.0 / 3.0, newton_tol=0.0)
+                         u_star, 2.0 / 3.0)
 
 
 def u_c1_of_K(K: float) -> float:
@@ -212,7 +212,7 @@ def u_c1_of_K(K: float) -> float:
     tie = _last_point(_first_order_coupling_u)
     return bisect_newton(
         lambda u: (1.0 if u == 0.0 else k_star if u == u_star else tie(u)[0]) - K,
-        lambda u: tie(u)[2], 0.0, u_star, newton_tol=0.0)
+        lambda u: tie(u)[2], 0.0, u_star)
 
 
 # ---------------------------------------------------------------------------

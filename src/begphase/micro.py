@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .core import DomainError, Macrostate, MicroParams, _real, energy_domain
+from .core import (DomainError, Macrostate, MicroParams, _finite, _real,
+                   energy_domain)
 from .rootfind import even_global_minima, piecewise_minima
 
 _LOG2 = math.log(2.0)
@@ -390,7 +391,8 @@ def convexity_threshold(u: float) -> float:
         return band[1]
     v = 1.0 - 2.0 * u
     coeffs = [np.polyval(row, v) for row in _PINCH_SEXTIC]
-    x = min(r.real for r in np.roots(coeffs) if r.imag == 0.0 and r.real > 0.0)
+    x = float(min(r.real for r in np.roots(coeffs)
+                  if r.imag == 0.0 and r.real > 0.0))
     return (1.0 + x) / (4.0 * u)
 
 
@@ -590,8 +592,11 @@ def first_order_coupling_u(u: float) -> float:
 
 def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
     """All critical couplings at this u; region labels a supplied K by a
-    direct convexity test at (u, K) ('above' = convex = continuous regime)."""
-    u, K = _real(u), _real(K)
+    direct convexity test at (u, K) ('above' = convex = continuous regime).
+
+    A coupling that does not exist at a finite u is None; a non-finite u
+    raises DomainError."""
+    u, K = _finite(u, "u"), _real(K)
     k2 = None
     if 0.0 < u < 2.0 / 3.0:
         k2 = second_order_coupling_u(u)

@@ -13,6 +13,9 @@ import math
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618
 
+#: Newton steps after which bisect_newton returns its last iterate.
+_MAX_NEWTON = 80
+
 #: Local minima within this of the least value all count as global minima.
 TIE_TOL = 1e-12
 
@@ -21,12 +24,11 @@ class BracketError(RuntimeError):
     """The supplied interval does not bracket a sign change."""
 
 
-def bisect_newton(f, fprime, lo, hi, *, bisect_tol=1e-6, newton_tol=1e-13,
-                  max_newton=80):
+def bisect_newton(f, fprime, lo, hi, *, bisect_tol=1e-6):
     """Root of f on [lo, hi] with f(lo), f(hi) of opposite signs.
 
     Bisection narrows the bracket to `bisect_tol`, then Newton runs until
-    |f(x)| < newton_tol, f(x) == 0 or a step no longer moves x.  A Newton
+    f(x) == 0 or a step no longer moves x, for at most 80 steps.  A Newton
     step that leaves the current bracket is replaced by a bisection step, so
     convergence never depends on the starting point.
     """
@@ -51,8 +53,8 @@ def bisect_newton(f, fprime, lo, hi, *, bisect_tol=1e-6, newton_tol=1e-13,
 
     x = 0.5 * (lo + hi)
     fx = f(x)
-    for _ in range(max_newton):
-        if fx == 0.0 or abs(fx) < newton_tol:
+    for _ in range(_MAX_NEWTON):
+        if fx == 0.0:
             return x
         # keep the bracket current so a wild step can be rejected
         if flo * fx < 0.0:
@@ -163,7 +165,7 @@ def piecewise_minima(fp, fpp, cuts, lo, hi):
         a, b = xs[i], xs[i + 1]
         if d[i] < 0.0 < d[i + 1]:
             mins.append(a if a == b else bisect_newton(
-                fp, fpp, a, b, bisect_tol=b - a, newton_tol=0.0))
+                fp, fpp, a, b, bisect_tol=b - a))
         elif d[i + 1] == 0.0 and d[i] < 0.0 < d[i + 2]:
             mins.append(b)
     return mins

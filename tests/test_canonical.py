@@ -447,6 +447,14 @@ def test_duality_of_both_minimization_routes():
             assert abs(a - b) < 1e-8
 
 
+@pytest.mark.parametrize("beta, K", [(1.0, 1.5), (2.0, 1.05), (0.5, 0.8)])
+def test_dual_route_returns_python_floats(beta, K):
+    # the grid rates were numpy arrays, so the minimum was an np.float64
+    value, args = dual_route_minimum(CanonicalParams(beta, K))
+    assert type(value) is float
+    assert args and all(type(z) is float for z in args)
+
+
 def test_solver_matches_simplex_oracle():
     rng = np.random.default_rng(37)
     from conftest import assert_sets_close

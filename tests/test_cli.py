@@ -94,6 +94,37 @@ def test_metropolis_steps_beyond_the_trace_bound_exit_2(capsys):
     assert "MAX_METROPOLIS_STEPS" in err and "4 bytes per step" in err
 
 
+@pytest.mark.parametrize("argv, spec", [
+    (["diagram-canon", "--beta-grid", "1:2:nan", "--K-grid", "1:1:1"], "1:2:nan"),
+    (["diagram-micro", "--u-grid", "nan:1:0.1", "--K-grid", "1:1:1"],
+     "nan:1:0.1"),
+    (["diagram-canon", "--beta-grid", "1:inf:1", "--K-grid", "1:1:1"], "1:inf:1"),
+])
+def test_non_finite_grid_spec_exits_2(capsys, argv, spec):
+    # float("nan") parsed, and range() or int() then raised ValueError or
+    # OverflowError with exit code 1
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "finite" in err and repr(spec) in err
+
+
+@pytest.mark.parametrize("mode", ["ks", "conditioned"])
+@pytest.mark.parametrize("ns, item", [("5,a", "a"), (",", ""), ("1.5", "1.5")])
+def test_non_integer_ns_exits_2(capsys, mode, ns, item):
+    code, out, err = run(capsys, ["limits", "--beta", "1", "--K", "1",
+                                  "--mode", mode, "--ns", ns])
+    assert code == 2 and out == ""
+    assert f"got {item!r} in {ns!r}" in err
+
+
+@pytest.mark.parametrize("u", ["nan", "inf"])
+def test_micro_critical_non_finite_u_exits_2(capsys, u):
+    # printed nan,,,, and inf,,,, with exit code 0
+    code, out, err = run(capsys, ["micro-critical", "--u", u])
+    assert code == 2 and out == ""
+    assert "u must be finite" in err
+
+
 def test_large_beta_exits_2(capsys):
     for argv in (["canon", "--beta", "800", "--K", "1"],
                  ["canon-critical", "--beta", "800"]):

@@ -350,6 +350,47 @@ def test_legendre_pairing():
         assert abs(gap) < 1e-9
 
 
+_TILT_BETAS = [1e-8, 1e-3, math.log(2.0), math.log(4.0), 1.0, 5.0, 50.0, 300.0,
+               700.0, 745.0, 5000.0, 1e6]
+_TILT_MEANS = [1e-300, 1e-100, 1e-16, 1e-8, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-9,
+               1.0 - 2.0 ** -53]
+
+
+@pytest.mark.parametrize("beta", _TILT_BETAS)
+def test_mean_tilt_against_80_digit_closed_form(beta):
+    # the bracketed Newton search stopped at |c'(t) - z| < 1e-13: 2.2e-6
+    # relative off at (1, 1e-12) and 1.4e-9 at (1, 1 - 2^-53)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        a = mpmath.exp(-mpmath.mpf(beta))
+        for y in _TILT_MEANS:
+            for z in (y, -y):
+                zm = mpmath.mpf(z)
+                s = 1 - zm * zm
+                ref = mpmath.asinh(zm * (1 + mpmath.sqrt(zm * zm + 4 * a * a * s))
+                                   / (2 * a * s))
+                if abs(ref) < mpmath.mpf(2.0 ** -1022):
+                    continue    # subnormal tilts carry fewer digits
+                t = mean_tilt(beta, z)
+                assert abs(t - ref) <= 1e-15 * abs(ref), (beta, z, t)
+
+
+@pytest.mark.parametrize("beta", _TILT_BETAS)
+def test_mean_tilt_is_exactly_odd(beta):
+    assert mean_tilt(beta, 0.0) == 0.0
+    for y in _TILT_MEANS + [0.3, 0.7, 1.0 - 1e-4]:
+        assert mean_tilt(beta, -y) == -mean_tilt(beta, y)
+
+
+@pytest.mark.parametrize("beta, z", [(0.0, 0.3), (-1.0, 0.3), (math.nan, 0.3),
+                                     (math.inf, 0.3), (1.0, 1.0), (1.0, -1.0),
+                                     (1.0, 1.5), (1.0, math.nan)])
+def test_mean_tilt_domain_errors(beta, z):
+    for fn in (mean_tilt, cramer_rate_prime):
+        with pytest.raises(DomainError):
+            fn(beta, z)
+
+
 # ---------------------------------------------------------------------------
 # ensemble rate functions
 # ---------------------------------------------------------------------------

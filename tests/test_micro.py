@@ -425,6 +425,20 @@ def test_transition_signatures():
     assert z_above > 10.0 * 1e-4
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_micro_criticals_refuse_a_non_finite_u(u):
+    # the record came back all None, and micro-critical printed nan,,,,
+    with pytest.raises(DomainError, match="u must be finite"):
+        micro_criticals(u)
+
+
+@pytest.mark.parametrize("u", [0.334, 0.4, 0.45])
+def test_convexity_threshold_in_the_pinch_band_is_a_float(u):
+    # the smallest positive root of the sextic came back as an np.float64
+    assert type(convexity_threshold(u)) is float
+    assert type(micro_criticals(u).k_convexity) is float
+
+
 def test_micro_criticals_regions():
     rep = micro_criticals(0.5, K=2.0)
     assert rep.region == "above"

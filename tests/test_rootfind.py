@@ -8,7 +8,7 @@ from begphase.rootfind import bisect_newton, golden_min, piecewise_minima
 def test_bisect_newton_stops_at_an_exact_zero():
     # Newton lands exactly on the root; the iterates must stay there rather
     # than treat f(x) = 0 as one side of the bracket and crawl to hi
-    x = bisect_newton(lambda x: x - 0.3, lambda x: 1.0, 0.0, 1.0, newton_tol=0.0)
+    x = bisect_newton(lambda x: x - 0.3, lambda x: 1.0, 0.0, 1.0)
     assert abs(x - 0.3) <= math.ulp(0.3)
 
 

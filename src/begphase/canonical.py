@@ -28,6 +28,7 @@ from .core import (
     DomainError,
     Macrostate,
     _cumulant_from_moments,
+    _exactly_signed,
     _finite,
     _real,
     _tilted_moments,
@@ -46,9 +47,9 @@ from .rootfind import (TIE_TOL, bisect_newton, even_global_minima, golden_min,
 #: selects its minimizers by value.
 BETA_SNAP_TOL = 1e-7
 
-#: Even-derivative magnitude below which a derivative counts as vanishing in
-#: the minimum-type ladder.
-DERIV_ZERO_TOL = 1e-10
+#: log 4 - BETA_C, the part of log 4 that its float drops: it signs
+#: 1 - 3a at the floats next to log 4.
+_LOG4_LO = 4.638093627692599e-17
 
 #: Largest inverse temperature the critical couplings accept: the range
 #: where well_depth, the independent check of the first-order coupling,
@@ -82,8 +83,8 @@ class CanonicalSolution:
     """Global minimizers of the magnetization potential and their lifts.
 
     z_points is symmetric under negation and contains 0 when its size is odd;
-    macrostates[i] has mean z_points[i]; types[i] is the order r of the
-    minimum (half the order of the first nonvanishing even derivative).
+    macrostates[i] has mean z_points[i]; types[i] is the type r of the
+    minimum, as minimum_type decides it.
     """
 
     params: CanonicalParams
@@ -99,46 +100,124 @@ class CanonicalSolution:
 # Potentials
 # ---------------------------------------------------------------------------
 
-def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
-    """Derivative of order 0..6 of beta K z^2 - c(2 beta K z) at z."""
-    a = 2.0 * params.beta * params.K
-    z = _finite(z, "z")
-    w = _finite(a * z, "the tilt 2 beta K z")
-    c0, m1, m2 = _tilted_moments(params.beta, w)
-    if order == 0:
-        return 0.5 * a * z * z - c0
-    if order == 1:
-        return a * (z - m1)
-    if order == 2:
-        return a * (1.0 - a * (m2 - m1 * m1))
-    c = _cumulant_from_moments(m1, m2, order)
-    try:
-        scale = a ** order
-    except OverflowError:
-        raise DomainError(
-            f"derivative of order {order} of the magnetization potential at "
-            f"(beta, K) = ({params.beta}, {params.K}) overflows the float "
-            f"range: (2 beta K)^{order} with 2 beta K = {a}") from None
-    return -scale * c
+def _a_eps(beta):
+    """(a, 1 - 3a) with a = 2/(e^beta + 2) = c''(0).  1 - 3a is summed as
+    -expm1(log 4 - beta)(1 - a), with log 4 in two parts: it keeps its sign
+    and its relative precision at every float next to log 4."""
+    # 2 e^-beta is 2/(e^beta + 2) to the last bit where e^beta overflows
+    a = 2.0 / (math.exp(beta) + 2.0) if beta < 700.0 else 2.0 * math.exp(-beta)
+    return a, -math.expm1((BETA_C - beta) + _LOG4_LO) * (1.0 - a)
+
+
+def _at_log4(beta):
+    """True at the floats within an ulp of log 4."""
+    return abs((beta - BETA_C) - _LOG4_LO) <= math.ulp(beta)
+
+
+def _landau(beta, K):
+    """The Landau coefficient d = P''(0) = 1/(2 beta K) - a of the tilt
+    potential, with the sign of its exact value.
+
+    It is evaluated again at 40 digits where its rounding is not far below
+    |d| (_exactly_signed).  Up to log 4, where Kc2(beta) is the critical
+    coupling, d is 0 where K lies within an ulp of the real Kc2(beta), i.e.
+    where |d| <= ulp(K)/(2 beta K^2): no float K lies closer to it.  Above
+    log 4 Kc2 is the spinodal of the disordered branch, not a critical
+    point, and the exact d stands.
+    """
+    inv = 1.0 / (2.0 * beta * K)
+    a = _a_eps(beta)[0]
+    d = _exactly_signed(inv - a, inv + a, lambda D: (
+        1 / (2 * D(beta) * D(K)) - 2 / (D(beta).exp() + 2)))
+    critical = beta <= BETA_C or _at_log4(beta)
+    band = math.ulp(K) / (2.0 * beta * K * K)
+    return 0.0 if critical and abs(d) <= band else d
+
+
+def _sinh_sums(x):
+    """Sums over j >= 1 of x^(j+1)/(2j+3)!, x^j/(2j+2)!, (2j+2) x^j/(2j+3)!
+    and (2j+2) x^j/(2j+4)! at x = w^2 <= 4, i.e. sinh(w)/w - 1 - x/6,
+    (cosh w - 1)/w^2 - 1/2, E/w^3 - 1/3 and D/w^4 - 1/12 with
+    E = w cosh w - sinh w and D = w sinh w - 2(cosh w - 1), summed until
+    the terms fall under the rounding of the first, the smallest."""
+    tail = sw = e3 = d4 = 0.0
+    t, n = x / 6.0, 2   # t = x^j/(2j+1)!, n = 2j
+    while t > 1e-17 * tail:
+        r = t / ((n + 2) * (n + 3))   # x^j/(2j+3)!
+        sw += t / (n + 2)
+        e3 += (n + 2) * r
+        d4 += (n + 2) * r / (n + 4)
+        t, n = x * r, n + 2
+        tail += t
+    return tail, sw, e3, d4
+
+
+def _tilt_kernels(beta, K, d):
+    """(P', P'', P''') of the tilt potential P = w^2/(4 beta K) - c(w), as
+    functions of w, given its Landau coefficient d from _landau.
+
+    Up to |w| = 2, with x = w^2, s = cosh w - 1 = 2 sinh(w/2)^2, y = a s and
+    eps = 1 - 3a, P'/w = d - a sigma/(1 + y) with sigma = sinh(w)/w - 1 - y
+    = x eps/6 + sum_{j>=2} x^j/(2j+1)! - a x sum_{j>=1} x^j/(2j+2)!, and
+    P'' = d - a s (eps - a y)/(1 + y)^2.  d carries the cancellation of
+    1/(2 beta K) against c''(0) = a, and no other term cancels as w -> 0
+    or beta -> log 4.  Above |w| = 2 the plain forms w/(2 beta K) - c'(w)
+    and 1/(2 beta K) - c''(w) are exact enough.  P''' = -c'''(w).
+    """
+    tk = 2.0 * beta * K
+    a, eps = _a_eps(beta)
+
+    def slope(w):
+        if abs(w) > 2.0:
+            return w / tk - _tilted_moments(beta, w)[1]
+        x = w * w
+        tail, sw = _sinh_sums(x)[:2]
+        sigma = x * eps / 6.0 + tail - a * x * sw
+        return w * (d - a * sigma / (1.0 + 2.0 * a * math.sinh(0.5 * w) ** 2))
+
+    def curvature(w):
+        if abs(w) > 2.0:
+            _, m1, m2 = _tilted_moments(beta, w)
+            return 1.0 / tk - (m2 - m1 * m1)
+        s = 2.0 * math.sinh(0.5 * w) ** 2
+        y = a * s
+        return d - a * s * (eps - a * y) / (1.0 + y) ** 2
+
+    return slope, curvature, lambda w: -cumulant(beta, w, 3)
 
 
 def tilt_potential(params: CanonicalParams, w: float, order: int = 0) -> float:
     """Derivative of order 0..6 of w^2/(4 beta K) - c(w) at w.
 
     Same curve as mag_potential after the substitution w = 2 beta K z, which
-    isolates the K-dependence in the quadratic term.  c and its derivatives
-    come from one moments evaluation at the beta the params validated.
+    isolates the K-dependence in the quadratic term.  Orders 1 and 2 are
+    the cancellation-free kernels of _tilt_kernels; the others read c and
+    its derivatives from one moments evaluation at the beta the params
+    validated.
     """
     w = _finite(w, "w")
-    a = 2.0 * params.beta * params.K
-    c0, m1, m2 = _tilted_moments(params.beta, w)
+    beta, K = params.beta, params.K
+    if order in (1, 2):
+        return _tilt_kernels(beta, K, _landau(beta, K))[order - 1](w)
+    c0, m1, m2 = _tilted_moments(beta, w)
     if order == 0:
-        return 0.5 * w * w / a - c0
-    if order == 1:
-        return w / a - m1
-    if order == 2:
-        return 1.0 / a - (m2 - m1 * m1)
+        return 0.5 * w * w / (2.0 * beta * K) - c0
     return -_cumulant_from_moments(m1, m2, order)
+
+
+def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
+    """Derivative of order 0..6 of beta K z^2 - c(2 beta K z) at z: the
+    tilt_potential derivative at w = 2 beta K z times (2 beta K)^order."""
+    a = 2.0 * params.beta * params.K
+    z = _finite(z, "z")
+    value = tilt_potential(params, _finite(a * z, "the tilt 2 beta K z"), order)
+    try:
+        return a ** order * value
+    except OverflowError:
+        raise DomainError(
+            f"derivative of order {order} of the magnetization potential at "
+            f"(beta, K) = ({params.beta}, {params.K}) overflows the float "
+            f"range: (2 beta K)^{order} with 2 beta K = {a}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +272,15 @@ def _scaled_h_g(beta, w):
     are sums over j >= 1 of x^j/(2j+2)!, x^j/(2j+1)!, (2j+2) x^j/(2j+4)! and
     (2j+2) x^j/(2j+3)!, x = w^2.  No term cancels as w -> 0 or beta -> log 4.
     """
-    a = 2.0 / (math.exp(beta) + 2.0)
+    a, eps = _a_eps(beta)
     y = 2.0 * a * math.sinh(0.5 * w) ** 2
     if w > 2.0:   # h and g cancel only at their roots
         c1 = cumulant(beta, w, 1)
         return ((w * c1 - 2.0 * math.log1p(y)) / w ** 4,
                 (w * ((a + y) / (1.0 + y) - c1 * c1) - c1) / w ** 3, a, y, c1)
     x = w * w
-    sw = shw = d4 = e3 = 0.0
-    t, n = x / 6.0, 2   # t = x^j/(2j+1)!, n = 2j
-    while t > 1e-17 * shw:
-        r = t / ((n + 2) * (n + 3))   # x^j/(2j+3)!
-        sw += t / (n + 2)
-        shw += t
-        e3 += (n + 2) * r
-        d4 += (n + 2) * r / (n + 4)
-        t, n = x * r, n + 2
-    eps = -math.expm1(BETA_C - beta) * (1.0 - a)
+    tail, sw, e3, d4 = _sinh_sums(x)
+    shw = x / 6.0 + tail
     v = y / (2.0 + y)
     r, t, k = 0.0, 1.0, 3
     while t > 1e-17 * r:
@@ -247,33 +318,35 @@ def tangency(beta: float) -> tuple[float, float, float]:
     return (*_tilt_root(beta, 1)[:2], second_order_coupling(beta))
 
 
-def _local_wells(beta, K):
-    """Every local minimizer w >= 0 of the tilt potential P, increasing.
+def _local_wells(params, d):
+    """Every local minimizer w >= 0 of the tilt potential P, increasing,
+    given its Landau coefficient d = P''(0) from _landau.
 
-    w = 0 is one exactly when K <= second_order_coupling(beta).  A positive
-    well lies where P'' = 1/(2 beta K) - c'' increases: beyond the
-    inflection w_c of c' above log 4, anywhere below it (and there only for
-    K > Kc2).  One piecewise_minima call with no cuts searches that piece up
-    to 2 beta K + 1, where P' > 0 even if c' rounds to 1.  Its left end is
-    no well; the origin stands in when none resolves (K just above Kc2).
+    A positive well lies where P'' increases: beyond the inflection w_c of
+    c' above log 4, anywhere below it.  One piecewise_minima call with no
+    cuts searches that piece up to 2 beta K + 1, where P' > 0 even if c'
+    rounds to 1.  The origin is a well exactly when d >= 0 (d = 0 only in
+    the critical band of _landau).  Below log 4, P'' rises from d: the
+    origin is then the one well, and the search from 0 passes it by when
+    d < 0.
     """
-    params = CanonicalParams(beta, K)
-    wells = [0.0] if K <= second_order_coupling(beta) else []
-    if beta <= BETA_C and wells:
-        return wells
-    lo = cumulant_inflection(beta) if beta > BETA_C else 0.0
-    wells += [w for w in piecewise_minima(
-        lambda w: tilt_potential(params, w, 1),
-        lambda w: tilt_potential(params, w, 2), (), lo, 2.0 * beta * K + 1.0)
-        if w > lo]
-    return wells or [0.0]
+    beta, K = _check_beta(params.beta), params.K
+    if beta <= BETA_C and d >= 0.0:
+        return [0.0]
+    kernels = _tilt_kernels(beta, K, d)
+    if beta <= BETA_C:
+        return piecewise_minima(*kernels, (), 0.0, 2.0 * beta * K + 1.0)
+    lo = cumulant_inflection(beta)
+    return [0.0] * (d >= 0.0) + [w for w in piecewise_minima(
+        *kernels, (), lo, 2.0 * beta * K + 1.0) if w > lo]
 
 
 def positive_well(beta: float, K: float) -> float:
     """Location of the positive local minimum of the tilt potential P(w).
     Raises DomainError when there is none (K at or below the second-order or
     the tangency coupling)."""
-    w = _local_wells(_real(beta), _real(K))[-1]
+    params = CanonicalParams(beta, K)
+    w = _local_wells(params, _landau(params.beta, params.K))[-1]
     if w <= 0.0:
         raise DomainError(f"no positive well at (beta, K) = ({beta}, {K}): K is "
                           f"at or below the coupling where it appears")
@@ -342,23 +415,25 @@ def tilt_macrostate(params: CanonicalParams, z: float) -> Macrostate:
 def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
     """(r, (G'', G'''', G'''''')) at a global minimizer z.
 
-    r is the smallest index whose even derivative of order 2r exceeds
-    DERIV_ZERO_TOL after all lower even derivatives vanish to that tolerance.
-    When the ladder finds no type but G'' itself is positive (just above
-    log 4, G'' can fall under the tolerance while a rounded G'''' is
-    negative), r = 1: the exact sign of G'' decides, as the sign of F''(0)
-    does at the origin in solve_micro.
+    G'' = (2 beta K)^2 P'' comes from the cancellation-free kernel, so it is
+    positive at every minimizer but the critical origin.  r is 1 at every
+    minimizer except the origin where _landau returns d = 0, i.e. where K
+    lies within an ulp of the real Kc2(beta) below log 4: there r = 2, and
+    r = 3 when beta lies within an ulp of log 4.  No tolerance on the even
+    derivatives decides it.
     """
-    evens = tuple(mag_potential(params, z, j) for j in (2, 4, 6))
-    for idx, val in enumerate(evens):
-        if any(abs(v) > DERIV_ZERO_TOL for v in evens[:idx]):
-            break
-        if val > DERIV_ZERO_TOL:
-            return idx + 1, evens
-    if evens[0] > 0.0:
+    return _minimum_type(params, _landau(params.beta, params.K), z)
+
+
+def _minimum_type(params, d, z):
+    """minimum_type with the Landau coefficient d of _landau."""
+    beta, K = params.beta, params.K
+    a = 2.0 * beta * K
+    evens = (a ** 2 * _tilt_kernels(beta, K, d)[1](a * z),
+             mag_potential(params, z, 4), mag_potential(params, z, 6))
+    if z != 0.0 or d != 0.0:
         return 1, evens
-    raise RuntimeError(
-        f"type classification failed at z = {z}: even derivatives {evens}")
+    return (3 if _at_log4(beta) else 2), evens
 
 
 def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
@@ -367,16 +442,18 @@ def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
     As in solve_micro, the local minimizers (here from _local_wells) within
     TIE_TOL of the least value are all global, mirrored to z < 0: the
     disordered point 0 alone, the symmetric pair +-z, or all three where they
-    tie at a first-order coupling.  No critical coupling is computed.
+    tie at a first-order coupling.  The Landau coefficient, computed once,
+    decides the origin and the types; no critical coupling is computed.
     """
     beta, K = params.beta, params.K
     a = 2.0 * beta * K
+    d = _landau(beta, K)
     zs, best = even_global_minima(lambda z: mag_potential(params, z, 0),
-                                  [w / a for w in _local_wells(beta, K)])
+                                  [w / a for w in _local_wells(params, d)])
     return CanonicalSolution(
         params=params, z_points=tuple(zs), w_points=tuple(a * z for z in zs),
         macrostates=tuple(tilt_macrostate(params, z) for z in zs),
-        min_value=best, types=tuple(minimum_type(params, z)[0] for z in zs),
+        min_value=best, types=tuple(_minimum_type(params, d, z)[0] for z in zs),
         phase_label={1: "unique", 2: "pair", 3: "triple"}[len(zs)])
 
 

@@ -21,6 +21,9 @@ from .core import CanonicalParams, DomainError, MicroParams
 USAGE_EXIT = 64
 DOMAIN_EXIT = 2
 
+#: Most points a grid spec may give per axis.
+MAX_GRID_POINTS = 10 ** 6
+
 _NON_BINDING_FLAGS = {"fn", "cmd", "format", "out", "curves_out"}
 
 
@@ -103,7 +106,8 @@ def _emit(args, columns, rows, payload=None):
 
 
 def _parse_grid(spec: str) -> list:
-    """Parse 'start:stop:step' into an inclusive grid."""
+    """Parse 'start:stop:step' into an inclusive grid of at most
+    MAX_GRID_POINTS points, counted before the grid is built."""
     try:
         start, stop, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
@@ -112,7 +116,11 @@ def _parse_grid(spec: str) -> list:
         raise DomainError(f"grid spec needs finite start, stop and step, got {spec!r}")
     if step <= 0 or stop < start:
         raise DomainError(f"grid spec needs step > 0 and stop >= start, got {spec!r}")
-    npts = int(math.floor((stop - start) / step + 1e-12)) + 1
+    span = (stop - start) / step + 1e-12   # the point count less one, or inf
+    if span >= MAX_GRID_POINTS:
+        raise DomainError(f"grid spec {spec!r} gives more than "
+                          f"{MAX_GRID_POINTS} points")
+    npts = int(span) + 1
     grid = [start + i * step for i in range(npts)]
     if not grid:
         raise DomainError(f"grid {spec!r} is empty")

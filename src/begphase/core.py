@@ -11,6 +11,7 @@ relative entropy, the Cramer rate function of the magnetization and the
 large-deviation rate functions of the two ensembles.
 """
 
+import decimal
 import math
 import numbers
 import sys
@@ -189,6 +190,18 @@ def _beta(beta):
     if not (type(beta) is float and math.isfinite(beta) and beta > 0.0):
         raise DomainError(f"beta must be finite and positive, got {beta}")
     return beta
+
+
+def _exactly_signed(value, scale, exact):
+    """`value`, a float sum of terms whose magnitudes add up to `scale`, or
+    exact(Decimal) evaluated at 40 digits where its rounding, bounded by
+    2^-51 scale (four roundings), exceeds 1e-10 |value|.  Both ensembles
+    take their Landau coefficients through it: their signs decide the
+    branches next to the critical curves."""
+    if 1e-10 * abs(value) >= 2.0 ** -51 * scale:
+        return value
+    with decimal.localcontext(decimal.Context(prec=40)):
+        return float(exact(decimal.Decimal))
 
 
 def _finite(x, name):

@@ -44,7 +44,7 @@ from .micro import (
     second_order_coupling_u,
     solve_micro,
 )
-from .rootfind import bisect_monotone, bisect_newton
+from .rootfind import bisect_newton
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
@@ -99,14 +99,19 @@ def tricritical_micro() -> tuple:
 
     There the quadratic and the quartic Landau coefficients of the shell
     rate at z = 0 vanish together: the second-order curve meets the top of
-    the origin band, which is the convexity threshold for u <= 1/3.  Both
-    are closed forms, so u is their crossing on [0.30, 1/3], bisected to
-    1e-15.
+    the origin band, which is the convexity threshold C(u) for u <= 1/3.
+    Both are closed forms, and u is the last float with k2(u) < C(u), the
+    test of first_order_coupling_u, bisected on [0.30, 1/3] down to
+    adjacent floats: the first-order coupling is defined at u and not at
+    the next float up.
     """
-    u_star = bisect_monotone(
-        lambda u: _origin_band(u)[1] - second_order_coupling_u(u),
-        0.30, 1.0 / 3.0, 0.0, tol=1e-15)
-    return u_star, second_order_coupling_u(u_star)
+    lo, hi = 0.30, 1.0 / 3.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if second_order_coupling_u(mid) < _origin_band(mid)[1]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, second_order_coupling_u(lo)
 
 
 # ---------------------------------------------------------------------------

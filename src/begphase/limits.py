@@ -125,10 +125,12 @@ def exact_spin_pmf(n: int, params: CanonicalParams) -> SpinPmf:
 def classify_minimum(params: CanonicalParams, z: float) -> TypeReport:
     """Type of a global minimizer z of the magnetization potential.
 
-    Walks the even-derivative ladder (orders 2, 4, 6).  For r = 1 the
-    asymptotic variance is 2 beta K c''(2 beta K z) divided by the second
-    derivative of the potential at z; for r >= 2 no finite variance exists
-    and sigma2 is None.
+    r comes from minimum_type: 1 at every minimizer but the origin at the
+    critical coupling (K within an ulp of Kc2), where it is 2, or 3 at log 4.
+    For r = 1 the asymptotic variance is 2 beta K c''(2 beta K z) divided
+    by the second derivative of the potential at z, which the
+    cancellation-free kernel keeps positive; for r >= 2 no finite variance
+    exists and sigma2 is None.
     """
     r, evens = minimum_type(params, z)
     sigma2 = None

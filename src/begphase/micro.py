@@ -14,8 +14,9 @@ negative minimum value is the microcanonical entropy.
 No bracketing lemma controls the positive wells here (the objective can hold
 up to five stationary points in the first-order regime), but F''' = 2 z
 Q(z^2)/(abc)^2 with Q a quartic: F'' is monotone between the roots of Q, so
-rootfind.piecewise_minima finds every local minimum, and F' summed from the
-curvature at z = 0 resolves the wells just above the second-order coupling.
+rootfind.piecewise_minima finds every local minimum.  F' and F'' are summed
+from the curvature g = F''(0), exactly signed, which resolves the wells just
+above the second-order coupling and decides the origin.
 The first-order coupling is where a positive well ties with z = 0: one
 Newton solve of the tie and the stationarity of the rate, in unknowns scaled
 so that they stay well conditioned at both ends of the first-order regime.
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .core import (DomainError, Macrostate, MicroParams, _finite, _real,
-                   energy_domain)
+from .core import (DomainError, Macrostate, MicroParams, _exactly_signed,
+                   _finite, _real, energy_domain)
 from .rootfind import even_global_minima, piecewise_minima
 
 _LOG2 = math.log(2.0)
@@ -178,14 +179,38 @@ def _log_odds(u):
     return _LOG2 + math.log1p(-u) - math.log(u)
 
 
-def _rate_slope(u, K, z):
-    """F'(z) of the shell rate at z >= 0, free of cancellation as z -> 0.
+def _origin_curvature(u, K):
+    """The Landau coefficient g = F''(0) = 1/u - 2K log(2(1-u)/u) of the
+    shell rate at 0 < u < 1, with the sign of its exact value: it is
+    evaluated again at 40 digits where its rounding is not far below |g|
+    (_exactly_signed).  NaN elsewhere, where z = 0 is no interior point."""
+    if not 0.0 < u < 1.0:
+        return math.nan
+    inv, lw, lu = 1.0 / u, math.log1p(-u), math.log(u)
+    return _exactly_signed(
+        inv - 2.0 * K * (_LOG2 + lw - lu), inv + 2.0 * K * (_LOG2 - lw - lu),
+        lambda D: 1 / D(u) - 2 * D(K) * (2 * (1 - D(u)) / D(u)).ln())
 
-    With p = K z^2, q = u + p and x = z/q, F' = atanh(x) - x + z [g(q) +
-    K log1p(-x^2)], g(q) = 1/q - 2K log(2(1-q)/q).  While p < u, g(q) is the
-    closed-form curvature g(u) = F''(0) plus log1p increments of order p, so
-    the rounding of g(u) bounds the relative error.  +inf at c = 0 and at the
-    pinch end b = 0 (2Kz < 1), -inf at the outer b = 0 end (2Kz > 1).
+
+def _g_at(u, K, g, p, q):
+    """g(q) = 1/q - 2K log(2(1-q)/q) at q = u + p, p = K z^2.  While p < u
+    it is the Landau coefficient g = g(u) plus log1p increments of order p,
+    so the rounding of g bounds its error."""
+    if p < u:
+        return (g - p / (u * q)
+                + 2.0 * K * (math.log1p(p / u) - math.log1p(-p / (1.0 - u))))
+    return 1.0 / q - 2.0 * K * _log_odds(q)
+
+
+def _rate_slope(u, K, g, z):
+    """F'(z) of the shell rate at z >= 0, given g = _origin_curvature(u, K).
+
+    With p = K z^2, q = u + p, x = z/q and t = x^2, F'/z = t A(t)/q + g(q)
+    + K log1p(-t): t A(t)/q = (atanh(x) - x)/z, with A(t) = sum_j
+    t^j/(2j+3) summed as a series below t = 0.01, where the difference
+    cancels, and g(q) from _g_at, which leaves the cancellation of 1/u
+    against 2K log(2(1-u)/u) to g alone.  +inf at c = 0 and at the pinch
+    end b = 0 (2Kz < 1), -inf at the outer b = 0 end (2Kz > 1).
     """
     p = K * z * z
     q = u + p
@@ -194,38 +219,57 @@ def _rate_slope(u, K, z):
     x = z / q if q > 0.0 else math.inf
     if x >= 1.0:
         return math.copysign(math.inf, 1.0 - 2.0 * K * z)
-    if p < u:
-        g = (1.0 / u - 2.0 * K * _log_odds(u) - p / (u * q)
-             + 2.0 * K * (math.log1p(p / u) - math.log1p(-p / (1.0 - u))))
+    t = x * x
+    if t < 0.01:
+        h = t * _series(t, lambda j: 1.0 / (2 * j + 3))[0] / q
     else:
-        g = 1.0 / q - 2.0 * K * _log_odds(q)
-    return math.atanh(x) - x + z * (g + K * math.log1p(-x * x))
+        h = (math.atanh(x) - x) / z
+    return z * (h + _g_at(u, K, g, p, q) + K * math.log1p(-t))
 
 
-def _rate_curvature(u, K, z):
-    """F''(z) = a'^2/(2a) + b'^2/(2b) + c'^2/c + K log(ab/(2c)^2) at z >= 0
-    (a' = 1+2Kz, b' = 2Kz-1, c' = -2Kz); +inf where b = 0 or c = 0."""
-    q = u + K * z * z
-    a, b, c = q + z, q - z, 1.0 - q
+def _rate_curvature(u, K, g, z):
+    """F''(z) of the shell rate at z >= 0, given g = _origin_curvature(u, K):
+    g(q) + z^2 (1 - 4Ku)/(q a b) + 4Kp (1/c + 1/q) + K log1p(-t), with
+    a = q + z, b = q - z, c = 1 - q, and p, q, t and g(q) as in
+    _rate_slope.  Every term after g(q) is O(z^2), so g signs F''(0).
+    +inf where b = 0 or c = 0."""
+    p = K * z * z
+    q = u + p
+    b, c = q - z, 1.0 - q
     if b <= 0.0 or c <= 0.0:
         return math.inf
-    d = 2.0 * K * z
-    return ((1.0 + d) ** 2 / (2.0 * a) + (d - 1.0) ** 2 / (2.0 * b) + d * d / c
-            + K * (math.log(a) + math.log(b) - 2.0 * math.log(2.0 * c)))
+    return (_g_at(u, K, g, p, q) + z * z * (1.0 - 4.0 * K * u) / (q * (q + z) * b)
+            + 4.0 * K * p * (1.0 / c + 1.0 / q) + K * math.log1p(-(z / q) ** 2))
+
+
+def _rate_third(quartic, u, K, z):
+    """F'''(z) = 2z Q(z^2)/(abc)^2 at z >= 0, Q the _phi3_quartic quartic
+    with its coefficients `quartic`; +inf where abc = 0."""
+    q = u + K * z * z
+    den = ((q + z) * (q - z) * (1.0 - q)) ** 2
+    if den <= 0.0:
+        return math.inf
+    s = z * z
+    c4, c3, c2, c1, c0 = quartic
+    return 2.0 * z * ((((c4 * s + c3) * s + c2) * s + c1) * s + c0) / den
 
 
 def _local_minima(u, K):
     """Every local minimizer z >= 0 of the shell rate.  The rate is even, so
-    piecewise_minima searches the nonnegative part of each component.  z = 0
-    is a minimum exactly when the closed-form F''(0), from which F' is
-    summed, is positive: no tolerance decides it.
+    piecewise_minima searches the nonnegative part of each component, with
+    the slope and the curvature summed from the Landau coefficient g =
+    F''(0), computed once.  z = 0 is a minimum exactly when g > 0: no
+    tolerance decides it.
     """
-    cuts = [math.sqrt(t) for t in _phi3_roots(u, K)]
+    g = _origin_curvature(u, K)
+    quartic = _phi3_quartic(u, K)
+    cuts = [math.sqrt(t) for t in _phi3_roots(quartic)]
     cands = []
     for lo, hi in admissible_domain(MicroParams(u, K)):
         if hi >= 0.0:  # a negative component mirrors a positive one
-            cands += piecewise_minima(lambda z: _rate_slope(u, K, z),
-                                      lambda z: _rate_curvature(u, K, z),
+            cands += piecewise_minima(lambda z: _rate_slope(u, K, g, z),
+                                      lambda z: _rate_curvature(u, K, g, z),
+                                      lambda z: _rate_third(quartic, u, K, z),
                                       cuts, max(0.0, lo), hi)
     return cands
 
@@ -304,11 +348,12 @@ def _phi3_quartic(u, K):
                              + 1.0 - u))
 
 
-def _phi3_roots(u, K):
-    """Positive real parts of the roots of the _phi3_quartic quartic, sorted:
+def _phi3_roots(quartic):
+    """Positive real parts of the roots of the _phi3_quartic quartic with
+    coefficients `quartic`, sorted:
     phi''' changes sign on z > 0 only where z^2 is one of them (the real part
     keeps a nearly real pair; a complex pair adds harmless extra points)."""
-    return sorted(r.real for r in np.roots(_phi3_quartic(u, K)) if r.real > 0.0)
+    return sorted(r.real for r in np.roots(quartic) if r.real > 0.0)
 
 
 def _convexity_indicator(u, K):
@@ -325,10 +370,11 @@ def _convexity_indicator(u, K):
     if not comps or comps[0][1] <= 0.0:
         return None
     t_top = comps[0][1] ** 2
-    cuts = np.array([0.0] + [t for t in _phi3_roots(u, K) if t < t_top]
+    quartic = _phi3_quartic(u, K)
+    cuts = np.array([0.0] + [t for t in _phi3_roots(quartic) if t < t_top]
                     + [t_top])
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    return bool(np.min(np.polyval(_phi3_quartic(u, K), mids)) >= 0.0)
+    return bool(np.min(np.polyval(quartic, mids)) >= 0.0)
 
 
 def _origin_band(u):

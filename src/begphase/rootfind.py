@@ -62,11 +62,10 @@ def bisect_newton(f, fprime, lo, hi, *, bisect_tol=1e-6):
         else:
             lo, flo = x, fx
         d = fprime(x)
-        step_ok = d != 0.0 and math.isfinite(d)
-        if step_ok:
-            x_new = x - fx / d
-            step_ok = lo < x_new < hi
-        if not step_ok:
+        x_new = x - fx / d if d != 0.0 and math.isfinite(d) else math.nan
+        # a step that rounds to x itself has converged, even where x has
+        # just become an end of the bracket
+        if x_new != x and not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         if x_new == x:
             return x
@@ -134,11 +133,12 @@ def bisect_monotone(f, lo, hi, target, *, tol=1e-9):
     return 0.5 * (lo + hi)
 
 
-def piecewise_minima(fp, fpp, cuts, lo, hi):
+def piecewise_minima(fp, fpp, fppp, cuts, lo, hi):
     """Every local minimizer of f on [lo, hi], in increasing order.
 
     `cuts` must hold every point of (lo, hi) where f''' may change sign
-    (extra ones are harmless).  Between cuts f'' is monotone, and its roots
+    (extra ones are harmless).  Between cuts f'' is monotone, and its roots,
+    each found by Newton on f'' with f''' from the middle of its piece,
     split [lo, hi] into pieces where f' is monotone.  A minimum is a sign
     change of f' from - to + on a piece (Newton from its midpoint until the
     step stalls), a split point where f' = 0 between the two, or an end where
@@ -152,9 +152,7 @@ def piecewise_minima(fp, fpp, cuts, lo, hi):
     xs = [lo]
     for a, b, ca, cb in zip(nodes, nodes[1:], curv, curv[1:]):
         if ca * cb < 0.0:
-            # moving a split by d hides a sign change of f' only for a well
-            # of depth O(f''' d^3), far below the rounding of compared values
-            xs.append(bisect_monotone(fpp, a, b, 0.0, tol=1e-12 * (b - a)))
+            xs.append(bisect_newton(fpp, fppp, a, b, bisect_tol=b - a))
         xs.append(b)
     # f' < 0 left of lo and > 0 right of hi: an end is then a minimum exactly
     # when f' points into [lo, hi] there

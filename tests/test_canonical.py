@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from begphase import canonical
 from begphase.canonical import (
     BETA_MAX,
     BETA_SNAP_TOL,
-    DERIV_ZERO_TOL,
     canonical_criticals,
     canonical_free_energy,
     cumulant_inflection,
@@ -37,6 +37,7 @@ from begphase.core import (
     single_site_measure,
 )
 from begphase.diagram import simplex_oracle
+from begphase.limits import classify_minimum
 from begphase.rootfind import bisect_monotone
 
 
@@ -68,8 +69,11 @@ def test_potentials_agree_under_substitution():
 
 
 def test_potentials_take_cumulant_values_exactly():
-    # each potential evaluation reads c and its derivatives from one moments
-    # call; the values are those of the cumulant expressions bit for bit
+    # orders 0 and 3..6 read c and its derivatives from one moments call and
+    # are the cumulant expressions bit for bit; orders 1 and 2 are the
+    # cancellation-free kernels, which equal them to rounding up to |w| = 2
+    # and bit for bit above; mag_potential is tilt_potential at w = 2 beta K z
+    # times (2 beta K)^j, bit for bit
     rng = np.random.default_rng(14)
     for _ in range(200):
         beta, K = rng.uniform(0.05, 8.0), rng.uniform(0.2, 3.0)
@@ -78,14 +82,16 @@ def test_potentials_take_cumulant_values_exactly():
         w, z = rng.uniform(-30.0, 30.0), rng.uniform(-1.0, 1.0)
         tilt = [0.5 * w * w / a - cumulant(beta, w, 0), w / a - cumulant(beta, w, 1),
                 1.0 / a - cumulant(beta, w, 2)]
-        mag = [0.5 * a * z * z - cumulant(beta, a * z, 0),
-               a * (z - cumulant(beta, a * z, 1)),
-               a * (1.0 - a * cumulant(beta, a * z, 2))]
         for j in range(3, 7):
             tilt.append(-cumulant(beta, w, j))
-            mag.append(-a ** j * cumulant(beta, a * z, j))
-        assert [tilt_potential(params, w, j) for j in range(7)] == tilt
-        assert [mag_potential(params, z, j) for j in range(7)] == mag
+        got = [tilt_potential(params, w, j) for j in range(7)]
+        if abs(w) <= 2.0:
+            assert abs(got[1] - tilt[1]) <= 1e-15 * (abs(w) / a + 1.0)
+            assert abs(got[2] - tilt[2]) <= 1e-15 * (1.0 / a + 1.0)
+            got[1:3], tilt[1:3] = [], []
+        assert got == tilt
+        assert [mag_potential(params, z, j) for j in range(7)] == [
+            a ** j * tilt_potential(params, a * z, j) for j in range(7)]
 
 
 @pytest.mark.parametrize("potential", [tilt_potential, mag_potential])
@@ -163,11 +169,12 @@ def test_sixth_derivative_overflow_raises_domain_error(factor):
 
 def test_minimum_type_when_curvature_falls_under_tolerance():
     # just above log 4 the record is near-tricritical: at z = 0, G'' = 6.7e-14
-    # lies under DERIV_ZERO_TOL while the rounded G'''' = -4.4e-6 is negative,
-    # so the ladder finds no type; the exact sign of G'' makes it r = 1
+    # while G'''' = -4.4e-6 is negative, so a ladder of even derivatives
+    # against an absolute tolerance found no type; K lies 109 ulps below
+    # Kc2, outside the one-ulp critical band, so the origin is of type 1
     params = CanonicalParams(1.3862946035660924, 1.082021266322187)
     r, evens = minimum_type(params, 0.0)
-    assert 0.0 < evens[0] < DERIV_ZERO_TOL and evens[1] < 0.0
+    assert 0.0 < evens[0] < 1e-13 and evens[1] < 0.0
     assert r == 1
     sol = solve_canonical(params)
     assert sol.phase_label == "triple"
@@ -369,7 +376,9 @@ def test_solve_in_the_snap_band():
     # beta = log 4 + 1.8e-9 lies within BETA_SNAP_TOL above log 4, where the
     # critical record is the continuous one; K = 3/(2 log 4) - 1e-10 exceeds
     # its Kc2, so the origin is no minimizer (G''(0) < 0).  Branch selection
-    # from the record kept z = 0 there and the type ladder raised
+    # from the record kept z = 0 there and the type ladder raised.  The well
+    # is the 60-digit root 0.0019730956448654; P' in plain floats put it at
+    # 0.00197355860319, 2.3e-4 away
     K = 3.0 / (2.0 * math.log(4.0)) - 1e-10
     params = CanonicalParams(1.3862943629346534, K)
     assert K > canonical_criticals(params.beta).k_second_order
@@ -377,7 +386,91 @@ def test_solve_in_the_snap_band():
     sol = solve_canonical(params)
     assert sol.phase_label == "pair"
     z = sol.z_points[1]
-    assert sol.z_points[0] == -z and abs(z - 0.00197355860319) < 1e-12
+    assert sol.z_points[0] == -z and abs(z - 0.0019730956448654) < 1e-12
+
+
+# 60-digit roots of P' at beta = 1, K = Kc2(1.0) + m ulps; plain floats put
+# the well 9.6x too far out at m = 2 and read m = 256 as the origin alone
+KC2_LADDER = [(2, 3.1606716984515128e-8), (4, 4.9930849040593686e-8),
+              (16, 1.0704074201053727e-7), (256, 4.3674974039509037e-7),
+              (4096, 1.7491232604619536e-6), (2 ** 16, 6.9970237738293069e-6),
+              (2 ** 20, 2.7988227765563787e-5)]
+
+
+@pytest.mark.parametrize("m, z_ref", KC2_LADDER)
+def test_well_ladder_above_the_second_order_coupling(m, z_ref):
+    kc2 = second_order_coupling(1.0)
+    sol = solve_canonical(CanonicalParams(1.0, kc2 + m * math.ulp(kc2)))
+    assert sol.phase_label == "pair" and sol.types == (1, 1)
+    assert abs(sol.z_points[1] - z_ref) <= 1e-9 * z_ref
+
+
+def test_one_ulp_above_the_second_order_coupling_is_critical():
+    # Kc2(1.0) + 1 ulp lies 0.34 ulp above the real Kc2, inside the one-ulp
+    # critical band: the origin alone, of type 2
+    kc2 = second_order_coupling(1.0)
+    sol = solve_canonical(CanonicalParams(1.0, kc2 + math.ulp(kc2)))
+    assert sol.z_points == (0.0,) and sol.types == (2,)
+
+
+@pytest.mark.parametrize("beta, K, r", [
+    (1.0, second_order_coupling(1.0), 2),
+    (BETA_C, 3.0 / (2.0 * BETA_C), 3),
+    (1.3862946035660924, 1.082021266322187, 1),   # 109 ulps below Kc2
+])
+def test_type_of_the_origin(beta, K, r):
+    params = CanonicalParams(beta, K)
+    sol = solve_canonical(params)
+    assert sol.types[sol.z_points.index(0.0)] == r
+    assert minimum_type(params, 0.0)[0] == r
+
+
+def test_no_raise_next_to_the_spinodal_above_log4():
+    # K = Kc2(beta) + m ulps, |m| <= 4, beta - log 4 from 1e-14 to 1e-2: the
+    # even-derivative ladder raised RuntimeError at 323 of these 3600 solves.
+    # beta lies more than an ulp above log 4, so every minimizer is of type 1
+    for delta in np.logspace(-14, -2, 400):
+        beta = BETA_C + float(delta)
+        kc2 = second_order_coupling(beta)
+        for m in range(-4, 5):
+            sol = solve_canonical(CanonicalParams(beta, kc2 + m * math.ulp(kc2)))
+            assert set(sol.types) == {1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, BETA_C, exclude_max=True), st.integers(2, 2 ** 30),
+       st.integers(2, 2 ** 30))
+def test_well_grows_from_the_second_order_coupling(beta, m1, m2):
+    # below log 4, a K more than an ulp above the real Kc2 gives a pair of
+    # type-1 minimizers whose |z| does not decrease with K.  The float Kc2
+    # is off by up to 1.4 ulps, so Kc2 + 2 ulps can still lie in the one-ulp
+    # critical band, where the origin alone is of type 2
+    kc2 = second_order_coupling(beta)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        b = decimal.Decimal(beta)
+        real_kc2 = (b.exp() + 2) / (4 * b)
+    zs = [0.0]
+    for m in sorted((m1, m2)):
+        params = CanonicalParams(beta, kc2 + m * math.ulp(kc2))
+        sol = solve_canonical(params)
+        if decimal.Decimal(params.K) - real_kc2 <= math.ulp(params.K):
+            assert sol.z_points == (0.0,) and sol.types == (2,)
+            continue
+        assert sol.phase_label == "pair"
+        rep = classify_minimum(params, sol.z_points[1])
+        assert rep.r == 1 and rep.sigma2 > 0.0
+        zs.append(sol.z_points[1])
+    assert zs == sorted(zs)
+
+
+def test_two_ulps_above_a_float_kc2_off_by_more_than_an_ulp():
+    # the float Kc2(0.8291353678826543) lies 1.0 ulp below the real one
+    beta = 0.8291353678826543
+    kc2 = second_order_coupling(beta)
+    sol = solve_canonical(CanonicalParams(beta, kc2 + 2.0 * math.ulp(kc2)))
+    assert sol.z_points == (0.0,) and sol.types == (2,)
+    sol = solve_canonical(CanonicalParams(beta, kc2 + 3.0 * math.ulp(kc2)))
+    assert sol.phase_label == "pair" and sol.types == (1, 1)
 
 
 @pytest.mark.parametrize("beta, K", [(1.0, 1.0), (1.0, 1.5), (BETA_C, 1.1),

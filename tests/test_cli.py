@@ -108,6 +108,16 @@ def test_non_finite_grid_spec_exits_2(capsys, argv, spec):
     assert "finite" in err and repr(spec) in err
 
 
+@pytest.mark.parametrize("spec", ["0:1e300:1e-10", "0:1e300:1", "0:1:1e-6"])
+def test_oversized_grid_spec_exits_2(capsys, spec):
+    # the point count of the first overflowed int() with exit code 1; the
+    # second would have built a 1e300-point list before any check
+    code, out, err = run(capsys, ["diagram-canon", "--beta-grid", spec,
+                                  "--K-grid", "1:1:1"])
+    assert code == 2 and out == ""
+    assert "more than 1000000 points" in err and repr(spec) in err
+
+
 @pytest.mark.parametrize("mode", ["ks", "conditioned"])
 @pytest.mark.parametrize("ns, item", [("5,a", "a"), (",", ""), ("1.5", "1.5")])
 def test_non_integer_ns_exits_2(capsys, mode, ns, item):
@@ -142,6 +152,17 @@ def test_canon_near_log4_classifies_the_origin(capsys):
     rows = [l.split(",") for l in out.splitlines()
             if not l.startswith("#")][1:]
     assert [r[-1] for r in rows if float(r[0]) == 0.0] == ["1"]
+
+
+def test_canon_just_above_the_second_order_coupling(capsys):
+    # Kc2(1.0) + 256 ulps: the well is at 4.3675e-7, and plain floats read
+    # the origin alone, of type 2
+    code, out, _ = run(capsys, ["canon", "--beta", "1", "--K",
+                                "1.179570457114818"])
+    assert code == 0
+    assert "# phase=pair" in out
+    assert [r[0] for r in csv_rows(out)] == ["-4.36749740395e-07",
+                                             "4.36749740395e-07"]
 
 
 def test_canon_in_the_snap_band(capsys):

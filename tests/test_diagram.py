@@ -61,6 +61,15 @@ def test_tricritical_micro():
     assert abs(k_star - 1.081296450) < 1e-9
 
 
+def test_tricritical_micro_is_the_last_first_order_float():
+    # the bisection to 1e-15 stopped 7 ulps past it, where the first-order
+    # coupling raised DomainError
+    u_star, k_star = tricritical_micro()
+    assert type(first_order_coupling_u(u_star)) is float
+    with pytest.raises(DomainError):
+        first_order_coupling_u(math.nextafter(u_star, 1.0))
+
+
 def test_tricritical_separation():
     _, k_micro = tricritical_micro()
     gap = tricritical_canonical() - k_micro

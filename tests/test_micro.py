@@ -138,13 +138,14 @@ def test_entropy_values():
     (0.5, 1.5, 1e-3), (0.3, 1.4, 0.6),
 ])
 def test_rate_derivatives_match_central_differences(u, K, z):
-    from begphase.micro import _rate_curvature, _rate_slope
+    from begphase.micro import _origin_curvature, _rate_curvature, _rate_slope
     params = MicroParams(u, K)
 
     def rate(x):
         return shell_rate(params, x)
 
-    d1, d2 = _rate_slope(u, K, z), _rate_curvature(u, K, z)
+    g = _origin_curvature(u, K)
+    d1, d2 = _rate_slope(u, K, g, z), _rate_curvature(u, K, g, z)
     assert abs(d1 - central_diff(rate, z, h=1e-5)) <= 1e-7 * max(1.0, abs(d1))
     assert abs(d2 - second_diff(rate, z, h=1e-4)) <= 1e-5 * max(1.0, abs(d2))
 
@@ -168,6 +169,28 @@ def test_well_just_above_second_order_coupling(u, K, z_star):
     assert solve_micro(MicroParams(u, k2 * (1.0 - 1e-12))).z_points == (0.0,)
     above = solve_micro(MicroParams(u, k2 * (1.0 + 1e-12)))
     assert above.phase_label == "pair" and 0.0 < above.z_points[1] < 1e-5
+
+
+# 60-digit roots of F' at u = 0.5, K = k2(0.5) + m ulps
+K2_LADDER = [(1, 5.9963840515389082e-9), (4, 1.2438373453554497e-8),
+             (256, 1.0064919364902033e-7), (4096, 4.0266437159476912e-7),
+             (2 ** 16, 1.6106743840949554e-6)]
+
+
+@pytest.mark.parametrize("m, z_ref", K2_LADDER)
+def test_well_ladder_above_the_second_order_coupling_u(m, z_ref):
+    k2 = second_order_coupling_u(0.5)
+    sol = solve_micro(MicroParams(0.5, k2 + m * math.ulp(k2)))
+    assert sol.phase_label == "pair" and not sol.tied
+    assert abs(sol.z_points[1] - z_ref) <= 1e-9 * z_ref
+
+
+def test_well_next_to_the_tricritical_point():
+    # the 60-digit well is 6.9708074537436519e-5; F' in plain floats put it
+    # at 1.0959e-4
+    sol = solve_micro(MicroParams(0.3303438281844679, 1.081296450057609))
+    assert sol.phase_label == "pair" and 0.0 not in sol.z_points
+    assert abs(sol.z_points[1] - 6.9708074537436519e-5) <= 1e-6 * 6.97e-5
 
 
 U_STAR, K_STAR = 0.330343829, 1.081296450   # tricritical_micro()
@@ -199,7 +222,8 @@ def shell_points(draw):
 @given(shell_points())
 def test_solver_minima_beat_a_dense_grid(point):
     # test-only oracle: a 4001-point grid on every admissible component
-    from begphase.micro import _rate_curvature, _shell_rate_vec
+    from begphase.micro import (_origin_curvature, _rate_curvature,
+                                _shell_rate_vec)
     u, K = point
     sol = solve_micro(MicroParams(u, K))
     comps = admissible_domain(MicroParams(u, K))
@@ -208,7 +232,7 @@ def test_solver_minima_beat_a_dense_grid(point):
     assert -sol.entropy <= grid_min + 1e-12
     for z in sol.z_points:
         if any(lo < z < hi for lo, hi in comps):   # not an isolated point
-            assert _rate_curvature(u, K, abs(z)) >= 0.0
+            assert _rate_curvature(u, K, _origin_curvature(u, K), abs(z)) >= 0.0
 
 
 # ---------------------------------------------------------------------------

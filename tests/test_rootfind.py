@@ -23,11 +23,12 @@ def test_golden_min_returns_the_best_point_evaluated():
 
 
 def _quartic(c):
-    # f = x^4/4 - c x^2/2, given by f' and f''
-    return (lambda x: x ** 3 - c * x, lambda x: 3.0 * x * x - c)
+    # f = x^4/4 - c x^2/2, given by its first three derivatives
+    return (lambda x: x ** 3 - c * x, lambda x: 3.0 * x * x - c,
+            lambda x: 6.0 * x)
 
 
-@pytest.mark.parametrize("fp, fpp, cuts, lo, hi, want", [
+@pytest.mark.parametrize("fp, fpp, fppp, cuts, lo, hi, want", [
     # x^4/4 - x^2/2: the origin is a maximum, the well sits at 1
     (*_quartic(1.0), (), 0.0, 2.0, [1.0]),
     # redundant cuts, one of them exactly on the minimum
@@ -39,16 +40,17 @@ def _quartic(c):
     # x^4/4 - x^3 + x^2, f' = x (x-1) (x-2): the origin and the well at 2,
     # with the maximum at 1 rejected; f''' = 6x - 6 is cut at 1
     (lambda x: x * (x - 1.0) * (x - 2.0), lambda x: 3.0 * x * x - 6.0 * x + 2.0,
-     (1.0,), 0.0, 3.0, [0.0, 2.0]),
+     lambda x: 6.0 * x - 6.0, (1.0,), 0.0, 3.0, [0.0, 2.0]),
     # ends: f' points into the interval at lo, out of it at hi
-    (lambda x: 2.0 * (x - 3.0), lambda x: 2.0, (), 0.0, 2.0, [2.0]),
-    (lambda x: 1.0, lambda x: 0.0, (), 0.0, 1.0, [0.0]),
+    (lambda x: 2.0 * (x - 3.0), lambda x: 2.0, lambda x: 0.0, (), 0.0, 2.0,
+     [2.0]),
+    (lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, (), 0.0, 1.0, [0.0]),
     # a degenerate interval is its own minimum
-    (lambda x: 1.0, lambda x: 0.0, (), 0.5, 0.5, [0.5]),
+    (lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, (), 0.5, 0.5, [0.5]),
 ], ids=["half-double-well", "redundant-cuts", "double-well", "even-convex",
         "origin-and-well", "end-hi", "end-lo", "degenerate"])
-def test_piecewise_minima_on_polynomials(fp, fpp, cuts, lo, hi, want):
-    got = piecewise_minima(fp, fpp, cuts, lo, hi)
+def test_piecewise_minima_on_polynomials(fp, fpp, fppp, cuts, lo, hi, want):
+    got = piecewise_minima(fp, fpp, fppp, cuts, lo, hi)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert abs(g - w) <= 2.0 * math.ulp(max(abs(w), 1.0))
@@ -59,6 +61,6 @@ def test_piecewise_minima_shallow_well_next_to_the_origin():
     # resolution, and the origin is a maximum
     e = 1e-14
     got = piecewise_minima(lambda x: x * (x * x - e), lambda x: 3.0 * x * x - e,
-                           (), 0.0, 1.0)
+                           lambda x: 6.0 * x, (), 0.0, 1.0)
     assert len(got) == 1
     assert abs(got[0] - math.sqrt(e)) <= 1e-15 * math.sqrt(e)

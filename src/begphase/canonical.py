@@ -39,7 +39,7 @@ from .core import (
     rel_entropy,
 )
 from .rootfind import (TIE_TOL, bisect_newton, even_global_minima, golden_min,
-                       piecewise_minima)
+                       last_point, piecewise_minima)
 
 #: Inverse temperatures this close to BETA_C get the continuous critical
 #: record (Kc2 alone); decimal approximations of log 4 otherwise land
@@ -295,18 +295,22 @@ def _scaled_h_g(beta, w):
 def _tilt_root(beta, i):
     """(w, w/(2 beta c'(w)), a, y) at the one root w > 0 of h/w^4 (i = 0) or
     g/w^3 (i = 1), with the K whose line w/(2 beta K) meets c' there.  Both
-    are positive at 0 above log 4, and w < 2 beta Kc1 z* < 3 beta/log 4."""
+    are positive at 0 above log 4, and w < 2 beta Kc1 z* < 3 beta/log 4.
+    Newton starts from their Landau roots sqrt(15 (beta - log 4)) and
+    sqrt(10 (beta - log 4)); the slope, and the readout at the root, take
+    h and g from the evaluation of the value."""
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise DomainError(f"the tangency and first-order couplings take beta "
                           f"in (log 4, BETA_MAX = {BETA_MAX}], got {beta}")
+    at = last_point(lambda x: _scaled_h_g(beta, x))
 
     def slope(x):   # (g/w^3 - 4 h/w^4)/w and c'''/w^2 - 3 (g/w^3)/w
-        h, g = _scaled_h_g(beta, x)[:2]
+        h, g = at(x)[:2]
         return (g - 4.0 * h if i == 0 else cumulant(beta, x, 3) / x - 3.0 * g) / x
 
-    w = bisect_newton(lambda x: _scaled_h_g(beta, x)[i], slope, 0.0,
-                      3.0 * beta / BETA_C + 1.0)
-    a, y, c1 = _scaled_h_g(beta, w)[2:]
+    w = bisect_newton(lambda x: at(x)[i], slope, 0.0, 3.0 * beta / BETA_C + 1.0,
+                      start=math.sqrt((15.0, 10.0)[i] * (beta - BETA_C)))
+    a, y, c1 = at(w)[2:]
     return w, w / (2.0 * beta * c1), a, y
 
 

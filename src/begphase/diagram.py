@@ -44,7 +44,7 @@ from .micro import (
     second_order_coupling_u,
     solve_micro,
 )
-from .rootfind import bisect_newton
+from .rootfind import bisect_newton, last_point
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
@@ -118,18 +118,10 @@ def tricritical_micro() -> tuple:
 # Critical-curve inversion onto the physical axes
 # ---------------------------------------------------------------------------
 
-def _last_point(tie):
-    """tie keeping its result at the last point: bisect_newton takes the
-    slope where it has just taken the value, so both come from one solve."""
-    last = {}
-
-    def at(x):
-        if x not in last:
-            last.clear()
-            last[x] = tie(x)
-        return last[x]
-
-    return at
+def _kc2_slope(beta):
+    """dKc2/dbeta = (e^beta (beta - 1) - 2)/(4 beta^2) of the second-order
+    curve e^beta/(4 beta) + 1/(2 beta)."""
+    return (math.exp(beta) * (beta - 1.0) - 2.0) / (4.0 * beta * beta)
 
 
 def beta_c2_of_K(K: float) -> float:
@@ -137,7 +129,9 @@ def beta_c2_of_K(K: float) -> float:
 
     The second-order curve e^beta/(4 beta) + 1/(2 beta) falls from its value
     at beta = 0.02 to K_c* at BETA_C, so one Newton search with its
-    closed-form slope attains every K between.
+    closed-form slope attains every K between.  It starts from 3/(4K - 1),
+    where the curve's lower bound 3/(4 beta) + 1/4 reaches K: left of the
+    root, from where Newton on the convex curve approaches it from one side.
     """
     K = _real(K)
     k_lo, k_hi = tricritical_canonical(), second_order_coupling(0.02)
@@ -146,18 +140,20 @@ def beta_c2_of_K(K: float) -> float:
             f"K = {K} has no second-order canonical transition on "
             f"[0.02, log 4]: the second-order coupling falls from {k_hi} at "
             f"beta = 0.02 to K_c* = {k_lo} at log 4")
-    return bisect_newton(
-        lambda b: second_order_coupling(b) - K,
-        lambda b: (math.exp(b) * (b - 1.0) - 2.0) / (4.0 * b * b),
-        0.02, BETA_C)
+    return bisect_newton(lambda b: second_order_coupling(b) - K, _kc2_slope,
+                         0.02, BETA_C, start=3.0 / (4.0 * K - 1.0),
+                         ends=(k_hi - K, k_lo - K))
 
 
 def beta_c1_of_K(K: float) -> float:
     """Inverse temperature of the first-order canonical transition at K.
 
     Kc1(beta) falls from K_c* at BETA_C toward 1, staying above 1 at every
-    finite beta (it rounds to 1 from beta ~ 37 on), so one Newton search on
-    [BETA_C, BETA_MAX] with its envelope slope attains every float K between.
+    finite beta (it rounds to 1 from beta ~ 37 on, so Kc1(BETA_MAX) - K is
+    1 - K), so one Newton search on [BETA_C, BETA_MAX] with its envelope
+    slope attains every float K between.  Kc1 leaves the tricritical point
+    tangent to the second-order curve, and the search starts where that
+    tangent, of slope _kc2_slope(log 4) = -0.0591659, reaches K.
     """
     K = _real(K)
     k_star = tricritical_canonical()
@@ -166,9 +162,11 @@ def beta_c1_of_K(K: float) -> float:
             f"K = {K} has no first-order canonical transition: the first-order "
             f"coupling Kc1(beta) falls from {k_star} at log 4 and exceeds 1 at "
             f"every finite beta")
-    tie = _last_point(_first_order_coupling)
+    tie = last_point(_first_order_coupling)
     return bisect_newton(lambda b: (tie(b)[0] if b > BETA_C else k_star) - K,
-                         lambda b: tie(b)[2], BETA_C, BETA_MAX)
+                         lambda b: tie(b)[2], BETA_C, BETA_MAX,
+                         start=BETA_C + (K - k_star) / _kc2_slope(BETA_C),
+                         ends=(k_star - K, 1.0 - K))
 
 
 def u_c2_of_K(K: float) -> float:
@@ -177,7 +175,9 @@ def u_c2_of_K(K: float) -> float:
     The second-order curve 1/(2u lambda(u)) rises from K_m* at the
     tricritical energy u* to +inf at u = 2/3, where lambda(2/3) = 0; one
     Newton search on 2u lambda(u) - 1/K, with its closed-form slope
-    2(lambda - 1/(1-u)), attains every K from K_m* on.
+    2(lambda - 1/(1-u)), attains every K from K_m* on.  It starts where the
+    tangent 6(2/3 - u) of the concave 2u lambda at 2/3 reaches 1/K, right
+    of the root, from where Newton approaches it from one side.
     """
     K = _real(K)
     u_star, k_star = tricritical_micro()
@@ -196,7 +196,8 @@ def u_c2_of_K(K: float) -> float:
         return (1.0 / k_star if u == u_star else 0.0) - 1.0 / K
 
     return bisect_newton(excess, lambda u: 2.0 * (_log_odds(u) - 1.0 / (1.0 - u)),
-                         u_star, 2.0 / 3.0)
+                         u_star, 2.0 / 3.0, start=min(2.0 / 3.0 - 1.0 / (6.0 * K),
+                                                      math.nextafter(2.0 / 3.0, 0.0)))
 
 
 def u_c1_of_K(K: float) -> float:
@@ -205,7 +206,9 @@ def u_c1_of_K(K: float) -> float:
     Kc1(u) rises from 1 as u -> 0 to K_m* at the tricritical energy u*,
     where it meets the second-order curve, so one Newton search on [0, u*]
     with its envelope slope, and the closed forms at both ends, attains
-    every float K between.
+    every float K between.  Kc1 meets k2 tangentially at u*, and the search
+    starts where that tangent reaches K (from the midpoint where it does so
+    below u = 0).
     """
     K = _real(K)
     u_star, k_star = tricritical_micro()
@@ -214,10 +217,12 @@ def u_c1_of_K(K: float) -> float:
             f"K = {K} has no first-order microcanonical transition: the "
             f"first-order coupling Kc1(u) rises from 1 as u -> 0 to K_m* = "
             f"{k_star} at u* = {u_star}")
-    tie = _last_point(_first_order_coupling_u)
+    tie = last_point(_first_order_coupling_u)
+    slope = 2.0 * k_star * k_star * (1.0 / (1.0 - u_star) - _log_odds(u_star))
     return bisect_newton(
         lambda u: (1.0 if u == 0.0 else k_star if u == u_star else tie(u)[0]) - K,
-        lambda u: tie(u)[2], 0.0, u_star)
+        lambda u: tie(u)[2], 0.0, u_star, start=u_star - (k_star - K) / slope,
+        ends=(1.0 - K, k_star - K))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from scipy.special import xlogy
 
 from .core import (DomainError, Macrostate, MicroParams, _exactly_signed,
                    _finite, _real, energy_domain)
-from .rootfind import even_global_minima, piecewise_minima
+from .rootfind import even_global_minima, monotone_roots, piecewise_minima
 
 _LOG2 = math.log(2.0)
 _SQRT_EPS = math.sqrt(2.0 ** -52)
@@ -221,7 +221,10 @@ def _rate_slope(u, K, g, z):
         return math.copysign(math.inf, 1.0 - 2.0 * K * z)
     t = x * x
     if t < 0.01:
-        h = t * _series(t, lambda j: 1.0 / (2 * j + 3))[0] / q
+        A, tj, k = 0.0, 1.0, 3
+        while tj > 1e-17:
+            A, tj, k = A + tj / k, tj * t, k + 2
+        h = t * A / q
     else:
         h = (math.atanh(x) - x) / z
     return z * (h + _g_at(u, K, g, p, q) + K * math.log1p(-t))
@@ -349,11 +352,36 @@ def _phi3_quartic(u, K):
 
 
 def _phi3_roots(quartic):
-    """Positive real parts of the roots of the _phi3_quartic quartic with
-    coefficients `quartic`, sorted:
-    phi''' changes sign on z > 0 only where z^2 is one of them (the real part
-    keeps a nearly real pair; a complex pair adds harmless extra points)."""
-    return sorted(r.real for r in np.roots(quartic) if r.real > 0.0)
+    """The real roots in (0, 1), increasing, of the _phi3_quartic quartic Q
+    with coefficients `quartic`: on 0 < z < 1, which holds every admissible
+    z, phi''' changes sign only where z^2 is one of them.
+
+    A derivative cascade in floats: the roots of the quadratic Q'' (closed
+    form) split (0, 1) into pieces where Q' is monotone, the sign changes of
+    Q' on those (Newton) into pieces where Q is monotone, and Newton finds
+    the sign changes of Q on these.  A root where Q touches 0 without
+    changing sign is no sign change of phi''' and may be left out; one
+    within rounding of 0 or 1 may come out as that end.
+    """
+    c4, c3, c2, c1, c0 = quartic
+
+    def q(t):
+        return (((c4 * t + c3) * t + c2) * t + c1) * t + c0
+
+    def q1(t):
+        return ((4.0 * c4 * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
+
+    def q2(t):
+        return (12.0 * c4 * t + 6.0 * c3) * t + 2.0 * c2
+
+    # Q''/2 = A t^2 + B t + C with A = 6 c4 = 12 K^6 > 0
+    A, B, C = 6.0 * c4, 3.0 * c3, c2
+    disc = B * B - 4.0 * A * C
+    nodes = [0.0, 1.0]
+    if disc > 0.0:
+        r = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+        nodes[1:1] = sorted(t for t in (r / A, C / r) if 0.0 < t < 1.0)
+    return monotone_roots(q, q1, [0.0] + monotone_roots(q1, q2, nodes) + [1.0])
 
 
 def _convexity_indicator(u, K):

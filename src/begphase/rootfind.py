@@ -1,12 +1,13 @@
 """One-dimensional root finding and minimization used by the solvers.
 
-Every solver in this package locates roots the same way: a sign-change
-bracket is shrunk by bisection until it is small, then Newton polishes the
-root to near machine precision while a safeguard keeps the iterates inside
-the bracket.  piecewise_minima finds every local minimum of a function whose
-third derivative changes sign only at known points, without a grid, and
-even_global_minima keeps those of an even function that tie for the least
-value; golden section serves the searches that have no derivatives at hand.
+Every solver in this package locates roots the same way: Newton runs from a
+start inside a sign-change bracket, the Landau root or another closed form
+where the caller has one, and a safeguard keeps the iterates inside the
+bracket, which every iterate narrows.  piecewise_minima finds every local
+minimum of a function whose third derivative changes sign only at known
+points, without a grid, and even_global_minima keeps those of an even
+function that tie for the least value; golden section serves the searches
+that have no derivatives at hand.
 """
 
 import math
@@ -24,40 +25,32 @@ class BracketError(RuntimeError):
     """The supplied interval does not bracket a sign change."""
 
 
-def bisect_newton(f, fprime, lo, hi, *, bisect_tol=1e-6):
+def bisect_newton(f, fprime, lo, hi, *, start=None, ends=None):
     """Root of f on [lo, hi] with f(lo), f(hi) of opposite signs.
 
-    Bisection narrows the bracket to `bisect_tol`, then Newton runs until
-    f(x) == 0 or a step no longer moves x, for at most 80 steps.  A Newton
-    step that leaves the current bracket is replaced by a bisection step, so
-    convergence never depends on the starting point.
+    Newton runs from `start` (the midpoint when it is missing or not inside
+    (lo, hi)) until f(x) == 0 or a step no longer moves x, for at most 80
+    steps.  Each iterate replaces the end of the bracket whose f has its
+    sign, and a Newton step that leaves the bracket is replaced by a
+    bisection step, so convergence never depends on the start; a good one
+    only makes it fast.  `ends` = (f(lo), f(hi)) where the caller holds them.
     """
-    flo = f(lo)
-    fhi = f(hi)
+    flo, fhi = (f(lo), f(hi)) if ends is None else ends
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
 
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-
-    x = 0.5 * (lo + hi)
+    x = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     fx = f(x)
     for _ in range(_MAX_NEWTON):
         if fx == 0.0:
             return x
-        # keep the bracket current so a wild step can be rejected
-        if flo * fx < 0.0:
+        # keep the bracket current so a wild step can be rejected; signs
+        # are compared, as the product of two tiny values underflows to 0
+        if (fx < 0.0) != (flo < 0.0):
             hi, fhi = x, fx
         else:
             lo, flo = x, fx
@@ -72,6 +65,21 @@ def bisect_newton(f, fprime, lo, hi, *, bisect_tol=1e-6):
         x = x_new
         fx = f(x)
     return x
+
+
+def last_point(f):
+    """f keeping its value at the last point: bisect_newton takes the slope
+    where it has just taken the value, so a slope that needs the same work
+    as the value reads it from here, and so can the caller at the root."""
+    last = {}
+
+    def at(x):
+        if x not in last:
+            last.clear()
+            last[x] = f(x)
+        return last[x]
+
+    return at
 
 
 def golden_min(f, lo, hi, *, tol=1e-12):
@@ -133,13 +141,34 @@ def bisect_monotone(f, lo, hi, target, *, tol=1e-9):
     return 0.5 * (lo + hi)
 
 
+def monotone_roots(f, fprime, nodes):
+    """The points where f changes sign on [nodes[0], nodes[-1]], increasing,
+    for f monotone between consecutive nodes: one Newton search on each
+    piece whose end values differ in sign, from the root of its chord (the
+    midpoint where an end value is infinite), which lies next to a root
+    that crowds an end of its piece, and the first node of each run where
+    f = 0 between values of opposite signs."""
+    vals = [f(x) for x in nodes]
+    roots, last = [], None   # last: the index of the last value != 0
+    for i, fb in enumerate(vals):
+        if fb == 0.0:
+            continue
+        if last is not None and (fb < 0.0) != (vals[last] < 0.0):
+            a, b, fa = nodes[last], nodes[i], vals[last]
+            roots.append(nodes[last + 1] if last < i - 1 else bisect_newton(
+                f, fprime, a, b, start=a - fa * ((b - a) / (fb - fa)),
+                ends=(fa, fb)))
+        last = i
+    return roots
+
+
 def piecewise_minima(fp, fpp, fppp, cuts, lo, hi):
     """Every local minimizer of f on [lo, hi], in increasing order.
 
     `cuts` must hold every point of (lo, hi) where f''' may change sign
-    (extra ones are harmless).  Between cuts f'' is monotone, and its roots,
-    each found by Newton on f'' with f''' from the middle of its piece,
-    split [lo, hi] into pieces where f' is monotone.  A minimum is a sign
+    (extra ones are harmless).  Between cuts f'' is monotone, and its roots
+    (monotone_roots: Newton on f'' with f''' from the root of the chord of
+    its piece) split [lo, hi] into pieces where f' is monotone.  A minimum is a sign
     change of f' from - to + on a piece (Newton from its midpoint until the
     step stalls), a split point where f' = 0 between the two, or an end where
     f' points into [lo, hi], as at the origin of an even f with f' > 0 on the
@@ -148,12 +177,7 @@ def piecewise_minima(fp, fpp, fppp, cuts, lo, hi):
     if hi <= lo:
         return [lo]
     nodes = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-    curv = [fpp(x) for x in nodes]
-    xs = [lo]
-    for a, b, ca, cb in zip(nodes, nodes[1:], curv, curv[1:]):
-        if ca * cb < 0.0:
-            xs.append(bisect_newton(fpp, fppp, a, b, bisect_tol=b - a))
-        xs.append(b)
+    xs = sorted(nodes + monotone_roots(fpp, fppp, nodes))
     # f' < 0 left of lo and > 0 right of hi: an end is then a minimum exactly
     # when f' points into [lo, hi] there
     d = [-1.0] + [fp(x) for x in xs] + [1.0]
@@ -163,7 +187,7 @@ def piecewise_minima(fp, fpp, fppp, cuts, lo, hi):
         a, b = xs[i], xs[i + 1]
         if d[i] < 0.0 < d[i + 1]:
             mins.append(a if a == b else bisect_newton(
-                fp, fpp, a, b, bisect_tol=b - a))
+                fp, fpp, a, b, ends=(d[i], d[i + 1])))
         elif d[i + 1] == 0.0 and d[i] < 0.0 < d[i + 2]:
             mins.append(b)
     return mins

@@ -429,6 +429,26 @@ def test_canonical_tie_matches_60_digit_roots(K, beta, z_c):
     assert abs(hi / z_c - 1.0) <= max(1e-12, 1e-15 / (_KS - K))
 
 
+@pytest.mark.parametrize("K", [K for K, _, _ in REFERENCE_TIES if K >= 1.001])
+def test_canonical_inversion_starts_next_to_its_root(monkeypatch, K):
+    # Newton from the tangent of the second-order curve at log 4 needs a few
+    # tie solves; bisecting [log 4, BETA_MAX] down to 1e-6 first took 34
+    from begphase import diagram
+
+    calls = []
+    solve = diagram._first_order_coupling
+    monkeypatch.setattr(diagram, "_first_order_coupling",
+                        lambda b: calls.append(b) or solve(b))
+    beta_c1_of_K(K)
+    assert 0 < len(calls) <= 12
+
+
+def test_first_order_coupling_rounds_to_one_at_beta_max():
+    # beta_c1_of_K hands Kc1(BETA_MAX) - K = 1 - K to its search as the
+    # value at that end
+    assert first_order_coupling(BETA_MAX) == 1.0
+
+
 _GAP_KS = st.one_of(
     st.floats(1.0, _KS, exclude_min=True, exclude_max=True),
     st.floats(3.0, 13.0).map(lambda x: _KS - 10.0 ** -x),
@@ -479,6 +499,46 @@ REFERENCE_MICRO_TIES = [
     (1.081296450156609, 0.3303438286371388517356, 4.654550786606620742501e-6),
 ]
 _KM = tricritical_micro()[1]
+
+
+def test_newton_searches_end_before_their_step_limit(monkeypatch):
+    # every bracketed search of the inversions and of the tie and tangency
+    # tilts converges inside _MAX_NEWTON steps, out to the ends of their
+    # domains: K -> 1, both tricritical couplings, beta -> log 4 and BETA_MAX
+    from begphase import diagram, rootfind
+
+    steps = []
+    search = rootfind.bisect_newton
+
+    def counted(f, fprime, lo, hi, **kw):
+        evals = []
+
+        def g(x):
+            evals.append(x)
+            return f(x)
+
+        x = search(g, fprime, lo, hi, **kw)
+        # f at the ends unless given, then at the start and once per step
+        steps.append(len(evals) - 1 - 2 * (kw.get("ends") is None))
+        return x
+
+    for module in (canonical, diagram):
+        monkeypatch.setattr(module, "bisect_newton", counted)
+    near_one = [1.0 + 10.0 ** -k for k in range(2, 14)]
+    for K in near_one + [_KS - 10.0 ** -k for k in range(3, 13)]:
+        beta_c1_of_K(K)
+    for K in near_one + [_KM - 10.0 ** -k for k in range(3, 11)]:
+        u_c1_of_K(K)
+    for K in [_KS + 10.0 ** -k for k in range(1, 13)] + [2.0, 10.0, 37.0]:
+        beta_c2_of_K(K)
+    for K in ([_KM + 10.0 ** -k for k in range(1, 13)]
+              + [10.0 ** k for k in range(1, 301, 20)]):
+        u_c2_of_K(K)
+    for beta in ([BETA_C + 10.0 ** -k for k in range(1, 16)]
+                 + [1.5, 2.0, 5.0, 10.0, 37.0, 100.0, BETA_MAX]):
+        canonical.tangency(beta)
+        first_order_coupling(beta)
+    assert len(steps) > 100 and max(steps) < rootfind._MAX_NEWTON
 
 
 def _lower_end_tol(K, z):

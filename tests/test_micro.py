@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -408,6 +409,176 @@ def test_convexity_threshold_is_sign_change_of_phi3(u):
     assert min_phi3_scan(u, c * (1.0 - 1e-4)) < 0.0
     assert _convexity_indicator(u, c * (1.0 + 1e-4)) is True
     assert _convexity_indicator(u, c * (1.0 - 1e-4)) is False
+
+
+def _convexity_indicator_by_eigenvalues(u, K):
+    # _convexity_indicator as it stood with the companion-matrix roots of
+    # np.roots, complex pairs kept by their real parts (test-side oracle)
+    from begphase.micro import _phi3_quartic
+    comps = [iv for iv in admissible_domain(MicroParams(u, K))
+             if iv[0] <= 0.0 <= iv[1]]
+    if not comps or comps[0][1] <= 0.0:
+        return None
+    t_top = comps[0][1] ** 2
+    quartic = _phi3_quartic(u, K)
+    roots = sorted(r.real for r in np.roots(quartic) if r.real > 0.0)
+    cuts = np.array([0.0] + [t for t in roots if t < t_top] + [t_top])
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    return bool(np.min(np.polyval(quartic, mids)) >= 0.0)
+
+
+_MICRO_DOMAIN = st.floats(1e-3, 1e3).flatmap(lambda K: st.tuples(
+    st.floats(min(1.0 - K, 0.0), 1.0), st.just(K)))
+
+
+def _poly_rem(a, b):
+    # remainder of the exact polynomial division a / b (highest degree first)
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        a = [x - f * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+    while a and a[0] == 0:
+        a = a[1:]
+    return a
+
+
+def _squarefree(coeffs):
+    # Q / gcd(Q, Q') in exact rationals: the distinct roots of Q, all simple,
+    # which Durand-Kerner resolves where a multiple root of Q stalls it, as
+    # at (u, K) = (1/2, 1/2)
+    q = [Fraction(c) for c in coeffs]
+    n = len(q) - 1
+    a, b = q, [c * (n - i) for i, c in enumerate(q[:-1])]
+    while b:
+        a, b = b, _poly_rem(a, b)
+    out, rest = [], q
+    while len(rest) >= len(a):
+        f = rest[0] / a[0]
+        out.append(f)
+        rest = [x - f * y for x, y in zip(rest, a + [0] * (len(rest) - len(a)))][1:]
+    return out
+
+
+def _rounding_radius(quartic, r):
+    # how far a root r of Q of any multiplicity moves under the rounding
+    # E = 8 u sum |c_i| r^i (u = 2^-53) of Horner's rule: the least
+    # (E/|Q^(m)(r)/m!|)^(1/m) over m = 1..4, the distance at which the
+    # leading Taylor term of Q at r reaches E
+    r = float(r)
+    size = sum(abs(c * r ** i) for i, c in zip(range(4, -1, -1), quartic))
+    radius, poly = math.inf, np.poly1d(quartic)
+    for m in range(1, 5):
+        poly = poly.deriv()
+        term = abs(poly(r)) / math.factorial(m)
+        if term > 0.0:
+            radius = min(radius, (8.0 * 2.0 ** -53 * size / term) ** (1.0 / m))
+    return radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MICRO_DOMAIN)
+def test_phi3_roots_are_the_sign_changes_of_the_quartic(uK):
+    # every sign change of Q on (0, 1) against 30-digit roots of the same
+    # float coefficients, and no point where Q has no root, to 1e-12 or to
+    # the rounding radius of Q where that is larger: at a multiple root, as
+    # the triple root t = 1/16 at (u, K) = (1/8, 2) on the pinch line
+    # 4Ku = 1, or next to a close complex pair, as at (-103, 189), where
+    # np.roots is 4.2e-12 off
+    mpmath = pytest.importorskip("mpmath")
+    from begphase.micro import _convexity_indicator, _phi3_quartic, _phi3_roots
+    u, K = uK
+    quartic = _phi3_quartic(u, K)
+    got = _phi3_roots(quartic)
+    # a root within rounding of an end may come out as that end
+    assert got == sorted(got) and all(0.0 <= t <= 1.0 for t in got)
+    roots = []
+    with mpmath.workdps(30):
+        simple = [mpmath.mpf(c.numerator) / c.denominator
+                  for c in _squarefree(quartic)]
+        if len(simple) > 1:
+            # Durand-Kerner stops at an absolute error of 1e-30: Newton
+            # polishes its roots to a relative one, which resolves a root
+            # next to 0, as c0/c1 = 1.7e-128 at (u, K) = (-1.3e-126, 73)
+            for r in mpmath.polyroots(simple, maxsteps=200, extraprec=100,
+                                      cleanup=False):
+                for _ in range(100):
+                    value, slope = mpmath.polyval(simple, r, derivative=True)
+                    step = value / slope
+                    r -= step
+                    if abs(step) <= 1e-28 * abs(r):
+                        break
+                roots.append(r)
+    real = sorted(r.real for r in roots if abs(r.imag) <= 1e-25 * abs(r))
+    inside = [r for r in real if 0 < r < 1]
+    tol = {r: max(1e-12, _rounding_radius(quartic, r.real)) for r in roots}
+    tol.update({r.real: tol[r] for r in roots})
+    # the sign of Q between consecutive roots, exactly: next to a double
+    # root at the end t = 1, as at (u, K) = (-2, 3), Q is below the
+    # rounding of a 30-digit evaluation
+    ends = [Fraction(0)] + [_fraction(r) for r in inside] + [Fraction(1)]
+    values = [_exact_value(quartic, (a + b) / 2) for a, b in zip(ends, ends[1:])]
+    signs = [(v > 0) - (v < 0) for v in values]
+    changes = [r for r, s0, s1 in zip(inside, signs, signs[1:]) if s0 != s1]
+    # where Q between two real roots, or at a complex pair, is below the
+    # rounding of its evaluation in floats, whether it changes sign there
+    # is not resolved: as between the roots 9.3e-7 apart at (u, K) =
+    # (-908.657904254718, 909.6640625), at the pair 1 -+ 2.7e-8 i at the
+    # bottom u = 1 - K of the energy range at K = 52.13623807350313, or at
+    # the near-triple root next to the pinch line at (0.010355857767234885,
+    # 24.14092638380765)
+    flat = set()
+    for r, o in zip(real, real[1:]):
+        if _below_rounding(quartic, (_fraction(r) + _fraction(o)) / 2):
+            flat |= {r, o}
+    for r in roots:
+        if r.real not in real and _below_rounding(quartic, _fraction(r.real)):
+            flat |= {o for o in real if abs(o - r) <= tol[r]} | {r.real}
+    for r in changes:
+        assert r in flat or any(abs(t - r) <= tol[r] for t in got)
+    for t in got:
+        assert any(abs(t - r) <= tol[r] for r in roots)
+    # the indicator against Q signed exactly between its real roots, and
+    # against np.roots where that finds the real roots below the top: it
+    # splits a multiple root into nearby real ones, as the fourfold t = 1
+    # at (1/2, 1/2), and makes a resolved pair complex next to a large root,
+    # as at (0.9984141641973294, 0.0015858358159511407)
+    if flat:
+        return
+    try:
+        comps = [iv for iv in admissible_domain(MicroParams(u, K))
+                 if iv[0] <= 0.0 <= iv[1]]
+    except RuntimeError:
+        # admissible_domain finds no point within a few ulps of the bottom
+        # u = 1 - K of the energy range, where the set shrinks to z = +-1
+        assert u - (1.0 - K) <= 1e-12 * K
+        return
+    got_indicator = _convexity_indicator(u, K)
+    if not comps or comps[0][1] <= 0.0:
+        assert got_indicator is None
+        return
+    t_top = Fraction(comps[0][1]) ** 2
+    cuts = ([Fraction(0)] + [_fraction(r) for r in inside if _fraction(r) < t_top]
+            + [t_top])
+    assert got_indicator == all(_exact_value(quartic, (a + b) / 2) >= 0
+                                for a, b in zip(cuts, cuts[1:]))
+    eigen = [r.real for r in np.roots(quartic)
+             if r.imag == 0.0 and 0.0 < r.real < float(t_top)]
+    if len(simple) == len(quartic) and len(eigen) == len(cuts) - 2:
+        assert got_indicator == _convexity_indicator_by_eigenvalues(u, K)
+
+
+def _fraction(x):
+    return Fraction(x.man) * Fraction(2) ** x.exp if x else Fraction(0)
+
+
+def _exact_value(quartic, t):
+    return sum(Fraction(c) * t ** (4 - i) for i, c in enumerate(quartic))
+
+
+def _below_rounding(quartic, t):
+    # |Q(t)| within the rounding bound 8 u sum |c_i t^i| of Horner's rule
+    size = sum(abs(Fraction(c) * t ** (4 - i)) for i, c in enumerate(quartic))
+    return abs(_exact_value(quartic, t)) <= Fraction(8, 2 ** 53) * size
 
 
 def test_first_order_coupling_u():

@@ -2,7 +2,17 @@ import math
 
 import pytest
 
-from begphase.rootfind import bisect_newton, golden_min, piecewise_minima
+from begphase import canonical
+from begphase.core import CanonicalParams
+from begphase.rootfind import (bisect_newton, golden_min, monotone_roots,
+                               piecewise_minima)
+
+
+def _recorded(f, points):
+    def g(x):
+        points.append(x)
+        return f(x)
+    return g
 
 
 def test_bisect_newton_stops_at_an_exact_zero():
@@ -10,6 +20,72 @@ def test_bisect_newton_stops_at_an_exact_zero():
     # than treat f(x) = 0 as one side of the bracket and crawl to hi
     x = bisect_newton(lambda x: x - 0.3, lambda x: 1.0, 0.0, 1.0)
     assert abs(x - 0.3) <= math.ulp(0.3)
+
+
+@pytest.mark.parametrize("kw", [{"start": 0.9}, {"ends": (-0.3, 0.7)},
+                                {"start": 0.1, "ends": (-0.3, 0.7)}],
+                         ids=["start", "ends", "start-and-ends"])
+def test_bisect_newton_stops_at_an_exact_zero_from_its_start(kw):
+    x = bisect_newton(lambda x: x - 0.3, lambda x: 1.0, 0.0, 1.0, **kw)
+    assert abs(x - 0.3) <= math.ulp(0.3)
+
+
+def test_bisect_newton_takes_the_end_values_it_is_given():
+    points = []
+    x = bisect_newton(_recorded(lambda x: x * x - 2.0, points), lambda x: 2.0 * x,
+                      1.0, 2.0, ends=(-1.0, 2.0))
+    assert abs(x - math.sqrt(2.0)) <= math.ulp(1.5)
+    assert points and 1.0 not in points and 2.0 not in points
+
+
+@pytest.mark.parametrize("start, first", [(None, 1.5), (1.2, 1.2), (0.5, 1.5),
+                                          (1.0, 1.5), (2.0, 1.5), (math.nan, 1.5)])
+def test_bisect_newton_starts_inside_the_bracket(start, first):
+    # a start outside the open bracket falls back to the midpoint
+    points = []
+    bisect_newton(_recorded(lambda x: x * x - 2.0, points), lambda x: 2.0 * x,
+                  1.0, 2.0, start=start, ends=(-1.0, 2.0))
+    assert points[0] == first
+
+
+def test_bisect_newton_compares_signs_of_tiny_values():
+    # f(lo) f(x) underflows to -0.0 here, which put x on the wrong side of
+    # the root and sent the search to hi
+    x = bisect_newton(lambda x: (x - 0.3) * 1e-200, lambda x: 1e-200, 0.0, 1.0,
+                      start=0.5)
+    assert abs(x - 0.3) <= math.ulp(0.3)
+
+
+def test_monotone_roots_takes_a_zero_between_opposite_signs():
+    # f = 0 exactly at the inner nodes: the first of them is the sign change,
+    # where no piece has end values of opposite signs
+    vals = {0.0: -1.0, 1.0: 0.0, 2.0: 0.0, 3.0: 1.0}
+    assert monotone_roots(vals.get, None, [0.0, 1.0, 2.0, 3.0]) == [1.0]
+    vals[3.0] = -1.0
+    assert monotone_roots(vals.get, None, [0.0, 1.0, 2.0, 3.0]) == []
+
+
+def test_monotone_roots_starts_at_the_chord():
+    # a root next to the end of its piece, as the one at 1.1e-311 of a
+    # shell-rate quartic, is 1030 halvings away from the midpoint
+    x, = monotone_roots(lambda x: 2.0 * x - 2.2e-311 - 16.0 * x * x,
+                        lambda x: 2.0 - 32.0 * x, [0.0, 0.0625])
+    assert abs(x - 1.1e-311) <= 1e-323
+
+
+def test_piecewise_minima_evaluates_the_slope_once_per_point(monkeypatch):
+    # the end values of f' (and of f'' at a split) it holds are handed to
+    # the root finder, which evaluated them again
+    points = []
+    search = canonical.piecewise_minima
+
+    def recorded(fp, *args):
+        return search(_recorded(fp, points), *args)
+
+    monkeypatch.setattr(canonical, "piecewise_minima", recorded)
+    sol = canonical.solve_canonical(CanonicalParams(1.2, 1.2))
+    assert sol.phase_label == "pair"
+    assert points and len(points) == len(set(points))
 
 
 def test_golden_min_returns_the_best_point_evaluated():

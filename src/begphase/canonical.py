@@ -162,7 +162,8 @@ def _tilt_kernels(beta, K, d):
     P'' = d - a s (eps - a y)/(1 + y)^2.  d carries the cancellation of
     1/(2 beta K) against c''(0) = a, and no other term cancels as w -> 0
     or beta -> log 4.  Above |w| = 2 the plain forms w/(2 beta K) - c'(w)
-    and 1/(2 beta K) - c''(w) are exact enough.  P''' = -c'''(w).
+    and 1/(2 beta K) - c''(w) are exact enough.  P''' = -c'''(w), with
+    c''' from _c3 up to |w| = 2 and from cumulant above.
     """
     tk = 2.0 * beta * K
     a, eps = _a_eps(beta)
@@ -183,7 +184,22 @@ def _tilt_kernels(beta, K, d):
         y = a * s
         return d - a * s * (eps - a * y) / (1.0 + y) ** 2
 
-    return slope, curvature, lambda w: -cumulant(beta, w, 3)
+    def third(w):
+        if abs(w) > 2.0:
+            return -cumulant(beta, w, 3)
+        return -_c3(a, eps, w)
+
+    return slope, curvature, third
+
+
+def _c3(a, eps, w):
+    """c'''(w) at |w| <= 2, given (a, eps) = _a_eps(beta): a sinh(w)
+    (eps - (1 - a) y)/(1 + y)^3 with y = a (cosh w - 1) = 2a sinh(w/2)^2.
+    eps = 1 - 3a carries the cancellation of c'''(w)/w -> a(1 - 3a) at
+    w = 0, so no term cancels as w -> 0 or beta -> log 4, where c''' from
+    the raw moments (cumulant) loses its digits at w ~ 1e-7."""
+    y = 2.0 * a * math.sinh(0.5 * w) ** 2
+    return a * math.sinh(w) * (eps - (1.0 - a) * y) / (1.0 + y) ** 3
 
 
 def tilt_potential(params: CanonicalParams, w: float, order: int = 0) -> float:
@@ -298,15 +314,20 @@ def _tilt_root(beta, i):
     are positive at 0 above log 4, and w < 2 beta Kc1 z* < 3 beta/log 4.
     Newton starts from their Landau roots sqrt(15 (beta - log 4)) and
     sqrt(10 (beta - log 4)); the slope, and the readout at the root, take
-    h and g from the evaluation of the value."""
+    h and g from the evaluation of the value, and the tangency slope takes
+    c''' from _c3 up to w = 2, which keeps its digits next to log 4."""
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise DomainError(f"the tangency and first-order couplings take beta "
                           f"in (log 4, BETA_MAX = {BETA_MAX}], got {beta}")
     at = last_point(lambda x: _scaled_h_g(beta, x))
+    a, eps = _a_eps(beta)
 
     def slope(x):   # (g/w^3 - 4 h/w^4)/w and c'''/w^2 - 3 (g/w^3)/w
         h, g = at(x)[:2]
-        return (g - 4.0 * h if i == 0 else cumulant(beta, x, 3) / x - 3.0 * g) / x
+        if i == 0:
+            return (g - 4.0 * h) / x
+        c3 = _c3(a, eps, x) if x <= 2.0 else cumulant(beta, x, 3)
+        return (c3 / x - 3.0 * g) / x
 
     w = bisect_newton(lambda x: at(x)[i], slope, 0.0, 3.0 * beta / BETA_C + 1.0,
                       start=math.sqrt((15.0, 10.0)[i] * (beta - BETA_C)))
@@ -327,22 +348,26 @@ def _local_wells(params, d):
     given its Landau coefficient d = P''(0) from _landau.
 
     A positive well lies where P'' increases: beyond the inflection w_c of
-    c' above log 4, anywhere below it.  One piecewise_minima call with no
-    cuts searches that piece up to 2 beta K + 1, where P' > 0 even if c'
+    c' above log 4, anywhere below it (w_c = 0 there).  One piecewise_minima
+    call with no cuts searches (w_c, 2 beta K + 1], where P' > 0 even if c'
     rounds to 1.  The origin is a well exactly when d >= 0 (d = 0 only in
-    the critical band of _landau).  Below log 4, P'' rises from d: the
-    origin is then the one well, and the search from 0 passes it by when
-    d < 0.
+    the critical band of _landau).  Below log 4, P'' rises from d: where
+    d >= 0 the origin is the one well, and the search is skipped.  P
+    squares the tilt: DomainError where 2 beta K does not square to a
+    finite float (above about 1.34e154).
     """
     beta, K = _check_beta(params.beta), params.K
+    tk = 2.0 * beta * K
+    if not tk * tk < math.inf:
+        raise DomainError(
+            f"the canonical solver needs (2 beta K)^2 finite, i.e. 2 beta K "
+            f"below about 1.34e154, got 2 beta K = {tk} at (beta, K) = "
+            f"({beta}, {K})")
     if beta <= BETA_C and d >= 0.0:
         return [0.0]
-    kernels = _tilt_kernels(beta, K, d)
-    if beta <= BETA_C:
-        return piecewise_minima(*kernels, (), 0.0, 2.0 * beta * K + 1.0)
-    lo = cumulant_inflection(beta)
+    lo = cumulant_inflection(beta) if beta > BETA_C else 0.0
     return [0.0] * (d >= 0.0) + [w for w in piecewise_minima(
-        *kernels, (), lo, 2.0 * beta * K + 1.0) if w > lo]
+        *_tilt_kernels(beta, K, d), (), lo, tk + 1.0) if w > lo]
 
 
 def positive_well(beta: float, K: float) -> float:
@@ -417,27 +442,23 @@ def tilt_macrostate(params: CanonicalParams, z: float) -> Macrostate:
 
 
 def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
-    """(r, (G'', G'''', G'''''')) at a global minimizer z.
-
-    G'' = (2 beta K)^2 P'' comes from the cancellation-free kernel, so it is
-    positive at every minimizer but the critical origin.  r is 1 at every
-    minimizer except the origin where _landau returns d = 0, i.e. where K
-    lies within an ulp of the real Kc2(beta) below log 4: there r = 2, and
-    r = 3 when beta lies within an ulp of log 4.  No tolerance on the even
-    derivatives decides it.
-    """
-    return _minimum_type(params, _landau(params.beta, params.K), z)
+    """(r, (G'', G'''', G'''''')) at a global minimizer z: r from _type, as
+    solve_canonical decides it, and the even derivatives from mag_potential
+    (G'' from the cancellation-free kernel), computed here only, for
+    classify_minimum; DomainError where one overflows."""
+    beta = params.beta
+    return (_type(beta, _landau(beta, params.K), z),
+            tuple(mag_potential(params, z, k) for k in (2, 4, 6)))
 
 
-def _minimum_type(params, d, z):
-    """minimum_type with the Landau coefficient d of _landau."""
-    beta, K = params.beta, params.K
-    a = 2.0 * beta * K
-    evens = (a ** 2 * _tilt_kernels(beta, K, d)[1](a * z),
-             mag_potential(params, z, 4), mag_potential(params, z, 6))
+def _type(beta, d, z):
+    """The type r of the minimizer z, given the Landau coefficient d of
+    _landau: 1 unless z is the origin and d = 0, i.e. K lies within an ulp
+    of the real Kc2(beta) below log 4; there 3 within an ulp of log 4, else
+    2.  No tolerance on the even derivatives decides it."""
     if z != 0.0 or d != 0.0:
-        return 1, evens
-    return (3 if _at_log4(beta) else 2), evens
+        return 1
+    return 3 if _at_log4(beta) else 2
 
 
 def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
@@ -447,7 +468,8 @@ def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
     TIE_TOL of the least value are all global, mirrored to z < 0: the
     disordered point 0 alone, the symmetric pair +-z, or all three where they
     tie at a first-order coupling.  The Landau coefficient, computed once,
-    decides the origin and the types; no critical coupling is computed.
+    decides the origin and the types (_type): no critical coupling and no
+    derivative for the types is computed.
     """
     beta, K = params.beta, params.K
     a = 2.0 * beta * K
@@ -457,7 +479,7 @@ def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
     return CanonicalSolution(
         params=params, z_points=tuple(zs), w_points=tuple(a * z for z in zs),
         macrostates=tuple(tilt_macrostate(params, z) for z in zs),
-        min_value=best, types=tuple(_minimum_type(params, d, z)[0] for z in zs),
+        min_value=best, types=tuple(_type(beta, d, z) for z in zs),
         phase_label={1: "unique", 2: "pair", 3: "triple"}[len(zs)])
 
 

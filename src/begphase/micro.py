@@ -127,47 +127,40 @@ def shell_macrostate(params: MicroParams, z: float) -> Macrostate:
     return Macrostate(max(nu_m, 0.0), max(1.0 - q, 0.0), max(nu_p, 0.0))
 
 
+def _positive_components(u, K):
+    """Closed components of {z >= 0 : z <= u + K z^2 <= 1}, increasing, as
+    (lo, hi) pairs (possibly degenerate).  With B = sqrt((1-u)/K) and
+    r_lo < r_hi the roots of K z^2 - z + u where 1 - 4Ku > 0, they are the
+    central [0, min(r_lo, B)] when r_lo >= 0, and the outer [r_hi, B]
+    exactly when K >= 1/2 and u >= 1 - K (r_hi <= 1), with r_hi capped at
+    B, past which it rounds within a few ulps of u = 1 - K.  DomainError at
+    a u in the slack of MicroParams outside [min(1-K, 0), 1]: no shell.
+    """
+    bottom = energy_domain(K)[0]
+    if not bottom <= u <= 1.0:
+        raise DomainError(f"the energy shell at (u, K) = ({u}, {K}) is empty: "
+                          f"u lies outside the energy range [{bottom}, 1]")
+    B = math.sqrt((1.0 - u) / K)
+    disc = 1.0 - 4.0 * K * u
+    if disc <= 0.0:
+        return ((0.0, B),)
+    r = math.sqrt(disc)
+    r_lo = (1.0 - r) / (2.0 * K)
+    comps = ((0.0, min(r_lo, B)),) if r_lo >= 0.0 else ()
+    if K >= 0.5 and u >= 1.0 - K:
+        comps += ((min((1.0 + r) / (2.0 * K), B), B),)
+    return comps
+
+
 def admissible_domain(params: MicroParams) -> tuple:
     """Closed components of {z : |z| <= u + K z^2 <= 1}, sorted, as (lo, hi)
-    pairs (possibly degenerate).
-
-    The set is [-B, B] with B = sqrt((1-u)/K), minus the open bands where
-    K z^2 -+ z + u < 0; solving the three quadratics gives at most a central
-    component containing 0 plus a symmetric outer pair.
-    """
-    u, K = params.u, params.K
-    if u > 1.0:
-        raise DomainError(f"u = {u} exceeds the maximal energy 1")
-    B = math.sqrt(max(1.0 - u, 0.0) / K)
-    intervals = [(-B, B)]
-    disc = 1.0 - 4.0 * K * u
-    if disc > 0.0:
-        r = math.sqrt(disc)
-        r_lo = (1.0 - r) / (2.0 * K)
-        r_hi = (1.0 + r) / (2.0 * K)
-        intervals = _subtract_open(intervals, r_lo, r_hi)      # q >= +z fails
-        intervals = _subtract_open(intervals, -r_hi, -r_lo)    # q >= -z fails
-    intervals = [iv for iv in intervals if iv[1] >= iv[0]]
-    if not intervals:
-        raise RuntimeError(
-            f"admissible set empty at (u, K) = ({u}, {K}) despite u in "
-            f"{energy_domain(K)}")
-    return tuple(sorted(intervals))
-
-
-def _subtract_open(intervals, a, b):
-    # remove the open band (a, b); closed endpoints survive as degenerate
-    # single-point intervals
-    out = []
-    for lo, hi in intervals:
-        if b <= lo or a >= hi:
-            out.append((lo, hi))
-            continue
-        if a >= lo:
-            out.append((lo, min(a, hi)))
-        if b <= hi:
-            out.append((max(b, lo), hi))
-    return [iv for iv in out if iv[1] >= iv[0]]
+    pairs (possibly degenerate): the _positive_components mirrored, at most
+    a central component [-min(r_lo, B), min(r_lo, B)] and a symmetric outer
+    pair +-[r_hi, B].  DomainError where the shell is empty."""
+    comps = []
+    for lo, hi in _positive_components(params.u, params.K):
+        comps += [(-hi, hi)] if lo == 0.0 else [(-hi, -lo), (lo, hi)]
+    return tuple(sorted(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +245,38 @@ def _rate_third(quartic, u, K, z):
     den = ((q + z) * (q - z) * (1.0 - q)) ** 2
     if den <= 0.0:
         return math.inf
-    s = z * z
-    c4, c3, c2, c1, c0 = quartic
-    return 2.0 * z * ((((c4 * s + c3) * s + c2) * s + c1) * s + c0) / den
+    return 2.0 * z * _horner(quartic, z * z) / den
+
+
+def _horner(coeffs, t):
+    """The polynomial with coefficients `coeffs` (highest degree first) at
+    t, by Horner's rule: the operations of np.polyval, so its bits."""
+    v = 0.0
+    for c in coeffs:
+        v = v * t + c
+    return v
 
 
 def _local_minima(u, K):
     """Every local minimizer z >= 0 of the shell rate.  The rate is even, so
-    piecewise_minima searches the nonnegative part of each component, with
-    the slope and the curvature summed from the Landau coefficient g =
-    F''(0), computed once.  z = 0 is a minimum exactly when g > 0: no
-    tolerance decides it.
+    piecewise_minima searches each of the _positive_components, with the
+    slope and the curvature summed from the Landau coefficient g = F''(0),
+    computed once.  z = 0 is a minimum exactly when g > 0: no tolerance
+    decides it.  piecewise_minima takes the end values of F' in closed
+    form: 0 at z = 0, -inf at r_hi (b = 0, 2Kz > 1) and +inf at every upper
+    end (b = 0 with 2Kz < 1, or c = 0); next to an end F' rounds to either
+    sign on a component a few ulps wide.
     """
     g = _origin_curvature(u, K)
     quartic = _phi3_quartic(u, K)
     cuts = [math.sqrt(t) for t in _phi3_roots(quartic)]
     cands = []
-    for lo, hi in admissible_domain(MicroParams(u, K)):
-        if hi >= 0.0:  # a negative component mirrors a positive one
-            cands += piecewise_minima(lambda z: _rate_slope(u, K, g, z),
-                                      lambda z: _rate_curvature(u, K, g, z),
-                                      lambda z: _rate_third(quartic, u, K, z),
-                                      cuts, max(0.0, lo), hi)
+    for lo, hi in _positive_components(u, K):
+        cands += piecewise_minima(lambda z: _rate_slope(u, K, g, z),
+                                  lambda z: _rate_curvature(u, K, g, z),
+                                  lambda z: _rate_third(quartic, u, K, z),
+                                  cuts, lo, hi,
+                                  ends=(-math.inf if lo else 0.0, math.inf))
     return cands
 
 
@@ -366,7 +369,7 @@ def _phi3_roots(quartic):
     c4, c3, c2, c1, c0 = quartic
 
     def q(t):
-        return (((c4 * t + c3) * t + c2) * t + c1) * t + c0
+        return _horner(quartic, t)
 
     def q1(t):
         return ((4.0 * c4 * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
@@ -386,23 +389,21 @@ def _phi3_roots(quartic):
 
 def _convexity_indicator(u, K):
     """True when the third derivative of the nonlinear shell component is
-    nonnegative over the positive part of the central admissible component,
-    False when it is negative somewhere there, None when that part is empty.
+    nonnegative over (0, top], [0, top] the central _positive_components,
+    False when it is negative somewhere there, None when top is 0 or absent.
 
     Exact: on (0, top] the sign of phi''' is the sign of the _phi3_quartic
     quartic on (0, top^2], which is constant between consecutive real roots,
     so one evaluation per root-delimited piece decides.
     """
-    comps = [iv for iv in admissible_domain(MicroParams(u, K))
-             if iv[0] <= 0.0 <= iv[1]]
-    if not comps or comps[0][1] <= 0.0:
+    lo, top = _positive_components(u, K)[0]
+    if lo > 0.0 or top <= 0.0:
         return None
-    t_top = comps[0][1] ** 2
+    t_top = top ** 2
     quartic = _phi3_quartic(u, K)
-    cuts = np.array([0.0] + [t for t in _phi3_roots(quartic) if t < t_top]
-                    + [t_top])
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    return bool(np.min(np.polyval(quartic, mids)) >= 0.0)
+    cuts = [0.0] + [t for t in _phi3_roots(quartic) if t < t_top] + [t_top]
+    return all(_horner(quartic, 0.5 * (a + b)) >= 0.0
+               for a, b in zip(cuts, cuts[1:]))
 
 
 def _origin_band(u):
@@ -464,7 +465,7 @@ def convexity_threshold(u: float) -> float:
                 f"below ~4.4e-309")
         return band[1]
     v = 1.0 - 2.0 * u
-    coeffs = [np.polyval(row, v) for row in _PINCH_SEXTIC]
+    coeffs = [_horner(row, v) for row in _PINCH_SEXTIC]
     x = float(min(r.real for r in np.roots(coeffs)
                   if r.imag == 0.0 and r.real > 0.0))
     return (1.0 + x) / (4.0 * u)
@@ -668,22 +669,20 @@ def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
     """All critical couplings at this u; region labels a supplied K by a
     direct convexity test at (u, K) ('above' = convex = continuous regime).
 
-    A coupling that does not exist at a finite u is None; a non-finite u
-    raises DomainError."""
+    A coupling that does not exist at a finite u (or overflows) is None;
+    a non-finite u, or a (u, K) that MicroParams refuses, raises
+    DomainError.  Kc1(u) is solved only where k2(u) < C(u)."""
     u, K = _finite(u, "u"), _real(K)
-    k2 = None
-    if 0.0 < u < 2.0 / 3.0:
-        k2 = second_order_coupling_u(u)
-    try:
-        c = convexity_threshold(u)
-    except DomainError:
-        c = None
-    try:
-        k1 = first_order_coupling_u(u)
-    except DomainError:
-        k1 = None
+    k2 = second_order_coupling_u(u) if 0.0 < u < 2.0 / 3.0 else None
+    band = _origin_band(u)
+    if band is not None:
+        c = band[1] if band[1] < math.inf else None
+    else:
+        c = convexity_threshold(u) if 0.0 < u < 0.5 else None
+    k1 = _first_order_coupling_u(u)[0] if c is not None and k2 < c else None
     region = None
     if K is not None:
+        MicroParams(u, K)   # refuses an invalid (u, K)
         ind = _convexity_indicator(u, K)
         if ind is not None:
             region = "above" if ind else "below"

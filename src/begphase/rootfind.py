@@ -162,7 +162,7 @@ def monotone_roots(f, fprime, nodes):
     return roots
 
 
-def piecewise_minima(fp, fpp, fppp, cuts, lo, hi):
+def piecewise_minima(fp, fpp, fppp, cuts, lo, hi, *, ends=None):
     """Every local minimizer of f on [lo, hi], in increasing order.
 
     `cuts` must hold every point of (lo, hi) where f''' may change sign
@@ -172,7 +172,9 @@ def piecewise_minima(fp, fpp, fppp, cuts, lo, hi):
     change of f' from - to + on a piece (Newton from its midpoint until the
     step stalls), a split point where f' = 0 between the two, or an end where
     f' points into [lo, hi], as at the origin of an even f with f' > 0 on the
-    first piece.  fp and fpp may be +-inf at an end, never NaN.
+    first piece.  fp and fpp may be +-inf at an end, never NaN.  `ends` =
+    (f'(lo), f'(hi)) where the caller knows them: where f' is infinite at
+    an end, its rounding next to the end may give it either sign.
     """
     if hi <= lo:
         return [lo]
@@ -180,7 +182,8 @@ def piecewise_minima(fp, fpp, fppp, cuts, lo, hi):
     xs = sorted(nodes + monotone_roots(fpp, fppp, nodes))
     # f' < 0 left of lo and > 0 right of hi: an end is then a minimum exactly
     # when f' points into [lo, hi] there
-    d = [-1.0] + [fp(x) for x in xs] + [1.0]
+    flo, fhi = (fp(lo), fp(hi)) if ends is None else ends
+    d = [-1.0, flo] + [fp(x) for x in xs[1:-1]] + [fhi, 1.0]
     xs = [lo] + xs + [hi]
     mins = []
     for i in range(len(xs) - 1):

@@ -159,12 +159,20 @@ def test_large_beta_raises_domain_error_naming_bound():
 @pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
 def test_sixth_derivative_overflow_raises_domain_error(factor):
     # at the spinodal e^beta/(4 beta) of beta = 150, (2 beta K)^6 exceeds
-    # the float range; an OverflowError used to escape solve_canonical
+    # the float range; an OverflowError used to escape.  The derivatives are
+    # computed only where they are asked for: by mag_potential and by
+    # classify_minimum, not by solve_canonical, which decides the types from
+    # the Landau coefficient and returns the pair at +-1
     params = CanonicalParams(150.0, second_order_coupling(150.0) * factor)
     for call in (lambda: mag_potential(params, 0.0, 6),
-                 lambda: solve_canonical(params)):
+                 lambda: classify_minimum(params, 1.0)):
         with pytest.raises(DomainError, match="overflows the float range"):
             call()
+    sol = solve_canonical(params)
+    assert sol.z_points == (-1.0, 1.0) and sol.types == (1, 1)
+    beta, K = params.beta, params.K
+    value = -beta * K + beta + math.log1p(2.0 * math.exp(-beta))
+    assert abs(sol.min_value - value) <= 1e-12 * abs(value)
 
 
 def test_minimum_type_when_curvature_falls_under_tolerance():
@@ -423,6 +431,61 @@ def test_type_of_the_origin(beta, K, r):
     sol = solve_canonical(params)
     assert sol.types[sol.z_points.index(0.0)] == r
     assert minimum_type(params, 0.0)[0] == r
+
+
+@st.composite
+def _canonical_points(draw):
+    # the bulk, and K within a few ulps of Kc2(beta) up to log 4, where the
+    # origin is critical, including the floats next to log 4
+    beta = draw(st.one_of(
+        st.floats(0.05, 5.0),
+        st.sampled_from([BETA_C, math.nextafter(BETA_C, 0.0),
+                         math.nextafter(BETA_C, 2.0)]),
+        st.floats(0.05, BETA_C)))
+    K = draw(st.one_of(st.floats(0.2, 4.0), st.integers(-4, 4).map(
+        lambda m: second_order_coupling(beta) * (1.0 + m * 2.0 ** -52))))
+    return CanonicalParams(beta, K)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_canonical_points())
+def test_solver_types_are_minimum_type(params):
+    # solve_canonical decides the types from the Landau coefficient alone;
+    # minimum_type decides them the same way next to its derivatives
+    sol = solve_canonical(params)
+    assert sol.types == tuple(minimum_type(params, z)[0] for z in sol.z_points)
+
+
+def test_solver_takes_no_higher_derivative(monkeypatch):
+    # the types come from the Landau coefficient: no G or G'' is
+    # computed, in every branch (origin, pair, triple; r = 1, 2, 3)
+    orders = []
+    potential = canonical.mag_potential
+
+    def counted(params, z, order=0):
+        orders.append(order)
+        return potential(params, z, order)
+
+    monkeypatch.setattr(canonical, "mag_potential", counted)
+    for beta, K in ((1.0, 1.0), (1.0, 1.5), (1.0, second_order_coupling(1.0)),
+                    (BETA_C, 3.0 / (2.0 * BETA_C)), (2.0, 1.05),
+                    (1.3862946035660924, 1.082021266322187)):
+        solve_canonical(CanonicalParams(beta, K))
+    assert orders and max(orders) < 4
+
+
+@pytest.mark.parametrize("beta, K", [(0.5, 1e200), (1.0, 1e308),
+                                     (300.0, 1e307), (1.0, 6.8e153)])
+def test_solver_refuses_a_tilt_whose_square_overflows(beta, K):
+    # the potential squares 2 beta K: (0.5, 1e200) came out min_value = inf
+    # and 2 beta K = inf raised BracketError on [0, inf]
+    with pytest.raises(DomainError, match="2 beta K"):
+        solve_canonical(CanonicalParams(beta, K))
+
+
+def test_solver_takes_the_largest_tilt_that_squares():
+    sol = solve_canonical(CanonicalParams(1.0, 6.5e153))
+    assert sol.phase_label == "pair" and math.isfinite(sol.min_value)
 
 
 def test_no_raise_next_to_the_spinodal_above_log4():

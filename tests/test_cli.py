@@ -135,6 +135,30 @@ def test_micro_critical_non_finite_u_exits_2(capsys, u):
     assert "u must be finite" in err
 
 
+@pytest.mark.parametrize("K", ["0", "-1", "5"])
+def test_micro_critical_invalid_coupling_exits_2(capsys, K):
+    # (u, K) = (-10, K) is no MicroParams: K <= 0, or u below 1 - K
+    code, out, _ = run(capsys, ["micro-critical", "--u", "-10", "--K", K])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("beta, K", [("1", "1e308"), ("300", "1e307"),
+                                     ("0.5", "1e200")])
+def test_canon_tilt_beyond_the_float_range_exits_2(capsys, beta, K):
+    # a BracketError traceback on [0, inf], or min_value = inf
+    code, out, err = run(capsys, ["canon", "--beta", beta, "--K", K])
+    assert code == 2 and out == ""
+    assert "2 beta K" in err
+
+
+def test_micro_at_the_bottom_of_the_energy_range(capsys):
+    # the admissible set used to come out empty there: RuntimeError
+    code, out, _ = run(capsys, ["micro", "--u", "-908.657904254718",
+                                "--K", "909.6579042547181"])
+    assert code == 0
+    assert "# phase=pair" in out.splitlines()
+
+
 def test_large_beta_exits_2(capsys):
     for argv in (["canon", "--beta", "800", "--K", "1"],
                  ["canon-critical", "--beta", "800"]):
@@ -179,10 +203,16 @@ def test_canon_in_the_snap_band(capsys):
 
 
 def test_canon_sixth_derivative_overflow_exits_2(capsys):
+    # the classification asks for G and exits 2 where it overflows;
+    # canon decides the types without it and prints the pair at +-1
     K = second_order_coupling(150.0) * (1.0 + 1e-6)
-    code, _, err = run(capsys, ["canon", "--beta", "150", "--K", repr(K)])
+    code, _, err = run(capsys, ["limits", "--beta", "150", "--K", repr(K),
+                                "--mode", "classify"])
     assert code == 2
     assert "overflows the float range" in err
+    code, out, _ = run(capsys, ["canon", "--beta", "150", "--K", repr(K)])
+    assert code == 0
+    assert "# phase=pair" in out.splitlines()
 
 
 def test_json_format_rounding(capsys):

@@ -539,6 +539,14 @@ def test_newton_searches_end_before_their_step_limit(monkeypatch):
         canonical.tangency(beta)
         first_order_coupling(beta)
     assert len(steps) > 100 and max(steps) < rootfind._MAX_NEWTON
+    # the tangency next to log 4, where its slope takes c''' in closed form:
+    # from the raw moments c''' lost its digits at w ~ 1e-7, and the search
+    # took up to 57 steps within 5e-15 of log 4
+    del steps[:]
+    ladder = {BETA_C + 10.0 ** (-16.0 + 15.0 * i / 599) for i in range(600)}
+    for beta in sorted(ladder - {BETA_C}):
+        canonical.tangency(beta)
+    assert len(steps) > 500 and max(steps) <= 12
 
 
 def _lower_end_tol(K, z):

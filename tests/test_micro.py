@@ -79,6 +79,58 @@ def test_admissible_domain_structures():
             assert max(mac.as_array()) <= 1.0 + 1e-12
 
 
+@st.composite
+def _bottom_of_the_energy_range(draw):
+    # K log-uniform in (1, 1000], u among the first 6 floats from 1 - K up
+    K = draw(st.floats(0.0, 3.0).map(lambda x: 10.0 ** x)
+             .filter(lambda K: K > 1.0))
+    u = 1.0 - K
+    for _ in range(draw(st.integers(0, 5))):
+        u = math.nextafter(u, 1.0)
+    return u, K
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bottom_of_the_energy_range())
+def test_solve_at_the_bottom_of_the_energy_range(uK):
+    # the shell shrinks to the pure states z = +-1 there, and interval
+    # subtraction found it empty (RuntimeError) at many of them.
+    # The entropy lies within 1e-14 of the -log 3 of the pure states (60
+    # digits at K ~ 1000), but q = u + K z^2 rounds at the scale ulp(K), and
+    # so does the rate: the entropy bound scales with K
+    u, K = uK
+    sol = solve_micro(MicroParams(u, K))
+    assert sol.phase_label == "pair"
+    assert abs(sol.z_points[1] - 1.0) <= 1e-12
+    assert abs(sol.entropy + math.log(3.0)) <= 1e-12 * K
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3).flatmap(lambda K: st.tuples(
+    st.floats(min(1.0 - K, 0.0), 1.0), st.just(K))),
+    st.floats(-1.0, 1.0))
+def test_admissible_domain_is_the_admissible_set(uK, z):
+    # z lies in a component exactly when |z| <= u + K z^2 <= 1 holds in
+    # floats, away from the component ends, where either may round
+    from begphase.micro import _admissible
+    u, K = uK
+    comps = admissible_domain(MicroParams(u, K))
+    assume(all(abs(z - end) >= 1e-12 for iv in comps for end in iv))
+    assert any(lo <= z <= hi for lo, hi in comps) == _admissible(u, K, z, 0.0)
+
+
+@pytest.mark.parametrize("u, K", [(1.0 + 1e-13, 1.0), (-1e-13, 0.5),
+                                  (1.0 - 2.0 - 1e-13, 2.0),
+                                  (1.0 - 37.0 - 1e-13, 37.0)])
+def test_empty_shell_inside_the_params_slack_raises(u, K):
+    # MicroParams accepts u up to 1e-12 outside [min(1-K, 0), 1], where the
+    # shell is empty: a DomainError above 1, a RuntimeError below the bottom
+    params = MicroParams(u, K)
+    for call in (solve_micro, admissible_domain):
+        with pytest.raises(DomainError, match="empty"):
+            call(params)
+
+
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -544,14 +596,8 @@ def test_phi3_roots_are_the_sign_changes_of_the_quartic(uK):
     # as at (0.9984141641973294, 0.0015858358159511407)
     if flat:
         return
-    try:
-        comps = [iv for iv in admissible_domain(MicroParams(u, K))
-                 if iv[0] <= 0.0 <= iv[1]]
-    except RuntimeError:
-        # admissible_domain finds no point within a few ulps of the bottom
-        # u = 1 - K of the energy range, where the set shrinks to z = +-1
-        assert u - (1.0 - K) <= 1e-12 * K
-        return
+    comps = [iv for iv in admissible_domain(MicroParams(u, K))
+             if iv[0] <= 0.0 <= iv[1]]
     got_indicator = _convexity_indicator(u, K)
     if not comps or comps[0][1] <= 0.0:
         assert got_indicator is None

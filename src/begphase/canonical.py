@@ -163,14 +163,17 @@ def _tilt_kernels(beta, K, d):
     1/(2 beta K) against c''(0) = a, and no other term cancels as w -> 0
     or beta -> log 4.  Above |w| = 2 the plain forms w/(2 beta K) - c'(w)
     and 1/(2 beta K) - c''(w) are exact enough.  P''' = -c'''(w), with
-    c''' from _c3 up to |w| = 2 and from cumulant above.
+    c''' from _c3 up to |w| = 2 and from the moments above.  Above |w| = 2
+    the three read one moments evaluation per point (last_point): Newton
+    takes the derivative where it has just taken the value.
     """
     tk = 2.0 * beta * K
     a, eps = _a_eps(beta)
+    moments = last_point(lambda w: _tilted_moments(beta, w))
 
     def slope(w):
         if abs(w) > 2.0:
-            return w / tk - _tilted_moments(beta, w)[1]
+            return w / tk - moments(w)[1]
         x = w * w
         tail, sw = _sinh_sums(x)[:2]
         sigma = x * eps / 6.0 + tail - a * x * sw
@@ -178,7 +181,7 @@ def _tilt_kernels(beta, K, d):
 
     def curvature(w):
         if abs(w) > 2.0:
-            _, m1, m2 = _tilted_moments(beta, w)
+            _, m1, m2 = moments(w)
             return 1.0 / tk - (m2 - m1 * m1)
         s = 2.0 * math.sinh(0.5 * w) ** 2
         y = a * s
@@ -186,7 +189,7 @@ def _tilt_kernels(beta, K, d):
 
     def third(w):
         if abs(w) > 2.0:
-            return -cumulant(beta, w, 3)
+            return -_cumulant_from_moments(*moments(w)[1:], 3)
         return -_c3(a, eps, w)
 
     return slope, curvature, third
@@ -350,11 +353,14 @@ def _local_wells(params, d):
     A positive well lies where P'' increases: beyond the inflection w_c of
     c' above log 4, anywhere below it (w_c = 0 there).  One piecewise_minima
     call with no cuts searches (w_c, 2 beta K + 1], where P' > 0 even if c'
-    rounds to 1.  The origin is a well exactly when d >= 0 (d = 0 only in
-    the critical band of _landau).  Below log 4, P'' rises from d: where
-    d >= 0 the origin is the one well, and the search is skipped.  P
-    squares the tilt: DomainError where 2 beta K does not square to a
-    finite float (above about 1.34e154).
+    rounds to 1, with its searches started at the roots of the
+    _landau_poly polynomial: next to Kc2 and Kc1 the well is a near-double
+    root of P', which Newton from a start far from it approaches by little
+    more than halvings.  The origin is a well exactly when d >= 0 (d = 0 only in the
+    critical band of _landau).  Below log 4, P'' rises from d: where d >= 0
+    the origin is the one well, and the search is skipped.  P squares the
+    tilt: DomainError where 2 beta K does not square to a finite float
+    (above about 1.34e154).
     """
     beta, K = _check_beta(params.beta), params.K
     tk = 2.0 * beta * K
@@ -367,7 +373,18 @@ def _local_wells(params, d):
         return [0.0]
     lo = cumulant_inflection(beta) if beta > BETA_C else 0.0
     return [0.0] * (d >= 0.0) + [w for w in piecewise_minima(
-        *_tilt_kernels(beta, K, d), (), lo, tk + 1.0) if w > lo]
+        *_tilt_kernels(beta, K, d), (), lo, tk + 1.0,
+        landau=_landau_poly(beta, d)) if w > lo]
+
+
+def _landau_poly(beta, d):
+    """The Landau polynomial (d, b, c) of the tilt potential, P'(w)/w = d +
+    b w^2 + c w^4 + O(w^6), given d from _landau: b = -kappa4/6 =
+    -a eps/6 and c = -kappa6/120 = -a (1 - 15a + 30a^2)/120, with kappa4
+    and kappa6 the cumulants of the single-site law and (a, eps) from
+    _a_eps, so that b keeps its sign next to log 4."""
+    a, eps = _a_eps(beta)
+    return d, -a * eps / 6.0, -a * (1.0 + (30.0 * a - 15.0) * a) / 120.0
 
 
 def positive_well(beta: float, K: float) -> float:
@@ -468,8 +485,9 @@ def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
     TIE_TOL of the least value are all global, mirrored to z < 0: the
     disordered point 0 alone, the symmetric pair +-z, or all three where they
     tie at a first-order coupling.  The Landau coefficient, computed once,
-    decides the origin and the types (_type): no critical coupling and no
-    derivative for the types is computed.
+    decides the origin and the types (_type), and with the fourth and
+    sixth cumulants it starts the well searches (_landau_poly): no critical
+    coupling and no derivative for the types is computed.
     """
     beta, K = params.beta, params.K
     a = 2.0 * beta * K
@@ -503,8 +521,10 @@ def dual_route_minimum(params: CanonicalParams):
 
     Deliberately bypasses the potential-based solver: the rate is evaluated
     through the closed-form inverse tilt at each point of a 4001-point grid,
-    and local minima are refined by golden section on the same scalar rate.
-    Used to verify that both routes of the convex-duality identity agree.
+    and local minima are refined by golden section on the same scalar rate,
+    over the neighbouring grid points or, at an end of the grid, out to
+    z = +-1, where the rate stays finite.  Used to verify that both routes
+    of the convex-duality identity agree.
     """
     beta, K = params.beta, params.K
     zg = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001).tolist()
@@ -512,21 +532,25 @@ def dual_route_minimum(params: CanonicalParams):
     def scalar(z):
         return cramer_rate(beta, z) - beta * K * z * z
 
-    def polish(z):
+    def polish(z, a, b):
         # stationarity of the dual objective: mean_tilt(z) = 2 beta K z;
         # golden section stalls at sqrt(eps), Newton on the tilt restores
-        # full precision without touching the potential route
+        # full precision without touching the potential route.  It stays
+        # in the golden bracket [a, b]: a step out of it goes half way to
+        # the end it crosses
         for _ in range(40):
+            if abs(z) == 1.0:
+                break
             t = mean_tilt(beta, z)
-            resid = t - 2.0 * beta * K * z
-            slope = 1.0 / cumulant(beta, t, 2) - 2.0 * beta * K
+            c2 = cumulant(beta, t, 2)
+            slope = 1.0 / c2 - 2.0 * beta * K if c2 > 0.0 else 0.0
             if slope == 0.0:
                 break
-            step = resid / slope
-            z_new = min(max(z - step, -1.0 + 1e-12), 1.0 - 1e-12)
+            z_new = z - (t - 2.0 * beta * K * z) / slope
+            if not a <= z_new <= b:
+                z_new = 0.5 * (z + (a if z_new < a else b))
             if abs(z_new - z) < 1e-15:
-                z = z_new
-                break
+                return z_new
             z = z_new
         return z
 
@@ -536,11 +560,17 @@ def dual_route_minimum(params: CanonicalParams):
         left = rate[i - 1] if i > 0 else math.inf
         right = rate[i + 1] if i < len(zg) - 1 else math.inf
         if rate[i] <= left and rate[i] <= right:
-            a = zg[max(i - 1, 0)]
-            b = zg[min(i + 1, len(zg) - 1)]
-            zmin, _ = golden_min(scalar, a, b, tol=1e-10)
-            zmin = polish(zmin)
-            cands.append((zmin, scalar(zmin)))
+            a = zg[i - 1] if i > 0 else -1.0
+            b = zg[i + 1] if i < len(zg) - 1 else 1.0
+            zmin, fmin = golden_min(scalar, a, b, tol=1e-10)
+            # golden section ends at +-1 where the minimizer rounds to it or
+            # lies closer to it than its tolerance: Newton from the grid
+            # point tells them apart
+            z = polish(zmin if abs(zmin) < 1.0 else zg[i], a, b)
+            fz = scalar(z)
+            if abs(zmin) < 1.0 or fz < fmin:
+                zmin, fmin = z, fz
+            cands.append((zmin, fmin))
     best = min(v for _, v in cands)
     kept = sorted(z for z, v in cands if v <= best + TIE_TOL)
     merged = []

@@ -16,7 +16,8 @@ up to five stationary points in the first-order regime), but F''' = 2 z
 Q(z^2)/(abc)^2 with Q a quartic: F'' is monotone between the roots of Q, so
 rootfind.piecewise_minima finds every local minimum.  F' and F'' are summed
 from the curvature g = F''(0), exactly signed, which resolves the wells just
-above the second-order coupling and decides the origin.
+above the second-order coupling and decides the origin; with the quartic and
+sextic Landau coefficients it gives each search its start.
 The first-order coupling is where a positive well ties with z = 0: one
 Newton solve of the tie and the stationarity of the rate, in unknowns scaled
 so that they stay well conditioned at both ends of the first-order regime.
@@ -30,7 +31,8 @@ from scipy.special import xlogy
 
 from .core import (DomainError, Macrostate, MicroParams, _exactly_signed,
                    _finite, _real, energy_domain)
-from .rootfind import even_global_minima, monotone_roots, piecewise_minima
+from .rootfind import (even_global_minima, monotone_roots, piecewise_minima,
+                       quadratic_roots)
 
 _LOG2 = math.log(2.0)
 _SQRT_EPS = math.sqrt(2.0 ** -52)
@@ -176,13 +178,21 @@ def _origin_curvature(u, K):
     """The Landau coefficient g = F''(0) = 1/u - 2K log(2(1-u)/u) of the
     shell rate at 0 < u < 1, with the sign of its exact value: it is
     evaluated again at 40 digits where its rounding is not far below |g|
-    (_exactly_signed).  NaN elsewhere, where z = 0 is no interior point."""
+    (_exactly_signed).  NaN elsewhere, where z = 0 is no interior point.
+    The 40-digit logarithm is the float one, lam, corrected by one
+    exponential: log X = lam + log1p(r) with r = X e^-lam - 1 ~ 1e-16,
+    summed as r - r^2/2."""
     if not 0.0 < u < 1.0:
         return math.nan
     inv, lw, lu = 1.0 / u, math.log1p(-u), math.log(u)
-    return _exactly_signed(
-        inv - 2.0 * K * (_LOG2 + lw - lu), inv + 2.0 * K * (_LOG2 - lw - lu),
-        lambda D: 1 / D(u) - 2 * D(K) * (2 * (1 - D(u)) / D(u)).ln())
+    lam = _LOG2 + lw - lu
+
+    def exact(D):
+        r = 2 * (1 - D(u)) / D(u) * (-D(lam)).exp() - 1
+        return 1 / D(u) - 2 * D(K) * (D(lam) + r - r * r / 2)
+
+    return _exactly_signed(inv - 2.0 * K * lam,
+                           inv + 2.0 * K * (_LOG2 - lw - lu), exact)
 
 
 def _g_at(u, K, g, p, q):
@@ -261,23 +271,50 @@ def _local_minima(u, K):
     """Every local minimizer z >= 0 of the shell rate.  The rate is even, so
     piecewise_minima searches each of the _positive_components, with the
     slope and the curvature summed from the Landau coefficient g = F''(0),
-    computed once.  z = 0 is a minimum exactly when g > 0: no tolerance
-    decides it.  piecewise_minima takes the end values of F' in closed
-    form: 0 at z = 0, -inf at r_hi (b = 0, 2Kz > 1) and +inf at every upper
-    end (b = 0 with 2Kz < 1, or c = 0); next to an end F' rounds to either
-    sign on a component a few ulps wide.
+    computed once, and the searches on the central component started at
+    the roots of the _landau_poly polynomial, the expansion about z = 0,
+    which lie next to the near-double roots of F' and F'' close to the
+    critical curves.  z = 0 is a minimum exactly when
+    g > 0: no tolerance decides it.  piecewise_minima takes the end values
+    of F' in closed form: 0 at z = 0, -inf at r_hi (b = 0, 2Kz > 1) and +inf
+    at every upper end (b = 0 with 2Kz < 1, or c = 0); next to an end F'
+    rounds to either sign on a component a few ulps wide.
     """
     g = _origin_curvature(u, K)
     quartic = _phi3_quartic(u, K)
     cuts = [math.sqrt(t) for t in _phi3_roots(quartic)]
+    landau = _landau_poly(u, K, g)
     cands = []
     for lo, hi in _positive_components(u, K):
         cands += piecewise_minima(lambda z: _rate_slope(u, K, g, z),
                                   lambda z: _rate_curvature(u, K, g, z),
                                   lambda z: _rate_third(quartic, u, K, z),
                                   cuts, lo, hi,
-                                  ends=(-math.inf if lo else 0.0, math.inf))
+                                  ends=(-math.inf if lo else 0.0, math.inf),
+                                  landau=None if lo else landau)
     return cands
+
+
+def _landau_poly(u, K, g):
+    """The Landau polynomial (g, b, c) of the shell rate, F'(z)/z = g + b z^2
+    + c z^4 + O(z^6), given g = _origin_curvature(u, K); None where z = 0 is
+    no interior point (u outside (0, 1)).
+
+    b = F''''(0)/6 = Q(0)/(3 u^4 (1-u)^2), Q the _phi3_quartic quartic, and
+    c = F^(6)(0)/120; with y = K u and w = 1 - u they are
+    (6y^2 - 6wy + w)/(3w u^3) and [10(2u-1) y^3 + w^2 (30y^2 - 15y + 2)]
+    /(10 w^2 u^5), summed by Horner in y and divided by u one factor at a
+    time: a subnormal u or a large K makes them infinite or NaN, which
+    piecewise_minima's starts pass over, and nothing raises.
+    """
+    if not 0.0 < u < 1.0:
+        return None
+    y, w = K * u, 1.0 - u
+    w2 = w * w
+    b = ((6.0 * y - 6.0 * w) * y + w) / (3.0 * w) / u / u / u
+    c = ((((20.0 * u - 10.0) * y + 30.0 * w2) * y - 15.0 * w2) * y
+         + 2.0 * w2) / (10.0 * w2) / u / u / u / u / u
+    return g, b, c
 
 
 def _global_minima(u, K):
@@ -289,9 +326,10 @@ def _global_minima(u, K):
 def solve_micro(params: MicroParams) -> MicroSolution:
     """Global minimizers of the shell rate, lifted to macrostates.
 
-    Local minima from the exact derivatives of the rate, ties within TIE_TOL
-    all retained.  At most three global minimizers can occur; more indicates
-    a violated structural assumption and raises RuntimeError.
+    Local minima from the exact derivatives of the rate, each search
+    started at its Landau root (_local_minima), ties within TIE_TOL all
+    retained.  At most three global minimizers can occur; more indicates a
+    violated structural assumption and raises RuntimeError.
     """
     zs, best = _global_minima(params.u, params.K)
     if len(zs) > 3:
@@ -377,13 +415,9 @@ def _phi3_roots(quartic):
     def q2(t):
         return (12.0 * c4 * t + 6.0 * c3) * t + 2.0 * c2
 
-    # Q''/2 = A t^2 + B t + C with A = 6 c4 = 12 K^6 > 0
-    A, B, C = 6.0 * c4, 3.0 * c3, c2
-    disc = B * B - 4.0 * A * C
-    nodes = [0.0, 1.0]
-    if disc > 0.0:
-        r = -0.5 * (B + math.copysign(math.sqrt(disc), B))
-        nodes[1:1] = sorted(t for t in (r / A, C / r) if 0.0 < t < 1.0)
+    # Q''/2 = 6 c4 t^2 + 3 c3 t + c2, with 6 c4 = 12 K^6 > 0
+    nodes = [0.0, *(t for t in quadratic_roots(6.0 * c4, 3.0 * c3, c2)
+                    if 0.0 < t < 1.0), 1.0]
     return monotone_roots(q, q1, [0.0] + monotone_roots(q1, q2, nodes) + [1.0])
 
 

@@ -5,9 +5,10 @@ start inside a sign-change bracket, the Landau root or another closed form
 where the caller has one, and a safeguard keeps the iterates inside the
 bracket, which every iterate narrows.  piecewise_minima finds every local
 minimum of a function whose third derivative changes sign only at known
-points, without a grid, and even_global_minima keeps those of an even
-function that tie for the least value; golden section serves the searches
-that have no derivatives at hand.
+points, without a grid, starting its searches at the roots of the Landau
+polynomial where the caller has one; even_global_minima keeps those of an
+even function that tie for the least value; golden section serves the
+searches that have no derivatives at hand.
 """
 
 import math
@@ -141,13 +142,29 @@ def bisect_monotone(f, lo, hi, target, *, tol=1e-9):
     return 0.5 * (lo + hi)
 
 
-def monotone_roots(f, fprime, nodes):
+def quadratic_roots(a, b, c):
+    """The real roots of a t^2 + b t + c, increasing: two where the
+    discriminant is positive, from the sum that does not cancel (one, -c/b,
+    where a = 0), none where it is not.  Infinite coefficients give
+    infinite or NaN roots, never an exception."""
+    disc = b * b - 4.0 * a * c
+    if not disc > 0.0:
+        return ()
+    r = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    if a == 0.0:
+        return (c / r,)
+    x, y = r / a, c / r
+    return (x, y) if x <= y else (y, x)
+
+
+def monotone_roots(f, fprime, nodes, *, starts=()):
     """The points where f changes sign on [nodes[0], nodes[-1]], increasing,
     for f monotone between consecutive nodes: one Newton search on each
-    piece whose end values differ in sign, from the root of its chord (the
+    piece whose end values differ in sign, and the first node of each run
+    where f = 0 between values of opposite signs.  A search starts at the
+    first of `starts` inside its piece, else at the root of its chord (the
     midpoint where an end value is infinite), which lies next to a root
-    that crowds an end of its piece, and the first node of each run where
-    f = 0 between values of opposite signs."""
+    that crowds an end of its piece."""
     vals = [f(x) for x in nodes]
     roots, last = [], None   # last: the index of the last value != 0
     for i, fb in enumerate(vals):
@@ -155,31 +172,61 @@ def monotone_roots(f, fprime, nodes):
             continue
         if last is not None and (fb < 0.0) != (vals[last] < 0.0):
             a, b, fa = nodes[last], nodes[i], vals[last]
+            start = a - fa * ((b - a) / (fb - fa))
+            for s in starts:
+                if a < s < b:
+                    start = s
+                    break
             roots.append(nodes[last + 1] if last < i - 1 else bisect_newton(
-                f, fprime, a, b, start=a - fa * ((b - a) / (fb - fa)),
-                ends=(fa, fb)))
+                f, fprime, a, b, start=start, ends=(fa, fb)))
         last = i
     return roots
 
 
-def piecewise_minima(fp, fpp, fppp, cuts, lo, hi, *, ends=None):
+def _landau_starts(landau):
+    """(well start, spinodal starts) of an even f whose Landau polynomial is
+    landau = (d, b, c), i.e. f'(x)/x = d + b x^2 + c x^4 + O(x^6): the
+    square root of the positive root t of d + b t + c t^2 where
+    f'' = d + 3b t + 5c t^2 (to that order) is positive, the one minimum
+    x > 0 of the truncated Landau potential (its other stationary point is
+    a maximum), and those of the positive roots of d + 3b t + 5c t^2.  Next
+    to a critical curve, where the wells are near-double roots of f', they
+    lie next to the roots.  (None, ()) without a polynomial."""
+    if landau is None:
+        return None, ()
+    d, b, c = landau
+    well = None
+    for t in quadratic_roots(c, b, d):
+        if t > 0.0 and d + t * (3.0 * b + 5.0 * c * t) > 0.0:
+            well = math.sqrt(t)
+    return well, [math.sqrt(t) for t in quadratic_roots(5.0 * c, 3.0 * b, d)
+                  if t > 0.0]
+
+
+def piecewise_minima(fp, fpp, fppp, cuts, lo, hi, *, ends=None,
+                     landau=None):
     """Every local minimizer of f on [lo, hi], in increasing order.
 
     `cuts` must hold every point of (lo, hi) where f''' may change sign
     (extra ones are harmless).  Between cuts f'' is monotone, and its roots
-    (monotone_roots: Newton on f'' with f''' from the root of the chord of
-    its piece) split [lo, hi] into pieces where f' is monotone.  A minimum is a sign
-    change of f' from - to + on a piece (Newton from its midpoint until the
-    step stalls), a split point where f' = 0 between the two, or an end where
-    f' points into [lo, hi], as at the origin of an even f with f' > 0 on the
-    first piece.  fp and fpp may be +-inf at an end, never NaN.  `ends` =
-    (f'(lo), f'(hi)) where the caller knows them: where f' is infinite at
-    an end, its rounding next to the end may give it either sign.
+    (monotone_roots: Newton on f'' with f''') split [lo, hi] into pieces
+    where f' is monotone.  A minimum is a sign change of f' from - to + on a
+    piece (Newton until the step stalls), a split point where f' = 0
+    between the two, or an end where f' points into [lo, hi], as at the
+    origin of an even f with f' > 0 on the first piece.  fp and fpp may be
+    +-inf at an end, never NaN.  `ends` = (f'(lo), f'(hi)) where the caller
+    knows them: where f' is infinite at an end, its rounding next to the
+    end may give it either sign.  `landau` = (d, b, c) where f is even with
+    f'(x)/x = d + b x^2 + c x^4 + O(x^6): a search then starts at its
+    _landau_starts root where that lies inside its piece.  Elsewhere, and
+    without `landau`, the search of f'' starts at the root of the chord of
+    its piece and that of f' at the midpoint of its piece.
     """
     if hi <= lo:
         return [lo]
     nodes = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-    xs = sorted(nodes + monotone_roots(fpp, fppp, nodes))
+    well, spinodals = _landau_starts(landau)
+    xs = sorted(nodes + monotone_roots(fpp, fppp, nodes, starts=spinodals))
     # f' < 0 left of lo and > 0 right of hi: an end is then a minimum exactly
     # when f' points into [lo, hi] there
     flo, fhi = (fp(lo), fp(hi)) if ends is None else ends
@@ -190,7 +237,7 @@ def piecewise_minima(fp, fpp, fppp, cuts, lo, hi, *, ends=None):
         a, b = xs[i], xs[i + 1]
         if d[i] < 0.0 < d[i + 1]:
             mins.append(a if a == b else bisect_newton(
-                fp, fpp, a, b, ends=(d[i], d[i + 1])))
+                fp, fpp, a, b, start=well, ends=(d[i], d[i + 1])))
         elif d[i + 1] == 0.0 and d[i] < 0.0 < d[i + 2]:
             mins.append(b)
     return mins

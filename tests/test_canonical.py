@@ -611,6 +611,36 @@ def test_dual_route_returns_python_floats(beta, K):
     assert args and all(type(z) is float for z in args)
 
 
+@pytest.mark.parametrize("K", [1e3, 1e6, 1e10])
+def test_dual_route_at_large_coupling(K):
+    # the minimizers round to +-1, past the last grid point 1 - 1e-9; at
+    # K = 1e10 the Newton polish left its golden bracket and converged to 0
+    params = CanonicalParams(1.0, K)
+    value, args = dual_route_minimum(params)
+    sol = solve_canonical(params)
+    assert sol.z_points == (-1.0, 1.0)
+    assert args == (-1.0, 1.0)
+    assert abs(value - sol.min_value) <= 4.0 * math.ulp(sol.min_value)
+
+
+@pytest.mark.parametrize("beta, K", [(1.2, 1.1), (1.5, 1.0), (0.7, 2.0),
+                                     (BETA_C + 1e-9, 1.08)])
+def test_landau_poly_is_the_taylor_expansion_of_the_slope(beta, K):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        b, k = mpmath.mpf(beta), mpmath.mpf(K)
+        taylor = mpmath.taylor(lambda w: w * w / (4 * b * k) - mpmath.log(
+            1 + mpmath.exp(-b) * 2 * mpmath.cosh(w)), 0, 6)
+        want = [float(n * taylor[n]) for n in (4, 6)]
+    # P'(w)/w = d + b w^2 + c w^4: b = 4 t4 and c = 6 t6 of the Taylor
+    # coefficients t_n of P; d is _landau's, signed exactly
+    d = canonical._landau(beta, K)
+    got = canonical._landau_poly(beta, d)
+    assert got[0] == d
+    for g, w in zip(got[1:], want):
+        assert abs(g - w) <= 1e-14 * abs(w)
+
+
 def test_solver_matches_simplex_oracle():
     rng = np.random.default_rng(37)
     from conftest import assert_sets_close

@@ -238,6 +238,67 @@ def test_well_ladder_above_the_second_order_coupling_u(m, z_ref):
     assert abs(sol.z_points[1] - z_ref) <= 1e-9 * z_ref
 
 
+def test_origin_curvature_next_to_the_second_order_coupling():
+    # within 1e-15 of k2(u), g = 1/u - 2K log(2(1-u)/u) cancels to a few
+    # ulps of its terms and is evaluated at 40 digits: it is the 60-digit
+    # value rounded, sign included
+    mpmath = pytest.importorskip("mpmath")
+    from begphase.micro import _origin_curvature
+    rng = np.random.default_rng(19)
+    us = [float(u) for u in rng.uniform(1e-3, 0.66, 16)] + [1e-300, 0.5, 0.65]
+    with mpmath.workdps(60):
+        for u in us:
+            k2 = second_order_coupling_u(u)
+            for K in (k2 * (1.0 + s) for s in (-1e-15, -3e-16, 0.0, 3e-16, 1e-15)):
+                want = (1 / mpmath.mpf(u) - 2 * mpmath.mpf(K)
+                        * mpmath.log(2 * (1 - mpmath.mpf(u)) / mpmath.mpf(u)))
+                got = _origin_curvature(u, K)
+                assert (got > 0.0) == (want > 0) and (got < 0.0) == (want < 0)
+                assert abs(got - want) <= abs(want) * 2.0 ** -52
+
+
+@pytest.mark.parametrize("u, K", [(0.33, 1.08), (0.2, 1.3), (0.05, 3.0),
+                                  (0.45, 0.7)])
+def test_landau_poly_is_the_taylor_expansion_of_the_slope(u, K):
+    # F'(z)/z = g + b z^2 + c z^4: b = 4 t4 and c = 6 t6 of the Taylor
+    # coefficients t_n of the shell rate F at 0
+    mpmath = pytest.importorskip("mpmath")
+    from begphase.micro import _landau_poly, _origin_curvature
+    with mpmath.workdps(60):
+        um, km = mpmath.mpf(u), mpmath.mpf(K)
+
+        def rate(z):
+            q = um + km * z * z
+            return ((q + z) / 2 * mpmath.log(q + z) + (q - z) / 2 * mpmath.log(q - z)
+                    + (1 - q) * mpmath.log(1 - q) - q * mpmath.log(2))
+
+        taylor = mpmath.taylor(rate, 0, 6)
+        want = [float(n * taylor[n]) for n in (4, 6)]
+    g = _origin_curvature(u, K)
+    got = _landau_poly(u, K, g)
+    assert got[0] == g
+    # next to u* the terms of b and c cancel: their magnitudes bound the
+    # rounding, with y = K u and w = 1 - u
+    y, w = K * u, 1.0 - u
+    scales = ((6.0 * y * y + 6.0 * w * y + w) / (3.0 * w * u ** 3),
+              (10.0 * abs(2.0 * u - 1.0) * y ** 3 + w * w * (30.0 * y * y + 15.0 * y + 2.0))
+              / (10.0 * w * w * u ** 5))
+    for x, want_x, scale in zip(got[1:], want, scales):
+        assert abs(x - want_x) <= 1e-14 * abs(want_x) + 2.0 ** -50 * scale
+
+
+@pytest.mark.parametrize("u", [5e-324, 1e-300, 1e-100, 0.5, 1.0 - 2.0 ** -53])
+@pytest.mark.parametrize("K", [1e-300, 1.0, 1e40, 1e300])
+def test_landau_poly_never_raises(u, K):
+    # a subnormal u, u next to 1 and a large K make the coefficients
+    # infinite or NaN, which the searches' starts pass over
+    from begphase.micro import _landau_poly
+    assert _landau_poly(u, K, 1.0)[0] == 1.0
+    assert _landau_poly(0.0, K, 1.0) is None and _landau_poly(-0.5, K, 1.0) is None
+    if K < 1e50:   # above about 1.3e51, K^6 of _phi3_quartic overflows
+        solve_micro(MicroParams(u, K))
+
+
 def test_well_next_to_the_tricritical_point():
     # the 60-digit well is 6.9708074537436519e-5; F' in plain floats put it
     # at 1.0959e-4

@@ -1,11 +1,19 @@
 import math
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from begphase import canonical
-from begphase.core import CanonicalParams
+from begphase import canonical, micro, rootfind
+from begphase.canonical import (first_order_coupling, second_order_coupling,
+                                solve_canonical)
+from begphase.core import BETA_C, CanonicalParams, MicroParams
+from begphase.diagram import (beta_c1_of_K, tricritical_canonical,
+                              tricritical_micro, u_c2_of_K)
+from begphase.micro import (first_order_coupling_u, second_order_coupling_u,
+                            solve_micro)
 from begphase.rootfind import (bisect_newton, golden_min, monotone_roots,
-                               piecewise_minima)
+                               piecewise_minima, quadratic_roots)
 
 
 def _recorded(f, points):
@@ -79,8 +87,8 @@ def test_piecewise_minima_evaluates_the_slope_once_per_point(monkeypatch):
     points = []
     search = canonical.piecewise_minima
 
-    def recorded(fp, *args):
-        return search(_recorded(fp, points), *args)
+    def recorded(fp, *args, **kwargs):
+        return search(_recorded(fp, points), *args, **kwargs)
 
     monkeypatch.setattr(canonical, "piecewise_minima", recorded)
     sol = canonical.solve_canonical(CanonicalParams(1.2, 1.2))
@@ -140,3 +148,196 @@ def test_piecewise_minima_shallow_well_next_to_the_origin():
                            lambda x: 6.0 * x, (), 0.0, 1.0)
     assert len(got) == 1
     assert abs(got[0] - math.sqrt(e)) <= 1e-15 * math.sqrt(e)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ((1.0, -3.0, 2.0), (1.0, 2.0)),
+    ((-2.0, 6.0, -4.0), (1.0, 2.0)),
+    ((0.0, 2.0, -4.0), (2.0,)),
+    ((1.0, 2.0, 1.0), ()),        # a double root is no sign change
+    ((1.0, 0.0, 1.0), ()),
+    ((1e300, 1e300, 1e300), ()),  # the discriminant is inf - inf = NaN
+], ids=["two", "negative-a", "linear", "double", "complex", "overflow"])
+def test_quadratic_roots(coeffs, want):
+    assert quadratic_roots(*coeffs) == want
+
+
+def test_quadratic_roots_keeps_the_small_root():
+    # t^2 - 1e8 t + 1 = 0: the small root 1e-8 cancels in (-b - sqrt(disc))/2
+    small, big = quadratic_roots(1.0, -1e8, 1.0)
+    assert abs(small - 1e-8) <= math.ulp(1e-8) and abs(big - 1e8) <= math.ulp(1e8)
+
+
+def test_monotone_roots_starts_at_the_start_inside_its_piece():
+    points = []
+    f = _recorded(lambda x: x * x - 2.0, points)
+    monotone_roots(f, lambda x: 2.0 * x, [1.0, 2.0], starts=(0.5, 1.4))
+    assert points[2] == 1.4
+    points.clear()
+    # no start inside the piece: the root of the chord, 4/3
+    monotone_roots(f, lambda x: 2.0 * x, [1.0, 2.0], starts=(0.5, 2.5))
+    assert points[2] == 1.0 + 1.0 / 3.0
+
+
+def _landau_slopes(d, b, c):
+    # f'(x) = x (d + b x^2 + c x^4) and its derivatives, an even f whose
+    # Landau polynomial is exact
+    return (lambda x: x * (d + x * x * (b + c * x * x)),
+            lambda x: d + x * x * (3.0 * b + 5.0 * c * x * x),
+            lambda x: x * (6.0 * b + 20.0 * c * x * x))
+
+
+def _cuts(landau):
+    # f''' = 0 at x^2 = -3b/(10c)
+    d, b, c = landau
+    return (math.sqrt(-0.3 * b / c),) if b * c < 0.0 else ()
+
+
+@pytest.mark.parametrize("landau", [
+    (-1e-10, 1.0, 1.0),            # a well born at the origin
+    (1e-6, -0.05, 1.0),            # the first-order double well
+    # c < 0: the larger root of d + b t + c t^2, near 10, is a maximum of
+    # the truncated potential, the smaller one, near 2e-7, the well
+    (-1e-8, 0.05, -0.005),
+], ids=["second-order", "first-order", "second-order-negative-c"])
+def test_piecewise_minima_starts_at_the_landau_roots(landau):
+    fp, fpp, fppp = _landau_slopes(*landau)
+    counts = {}
+    for key, kw in (("blind", {}), ("landau", {"landau": landau})):
+        points = []
+        got = piecewise_minima(_recorded(fp, points), _recorded(fpp, points),
+                               fppp, _cuts(landau), 0.0, 1.0, **kw)
+        counts[key] = len(points)
+        d, b, c = landau
+        well = math.sqrt(quadratic_roots(c, b, d)[1 if c > 0.0 else 0])
+        assert got[:-1] == ([0.0] if d > 0.0 else [])
+        assert abs(got[-1] - well) <= 4.0 * math.ulp(well)
+    assert counts["landau"] < counts["blind"] / 2
+
+
+@pytest.mark.parametrize("landau", [
+    (math.nan, 1.0, 1.0), (-1.0, math.inf, 1.0), (-1.0, 1.0, -math.inf),
+    (1.0, 1.0, 1.0),   # no positive root: nothing to start from
+], ids=["nan", "inf-b", "inf-c", "no-root"])
+def test_piecewise_minima_passes_over_starts_that_are_no_numbers(landau):
+    fp, fpp, fppp = _quartic(1.0)
+    got = piecewise_minima(fp, fpp, fppp, (), 0.0, 2.0, landau=landau)
+    assert got == [1.0]
+
+
+# ---------------------------------------------------------------------------
+# the solvers' Landau starts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ensemble", ["canonical", "micro"])
+def test_landau_starts_cut_the_newton_evaluations(monkeypatch, ensemble):
+    # next to the transitions at K = 1.0817, where equivalence_report places
+    # its grids, the wells are near-double roots of the slope: from a
+    # midpoint or a chord, Newton took 15 to 25 evaluations per search
+    K = 1.0817
+    if ensemble == "canonical":
+        solve = partial(solve_canonical, CanonicalParams(beta_c1_of_K(K) + 1e-6, K))
+    else:
+        solve = partial(solve_micro, MicroParams(u_c2_of_K(K) - 1e-7, K))
+    counts = []
+    search = rootfind.bisect_newton
+
+    def counted(f, *args, **kwargs):
+        counts.append(0)
+        return search(_counted(f, counts), *args, **kwargs)
+
+    monkeypatch.setattr(rootfind, "bisect_newton", counted)
+    assert len(solve().z_points) == 2
+    assert counts and max(counts) <= 8
+
+
+def _counted(f, counts):
+    def g(x):
+        counts[-1] += 1
+        return f(x)
+    return g
+
+
+def _rounding_reach(slope, curvature, x):
+    """How far from x the rounding of the computed slope leaves its root
+    undetermined: twice its largest departure from its tangent at x over
+    the 8 floats on each side, over |f''(x)|."""
+    s0, c = slope(x), curvature(x)
+    lo = hi = x
+    dev = 0.0
+    for _ in range(8):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        dev = max(dev, abs(slope(lo) - s0 - c * (lo - x)),
+                  abs(slope(hi) - s0 - c * (hi - x)))
+    return 2.0 * dev / abs(c)
+
+
+def _assert_same_minimizers(landau, blind, slope, curvature, scale):
+    # both searches stop where Newton's step rounds away, which the rounding
+    # of the slope blurs: next to the tricritical points, where the quartic
+    # Landau coefficient vanishes, by up to 1e-8 relative.  They agree to
+    # 4 ulp beyond that blur (in w = scale z for the canonical slope).
+    assert len(landau) == len(blind)
+    for zl, zb in zip(landau, blind):
+        if zl != zb:
+            reach = sum(_rounding_reach(slope, curvature, abs(z) * scale)
+                        for z in (zl, zb)) / scale
+            assert abs(zl - zb) <= 4.0 * math.ulp(zl) + reach
+
+
+def _relative_offset(draw, lo=-15.0, hi=-1.0):
+    return draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(lo, hi))
+
+
+@st.composite
+def near_canonical_criticals(draw):
+    kind = draw(st.sampled_from(["Kc2", "Kc1", "tricritical"]))
+    if kind == "Kc2":
+        beta = draw(st.floats(0.1, 3.0))
+        return beta, second_order_coupling(beta) * (1.0 + _relative_offset(draw))
+    if kind == "Kc1":
+        beta = draw(st.floats(BETA_C + 1e-6, 3.0))
+        return beta, first_order_coupling(beta) * (1.0 + _relative_offset(draw))
+    return (BETA_C + _relative_offset(draw, -15.0, -2.0),
+            tricritical_canonical() * (1.0 + _relative_offset(draw, -15.0, -2.0)))
+
+
+@st.composite
+def near_micro_criticals(draw):
+    kind = draw(st.sampled_from(["Kc2", "Kc1", "tricritical"]))
+    u_star, k_star = tricritical_micro()
+    if kind == "Kc2":
+        u = draw(st.floats(0.01, 0.65))
+        return u, second_order_coupling_u(u) * (1.0 + _relative_offset(draw))
+    if kind == "Kc1":
+        u = draw(st.floats(0.01, u_star))
+        return u, first_order_coupling_u(u) * (1.0 + _relative_offset(draw))
+    return (u_star + _relative_offset(draw, -15.0, -2.0),
+            k_star * (1.0 + _relative_offset(draw, -15.0, -2.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_canonical_criticals())
+def test_canonical_landau_starts_find_the_blind_starts_minimizers(point):
+    beta, K = point
+    params = CanonicalParams(beta, K)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canonical, "_landau_poly", lambda *args: None)
+        blind = solve_canonical(params).z_points
+    slope, curvature, _ = canonical._tilt_kernels(beta, K, canonical._landau(beta, K))
+    _assert_same_minimizers(solve_canonical(params).z_points, blind, slope,
+                            curvature, 2.0 * beta * K)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_micro_criticals())
+def test_micro_landau_starts_find_the_blind_starts_minimizers(point):
+    u, K = point
+    params = MicroParams(u, K)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(micro, "_landau_poly", lambda *args: None)
+        blind = solve_micro(params).z_points
+    g = micro._origin_curvature(u, K)
+    _assert_same_minimizers(solve_micro(params).z_points, blind,
+                            lambda z: micro._rate_slope(u, K, g, z),
+                            lambda z: micro._rate_curvature(u, K, g, z), 1.0)

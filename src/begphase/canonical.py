@@ -19,8 +19,6 @@ single-site measure with tilt 2 beta K z.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     BETA_C,
     UNIFORM,
@@ -38,8 +36,8 @@ from .core import (
     mean_tilt,
     rel_entropy,
 )
-from .rootfind import (TIE_TOL, bisect_newton, even_global_minima, golden_min,
-                       last_point, piecewise_minima)
+from .rootfind import (bisect_newton, even_global_minima, last_point,
+                       piecewise_minima)
 
 #: Inverse temperatures this close to BETA_C get the continuous critical
 #: record (Kc2 alone); decimal approximations of log 4 otherwise land
@@ -448,14 +446,19 @@ def canonical_criticals(beta: float) -> CanonicalCriticals:
 def tilt_macrostate(params: CanonicalParams, z: float) -> Macrostate:
     """Macrostate obtained by tilting the single-site measure with 2 beta K z:
     masses proportional to (e^{-2 beta K z - beta}, 1, e^{2 beta K z - beta})."""
-    t = 2.0 * params.beta * params.K * z
-    b = params.beta
-    shift = max(-b - t, 0.0, -b + t)
-    wm = math.exp(-b - t - shift)
+    return Macrostate(*_tilted_masses(params.beta,
+                                      2.0 * params.beta * params.K * z))
+
+
+def _tilted_masses(beta, t):
+    """(nu_-, nu_0, nu_+) of the single-site measure tilted by t, max-shifted
+    so that no exponential overflows."""
+    shift = max(-beta - t, 0.0, -beta + t)
+    wm = math.exp(-beta - t - shift)
     w0 = math.exp(-shift)
-    wp = math.exp(-b + t - shift)
+    wp = math.exp(-beta + t - shift)
     c = wm + w0 + wp
-    return Macrostate(wm / c, w0 / c, wp / c)
+    return wm / c, w0 / c, wp / c
 
 
 def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
@@ -517,65 +520,49 @@ def canonical_free_energy(params: CanonicalParams) -> float:
 # ---------------------------------------------------------------------------
 
 def dual_route_minimum(params: CanonicalParams):
-    """(min value, argmin tuple) of cramer_rate(z) - beta K z^2 over [-1, 1].
+    """(min value, argmin tuple) of D(z) = cramer_rate(z) - beta K z^2 over
+    [-1, 1].
 
-    Deliberately bypasses the potential-based solver: the rate is evaluated
-    through the closed-form inverse tilt at each point of a 4001-point grid,
-    and local minima are refined by golden section on the same scalar rate,
-    over the neighbouring grid points or, at an end of the grid, out to
-    z = +-1, where the rate stays finite.  Used to verify that both routes
-    of the convex-duality identity agree.
+    Deliberately bypasses the potential route: D is the Cramer rate, whose
+    derivatives are exact at the tilt t = mean_tilt(beta, z), the root of
+    c'(t) = z: D' = t - 2 beta K z, D'' = 1/c''(t) - 2 beta K and
+    D''' = -c'''(t)/c''(t)^3.  c'' is summed from the tilted masses as
+    p0 (p+ + p-) + 4 p+ p-, which stays positive at the float below 1,
+    where m2 - m1^2 rounds to 0.  c''' changes sign only at the inflection
+    of c' (above log 4), whose image under c' is
+    z_c = sqrt((1 - 16 e^-2beta)/(1 - 4 e^-2beta))/2, so one
+    piecewise_minima call on [0, 1 - 2^-53] finds every local minimum.
+    Where D' < 0 at the float below 1, the minimizer rounds to +-1, where
+    the rate stays finite: it is reported there when D(1) is no larger.
+    DomainError where 2 beta K is no float.  Used to verify that both
+    routes of the convex-duality identity agree.
     """
     beta, K = params.beta, params.K
-    zg = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001).tolist()
+    tk = 2.0 * beta * K
+    if tk == math.inf:
+        raise DomainError(f"the dual route needs 2 beta K finite, got beta = "
+                          f"{beta}, K = {K}")
+    top = 1.0 - 2.0 ** -53
+    tilt = last_point(lambda z: mean_tilt(beta, z))
 
-    def scalar(z):
+    def dual(z):
         return cramer_rate(beta, z) - beta * K * z * z
 
-    def polish(z, a, b):
-        # stationarity of the dual objective: mean_tilt(z) = 2 beta K z;
-        # golden section stalls at sqrt(eps), Newton on the tilt restores
-        # full precision without touching the potential route.  It stays
-        # in the golden bracket [a, b]: a step out of it goes half way to
-        # the end it crosses
-        for _ in range(40):
-            if abs(z) == 1.0:
-                break
-            t = mean_tilt(beta, z)
-            c2 = cumulant(beta, t, 2)
-            slope = 1.0 / c2 - 2.0 * beta * K if c2 > 0.0 else 0.0
-            if slope == 0.0:
-                break
-            z_new = z - (t - 2.0 * beta * K * z) / slope
-            if not a <= z_new <= b:
-                z_new = 0.5 * (z + (a if z_new < a else b))
-            if abs(z_new - z) < 1e-15:
-                return z_new
-            z = z_new
-        return z
+    def inverse_variance(z):   # 1/c''(t); +inf where the masses round to a point
+        m, p0, p = _tilted_masses(beta, tilt(z))
+        v = p0 * (p + m) + 4.0 * p * m
+        return 1.0 / v if v > 0.0 else math.inf
 
-    rate = [scalar(z) for z in zg]
-    cands = []
-    for i in range(len(zg)):
-        left = rate[i - 1] if i > 0 else math.inf
-        right = rate[i + 1] if i < len(zg) - 1 else math.inf
-        if rate[i] <= left and rate[i] <= right:
-            a = zg[i - 1] if i > 0 else -1.0
-            b = zg[i + 1] if i < len(zg) - 1 else 1.0
-            zmin, fmin = golden_min(scalar, a, b, tol=1e-10)
-            # golden section ends at +-1 where the minimizer rounds to it or
-            # lies closer to it than its tolerance: Newton from the grid
-            # point tells them apart
-            z = polish(zmin if abs(zmin) < 1.0 else zg[i], a, b)
-            fz = scalar(z)
-            if abs(zmin) < 1.0 or fz < fmin:
-                zmin, fmin = z, fz
-            cands.append((zmin, fmin))
-    best = min(v for _, v in cands)
-    kept = sorted(z for z, v in cands if v <= best + TIE_TOL)
-    merged = []
-    for z in kept:
-        if not merged or abs(z - merged[-1]) > 1e-7:
-            merged.append(z)
-    return best, tuple(merged)
+    def third(z):
+        r = inverse_variance(z)
+        return -cumulant(beta, tilt(z), 3) * (r * r * r)
 
+    cuts = [] if beta <= BETA_C else [0.5 * math.sqrt(
+        math.expm1(2.0 * (BETA_C - beta)) / math.expm1(BETA_C - 2.0 * beta))]
+    mins = piecewise_minima(lambda z: tilt(z) - tk * z,
+                            lambda z: inverse_variance(z) - tk, third,
+                            cuts, 0.0, top)
+    if mins[-1] == top and dual(1.0) <= dual(top):
+        mins[-1] = 1.0
+    zs, best = even_global_minima(dual, mins)
+    return best, tuple(zs)

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import (DomainError, Macrostate, MicroParams, _exactly_signed,
                    _finite, _real, energy_domain)
@@ -79,19 +78,22 @@ class MicroCriticals:
 # Shell objective
 # ---------------------------------------------------------------------------
 
+def _xlogx(x):
+    """x log x with 0 log 0 = 0, at x >= 0; NaN stays NaN."""
+    return 0.0 if x == 0.0 else x * math.log(x)
+
+
 def _phi_terms(u, K, z):
-    """Nonlinear component of the shell rate (array-safe); tiny negative
-    arguments from endpoint roundoff are clamped before the logarithms."""
+    """Nonlinear component of the shell rate; tiny negative arguments from
+    endpoint roundoff are clamped before the logarithms."""
     q = u + K * z * z
-    a = np.maximum(q + z, 0.0)
-    b = np.maximum(q - z, 0.0)
-    c = np.maximum(1.0 - q, 0.0)
-    return 0.5 * xlogy(a, a) + 0.5 * xlogy(b, b) + xlogy(c, c)
+    return (0.5 * _xlogx(max(q + z, 0.0)) + 0.5 * _xlogx(max(q - z, 0.0))
+            + _xlogx(max(1.0 - q, 0.0)))
 
 
-def _shell_rate_vec(u, K, z):
+def _shell_rate(u, K, z):
     q = u + K * z * z
-    return _phi_terms(u, K, z) - (q * math.log(2.0) - math.log(3.0))
+    return _phi_terms(u, K, z) - (q * _LOG2 - math.log(3.0))
 
 
 def _admissible(u, K, z, slack=1e-12):
@@ -117,7 +119,7 @@ def shell_rate(params: MicroParams, z: float) -> float:
     if not _admissible(params.u, params.K, z):
         raise DomainError(f"z = {z} is not admissible at (u, K) = "
                           f"({params.u}, {params.K})")
-    return float(_shell_rate_vec(params.u, params.K, z))
+    return float(_shell_rate(params.u, params.K, z))
 
 
 def shell_macrostate(params: MicroParams, z: float) -> Macrostate:
@@ -319,7 +321,7 @@ def _landau_poly(u, K, g):
 
 def _global_minima(u, K):
     """(global minimizers, minimum value) of the shell rate."""
-    return even_global_minima(lambda z: float(_shell_rate_vec(u, K, z)),
+    return even_global_minima(lambda z: _shell_rate(u, K, z),
                               _local_minima(u, K))
 
 
@@ -382,7 +384,9 @@ def _phi3_quartic(u, K):
     on z > 0 without the cancellation of the direct formula near the origin;
     Q(0) = u^4 (1-u)^2 phi''''(0) / 2.
     """
-    return (2.0 * K ** 6,
+    try:
+        quartic = (
+            2.0 * K ** 6,
             K ** 3 * (2.0 * K * K + 6.0 * K * u - 4.0 * K - 1.0),
             -K * K * (12.0 * K * K * u * u - 10.0 * K * K * u - 6.0 * K * u * u
                       + 4.0 * K * u + 4.0 * K + 3.0 * u - 4.0),
@@ -390,6 +394,14 @@ def _phi3_quartic(u, K):
                   - 12.0 * K * u * u + 6.0 * K * u - 3.0 * u * u + 4.0 * u - 1.0),
             u * (1.0 - u) * (6.0 * K * K * u * u - 6.0 * K * u * (1.0 - u)
                              + 1.0 - u))
+    except OverflowError:   # a power past the float range
+        quartic = (math.inf,)
+    if not all(math.isfinite(c) for c in quartic):
+        raise DomainError(
+            f"the shell-rate quartic at (u, K) = ({u}, {K}) leaves the float "
+            f"range: its coefficients grow like K^6 and K^3 |u|^3, which are "
+            f"finite up to K ~ 1.5e51 (2.1e51 where |u| <= 1)")
+    return quartic
 
 
 def _phi3_roots(quartic):

@@ -7,8 +7,9 @@ bracket, which every iterate narrows.  piecewise_minima finds every local
 minimum of a function whose third derivative changes sign only at known
 points, without a grid, starting its searches at the roots of the Landau
 polynomial where the caller has one; even_global_minima keeps those of an
-even function that tie for the least value; golden section serves the
-searches that have no derivatives at hand.
+even function that tie for the least value.  golden_min, a golden-section
+search, has no caller in the package: the benchmark's tracer still counts
+it.
 """
 
 import math

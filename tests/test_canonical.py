@@ -623,6 +623,49 @@ def test_dual_route_at_large_coupling(K):
     assert abs(value - sol.min_value) <= 4.0 * math.ulp(sol.min_value)
 
 
+def test_dual_route_at_large_beta():
+    # a 4001-point grid with golden section and a Newton polish returned
+    # the one minimizer -1.667e-4 with value 3.4e-3
+    assert dual_route_minimum(CanonicalParams(30.0, 0.5)) == (0.0, (0.0,))
+    # past BETA_MAX, where e^-beta underflows and c''(0) rounds to 0
+    assert dual_route_minimum(CanonicalParams(1e4, 0.5)) == (0.0, (0.0,))
+    assert dual_route_minimum(CanonicalParams(1e4, 1.001))[1] == (-1.0, 1.0)
+    with pytest.raises(DomainError, match="2 beta K finite"):
+        dual_route_minimum(CanonicalParams(1e300, 1e10))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(math.exp(x), hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_uniform(1e-2, 300.0), _log_uniform(1e-2, 1e6))
+def test_dual_route_matches_the_solver(beta, K):
+    assume(abs(K / second_order_coupling(beta) - 1.0) > 1e-6)
+    assume(beta <= BETA_C or abs(K / first_order_coupling(beta) - 1.0) > 1e-6)
+    params = CanonicalParams(beta, K)
+    value, args = dual_route_minimum(params)
+    sol = solve_canonical(params)
+    assert len(args) == len(sol.z_points)
+    assert abs(value - sol.min_value) <= 1e-12 * max(1.0, abs(sol.min_value))
+    assert all(abs(a - z) <= 1e-10 for a, z in zip(args, sol.z_points))
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 1.3, BETA_C + 1e-3, 2.0, 5.0,
+                                  30.0, 150.0, 300.0])
+def test_dual_route_counts_next_to_the_critical_couplings(beta):
+    # within 1e-8 of Kc2 and Kc1 the grid route counted other minimizers
+    couplings = [second_order_coupling(beta)]
+    if beta > BETA_C:
+        couplings.append(first_order_coupling(beta))
+    for kc in couplings:
+        for k in range(4, 13):
+            for sign in (-1.0, 1.0):
+                params = CanonicalParams(beta, kc * (1.0 + sign * 10.0 ** -k))
+                _, args = dual_route_minimum(params)
+                assert len(args) == len(solve_canonical(params).z_points)
+
+
 @pytest.mark.parametrize("beta, K", [(1.2, 1.1), (1.5, 1.0), (0.7, 2.0),
                                      (BETA_C + 1e-9, 1.08)])
 def test_landau_poly_is_the_taylor_expansion_of_the_slope(beta, K):

@@ -151,6 +151,15 @@ def test_canon_tilt_beyond_the_float_range_exits_2(capsys, beta, K):
     assert "2 beta K" in err
 
 
+@pytest.mark.parametrize("argv", [["micro", "--u", "0.5", "--K", "1e300"],
+                                  ["micro-critical", "--u", "0.2", "--K", "1e300"]])
+def test_micro_quartic_beyond_the_float_range_exits_2(capsys, argv):
+    # K ** 6 of the shell-rate quartic raised OverflowError: exit code 1
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "K ~ 1.5e51" in err
+
+
 def test_micro_at_the_bottom_of_the_energy_range(capsys):
     # the admissible set used to come out empty there: RuntimeError
     code, out, _ = run(capsys, ["micro", "--u", "-908.657904254718",

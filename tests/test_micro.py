@@ -295,8 +295,11 @@ def test_landau_poly_never_raises(u, K):
     from begphase.micro import _landau_poly
     assert _landau_poly(u, K, 1.0)[0] == 1.0
     assert _landau_poly(0.0, K, 1.0) is None and _landau_poly(-0.5, K, 1.0) is None
-    if K < 1e50:   # above about 1.3e51, K^6 of _phi3_quartic overflows
+    if K < 1.5e51:
         solve_micro(MicroParams(u, K))
+    else:   # K^6 of the shell-rate quartic leaves the float range: refused
+        with pytest.raises(DomainError, match="K ~ 1.5e51"):
+            solve_micro(MicroParams(u, K))
 
 
 def test_well_next_to_the_tricritical_point():
@@ -336,13 +339,12 @@ def shell_points(draw):
 @given(shell_points())
 def test_solver_minima_beat_a_dense_grid(point):
     # test-only oracle: a 4001-point grid on every admissible component
-    from begphase.micro import (_origin_curvature, _rate_curvature,
-                                _shell_rate_vec)
+    from begphase.micro import _origin_curvature, _rate_curvature, _shell_rate
     u, K = point
     sol = solve_micro(MicroParams(u, K))
     comps = admissible_domain(MicroParams(u, K))
-    grid_min = min(float(np.min(_shell_rate_vec(u, K, np.linspace(lo, hi, 4001))))
-                   for lo, hi in comps)
+    grid_min = min(_shell_rate(u, K, z) for lo, hi in comps
+                   for z in np.linspace(lo, hi, 4001).tolist())
     assert -sol.entropy <= grid_min + 1e-12
     for z in sol.z_points:
         if any(lo < z < hi for lo, hi in comps):   # not an isolated point

@@ -10,15 +10,12 @@ from .core import (
     BETA_C,
     UNIFORM,
     CanonicalParams,
-    CumulantLadder,
     DomainError,
     Macrostate,
     MicroParams,
     canonical_rate,
     cramer_rate,
-    cramer_rate_prime,
     cumulant,
-    cumulant_ladder,
     energy_domain,
     energy_per_site,
     mean_tilt,

@@ -234,25 +234,6 @@ def cumulant(beta: float, t: float, order: int = 0) -> float:
     return _cumulant_from_moments(m1, m2, order)
 
 
-@dataclass(frozen=True)
-class CumulantLadder:
-    """Values c^(j)(t) for j = 0..6 at a single query point."""
-
-    beta: float
-    t: float
-    values: tuple
-
-    def __getitem__(self, order):
-        return self.values[order]
-
-
-def cumulant_ladder(beta: float, t: float) -> CumulantLadder:
-    """All derivatives 0..6 of the cumulant generating function at t."""
-    c0, m1, m2 = _tilted_moments(beta, t)
-    vals = (c0,) + tuple(_cumulant_from_moments(m1, m2, j) for j in range(1, 7))
-    return CumulantLadder(beta=beta, t=t, values=vals)
-
-
 # ---------------------------------------------------------------------------
 # Measures, energy and entropy
 # ---------------------------------------------------------------------------
@@ -339,11 +320,6 @@ def cramer_rate(beta: float, z: float) -> float:
         return beta + math.log1p(2.0 * math.exp(-beta))
     t = mean_tilt(beta, z)
     return t * z - _tilted_moments(beta, t)[0]
-
-
-def cramer_rate_prime(beta: float, z: float) -> float:
-    """Derivative of the Cramer rate: the inverse function of c' at z."""
-    return mean_tilt(beta, z)
 
 
 # ---------------------------------------------------------------------------

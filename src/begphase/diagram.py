@@ -37,14 +37,18 @@ from .core import (
     energy_domain,
 )
 from .micro import (
+    K_STAR,
+    U_STAR,
     _first_order_coupling_u,
     _log_odds,
-    _origin_band,
     micro_criticals,
-    second_order_coupling_u,
     solve_micro,
 )
 from .rootfind import bisect_newton, last_point
+
+#: The canonical tricritical coupling K_c* = 3/(2 log 4).
+_KC_STAR = second_order_coupling(BETA_C)
+
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
@@ -91,27 +95,21 @@ class EquivalenceReport:
 def tricritical_canonical() -> float:
     """Coupling where the canonical transition changes order:
     the second-order coupling at BETA_C, i.e. 3/(2 log 4) ~ 1.0820."""
-    return second_order_coupling(BETA_C)
+    return _KC_STAR
 
 
 def tricritical_micro() -> tuple:
-    """(u, K) where the microcanonical transition changes order, K ~ 1.0812965.
+    """(u*, K_m*) = (micro.U_STAR, micro.K_STAR) ~ (0.33034, 1.0812965),
+    where the microcanonical transition changes order.
 
     There the quadratic and the quartic Landau coefficients of the shell
     rate at z = 0 vanish together: the second-order curve meets the top of
     the origin band, which is the convexity threshold C(u) for u <= 1/3.
-    Both are closed forms, and u is the last float with k2(u) < C(u), the
-    test of first_order_coupling_u, bisected on [0.30, 1/3] down to
-    adjacent floats: the first-order coupling is defined at u and not at
+    U_STAR is the float nearest that root and the last float of the
+    first-order regime: the first-order coupling is defined at u* and not at
     the next float up.
     """
-    lo, hi = 0.30, 1.0 / 3.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if second_order_coupling_u(mid) < _origin_band(mid)[1]:
-            lo = mid
-        else:
-            hi = mid
-    return lo, second_order_coupling_u(lo)
+    return U_STAR, K_STAR
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +132,7 @@ def beta_c2_of_K(K: float) -> float:
     root, from where Newton on the convex curve approaches it from one side.
     """
     K = _real(K)
-    k_lo, k_hi = tricritical_canonical(), second_order_coupling(0.02)
+    k_lo, k_hi = _KC_STAR, second_order_coupling(0.02)
     if not k_lo <= K <= k_hi:
         raise DomainError(
             f"K = {K} has no second-order canonical transition on "
@@ -156,17 +154,16 @@ def beta_c1_of_K(K: float) -> float:
     tangent, of slope _kc2_slope(log 4) = -0.0591659, reaches K.
     """
     K = _real(K)
-    k_star = tricritical_canonical()
-    if not 1.0 < K < k_star:
+    if not 1.0 < K < _KC_STAR:
         raise DomainError(
             f"K = {K} has no first-order canonical transition: the first-order "
-            f"coupling Kc1(beta) falls from {k_star} at log 4 and exceeds 1 at "
-            f"every finite beta")
+            f"coupling Kc1(beta) falls from {_KC_STAR} at log 4 and exceeds 1 "
+            f"at every finite beta")
     tie = last_point(_first_order_coupling)
-    return bisect_newton(lambda b: (tie(b)[0] if b > BETA_C else k_star) - K,
+    return bisect_newton(lambda b: (tie(b)[0] if b > BETA_C else _KC_STAR) - K,
                          lambda b: tie(b)[2], BETA_C, BETA_MAX,
-                         start=BETA_C + (K - k_star) / _kc2_slope(BETA_C),
-                         ends=(k_star - K, 1.0 - K))
+                         start=BETA_C + (K - _KC_STAR) / _kc2_slope(BETA_C),
+                         ends=(_KC_STAR - K, 1.0 - K))
 
 
 def u_c2_of_K(K: float) -> float:
@@ -180,23 +177,22 @@ def u_c2_of_K(K: float) -> float:
     of the root, from where Newton approaches it from one side.
     """
     K = _real(K)
-    u_star, k_star = tricritical_micro()
-    if not k_star <= K < math.inf:
+    if not K_STAR <= K < math.inf:
         raise DomainError(
             f"K = {K} has no second-order microcanonical transition: the "
-            f"second-order coupling rises from K_m* = {k_star} at u* = "
-            f"{u_star} to +inf at u = 2/3")
+            f"second-order coupling rises from K_m* = {K_STAR} at u* = "
+            f"{U_STAR} to +inf at u = 2/3")
 
     def excess(u):
         # closed forms at the ends: 1/K_m* at u*, and 0 at 2/3; the float
         # 2/3 lies 3.7e-17 below it, where 2u lambda reads 2.2e-16 and would
         # leave K above 4.5e15 unattained
-        if u_star < u < 2.0 / 3.0:
+        if U_STAR < u < 2.0 / 3.0:
             return 2.0 * u * _log_odds(u) - 1.0 / K
-        return (1.0 / k_star if u == u_star else 0.0) - 1.0 / K
+        return (1.0 / K_STAR if u == U_STAR else 0.0) - 1.0 / K
 
     return bisect_newton(excess, lambda u: 2.0 * (_log_odds(u) - 1.0 / (1.0 - u)),
-                         u_star, 2.0 / 3.0, start=min(2.0 / 3.0 - 1.0 / (6.0 * K),
+                         U_STAR, 2.0 / 3.0, start=min(2.0 / 3.0 - 1.0 / (6.0 * K),
                                                       math.nextafter(2.0 / 3.0, 0.0)))
 
 
@@ -211,18 +207,17 @@ def u_c1_of_K(K: float) -> float:
     below u = 0).
     """
     K = _real(K)
-    u_star, k_star = tricritical_micro()
-    if not 1.0 < K < k_star:
+    if not 1.0 < K < K_STAR:
         raise DomainError(
             f"K = {K} has no first-order microcanonical transition: the "
             f"first-order coupling Kc1(u) rises from 1 as u -> 0 to K_m* = "
-            f"{k_star} at u* = {u_star}")
+            f"{K_STAR} at u* = {U_STAR}")
     tie = last_point(_first_order_coupling_u)
-    slope = 2.0 * k_star * k_star * (1.0 / (1.0 - u_star) - _log_odds(u_star))
+    slope = 2.0 * K_STAR * K_STAR * (1.0 / (1.0 - U_STAR) - _log_odds(U_STAR))
     return bisect_newton(
-        lambda u: (1.0 if u == 0.0 else k_star if u == u_star else tie(u)[0]) - K,
-        lambda u: tie(u)[2], 0.0, u_star, start=u_star - (k_star - K) / slope,
-        ends=(1.0 - K, k_star - K))
+        lambda u: (1.0 if u == 0.0 else K_STAR if u == U_STAR else tie(u)[0]) - K,
+        lambda u: tie(u)[2], 0.0, U_STAR, start=U_STAR - (K_STAR - K) / slope,
+        ends=(1.0 - K, K_STAR - K))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +289,7 @@ def _realized(grid, solve):
 def _beta_star(K):
     """beta of the canonical transition at K, or None where not attained."""
     try:
-        return (beta_c2_of_K if K >= tricritical_canonical() else beta_c1_of_K)(K)
+        return (beta_c2_of_K if K >= _KC_STAR else beta_c1_of_K)(K)
     except DomainError:
         return None
 
@@ -302,31 +297,32 @@ def _beta_star(K):
 def _u_star(K):
     """u of the microcanonical transition at K, or None where not attained."""
     try:
-        return u_c2_of_K(K) if K >= tricritical_micro()[1] else u_c1_of_K(K)
+        return u_c2_of_K(K) if K >= K_STAR else u_c1_of_K(K)
     except DomainError:
         return None
 
 
 def _gap_intervals(K, b, u):
-    """The gap_intervals of EquivalenceReport at K, from b = _beta_star(K)
-    and u = _u_star(K).  The canonical |z| jumps from 0 to z_c = w*(b)/(2bK),
-    the microcanonical one to the tied well z_m at u_c1(K) (or grows from 0
-    from K_m* on), and both grow from there."""
-    if not 1.0 < K < tricritical_canonical():
-        return ()
-    hi = _first_order_coupling(b)[1] / (2.0 * b * K)
-    if K >= tricritical_micro()[1]:
-        return ((0.0, hi),)
-    return ((_first_order_coupling_u(u)[1], hi),)
+    """The gap_intervals of EquivalenceReport at 1 < K < K_c*, from
+    b = beta_c1_of_K(K) and u = u_c1_of_K(K), which is read only below K_m*.
+    The canonical |z| jumps from 0 to z_c = w*(b)/(2bK), the microcanonical
+    one to the tied well z_m at u (or grows from 0 from K_m* on), and both
+    grow from there."""
+    lo = 0.0 if K >= K_STAR else _first_order_coupling_u(u)[1]
+    return ((lo, _first_order_coupling(b)[1] / (2.0 * b * K)),)
 
 
 def nonequivalence_gap(K: float) -> tuple:
     """The gap_intervals of equivalence_report(K), from the inverted
-    critical points alone: no ensemble is solved at any grid point."""
+    critical points alone: no ensemble is solved at any grid point.  Empty
+    outside 1 < K < K_c*, where nothing is inverted; from K_m* on the lower
+    end is 0, and u_c1(K) is not inverted either."""
     K = _real(K)
     if not (math.isfinite(K) and K > 0.0):
         raise DomainError(f"K must be finite and positive, got {K}")
-    return _gap_intervals(K, _beta_star(K), _u_star(K))
+    if not 1.0 < K < _KC_STAR:
+        return ()
+    return _gap_intervals(K, beta_c1_of_K(K), u_c1_of_K(K) if K < K_STAR else None)
 
 
 def _beta_grid(b_star):
@@ -377,7 +373,7 @@ def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceRepo
         beta_grid = _beta_grid(b_star)
     if u_grid is None:
         u_grid = _u_grid(K, u_star)
-    gaps = _gap_intervals(K, b_star, u_star)
+    gaps = _gap_intervals(K, b_star, u_star) if 1.0 < K < _KC_STAR else ()
     tie = (0.0, gaps[0][1]) if gaps and b_star in beta_grid else ()
     canon = np.union1d(tie, _realized(
         [b for b in beta_grid if not tie or b != b_star],

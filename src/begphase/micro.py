@@ -83,30 +83,18 @@ def _xlogx(x):
     return 0.0 if x == 0.0 else x * math.log(x)
 
 
-def _phi_terms(u, K, z):
-    """Nonlinear component of the shell rate; tiny negative arguments from
+def _shell_rate(u, K, z):
+    """The nonlinear component of the shell rate, the three entropy terms,
+    less its linear part q log 2 - log 3; tiny negative arguments from
     endpoint roundoff are clamped before the logarithms."""
     q = u + K * z * z
-    return (0.5 * _xlogx(max(q + z, 0.0)) + 0.5 * _xlogx(max(q - z, 0.0))
-            + _xlogx(max(1.0 - q, 0.0)))
-
-
-def _shell_rate(u, K, z):
-    q = u + K * z * z
-    return _phi_terms(u, K, z) - (q * _LOG2 - math.log(3.0))
+    return ((0.5 * _xlogx(max(q + z, 0.0)) + 0.5 * _xlogx(max(q - z, 0.0))
+             + _xlogx(max(1.0 - q, 0.0))) - (q * _LOG2 - math.log(3.0)))
 
 
 def _admissible(u, K, z, slack=1e-12):
     q = u + K * z * z
     return abs(z) <= q + slack and q <= 1.0 + slack
-
-
-def shell_phi(params: MicroParams, z: float) -> float:
-    """Nonlinear component of the shell rate (the three entropy terms)."""
-    if not _admissible(params.u, params.K, z):
-        raise DomainError(f"z = {z} is not admissible at (u, K) = "
-                          f"({params.u}, {params.K})")
-    return float(_phi_terms(params.u, params.K, z))
 
 
 def shell_rate(params: MicroParams, z: float) -> float:
@@ -371,6 +359,17 @@ def second_order_coupling_u(u: float) -> float:
     if k2 == math.inf:
         raise DomainError(f"second-order coupling at u = {u} exceeds the float range")
     return k2
+
+
+#: The microcanonical tricritical point (u*, K_m*), where the second-order
+#: coupling k2(u) meets the top C(u) of the origin band (_origin_band) and
+#: the transition in K changes from first to second order.  U_STAR is the
+#: float nearest the root u* = 0.33034382864171059824642..., 0.34 ulp below
+#: it, and the float test k2(u) < C(u) holds exactly at 0 < u <= U_STAR:
+#: that is the first-order regime.  The tests check both against a 60-digit
+#: root.
+U_STAR = 0.3303438286417106
+K_STAR = second_order_coupling_u(U_STAR)
 
 
 def _phi3_quartic(u, K):
@@ -655,22 +654,19 @@ def _tie_start(u, lam, k2, top):
 
 
 def _first_order_coupling_u(u):
-    """(Kc1, z*, dKc1/du) at 0 < u < 1/3: the first-order coupling, the
-    tied well and the envelope slope along the first-order curve.
+    """(Kc1, z*, dKc1/du) in the first-order regime 0 <= u <= U_STAR: the
+    first-order coupling, the tied well and the envelope slope along the
+    first-order curve.
 
     One Newton solve of _tie from _tie_start, until the step stops
     shrinking at the rounding level.  Where 1 - u rounds to 1, nu_0 ~ u is
     not representable next to q ~ 1; Kc1 = 1 + O(u/log(1/u)) and
     z* = 1 - O(u) round to 1 there, and the slope (about log 2/log(1/u)) is
-    left 0.  Where the closed forms put u at or past the tricritical energy
-    (k2 >= C), the transition is continuous: the well is born at the origin
-    at k2(u), which is returned with z* = 0 and dk2/du.
+    left 0.
     """
     if 1.0 - u == 1.0:
         return 1.0, 1.0, 0.0
     lam, k2, top = _log_odds(u), second_order_coupling_u(u), _origin_band(u)[1]
-    if not k2 < top:
-        return k2, 0.0, 2.0 * k2 * k2 * (1.0 / (1.0 - u) - lam)
     xi, s = _tie_start(u, lam, k2, top)
     size = math.inf
     for _ in range(_TIE_MAX_NEWTON):
@@ -698,16 +694,15 @@ def first_order_coupling_u(u: float) -> float:
     rate.  _first_order_coupling_u solves them in Landau-scaled unknowns
     that stay well conditioned both as the tied well shrinks to the origin
     at the tricritical energy u* and as it runs into the corner z -> 1 as
-    u -> 0.  Defined in the first-order regime k2(u) < C(u), i.e.
-    0 < u < u* (the tricritical energy); elsewhere the transition in K is
+    u -> 0, where Kc1 rounds to 1.  Defined in the first-order regime
+    0 < u <= U_STAR, where k2(u) < C(u); elsewhere the transition in K is
     continuous and a DomainError is raised.
     """
     u = _real(u)
-    if not (math.isfinite(u) and 0.0 < u < 0.5
-            and second_order_coupling_u(u) < convexity_threshold(u)):
+    if not 0.0 < u <= U_STAR:
         raise DomainError(
-            f"first-order coupling needs k2(u) < C(u), i.e. 0 < u < u* "
-            f"~ 0.3303 (the transition in K is continuous elsewhere), got {u}")
+            f"first-order coupling needs 0 < u <= u* = {U_STAR} (the "
+            f"transition in K is continuous elsewhere), got {u}")
     return _first_order_coupling_u(u)[0]
 
 
@@ -717,15 +712,20 @@ def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
 
     A coupling that does not exist at a finite u (or overflows) is None;
     a non-finite u, or a (u, K) that MicroParams refuses, raises
-    DomainError.  Kc1(u) is solved only where k2(u) < C(u)."""
+    DomainError.  Kc1(u) is solved only in the first-order regime
+    0 < u <= U_STAR, down to the subnormal u where k2 and C overflow and
+    Kc1 rounds to 1."""
     u, K = _finite(u, "u"), _real(K)
-    k2 = second_order_coupling_u(u) if 0.0 < u < 2.0 / 3.0 else None
+    try:
+        k2 = second_order_coupling_u(u)
+    except DomainError:     # u outside (0, 2/3), or k2 past the float range
+        k2 = None
     band = _origin_band(u)
     if band is not None:
         c = band[1] if band[1] < math.inf else None
     else:
         c = convexity_threshold(u) if 0.0 < u < 0.5 else None
-    k1 = _first_order_coupling_u(u)[0] if c is not None and k2 < c else None
+    k1 = _first_order_coupling_u(u)[0] if 0.0 < u <= U_STAR else None
     region = None
     if K is not None:
         MicroParams(u, K)   # refuses an invalid (u, K)

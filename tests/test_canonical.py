@@ -30,9 +30,9 @@ from begphase.core import (
     UNIFORM,
     CanonicalParams,
     DomainError,
-    cramer_rate_prime,
     cumulant,
     energy_per_site,
+    mean_tilt,
     rel_entropy,
     single_site_measure,
 )
@@ -581,7 +581,7 @@ def test_stationarity_via_rate_derivative():
         sol = solve_canonical(CanonicalParams(beta, K))
         for z in sol.z_points:
             if z != 0.0:
-                assert abs(cramer_rate_prime(beta, z) - 2.0 * beta * K * z) < 1e-8
+                assert abs(mean_tilt(beta, z) - 2.0 * beta * K * z) < 1e-8
 
 
 def test_lifted_means_match_minimizers():

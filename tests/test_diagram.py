@@ -655,6 +655,48 @@ def test_equivalence_gap_next_to_unit_coupling():
     assert abs(lo - z_m) <= 5e-14 and lo < hi < 1.0 - 2e-12
 
 
+# (K, lo, hi) of nonequivalence_gap(K) when every inversion ran at every K,
+# on a ladder within 1e-10 of 1, K_m* and K_c*
+GAP_LADDER = [
+    (1.0 + 1e-10, 0.9999999970632066, 0.9999999979971306),
+    (1.0 + 1e-6, 0.9999830996226353, 0.9999886127820449),
+    (1.05, 0.668821319137594, 0.7301721464955819),
+    (1.0817, 0.0, 0.0946349454213541),
+    (_KM - 1e-10, 4.6549026364046516e-05, 0.14123773893028807),
+    (math.nextafter(_KM, 0.0), 3.898847256934989e-08, 0.14123772940759302),
+    (_KM, 0.0, 0.14123772940754975),
+    (_KM + 1e-10, 0.0, 0.14123771988480296),
+    (_KS - 1e-7, 0.0, 0.0016783715559988213),
+    (_KS - 1e-10, 0.0, 5.307485913234057e-05),
+    (math.nextafter(_KS, 0.0), 0.0, 1.0674737948695344e-07),
+]
+
+
+@pytest.mark.parametrize("K, lo, hi", GAP_LADDER)
+def test_nonequivalence_gap_ladder(K, lo, hi):
+    assert nonequivalence_gap(K) == ((lo, hi),)
+
+
+@pytest.mark.parametrize("K, inverted", [
+    (0.5, set()), (1.0, set()), (1.0 + 1e-10, {"beta_c1_of_K", "u_c1_of_K"}),
+    (1.05, {"beta_c1_of_K", "u_c1_of_K"}),
+    (math.nextafter(_KM, 0.0), {"beta_c1_of_K", "u_c1_of_K"}),
+    (_KM, {"beta_c1_of_K"}), (1.0817, {"beta_c1_of_K"}),
+    (math.nextafter(_KS, 0.0), {"beta_c1_of_K"}), (_KS, set()), (1.5, set()),
+    (1e300, set())])
+def test_nonequivalence_gap_inverts_only_what_it_reads(monkeypatch, K, inverted):
+    from begphase import diagram
+    calls = []
+    for name in ("beta_c1_of_K", "beta_c2_of_K", "u_c1_of_K", "u_c2_of_K"):
+        def counted(K, _name=name, _f=getattr(diagram, name)):
+            calls.append(_name)
+            return _f(K)
+        monkeypatch.setattr(diagram, name, counted)
+    gaps = nonequivalence_gap(K)
+    assert set(calls) == inverted and len(calls) == len(inverted)
+    assert bool(gaps) == bool(inverted)
+
+
 def test_equivalence_gap_matches_the_sampled_oracle():
     # the adaptive sampling the exact ends replaced resolves them to its
     # 8e-4 refinement target and its 1e-3 cluster tolerance

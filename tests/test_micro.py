@@ -11,6 +11,8 @@ from conftest import assert_sets_close, central_diff, second_diff
 from begphase.core import DomainError, MicroParams, UNIFORM, rel_entropy
 from begphase.diagram import simplex_oracle, sweep_micro, tricritical_micro
 from begphase.micro import (
+    K_STAR,
+    U_STAR,
     _first_order_coupling_u,
     admissible_domain,
     convexity_threshold,
@@ -310,9 +312,6 @@ def test_well_next_to_the_tricritical_point():
     assert abs(sol.z_points[1] - 6.9708074537436519e-5) <= 1e-6 * 6.97e-5
 
 
-U_STAR, K_STAR = 0.330343829, 1.081296450   # tricritical_micro()
-
-
 @st.composite
 def shell_points(draw):
     """(u, K) over the whole admissible domain, weighted toward its edges:
@@ -377,22 +376,73 @@ def test_second_order_coupling_u_at_subnormal_u():
 def test_convexity_threshold_at_subnormal_u_raises(u):
     # the origin-band top ~ 0.79/u exceeds the float range; it used to come
     # out inf, and the first-order coupling then cut at k2 (55.6 at 1e-310)
-    for call in (convexity_threshold, first_order_coupling_u):
-        with pytest.raises(DomainError, match="float range"):
-            call(u)
+    with pytest.raises(DomainError, match="float range"):
+        convexity_threshold(u)
+    # u lies in the first-order regime 0 < u <= U_STAR, where Kc1 = 1 +
+    # O(u/log(1/u)) rounds to 1
+    assert first_order_coupling_u(u) == 1.0
 
 
 def test_micro_criticals_at_subnormal_u():
     crit = micro_criticals(1e-310)
     assert crit.k_second_order == pytest.approx(6.9979542431638368e306,
                                                 rel=1e-12)
-    assert crit.k_first_order is None and crit.k_convexity is None
+    assert crit.k_first_order == 1.0 and crit.k_convexity is None
     # still finite at u = 1e-300, where Kc1(u) -> 1 as u -> 0
     crit = micro_criticals(1e-300)
     assert crit.k_first_order == pytest.approx(1.0, abs=1e-12)
     assert crit.k_convexity == pytest.approx(7.886751345948128e299, rel=1e-12)
     assert crit.k_second_order == pytest.approx(7.230985553221756e296,
                                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("u", [1e-320, 3.8e-312, 5e-324])
+def test_micro_criticals_where_k2_overflows(u):
+    # below u ~ 3.9e-312 the second-order coupling exceeds the float range:
+    # a None in the record, as for the convexity threshold, not a DomainError
+    with pytest.raises(DomainError, match="float range"):
+        second_order_coupling_u(u)
+    crit = micro_criticals(u)
+    assert crit.k_second_order is None and crit.k_convexity is None
+    assert crit.k_first_order == 1.0
+
+
+def _landau_root_gap(u):
+    """1/lambda(u) - (1-u)(1+s) at an mpmath u: zero where k2(u) = C(u)."""
+    import mpmath
+    s = mpmath.sqrt((1 - 3 * u) / (3 * (1 - u)))
+    return 1 / mpmath.log(2 * (1 - u) / u) - (1 - u) * (1 + s)
+
+
+def test_tricritical_constants_against_60_digit_root():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        root = mpmath.findroot(_landau_root_gap, (mpmath.mpf("0.3303"),
+                                                  mpmath.mpf("0.3304")),
+                               solver="anderson")
+        assert abs(root - mpmath.mpf("0.33034382864171059824642303491")) < 1e-28
+        # the nearest float, and not above the root
+        assert float(root) == U_STAR and mpmath.mpf(U_STAR) <= root
+        k_star = 1 / (2 * root * mpmath.log(2 * (1 - root) / root))
+        assert float(k_star) == K_STAR
+    assert tricritical_micro() == (U_STAR, K_STAR)
+
+
+def test_first_order_regime_is_u_at_most_u_star():
+    # the float test k2(u) < C(u) holds exactly at u <= U_STAR: at the 20000
+    # floats on each side of U_STAR, log-uniform u down to 1e-300 and
+    # uniform u in (0, 1/2), which crosses into the pinch band
+    us = [U_STAR]
+    for step in (0.0, 1.0):
+        u = U_STAR
+        for _ in range(20000):
+            u = math.nextafter(u, step)
+            us.append(u)
+    rng = np.random.default_rng(21)
+    us += np.exp(rng.uniform(math.log(1e-300), math.log(0.5), 10000)).tolist()
+    us += [u for u in rng.uniform(0.0, 0.5, 2000).tolist() if u > 0.0]
+    for u in us:
+        assert (second_order_coupling_u(u) < convexity_threshold(u)) == (u <= U_STAR), u
 
 
 def test_second_order_coupling_u_is_curvature_root():
@@ -455,11 +505,12 @@ def min_phi3_scan(u, K):
 
 
 def test_phi3_direct_matches_finite_differences():
-    from begphase.micro import shell_phi
+    # the shell rate is phi less q log 2 - log 3, quadratic in z: the same
+    # third derivative
     for u, K, z in ((0.3, 1.2, 0.2), (0.4, 0.63, 0.75), (0.1, 5.0, 0.05)):
         params = MicroParams(u, K)
         fd = central_diff(
-            lambda x: second_diff(lambda y: shell_phi(params, y), x, h=3e-4),
+            lambda x: second_diff(lambda y: shell_rate(params, y), x, h=3e-4),
             z, h=3e-4)
         assert abs(fd - phi3_direct(u, K, z)) < 1e-3 * max(1.0, abs(fd))
 

@@ -39,12 +39,6 @@ from .core import (
 from .rootfind import (bisect_newton, even_global_minima, last_point,
                        piecewise_minima)
 
-#: Inverse temperatures this close to BETA_C get the continuous critical
-#: record (Kc2 alone); decimal approximations of log 4 otherwise land
-#: arbitrarily on either side.  It shapes only the record: solve_canonical
-#: selects its minimizers by value.
-BETA_SNAP_TOL = 1e-7
-
 #: log 4 - BETA_C, the part of log 4 that its float drops: it signs
 #: 1 - 3a at the floats next to log 4.
 _LOG4_LO = 4.638093627692599e-17
@@ -61,11 +55,13 @@ BETA_MAX = 300.0
 class CanonicalCriticals:
     """Critical couplings at fixed beta.
 
-    Below BETA_C only the second-order coupling exists.  Above it the
+    At beta <= BETA_C only the second-order coupling exists.  Above it the
     tangency coupling k_tangent (where the positive well first appears), the
     first-order coupling k_first_order (where it reaches depth zero) and the
     spinodal k_spinodal (where z = 0 destabilizes) satisfy
     k_tangent < k_first_order < k_spinodal; w_tangent is the tilt at tangency.
+    Next to log 4 they lie within rounding: k_tangent = min(K1, k_spinodal)
+    for the computed K1, and k_first_order is clamped into [k_tangent, k_spinodal].
     """
 
     beta: float
@@ -107,29 +103,23 @@ def _a_eps(beta):
     return a, -math.expm1((BETA_C - beta) + _LOG4_LO) * (1.0 - a)
 
 
-def _at_log4(beta):
-    """True at the floats within an ulp of log 4."""
-    return abs((beta - BETA_C) - _LOG4_LO) <= math.ulp(beta)
-
-
 def _landau(beta, K):
     """The Landau coefficient d = P''(0) = 1/(2 beta K) - a of the tilt
     potential, with the sign of its exact value.
 
     It is evaluated again at 40 digits where its rounding is not far below
-    |d| (_exactly_signed).  Up to log 4, where Kc2(beta) is the critical
-    coupling, d is 0 where K lies within an ulp of the real Kc2(beta), i.e.
-    where |d| <= ulp(K)/(2 beta K^2): no float K lies closer to it.  Above
-    log 4 Kc2 is the spinodal of the disordered branch, not a critical
-    point, and the exact d stands.
+    |d| (_exactly_signed).  Up to log 4 (beta <= BETA_C), where Kc2(beta) is
+    the critical coupling, d is 0 where K lies within an ulp of the real
+    Kc2(beta), i.e. where |d| <= ulp(K)/(2 beta K^2): no float K lies closer
+    to it.  Above log 4 Kc2 is the spinodal of the disordered branch, not a
+    critical point, and the exact d stands.
     """
     inv = 1.0 / (2.0 * beta * K)
     a = _a_eps(beta)[0]
     d = _exactly_signed(inv - a, inv + a, lambda D: (
         1 / (2 * D(beta) * D(K)) - 2 / (D(beta).exp() + 2)))
-    critical = beta <= BETA_C or _at_log4(beta)
     band = math.ulp(K) / (2.0 * beta * K * K)
-    return 0.0 if critical and abs(d) <= band else d
+    return 0.0 if beta <= BETA_C and abs(d) <= band else d
 
 
 def _sinh_sums(x):
@@ -268,11 +258,10 @@ def cumulant_inflection(beta: float) -> float:
     """Positive w at which c' switches from convex to concave:
     arccosh(e^beta/2 - 4 e^-beta), defined for beta >= BETA_C (zero at BETA_C)."""
     beta = _check_beta(beta)
-    x = 0.5 * math.exp(beta) - 4.0 * math.exp(-beta)
-    if x < 1.0:
+    if beta < BETA_C:
         raise DomainError(
             f"inflection exists only for beta >= {BETA_C} (log 4), got {beta}")
-    return math.acosh(x)
+    return math.acosh(0.5 * math.exp(beta) - 4.0 * math.exp(-beta))
 
 
 def _scaled_h_g(beta, w):
@@ -417,6 +406,7 @@ def first_order_coupling(beta: float) -> float:
     origin (w^2 = 4 beta K c(w)): h = w c' - 2c = 0, with h' the g of
     tangency.  h rises to a hump at w_tangent and falls to -inf; its root w*
     (sqrt(15 (beta - log 4)) next to log 4) gives w*/(2 beta c'(w*)).
+    The raw root, which canonical_criticals clamps within rounding next to log 4.
     """
     return _first_order_coupling(_real(beta))[0]
 
@@ -430,13 +420,16 @@ def _first_order_coupling(beta):
 
 
 def canonical_criticals(beta: float) -> CanonicalCriticals:
-    """All critical couplings at this beta, with undefined entries left None."""
+    """All critical couplings at this beta, with undefined entries left None:
+    the first-order record exactly at beta > BETA_C, ordered (CanonicalCriticals)."""
     beta = _check_beta(beta)
-    if beta - BETA_C <= BETA_SNAP_TOL:
+    if beta <= BETA_C:
         return CanonicalCriticals(beta=beta, k_second_order=second_order_coupling(beta))
     w1, k1, k2 = tangency(beta)
-    return CanonicalCriticals(beta=beta, k_first_order=_first_order_coupling(beta)[0],
-                              k_tangent=k1, k_spinodal=k2, w_tangent=w1)
+    k1 = min(k1, k2)
+    kc1 = min(max(_first_order_coupling(beta)[0], k1), k2)
+    return CanonicalCriticals(beta=beta, k_first_order=kc1, k_tangent=k1,
+                              k_spinodal=k2, w_tangent=w1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +445,12 @@ def tilt_macrostate(params: CanonicalParams, z: float) -> Macrostate:
 
 def _tilted_masses(beta, t):
     """(nu_-, nu_0, nu_+) of the single-site measure tilted by t, max-shifted
-    so that no exponential overflows."""
+    and summed as in _tilted_moments: exact mirrors under t -> -t."""
     shift = max(-beta - t, 0.0, -beta + t)
     wm = math.exp(-beta - t - shift)
     w0 = math.exp(-shift)
     wp = math.exp(-beta + t - shift)
-    c = wm + w0 + wp
+    c = w0 + (wm + wp)
     return wm / c, w0 / c, wp / c
 
 
@@ -474,11 +467,11 @@ def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:
 def _type(beta, d, z):
     """The type r of the minimizer z, given the Landau coefficient d of
     _landau: 1 unless z is the origin and d = 0, i.e. K lies within an ulp
-    of the real Kc2(beta) below log 4; there 3 within an ulp of log 4, else
+    of the real Kc2(beta) at beta <= BETA_C; there 3 at beta = BETA_C, else
     2.  No tolerance on the even derivatives decides it."""
     if z != 0.0 or d != 0.0:
         return 1
-    return 3 if _at_log4(beta) else 2
+    return 3 if beta == BETA_C else 2
 
 
 def solve_canonical(params: CanonicalParams) -> CanonicalSolution:

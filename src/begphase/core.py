@@ -113,9 +113,9 @@ def energy_domain(K: float) -> tuple[float, float]:
 class MicroParams:
     """Energy per site u and interaction strength K > 0.
 
-    u must lie in the attainable energy range [min(1-K, 0), 1].  Both are
-    stored as Python floats: a numpy scalar of any precision is solved in
-    double precision.
+    u must lie in the attainable energy range [min(1-K, 0), 1], with no
+    slack: its energy shell is nonempty.  Both are stored as Python floats:
+    a numpy scalar of any precision is solved in double precision.
     """
 
     u: float
@@ -127,7 +127,7 @@ class MicroParams:
         if not (math.isfinite(self.K) and self.K > 0.0):
             raise DomainError(f"K must be finite and positive, got {self.K}")
         lo, hi = energy_domain(self.K)
-        if not (math.isfinite(self.u) and lo - _MASS_TOL <= self.u <= hi + _MASS_TOL):
+        if not (math.isfinite(self.u) and lo <= self.u <= hi):
             raise DomainError(
                 f"u must lie in the attainable energy range [{lo}, {hi}], got {self.u}")
 

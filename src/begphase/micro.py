@@ -25,11 +25,12 @@ so that they stay well conditioned at both ends of the first-order regime.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .core import (DomainError, Macrostate, MicroParams, _exactly_signed,
-                   _finite, _real, energy_domain)
+                   _finite, _real)
 from .rootfind import (even_global_minima, monotone_roots, piecewise_minima,
                        quadratic_roots)
 
@@ -64,7 +65,7 @@ class MicroCriticals:
     k_convexity is the threshold above which the derivative of the nonlinear
     shell component is convex on its positive domain (transitions in K are
     continuous above it, discontinuous below); region labels a supplied K
-    against that threshold.
+    against that threshold.  k_first_order <= k_second_order where both exist.
     """
 
     u: float
@@ -125,13 +126,8 @@ def _positive_components(u, K):
     r_lo < r_hi the roots of K z^2 - z + u where 1 - 4Ku > 0, they are the
     central [0, min(r_lo, B)] when r_lo >= 0, and the outer [r_hi, B]
     exactly when K >= 1/2 and u >= 1 - K (r_hi <= 1), with r_hi capped at
-    B, past which it rounds within a few ulps of u = 1 - K.  DomainError at
-    a u in the slack of MicroParams outside [min(1-K, 0), 1]: no shell.
+    B, past which it rounds within a few ulps of u = 1 - K.
     """
-    bottom = energy_domain(K)[0]
-    if not bottom <= u <= 1.0:
-        raise DomainError(f"the energy shell at (u, K) = ({u}, {K}) is empty: "
-                          f"u lies outside the energy range [{bottom}, 1]")
     B = math.sqrt((1.0 - u) / K)
     disc = 1.0 - 4.0 * K * u
     if disc <= 0.0:
@@ -148,7 +144,7 @@ def admissible_domain(params: MicroParams) -> tuple:
     """Closed components of {z : |z| <= u + K z^2 <= 1}, sorted, as (lo, hi)
     pairs (possibly degenerate): the _positive_components mirrored, at most
     a central component [-min(r_lo, B), min(r_lo, B)] and a symmetric outer
-    pair +-[r_hi, B].  DomainError where the shell is empty."""
+    pair +-[r_hi, B], at least one of them."""
     comps = []
     for lo, hi in _positive_components(params.u, params.K):
         comps += [(-hi, hi)] if lo == 0.0 else [(-hi, -lo), (lo, hi)]
@@ -437,10 +433,14 @@ def _convexity_indicator(u, K):
     nonnegative over (0, top], [0, top] the central _positive_components,
     False when it is negative somewhere there, None when top is 0 or absent.
 
-    Exact: on (0, top] the sign of phi''' is the sign of the _phi3_quartic
-    quartic on (0, top^2], which is constant between consecutive real roots,
-    so one evaluation per root-delimited piece decides.
-    """
+    On (0, top] the sign of phi''' is the sign of the _phi3_quartic quartic
+    on (0, top^2], constant between consecutive real roots: one evaluation
+    per root-delimited piece decides.  At 1/3 < u < 1/2 the dip of Q (down
+    to -4e-21) lies below its rounding; there 4uK - 1, rounded once, against
+    the pinch band (_pinch_edges) decides."""
+    if 1.0 / 3.0 < u < 0.5:
+        x1, x2 = _pinch_edges(u)
+        return not x1 < float(4 * Fraction(u) * Fraction(K) - 1) < x2
     lo, top = _positive_components(u, K)[0]
     if lo > 0.0 or top <= 0.0:
         return None
@@ -489,12 +489,10 @@ def convexity_threshold(u: float) -> float:
     higher one.  The origin band (u <= 1/3, phi''''(0) < 0) has the closed
     form of _origin_band.  The pinch band (1/3 < u < 1/2) lies around
     K = 1/(4u): just below z0 = 1/(2K) the mass nu_- = (q-z)/2 pinches
-    toward 0 and its terms drive phi''' negative.  Its edges are where the
-    _phi3_quartic quartic gains a double root, the roots x1 < 0 < x2 of
-    _PINCH_SEXTIC, so its top is the smallest positive root.  It narrows like
-    (1-2u)^4.  Below u = 1/3 the origin band (top >= 1) covers the pinch
-    band, so the threshold jumps from 1 to about 0.786 there; at u >= 1/2 no
-    coupling is non-convex and a DomainError is raised.
+    toward 0 and its terms drive phi''' negative; its top is the upper edge
+    from _pinch_edges.  Below u = 1/3 the origin band (top >= 1) covers the
+    pinch band, so the threshold jumps from 1 to about 0.786 there; at
+    u >= 1/2 no coupling is non-convex and a DomainError is raised.
     """
     u = _real(u)
     if not (math.isfinite(u) and 0.0 < u < 0.5):
@@ -509,11 +507,19 @@ def convexity_threshold(u: float) -> float:
                 f"origin-band top (1-u)/(2u) (1+s) ~ 0.79/u overflows for u "
                 f"below ~4.4e-309")
         return band[1]
+    return (1.0 + _pinch_edges(u)[1]) / (4.0 * u)
+
+
+def _pinch_edges(u):
+    """The pinch band x1 < 4uK - 1 < x2 at 1/3 < u < 1/2: the roots of
+    _PINCH_SEXTIC nearest 0, which shrink like v^4 (v = 1 - 2u), solved in
+    r = v^4/x to 3e-15 relative (in x they were lost past u = 1/2 - 1e-8)."""
     v = 1.0 - 2.0 * u
-    coeffs = [_horner(row, v) for row in _PINCH_SEXTIC]
-    x = float(min(r.real for r in np.roots(coeffs)
-                  if r.imag == 0.0 and r.real > 0.0))
-    return (1.0 + x) / (4.0 * u)
+    # the coefficient of r^i is that of x^(6-i) times v^(4i - 8)
+    rev = [_horner(row, v) * v ** e if e >= 0 else _horner(row[:e], v)
+           for row, e in zip(reversed(_PINCH_SEXTIC), range(-8, 17, 4))]
+    r = [float(z.real) for z in np.roots(rev) if z.imag == 0.0]
+    return v ** 4 / min(x for x in r if x < 0.0), v ** 4 / max(x for x in r if x > 0.0)
 
 
 def _series(y, coef):
@@ -714,7 +720,7 @@ def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
     a non-finite u, or a (u, K) that MicroParams refuses, raises
     DomainError.  Kc1(u) is solved only in the first-order regime
     0 < u <= U_STAR, down to the subnormal u where k2 and C overflow and
-    Kc1 rounds to 1."""
+    Kc1 rounds to 1; it is capped at k2, which rounding crosses next to u*."""
     u, K = _finite(u, "u"), _real(K)
     try:
         k2 = second_order_coupling_u(u)
@@ -725,7 +731,7 @@ def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
         c = band[1] if band[1] < math.inf else None
     else:
         c = convexity_threshold(u) if 0.0 < u < 0.5 else None
-    k1 = _first_order_coupling_u(u)[0] if 0.0 < u <= U_STAR else None
+    k1 = min(_first_order_coupling_u(u)[0], k2 or math.inf) if 0 < u <= U_STAR else None
     region = None
     if K is not None:
         MicroParams(u, K)   # refuses an invalid (u, K)

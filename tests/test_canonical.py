@@ -3,14 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import central_diff
 
 from begphase import canonical
 from begphase.canonical import (
     BETA_MAX,
-    BETA_SNAP_TOL,
     canonical_criticals,
     canonical_free_energy,
     cumulant_inflection,
@@ -224,9 +223,10 @@ def test_positive_well():
         positive_well(2.0, tangency(2.0)[1] * (1.0 - 1e-3))
 
 
-def test_snap_band_pair_rows_make_no_tangency_call(monkeypatch):
-    # beta = 1.3862944 lies within BETA_SNAP_TOL above log 4, so its record
-    # is the continuous one, which holds no tangency data
+def test_pair_rows_next_to_log4_derive_one_tangency(monkeypatch):
+    # beta = 1.3862944 lies 5.7e-8 above log 4: its first-order record
+    # derives the tangency once, and its rows select their minimizers by
+    # value, with no tangency of their own
     from begphase.diagram import sweep_canonical
     calls = []
     real = canonical.tangency
@@ -234,7 +234,7 @@ def test_snap_band_pair_rows_make_no_tangency_call(monkeypatch):
                         lambda beta: calls.append(beta) or real(beta))
     rows, _ = sweep_canonical([1.3862944], [1.0, 1.05, 1.1, 1.15, 1.2])
     assert [r.branch for r in rows].count("pair") == 3
-    assert calls == []
+    assert calls == [1.3862944]
 
 
 def test_positive_well_approaches_tangency_point():
@@ -316,9 +316,14 @@ def test_criticals_report():
     high = canonical_criticals(2.0)
     assert high.k_second_order is None
     assert high.k_tangent < high.k_first_order < high.k_spinodal
-    # decimal approximations of log 4 take the continuous branch
-    snapped = canonical_criticals(1.3862944)
-    assert snapped.k_second_order is not None
+    # beta > BETA_C is the regime test, exactly: log 4 lies between BETA_C
+    # and the next float, and decimal approximations of log 4 take the
+    # branch of their side
+    assert canonical_criticals(BETA_C).k_first_order is None
+    for beta in (math.nextafter(BETA_C, 2.0), 1.3862944):
+        crit = canonical_criticals(beta)
+        assert crit.k_second_order is None and crit.k_first_order is not None
+    assert canonical_criticals(1.3862943).k_first_order is None
 
 
 def test_float32_beta_is_solved_in_double_precision():
@@ -381,20 +386,104 @@ def test_branch_boundaries():
 
 
 def test_solve_in_the_snap_band():
-    # beta = log 4 + 1.8e-9 lies within BETA_SNAP_TOL above log 4, where the
-    # critical record is the continuous one; K = 3/(2 log 4) - 1e-10 exceeds
-    # its Kc2, so the origin is no minimizer (G''(0) < 0).  Branch selection
-    # from the record kept z = 0 there and the type ladder raised.  The well
-    # is the 60-digit root 0.0019730956448654; P' in plain floats put it at
-    # 0.00197355860319, 2.3e-4 away
+    # beta = log 4 + 1.8e-9 lies in (log 4, log 4 + 1e-7], where decimal
+    # approximations of log 4 fall; K = 3/(2 log 4) - 1e-10 exceeds the
+    # spinodal Kc2(beta), so the origin is no minimizer (G''(0) < 0).
+    # Branch selection from the record kept z = 0 there and the type ladder
+    # raised.  The well is the 60-digit root 0.0019730956448654; P' in plain
+    # floats put it at 0.00197355860319, 2.3e-4 away
     K = 3.0 / (2.0 * math.log(4.0)) - 1e-10
     params = CanonicalParams(1.3862943629346534, K)
-    assert K > canonical_criticals(params.beta).k_second_order
+    crit = canonical_criticals(params.beta)
+    assert crit.k_first_order <= crit.k_spinodal < K
     assert mag_potential(params, 0.0, 2) < 0.0
     sol = solve_canonical(params)
     assert sol.phase_label == "pair"
     z = sol.z_points[1]
     assert sol.z_points[0] == -z and abs(z - 0.0019730956448654) < 1e-12
+
+
+def test_solve_one_float_above_log4():
+    # beta is the float above log 4, K within an ulp of Kc2(beta): the
+    # Landau coefficient is d = -3.27e-17 < 0 (80 digits), so the origin is
+    # a maximum and the minimizers are the 60-digit wells
+    # +-1.2151140498295703e-4, with P = -1.45e-24 there.  Zeroing d within
+    # an ulp of log 4 gave the triple {0, +-1.976e-8}, with the origin of
+    # type 3
+    sol = solve_canonical(CanonicalParams(1.3862943611198908, 1.0820212806667227))
+    assert sol.phase_label == "pair" and sol.types == (1, 1)
+    z = sol.z_points[1]
+    assert sol.z_points[0] == -z
+    assert abs(z - 1.2151140498295703e-4) <= 1e-9 * z
+
+
+def test_type_three_only_at_beta_c():
+    kc2 = second_order_coupling(BETA_C)
+    assert solve_canonical(CanonicalParams(BETA_C, kc2)).types == (3,)
+    below = math.nextafter(BETA_C, 0.0)
+    kc2 = second_order_coupling(below)
+    assert solve_canonical(CanonicalParams(below, kc2)).types == (2,)
+
+
+def _couplings_60(beta):
+    # (k_tangent, k_first_order, k_spinodal) at 60 digits: the roots of
+    # w c'' = c' and w c' = 2c, each read as w/(2 beta c'(w)), and
+    # e^beta/(4 beta) + 1/(2 beta)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        b = mpmath.mpf(beta)
+        e = mpmath.exp(-b)
+        delta = b - mpmath.log(4)
+
+        def c(w):
+            return mpmath.log((1 + 2 * e * mpmath.cosh(w)) / (1 + 2 * e))
+
+        def c1(w):
+            return 2 * e * mpmath.sinh(w) / (1 + 2 * e * mpmath.cosh(w))
+
+        def c2(w):
+            return 2 * e * (mpmath.cosh(w) + 2 * e) / (1 + 2 * e * mpmath.cosh(w)) ** 2
+
+        w_t = mpmath.findroot(lambda w: (w * c2(w) - c1(w)) / w ** 3,
+                              mpmath.sqrt(10 * delta))
+        w_s = mpmath.findroot(lambda w: (w * c1(w) - 2 * c(w)) / w ** 4,
+                              mpmath.sqrt(15 * delta))
+        return ([w / (2 * b * c1(w)) for w in (w_t, w_s)]
+                + [mpmath.exp(b) / (4 * b) + 1 / (2 * b)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(BETA_C, BETA_C + 1e-7, exclude_min=True),
+                 st.integers(1, 60).map(lambda n: BETA_C + n * math.ulp(BETA_C))))
+@example(1.3862944)
+def test_record_next_to_log4_is_first_order_and_ordered(beta):
+    # the three couplings lie within 0.6 (beta - log 4)^2 of one another,
+    # less than their rounding: the record orders them.  Unordered, 167 of
+    # 397 records in (log 4, log 4 (1 + 1e-7)] came out misordered
+    crit = canonical_criticals(beta)
+    assert crit.k_second_order is None
+    assert crit.k_tangent <= crit.k_first_order <= crit.k_spinodal
+
+
+@pytest.mark.parametrize("beta", [1.3862944, 1.38629441,
+                                  BETA_C + 60 * math.ulp(BETA_C)])
+def test_record_next_to_log4_matches_60_digit_couplings(beta):
+    crit = canonical_criticals(beta)
+    got = (crit.k_tangent, crit.k_first_order, crit.k_spinodal)
+    for k, want in zip(got, _couplings_60(beta)):
+        assert abs(k - want) <= 2.0 * math.ulp(k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log(0.03), math.log(30.0)).map(math.exp), st.floats(0.2, 4.0))
+@example(1.196595328470077, 1.1091536357548972)
+def test_lifted_minimizers_are_exact_mirrors(beta, K):
+    # the tilted masses at -t are those at t mirrored to the last bit; the
+    # sum wm + w0 + wp left nu at z and -z 1 ulp apart at the example
+    sol = solve_canonical(CanonicalParams(beta, K))
+    for lo, hi in zip(sol.macrostates, reversed(sol.macrostates)):
+        assert (lo.nu_minus, lo.nu_zero, lo.nu_plus) == (
+            hi.nu_plus, hi.nu_zero, hi.nu_minus)
 
 
 # 60-digit roots of P' at beta = 1, K = Kc2(1.0) + m ulps; plain floats put
@@ -555,7 +644,7 @@ def test_solve_canonical_derives_no_critical_coupling(monkeypatch, beta, K):
 def test_solver_agrees_with_the_critical_record(beta, s):
     # two independent routes: the record's critical coupling against the
     # value comparison of the solver, away from the coupling by > 1e-6
-    assume(abs(s) > 1e-6 and not BETA_C < beta <= BETA_C + BETA_SNAP_TOL)
+    assume(abs(s) > 1e-6)
     crit = canonical_criticals(beta)
     kc = crit.k_second_order if beta <= BETA_C else crit.k_first_order
     K = kc * (1.0 + s)

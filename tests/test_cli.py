@@ -28,13 +28,27 @@ def csv_rows(out):
 
 
 def test_canon_critical_prints_tricritical_coupling(capsys):
-    code, out, _ = run(capsys, ["canon-critical", "--beta", "1.3862944"])
+    # decimals of log 4 on either side get the record of their side: above
+    # it the three first-order couplings, which round to one 12-digit value
+    records = {}
+    for beta in ("1.3862943", "1.3862944"):
+        code, out, _ = run(capsys, ["canon-critical", "--beta", beta])
+        assert code == 0
+        header, cols, row = [l for l in out.splitlines() if l][-3:]
+        records[beta] = dict(zip(cols.split(","), row.split(",")))
+    below, above = records["1.3862943"], records["1.3862944"]
+    assert below["Kc2"] == "1.08202128428" and below["Kc1"] == ""
+    assert above["Kc2"] == ""
+    assert above["K1"] == above["Kc1"] == above["K2"] == "1.08202127837"
+    assert above["w1"] == "0.00062353916666"
+
+
+def test_micro_critical_region_in_the_pinch_band(capsys):
+    # K exceeds the printed C there; the quartic in floats read 'below'
+    code, out, _ = run(capsys, ["micro-critical", "--u", "0.498",
+                                "--K", "0.502008037305"])
     assert code == 0
-    header, cols, row = [l for l in out.splitlines() if l][-3:]
-    names = cols.split(",")
-    values = row.split(",")
-    kc2 = values[names.index("Kc2")]
-    assert kc2.startswith("1.08202")
+    assert out.splitlines()[-1] == "0.498,1.43196183483,,0.502008032285,above"
 
 
 def test_pmf_two_sites_matches_enumeration(capsys):
@@ -199,9 +213,9 @@ def test_canon_just_above_the_second_order_coupling(capsys):
 
 
 def test_canon_in_the_snap_band(capsys):
-    # beta = log 4 + 1.8e-9, within BETA_SNAP_TOL above log 4, and
-    # K = 3/(2 log 4) - 1e-10: the origin is no minimizer there, and a
-    # RuntimeError escaped
+    # beta = log 4 + 1.8e-9, in (log 4, log 4 + 1e-7] where decimals of
+    # log 4 fall, and K = 3/(2 log 4) - 1e-10: the origin is no minimizer
+    # there, and a RuntimeError escaped
     code, out, _ = run(capsys, ["canon", "--beta", "1.3862943629346534",
                                 "--K", "1.0820212805667226"])
     assert code == 0

@@ -227,13 +227,14 @@ def test_sweep_canonical_topology():
                - first_order_coupling(BETA_C + 1e-3)) < 1e-2
 
 
-def test_sweep_canonical_transition_order_at_log4_decimal():
-    # the README's decimal for log 4 lies within BETA_SNAP_TOL of BETA_C, so
-    # its record, which labels the row's transition order, is continuous
-    beta = 1.3862944
-    rows, curves = sweep_canonical([beta], [1.0])
-    assert rows[0].transition_order == 2
+def test_sweep_canonical_transition_order_by_log4_decimals():
+    # each decimal for log 4 labels its rows with the transition order of
+    # its side: the record at beta > BETA_C, 1.3862944 among them, is the
+    # first-order one
+    rows, curves = sweep_canonical([1.3862943, 1.3862944], [1.0])
+    assert [r.transition_order for r in rows] == [2, 1]
     assert curves[0].k_second_order is not None
+    assert curves[1].k_second_order is None
 
 
 def test_tangency_derived_once_per_beta(monkeypatch):
@@ -633,8 +634,8 @@ def test_equivalence_gap_at_the_end_of_the_canonical_inversion():
 
 
 def test_equivalence_in_the_snap_band():
-    # beta_c1 = log 4 + 1.7e-9 lies within BETA_SNAP_TOL above log 4 there,
-    # and K equals Kc2(beta_c1) to the last ulp: a solve at that grid point
+    # beta_c1 = log 4 + 1.7e-9 lies in (log 4, log 4 + 1e-7] there, and K
+    # equals Kc2(beta_c1) to the last ulp: a solve at that grid point
     # raises a RuntimeError from the type ladder, so the report takes the
     # tie there (z_c moves by 1.1e-6 relative per ulp of K here, so K is
     # spelled out)

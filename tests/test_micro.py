@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import assert_sets_close, central_diff, second_diff
 
-from begphase.core import DomainError, MicroParams, UNIFORM, rel_entropy
+from begphase.core import (DomainError, MicroParams, UNIFORM, energy_domain,
+                           rel_entropy)
 from begphase.diagram import simplex_oracle, sweep_micro, tricritical_micro
 from begphase.micro import (
     K_STAR,
@@ -125,12 +126,25 @@ def test_admissible_domain_is_the_admissible_set(uK, z):
                                   (1.0 - 2.0 - 1e-13, 2.0),
                                   (1.0 - 37.0 - 1e-13, 37.0)])
 def test_empty_shell_inside_the_params_slack_raises(u, K):
-    # MicroParams accepts u up to 1e-12 outside [min(1-K, 0), 1], where the
-    # shell is empty: a DomainError above 1, a RuntimeError below the bottom
-    params = MicroParams(u, K)
-    for call in (solve_micro, admissible_domain):
-        with pytest.raises(DomainError, match="empty"):
-            call(params)
+    # u 1e-13 outside [min(1-K, 0), 1] has an empty shell: MicroParams
+    # refuses it, as it tests the range with no slack.  With a 1e-12 slack
+    # it was admitted, and the solver raised (a RuntimeError below the
+    # bottom before it named the empty shell)
+    with pytest.raises(DomainError, match="u must lie in the attainable energy range"):
+        MicroParams(u, K)
+
+
+@pytest.mark.parametrize("K", [0.5, 1.0, 2.0, 37.0])
+def test_params_take_the_energy_range_exactly(K):
+    # the float beyond either end is refused, each end itself is solved
+    lo, hi = energy_domain(K)
+    for u in (math.nextafter(lo, -math.inf), math.nextafter(hi, 2.0)):
+        with pytest.raises(DomainError, match="attainable energy range"):
+            MicroParams(u, K)
+    for u in (lo, hi):
+        params = MicroParams(u, K)
+        assert admissible_domain(params)
+        assert solve_micro(params).entropy <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +457,23 @@ def test_first_order_regime_is_u_at_most_u_star():
     us += [u for u in rng.uniform(0.0, 0.5, 2000).tolist() if u > 0.0]
     for u in us:
         assert (second_order_coupling_u(u) < convexity_threshold(u)) == (u <= U_STAR), u
+
+
+def test_micro_record_is_ordered():
+    # Kc1 < k2 in exact arithmetic, and the record keeps Kc1 <= k2 where
+    # they meet within rounding: the tie solve put Kc1 = 1.081296450157609
+    # above k2 = 1.0812964501576088 at u = 0.33034382864171036, 3 ulps below
+    # u*, and at 5973 of the 20000 floats below u*
+    us, u = [], U_STAR
+    for _ in range(20000):
+        us.append(u)
+        u = math.nextafter(u, 0.0)
+    rng = np.random.default_rng(5)
+    us += np.exp(rng.uniform(math.log(1e-300), math.log(U_STAR), 2000)).tolist()
+    for u in us:
+        crit = micro_criticals(u)
+        if crit.k_second_order is not None:
+            assert crit.k_first_order <= crit.k_second_order, u
 
 
 def test_second_order_coupling_u_is_curvature_root():
@@ -792,6 +823,57 @@ def test_convexity_threshold_in_the_pinch_band_is_a_float(u):
     # the smallest positive root of the sextic came back as an np.float64
     assert type(convexity_threshold(u)) is float
     assert type(micro_criticals(u).k_convexity) is float
+
+
+def _min_quartic_60(u, K):
+    # min over (0, top^2] of the _phi3_quartic quartic Q, from the exact u and
+    # K at 60 digits: Q at top^2 and at its interior stationary points
+    import mpmath
+    with mpmath.workdps(60):
+        u, K = mpmath.mpf(u), mpmath.mpf(K)
+        Q = [2 * K ** 6,
+             K ** 3 * (2 * K * K + 6 * K * u - 4 * K - 1),
+             -K * K * (12 * K * K * u * u - 10 * K * K * u - 6 * K * u * u
+                       + 4 * K * u + 4 * K + 3 * u - 4),
+             -K * (16 * K * K * u ** 3 - 14 * K * K * u * u + 6 * K * u ** 3
+                   - 12 * K * u * u + 6 * K * u - 3 * u * u + 4 * u - 1),
+             u * (1 - u) * (6 * K * K * u * u - 6 * K * u * (1 - u) + 1 - u)]
+        disc = 1 - 4 * K * u
+        top = mpmath.sqrt((1 - u) / K)
+        if disc > 0:
+            top = min(top, (1 - mpmath.sqrt(disc)) / (2 * K))
+        ts = [top ** 2] + [r.real for r in mpmath.polyroots(
+            [4 * Q[0], 3 * Q[1], 2 * Q[2], Q[3]], maxsteps=400, extraprec=200)
+            if abs(r.imag) < mpmath.mpf(10) ** -40 and 0 < r.real < top ** 2]
+        return min(mpmath.polyval(Q, t) for t in ts)
+
+
+@pytest.mark.parametrize("u, K, region", [(0.497, 0.503018109020862, "below"),
+                                          (0.498, 0.502008037305, "above")])
+def test_pinch_band_region_against_60_digit_quartic(u, K, region):
+    # min Q = -3.6e-19 and +5.2e-17 at 60 digits: Q in floats rounds by
+    # about 7e-16, and its sign gave the other region at both
+    pytest.importorskip("mpmath")
+    assert (_min_quartic_60(u, K) < 0) == (region == "below")
+    assert micro_criticals(u, K).region == region
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1.0 / 3.0, 0.5, exclude_min=True, exclude_max=True),
+       st.sampled_from(["top", "middle", "bottom"]))
+@example(0.4999999925494194, "middle")
+def test_pinch_band_region_is_the_sign_of_the_quartic(u, where):
+    # next to each edge of the pinch band (1e-8 relative) and at its middle,
+    # the region against the sign of min Q at 60 digits; the band narrows
+    # like (1 - 2u)^4, to 1e-31 at the example
+    pytest.importorskip("mpmath")
+    from begphase.micro import _pinch_edges
+    c = convexity_threshold(u)
+    bottom = (1.0 + _pinch_edges(u)[0]) / (4.0 * u)
+    K = {"top": c * (1.0 + 1e-8), "middle": 0.5 * (bottom + c),
+         "bottom": bottom * (1.0 - 1e-8)}[where]
+    want = "below" if _min_quartic_60(u, K) < 0 else "above"
+    assert micro_criticals(u, K).region == want
 
 
 def test_micro_criticals_regions():

@@ -26,6 +26,7 @@ from .core import (
     DomainError,
     Macrostate,
     _cumulant_from_moments,
+    _curvature,
     _exactly_signed,
     _finite,
     _real,
@@ -98,8 +99,7 @@ def _a_eps(beta):
     """(a, 1 - 3a) with a = 2/(e^beta + 2) = c''(0).  1 - 3a is summed as
     -expm1(log 4 - beta)(1 - a), with log 4 in two parts: it keeps its sign
     and its relative precision at every float next to log 4."""
-    # 2 e^-beta is 2/(e^beta + 2) to the last bit where e^beta overflows
-    a = 2.0 / (math.exp(beta) + 2.0) if beta < 700.0 else 2.0 * math.exp(-beta)
+    a = _curvature(beta)
     return a, -math.expm1((BETA_C - beta) + _LOG4_LO) * (1.0 - a)
 
 

@@ -136,13 +136,22 @@ class MicroParams:
 # Cumulant generating function of the tilted single-site measure
 # ---------------------------------------------------------------------------
 
+def _curvature(beta):
+    """a = 2/(e^beta + 2) = c''(0), the variance of the untilted spin."""
+    # 2 e^-beta is 2/(e^beta + 2) to the last bit where e^beta overflows
+    return 2.0 / (math.exp(beta) + 2.0) if beta < 700.0 else 2.0 * math.exp(-beta)
+
+
 def _tilted_moments(beta, t):
     """(c(t), m1, m2): cumulant value and first two raw moments of the spin
     under the measure with masses proportional to (e^{-beta-t}, 1, e^{-beta+t}).
 
     Max-shifted so large |t| neither overflows nor underflows; sums are
-    grouped so the results are exactly even/odd under t -> -t, and the value
-    at t = 0 is exactly zero.
+    grouped so the results are exactly even/odd under t -> -t.  Up to
+    |t| = 700 the value is c = log1p(2 a sinh(t/2)^2) with a = c''(0), which
+    keeps its relative precision as t -> 0 and is exactly zero at t = 0;
+    beyond, sinh(t/2)^2 nears overflow and c is the difference of the
+    shifted logs, which no longer cancel.
     """
     lw_m = -beta - t
     lw_p = -beta + t
@@ -151,8 +160,10 @@ def _tilted_moments(beta, t):
     wm = math.exp(lw_m - shift)
     wp = math.exp(lw_p - shift)
     d = w0 + (wm + wp)
-    c0 = 0.0 if t == 0.0 else \
-        shift + math.log(d) - math.log1p(2.0 * math.exp(-beta))
+    if abs(t) <= 700.0:
+        c0 = math.log1p(2.0 * _curvature(beta) * math.sinh(0.5 * abs(t)) ** 2)
+    else:
+        c0 = shift + math.log(d) - math.log1p(2.0 * math.exp(-beta))
     return c0, (wp - wm) / d, (wm + wp) / d
 
 

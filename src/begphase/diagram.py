@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .canonical import (
     BETA_MAX,
@@ -420,8 +419,7 @@ def simplex_oracle(kind: str, *, beta: float | None = None, u: float | None = No
         nm = i / N
         npl = np.arange(0, N - i + 1) / N
         nz = 1.0 - nm - npl
-        ent = (xlogy(nm, nm) + xlogy(npl, npl) + xlogy(np.maximum(nz, 0.0), nz)
-               + log3)
+        ent = _xlogx(nm) + _xlogx(npl) + _xlogx(np.maximum(nz, 0.0)) + log3
         energy = (nm + npl) - K * (npl - nm) ** 2
         return ent + beta * energy
 
@@ -439,6 +437,11 @@ def simplex_oracle(kind: str, *, beta: float | None = None, u: float | None = No
     return minima, best
 
 
+def _xlogx(x):
+    """x log x elementwise for x >= 0, with 0 log 0 = 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
 def _micro_shell_scan(u, K, N, tol):
     nm = np.arange(N + 1) / N
     b = 2.0 * K * nm + 1.0
@@ -453,8 +456,7 @@ def _micro_shell_scan(u, K, N, tol):
         good = (ok0 & (npl >= -1e-12) & (npl <= 1.0 + 1e-12) & (nz >= -1e-12))
         npl_c = np.clip(npl, 0.0, 1.0)
         nz_c = np.maximum(nz, 0.0)
-        vals = (xlogy(nm, nm) + xlogy(npl_c, npl_c) + xlogy(nz_c, nz_c)
-                + math.log(3.0))
+        vals = _xlogx(nm) + _xlogx(npl_c) + _xlogx(nz_c) + math.log(3.0)
         energy = (nm + npl_c) - K * (npl_c - nm) ** 2
         good &= np.abs(energy - u) <= max(tol, 1e-9)
         vals = np.where(good, vals, np.inf)

@@ -11,14 +11,15 @@ the potential's minimum: Gaussian for r = 1, exp(-const x^4) or
 exp(-const x^6) at critical couplings (Ellis-Newman).  This module computes
 the exact laws, classifies minima, builds the limit densities and measures
 Kolmogorov-Smirnov distances between the two, plus a seeded single-site
-Metropolis chain as an independent stochastic cross-check.
+Metropolis chain as an independent stochastic cross-check.  scipy.special
+is imported inside the functions that use it, so importing the package does
+not load scipy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, logsumexp, ndtr
 
 from .canonical import minimum_type, solve_canonical
 from .core import CanonicalParams, DomainError, Macrostate, cumulant
@@ -100,6 +101,8 @@ def exact_spin_pmf(n: int, params: CanonicalParams) -> SpinPmf:
     order eps beta n, and an uncompensated sum of n ratios one of order
     eps |log U_k| sqrt(n).  Cost is O(n); n is capped at MAX_PMF_N.
     """
+    from scipy.special import logsumexp
+
     if not (_is_int(n) and 1 <= n <= MAX_PMF_N):
         raise DomainError(f"n must be an integer in [1, {MAX_PMF_N}], got {n}")
     beta, K = params.beta, params.K
@@ -166,6 +169,8 @@ class LimitDensity:
         return np.exp(-self.coef * x ** (2 * self.r)) / self.norm_const
 
     def cdf(self, x):
+        from scipy.special import gammainc, ndtr
+
         x = np.asarray(x, dtype=float)
         if self.r == 1:
             return ndtr(x / math.sqrt(self.sigma2))
@@ -257,6 +262,8 @@ def conditioned_clt_check(n: int, params: CanonicalParams, j: str = "+",
     normal law with the minimizer's asymptotic variance.  Default window
     half-width min(0.1, z/2) isolates one phase while keeping mass.
     """
+    from scipy.special import ndtr
+
     sol = solve_canonical(params)
     zpos = max(abs(z) for z in sol.z_points)
     if len(sol.z_points) < 2 or zpos == 0.0:
@@ -312,12 +319,13 @@ def _move_table(n: int, params: CanonicalParams, m: int) -> list:
     """Move records of the single-site rule at system size n, for |S| <= m.
 
     table[s + 1] is the pair of moves open to a site at spin s, one per
-    proposal in _PROPOSALS[s + 1].  Each move is (next pair, ds, row): the
-    pair of the proposed spin, the change ds of the total spin, and row,
+    proposal in _PROPOSALS[s + 1].  Each move is (next pair, ds, row, step):
+    the pair of the proposed spin, the change ds of the total spin, row,
     where row[S + m] is e^-dE at total spin S, or 1.0 where dE <= 0, with
-    dE = beta d(quad) - beta K (2 S ds + ds^2)/n.  A uniform u in [0, 1)
-    then accepts exactly when dE <= 0 or u < e^-dE.  The pairs refer to one
-    another; the caller clears them when done.
+    dE = beta d(quad) - beta K (2 S ds + ds^2)/n, and step = ds % 256, the
+    byte that reads back as ds in int8.  A uniform u in [0, 1) then accepts
+    exactly when dE <= 0 or u < e^-dE.  The pairs refer to one another; the
+    caller clears them when done.
     """
     beta, K = params.beta, params.K
     bK = beta * K
@@ -329,7 +337,7 @@ def _move_table(n: int, params: CanonicalParams, m: int) -> list:
                    for S in range(-m, m + 1))
             table[s + 1].append((table[prop + 1], ds,
                                  [1.0 if de <= 0.0 else math.exp(-de)
-                                  for de in des]))
+                                  for de in des], ds % 256))
     return table
 
 
@@ -360,8 +368,10 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     Each site holds the move pair of its current spin (_move_table), so a
     step is one lookup, one comparison u < row[S + m] and, on acceptance,
     a swap of the site's pair and an update of S + m.  The loop records
-    only S + m.  Everything else comes from the total-spin trace, one block
-    at a time: a step is accepted exactly when S changes, since a proposal
+    only the change ds of S, as one byte: the move's ds % 256 when the step
+    is accepted, 0 when it is rejected.  Everything else comes from these
+    bytes, read as int8, one block at a time: the trace is S plus their
+    running sum; a step is accepted exactly when ds != 0, since a proposal
     always differs from the current spin; the change of the sum of squared
     spins Q follows from ds and the pick (_DQ); and for n <=
     CONFIG_TALLY_MAX_N the configuration code sum_j 3^j (spin_j + 1) moves
@@ -396,7 +406,7 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     done = 0
     while done < steps:
         block = min(65536, steps - done)
-        # narrow copies of the draws offset the memory of the S + m list
+        # narrow copies of the draws offset the memory of the step list
         sites = rng.integers(0, n, size=block).astype(np.int32)
         picks = rng.integers(0, 2, size=block).astype(np.int8)
         us = rng.random(block)
@@ -406,18 +416,20 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
         buf = []
         for j, pick, u in zip(memoryview(sites), memoryview(picks),
                               memoryview(us)):
-            nxt, ds, row = state[j][pick]
+            nxt, d, row, step = state[j][pick]
             if u < row[Sm]:
                 state[j] = nxt
-                Sm += ds
-            buf.append(Sm)
+                Sm += d
+                buf.append(step)
+            else:
+                buf.append(0)
         del us
-        block_s = trace[done:done + block]
-        block_s[:] = buf
+        ds = np.frombuffer(bytearray(buf), np.int8)  # the change of S per step
         del buf
-        block_s -= m
+        block_s = trace[done:done + block]
+        np.cumsum(ds, dtype=np.int32, out=block_s)
+        block_s += S
         counts += np.bincount(block_s + n, minlength=2 * n + 1)
-        ds = np.diff(block_s, prepend=np.int32(S))
         acc += np.count_nonzero(ds)
         q = _DQ[2 * (ds + 2) + picks]
         del picks
@@ -449,6 +461,8 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
 def exact_config_probs(n: int, params: CanonicalParams) -> np.ndarray:
     """Exact ensemble probabilities over all 3^n configurations, indexed by
     base-3 code sum_j 3^j (spin_j + 1).  Oracle for sampler stationarity."""
+    from scipy.special import logsumexp
+
     if n > CONFIG_TALLY_MAX_N:
         raise DomainError(f"full enumeration capped at n = {CONFIG_TALLY_MAX_N}")
     beta, K = params.beta, params.K

@@ -409,12 +409,14 @@ def test_solve_one_float_above_log4():
     # a maximum and the minimizers are the 60-digit wells
     # +-1.2151140498295703e-4, with P = -1.45e-24 there.  Zeroing d within
     # an ulp of log 4 gave the triple {0, +-1.976e-8}, with the origin of
-    # type 3
+    # type 3; c(w) summed as the difference of two logs reported the depth
+    # as +1.14e-16, a global minimum above the origin's exact 0
     sol = solve_canonical(CanonicalParams(1.3862943611198908, 1.0820212806667227))
     assert sol.phase_label == "pair" and sol.types == (1, 1)
     z = sol.z_points[1]
     assert sol.z_points[0] == -z
     assert abs(z - 1.2151140498295703e-4) <= 1e-9 * z
+    assert abs(sol.min_value) <= 1e-23
 
 
 def test_type_three_only_at_beta_c():

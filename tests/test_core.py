@@ -38,6 +38,20 @@ def test_cumulant_vanishes_at_origin():
         assert cumulant(beta, 0.0, 1) == 0.0
 
 
+@pytest.mark.parametrize("beta", [0.3, 1.0, BETA_C, 1.3862943611198908, 5.0, 30.0])
+def test_cumulant_value_against_120_digits(beta):
+    # c(t) ~ a t^2 / 2 at small t: summed as the difference of two logs it
+    # kept an absolute rounding of ~1e-16, its whole value below t ~ 1e-8
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(120):
+        e = mpmath.exp(-mpmath.mpf(beta))
+        for t in (1e-12, -1e-8, 3.6e-4, 1e-2, -0.5, 3.0, 40.0):
+            tm = mpmath.mpf(t)
+            ref = mpmath.log((1 + e * (mpmath.exp(tm) + mpmath.exp(-tm)))
+                             / (1 + 2 * e))
+            assert abs(cumulant(beta, t, 0) - ref) <= 4e-16 * ref
+
+
 def test_cumulant_second_derivative_closed_value():
     # e^-beta = 1/4 gives 2 e^-beta / (1 + 2 e^-beta) = 1/3
     val = cumulant(math.log(4.0), 0.0, 2)

@@ -112,13 +112,18 @@ def _landau(beta, K):
     the critical coupling, d is 0 where K lies within an ulp of the real
     Kc2(beta), i.e. where |d| <= ulp(K)/(2 beta K^2): no float K lies closer
     to it.  Above log 4 Kc2 is the spinodal of the disordered branch, not a
-    critical point, and the exact d stands.
+    critical point, and the exact d stands.  Where 2 beta K^2 underflows to
+    0, K lies far below Kc2(beta) >= 3/(4 beta): d = 1/(2 beta K) - a is
+    huge, +inf where 2 beta K is subnormal or 0, and no band applies.
     """
-    inv = 1.0 / (2.0 * beta * K)
+    tk = 2.0 * beta * K
     a = _a_eps(beta)[0]
+    if tk * K == 0.0:
+        return 1.0 / tk - a if tk else math.inf
+    inv = 1.0 / tk
     d = _exactly_signed(inv - a, inv + a, lambda D: (
         1 / (2 * D(beta) * D(K)) - 2 / (D(beta).exp() + 2)))
-    band = math.ulp(K) / (2.0 * beta * K * K)
+    band = math.ulp(K) / (tk * K)
     return 0.0 if beta <= BETA_C and abs(d) <= band else d
 
 
@@ -343,19 +348,23 @@ def _local_wells(params, d):
     rounds to 1, with its searches started at the roots of the
     _landau_poly polynomial: next to Kc2 and Kc1 the well is a near-double
     root of P', which Newton from a start far from it approaches by little
-    more than halvings.  The origin is a well exactly when d >= 0 (d = 0 only in the
-    critical band of _landau).  Below log 4, P'' rises from d: where d >= 0
-    the origin is the one well, and the search is skipped.  P squares the
-    tilt: DomainError where 2 beta K does not square to a finite float
-    (above about 1.34e154).
+    more than halvings.  Where P' < 0 at the lower end the one well is
+    searched over the whole piece; where P' > 0 there (the origin a well
+    above log 4), only P' at the spinodal of the positive branch tells
+    whether a metastable well lies beyond it.  The origin is a well
+    exactly when d >= 0 (d = 0 only in the critical band of _landau).
+    Below log 4, P'' rises from d: where d >= 0 the origin is the one
+    well, and the search is skipped.  P squares the
+    tilt and divides by it: DomainError where 2 beta K does not square to a
+    finite float (above about 1.34e154) or underflows to 0.
     """
     beta, K = _check_beta(params.beta), params.K
     tk = 2.0 * beta * K
-    if not tk * tk < math.inf:
+    if not (0.0 < tk and tk * tk < math.inf):
         raise DomainError(
-            f"the canonical solver needs (2 beta K)^2 finite, i.e. 2 beta K "
-            f"below about 1.34e154, got 2 beta K = {tk} at (beta, K) = "
-            f"({beta}, {K})")
+            f"the canonical solver needs 2 beta K > 0 and (2 beta K)^2 "
+            f"finite, i.e. 2 beta K from 5e-324 to about 1.34e154, got "
+            f"2 beta K = {tk} at (beta, K) = ({beta}, {K})")
     if beta <= BETA_C and d >= 0.0:
         return [0.0]
     lo = cumulant_inflection(beta) if beta > BETA_C else 0.0

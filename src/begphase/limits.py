@@ -133,15 +133,22 @@ def classify_minimum(params: CanonicalParams, z: float) -> TypeReport:
     For r = 1 the asymptotic variance is 2 beta K c''(2 beta K z) divided
     by the second derivative of the potential at z, which the
     cancellation-free kernel keeps positive; for r >= 2 no finite variance
-    exists and sigma2 is None.
+    exists and sigma2 is None.  DomainError where the variance is no
+    positive float: where the minimizer rounds to +-1, c'' underflows to 0
+    at the tilt 2 beta K z, and where 2 beta K is below about 1e-154,
+    (2 beta K)^2 underflows in G''.
     """
     r, evens = minimum_type(params, z)
     sigma2 = None
     if r == 1:
         a = 2.0 * params.beta * params.K
-        sigma2 = a * cumulant(params.beta, a * z, 2) / evens[0]
-        if sigma2 <= 0.0:
-            raise RuntimeError(f"nonpositive variance at z = {z}")
+        c2, g2 = cumulant(params.beta, a * z, 2), evens[0]
+        sigma2 = a * c2 / g2 if g2 > 0.0 else math.nan
+        if not 0.0 < sigma2 < math.inf:
+            raise DomainError(
+                f"the asymptotic variance 2 beta K c''(2 beta K z)/G''(z) at "
+                f"(beta, K) = ({params.beta}, {params.K}) and the minimizer "
+                f"z = {z} underflows: c''({a * z}) = {c2}, G''(z) = {g2}")
     return TypeReport(params=params, z=z, r=r, derivative_values=evens,
                       sigma2=sigma2)
 

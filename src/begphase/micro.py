@@ -94,8 +94,12 @@ def _shell_rate(u, K, z):
 
 
 def _admissible(u, K, z, slack=1e-12):
-    q = u + K * z * z
-    return abs(z) <= q + slack and q <= 1.0 + slack
+    """|z| <= q <= 1 with q = u + K z^2, each within slack, decided without
+    rounding q, which drops K z^2 below ulp(u)/2: as |z| - u <= K z^2 and
+    K z^2 <= 1 - u, whose differences are exact next to u = |z| and
+    u = 1."""
+    p = K * z * z
+    return abs(z) - u <= p + slack and p <= (1.0 - u) + slack
 
 
 def shell_rate(params: MicroParams, z: float) -> float:

@@ -5,11 +5,13 @@ start inside a sign-change bracket, the Landau root or another closed form
 where the caller has one, and a safeguard keeps the iterates inside the
 bracket, which every iterate narrows.  piecewise_minima finds every local
 minimum of a function whose third derivative changes sign only at known
-points, without a grid, starting its searches at the roots of the Landau
-polynomial where the caller has one; even_global_minima keeps those of an
-even function that tie for the least value.  golden_min, a golden-section
-search, has no caller in the package: the benchmark's tracer still counts
-it.
+points, without a grid: the signs of the slope at the ends of each piece
+between them decide most pieces, and a root of the second derivative is
+searched only on a piece where they leave the count of minima open.  Its
+searches start at the roots of the Landau polynomial where the caller has
+one; even_global_minima keeps the minima of an even function that tie for
+the least value.  golden_min, a golden-section search, has no caller in the
+package: the benchmark's tracer still counts it.
 """
 
 import math
@@ -158,14 +160,20 @@ def quadratic_roots(a, b, c):
     return (x, y) if x <= y else (y, x)
 
 
-def monotone_roots(f, fprime, nodes, *, starts=()):
+def _chord_root(a, b, fa, fb):
+    """The root of the chord of f on [a, b] through f(a) = fa and f(b) = fb
+    of opposite signs, which lies next to a root that crowds an end of the
+    bracket; NaN where one is infinite (bisect_newton then starts at the
+    midpoint)."""
+    return a - fa * ((b - a) / (fb - fa))
+
+
+def monotone_roots(f, fprime, nodes):
     """The points where f changes sign on [nodes[0], nodes[-1]], increasing,
     for f monotone between consecutive nodes: one Newton search on each
-    piece whose end values differ in sign, and the first node of each run
-    where f = 0 between values of opposite signs.  A search starts at the
-    first of `starts` inside its piece, else at the root of its chord (the
-    midpoint where an end value is infinite), which lies next to a root
-    that crowds an end of its piece."""
+    piece whose end values differ in sign, started at the _chord_root, and
+    the first node of each run where f = 0 between values of opposite
+    signs."""
     vals = [f(x) for x in nodes]
     roots, last = [], None   # last: the index of the last value != 0
     for i, fb in enumerate(vals):
@@ -173,13 +181,9 @@ def monotone_roots(f, fprime, nodes, *, starts=()):
             continue
         if last is not None and (fb < 0.0) != (vals[last] < 0.0):
             a, b, fa = nodes[last], nodes[i], vals[last]
-            start = a - fa * ((b - a) / (fb - fa))
-            for s in starts:
-                if a < s < b:
-                    start = s
-                    break
             roots.append(nodes[last + 1] if last < i - 1 else bisect_newton(
-                f, fprime, a, b, start=start, ends=(fa, fb)))
+                f, fprime, a, b, start=_chord_root(a, b, fa, fb),
+                ends=(fa, fb)))
         last = i
     return roots
 
@@ -209,38 +213,70 @@ def piecewise_minima(fp, fpp, fppp, cuts, lo, hi, *, ends=None,
     """Every local minimizer of f on [lo, hi], in increasing order.
 
     `cuts` must hold every point of (lo, hi) where f''' may change sign
-    (extra ones are harmless).  Between cuts f'' is monotone, and its roots
-    (monotone_roots: Newton on f'' with f''') split [lo, hi] into pieces
-    where f' is monotone.  A minimum is a sign change of f' from - to + on a
-    piece (Newton until the step stalls), a split point where f' = 0
-    between the two, or an end where f' points into [lo, hi], as at the
-    origin of an even f with f' > 0 on the first piece.  fp and fpp may be
-    +-inf at an end, never NaN.  `ends` = (f'(lo), f'(hi)) where the caller
-    knows them: where f' is infinite at an end, its rounding next to the
-    end may give it either sign.  `landau` = (d, b, c) where f is even with
-    f'(x)/x = d + b x^2 + c x^4 + O(x^6): a search then starts at its
-    _landau_starts root where that lies inside its piece.  Elsewhere, and
-    without `landau`, the search of f'' starts at the root of the chord of
-    its piece and that of f' at the midpoint of its piece.
+    (extra ones are harmless).  Between consecutive nodes (lo, the cuts and
+    hi) f'' is monotone, so f' has at most one extremum inside a piece, at
+    the root of f'' (a spinodal).  The signs of f' just inside the ends of
+    a piece therefore decide it: from - to + it holds one minimum, found by
+    Newton on f' over the whole piece until the step stalls; from + to -,
+    or of one sign with the extremum of f' turned away from 0, none.  Only
+    where f' > 0 at both ends and f'' rises through 0, or f' < 0 at both
+    ends and f'' falls through 0, may the extremum cross 0: only there is
+    the spinodal searched (Newton on f'' with f''', from the f'' values at
+    the nodes), and f' at it splits the piece.  Where f' = 0 at a node, the
+    sign just inside a piece is that of f'' there times the direction into
+    the piece (of f'' at the other end where f'' is 0 too: f'' keeps its
+    sign on the piece).  f' < 0 left of lo and > 0 right of hi: a node is
+    a minimum where f' < 0 just left of it and > 0 just right, so an end
+    is one exactly when f' points into [lo, hi], as at the origin of an
+    even f with f'' > 0 there.  fp and fpp may be +-inf at an end, never
+    NaN.  `ends` = (f'(lo), f'(hi)) where the caller knows them: where f'
+    is infinite at an end, its rounding next to the end may give it either
+    sign.  `landau` = (d, b, c) where f is even with f'(x)/x = d + b x^2 +
+    c x^4 + O(x^6): a search then starts at its _landau_starts root where
+    that lies inside its bracket.  Elsewhere, and without `landau`, the
+    spinodal search starts at the _chord_root and the well search at the
+    midpoint of its bracket.
     """
     if hi <= lo:
         return [lo]
-    nodes = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+    xs = [lo] + sorted({c for c in cuts if lo < c < hi}) + [hi]
     well, spinodals = _landau_starts(landau)
-    xs = sorted(nodes + monotone_roots(fpp, fppp, nodes, starts=spinodals))
-    # f' < 0 left of lo and > 0 right of hi: an end is then a minimum exactly
-    # when f' points into [lo, hi] there
     flo, fhi = (fp(lo), fp(hi)) if ends is None else ends
-    d = [-1.0, flo] + [fp(x) for x in xs[1:-1]] + [fhi, 1.0]
-    xs = [lo] + xs + [hi]
-    mins = []
+    d1 = [flo] + [fp(x) for x in xs[1:-1]] + [fhi]
+    d2 = [None] * len(xs)
+
+    def curv(i):   # f'' at node i, evaluated only where a sign needs it
+        if d2[i] is None:
+            d2[i] = fpp(xs[i])
+        return d2[i]
+
+    def side(i, j):   # the sign of f' just inside piece (i, j) at node i
+        return d1[i] if d1[i] != 0.0 else (j - i) * (curv(i) or curv(j))
+
+    mins, left = [], -1.0   # left: the sign of f' just left of node i
     for i in range(len(xs) - 1):
         a, b = xs[i], xs[i + 1]
-        if d[i] < 0.0 < d[i + 1]:
-            mins.append(a if a == b else bisect_newton(
-                fp, fpp, a, b, start=well, ends=(d[i], d[i + 1])))
-        elif d[i + 1] == 0.0 and d[i] < 0.0 < d[i + 2]:
-            mins.append(b)
+        sa, sb = side(i, i + 1), side(i + 1, i)
+        if left < 0.0 < sa:
+            mins.append(a)
+        pts = [(a, sa), (b, sb)]
+        # f' of one sign at both ends, turned towards 0 at a and away from
+        # it at b: its extremum may cross 0
+        t = math.copysign(1.0, sa)
+        if ((sa < 0.0 and sb < 0.0 or sa > 0.0 and sb > 0.0)
+                and t * curv(i) < 0.0 < t * curv(i + 1)):
+            ca, cb = d2[i], d2[i + 1]
+            start = next((x for x in spinodals if a < x < b),
+                         _chord_root(a, b, ca, cb))
+            s = bisect_newton(fpp, fppp, a, b, start=start, ends=(ca, cb))
+            pts.insert(1, (s, fp(s)))
+        for (x, fx), (y, fy) in zip(pts, pts[1:]):
+            if fx < 0.0 < fy:
+                mins.append(bisect_newton(fp, fpp, x, y, start=well,
+                                          ends=(fx, fy)))
+        left = sb
+    if left < 0.0:
+        mins.append(hi)
     return mins
 
 

@@ -12,6 +12,7 @@ from begphase.core import CanonicalParams, Macrostate, MicroParams
 from begphase.diagram import _default_beta_grid, _default_u_grid
 from begphase.limits import CONFIG_TALLY_MAX_N, _PROPOSALS, MetropolisResult
 from begphase.micro import solve_micro
+from begphase.rootfind import _landau_starts, bisect_newton
 
 
 def central_diff(f, x, h=1e-4):
@@ -124,6 +125,48 @@ def reference_metropolis(n, params, steps, seed):
         n=n, beta=beta, K=K, steps=steps, seed=seed, s_probs=counts / steps,
         spin_freq=spin_freq, trace=trace, acceptance_rate=acc / steps,
         config_probs=config_counts / steps if tally_configs else None)
+
+
+def reference_piecewise_minima(fp, fpp, fppp, cuts, lo, hi, *, ends=None,
+                               landau=None):
+    """The local minimizers of rootfind.piecewise_minima by its first loop:
+    every root of f'' between the nodes is found (Newton on f'' from the
+    Landau spinodal start inside its piece, else from the root of the
+    chord), and f' is then monotone between consecutive points, each sign
+    change from - to + a minimum.  Oracle for the search that decides most
+    pieces from the end signs of f' alone."""
+    if hi <= lo:
+        return [lo]
+    nodes = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+    well, spinodals = _landau_starts(landau)
+    vals = [fpp(x) for x in nodes]
+    roots, last = [], None
+    for i, fb in enumerate(vals):
+        if fb == 0.0:
+            continue
+        if last is not None and (fb < 0.0) != (vals[last] < 0.0):
+            a, b, fa = nodes[last], nodes[i], vals[last]
+            start = a - fa * ((b - a) / (fb - fa))
+            for s in spinodals:
+                if a < s < b:
+                    start = s
+                    break
+            roots.append(nodes[last + 1] if last < i - 1 else bisect_newton(
+                fpp, fppp, a, b, start=start, ends=(fa, fb)))
+        last = i
+    xs = sorted(nodes + roots)
+    flo, fhi = (fp(lo), fp(hi)) if ends is None else ends
+    d = [-1.0, flo] + [fp(x) for x in xs[1:-1]] + [fhi, 1.0]
+    xs = [lo] + xs + [hi]
+    mins = []
+    for i in range(len(xs) - 1):
+        a, b = xs[i], xs[i + 1]
+        if d[i] < 0.0 < d[i + 1]:
+            mins.append(a if a == b else bisect_newton(
+                fp, fpp, a, b, start=well, ends=(d[i], d[i + 1])))
+        elif d[i + 1] == 0.0 and d[i] < 0.0 < d[i + 2]:
+            mins.append(b)
+    return mins
 
 
 def constrained_mean_entropy(beta, z, step=1e-4):

@@ -155,6 +155,27 @@ def test_large_beta_raises_domain_error_naming_bound():
     assert sol.phase_label == "pair"
 
 
+@pytest.mark.parametrize("beta, K", [(1e-160, 1e-160), (1.0, 1e-200),
+                                     (0.5, 5e-324), (2.0, 1e-170)])
+def test_tiny_couplings_give_the_origin_alone(beta, K):
+    # 2 beta K^2 underflows to 0, and the band of the Landau coefficient
+    # divided by it (ZeroDivisionError); d lies far on its +inf side, and
+    # the dual route, which never divides by 2 beta K, answers {0} too
+    params = CanonicalParams(beta, K)
+    sol = solve_canonical(params)
+    assert sol.z_points == (0.0,) and sol.types == (1,)
+    assert sol.phase_label == "unique"
+    assert dual_route_minimum(params)[1] == sol.z_points
+    assert canonical._landau(beta, K) > 0.0
+
+
+def test_underflowed_tilt_raises_domain_error():
+    # 2 beta K rounds to 0 at beta < 0.5 and K = 5e-324: the tilt
+    # w = 2 beta K z maps every z to 0
+    with pytest.raises(DomainError, match="2 beta K > 0"):
+        solve_canonical(CanonicalParams(0.2, 5e-324))
+
+
 @pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
 def test_sixth_derivative_overflow_raises_domain_error(factor):
     # at the spinodal e^beta/(4 beta) of beta = 150, (2 beta K)^6 exceeds

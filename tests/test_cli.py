@@ -225,6 +225,29 @@ def test_canon_in_the_snap_band(capsys):
     assert [r[0] for r in csv_rows(out)] == [fmt(z) for z in sol.z_points]
 
 
+def test_canon_at_a_tiny_coupling(capsys):
+    # 2 beta K^2 = 2e-480 underflows: a ZeroDivisionError traceback
+    code, out, _ = run(capsys, ["canon", "--beta", "1e-160", "--K", "1e-160"])
+    assert code == 0
+    assert "# phase=unique" in out.splitlines()
+    assert [r[0] for r in csv_rows(out)] == ["0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--beta", "2", "--K", "400", "--mode", "classify"],
+    ["--beta", "2", "--K", "400", "--mode", "ks"],
+    ["--beta", "300", "--K", "1.3862943611198906", "--mode", "conditioned",
+     "--ns", "10,20"],
+    ["--beta", "1", "--K", "1e-200", "--mode", "classify"],
+], ids=["classify", "ks", "conditioned", "tiny-K"])
+def test_limits_with_an_underflowed_variance_exits_2(capsys, argv):
+    # the minimizer rounds to +-1, or (2 beta K)^2 underflows: a
+    # RuntimeError or ZeroDivisionError traceback, exit code 1
+    code, out, err = run(capsys, ["limits", *argv])
+    assert code == 2 and out == ""
+    assert "asymptotic variance" in err
+
+
 def test_canon_sixth_derivative_overflow_exits_2(capsys):
     # the classification asks for G and exits 2 where it overflows;
     # canon decides the types without it and prints the pair at +-1

@@ -15,7 +15,8 @@ from conftest import (brute_force_spin_pmf, reference_metropolis,
                       summed_spin_pmf)
 
 import begphase
-from begphase.canonical import first_order_coupling, second_order_coupling
+from begphase.canonical import (first_order_coupling, second_order_coupling,
+                                solve_canonical)
 from begphase.core import BETA_C, CanonicalParams, DomainError
 from begphase.limits import (
     _PROPOSALS,
@@ -157,6 +158,18 @@ def test_classify_tricritical_type_three():
     rep = classify_minimum(CanonicalParams(BETA_C, ktri), 0.0)
     assert rep.r == 3
     assert abs(rep.derivative_values[2] - 162.0) < 1e-9
+
+
+@pytest.mark.parametrize("beta, K", [(2.0, 400.0), (300.0, 1.3862943611198906),
+                                     (1.0, 1e-200)])
+def test_classify_raises_where_the_variance_underflows(beta, K):
+    # at (2, 400) and (300, 1.386...) the minimizers round to +-1, where
+    # c''(2 beta K z) underflows to 0; at K = 1e-200, (2 beta K)^2 does in
+    # G''(0).  A RuntimeError (or ZeroDivisionError) used to escape
+    params = CanonicalParams(beta, K)
+    for z in solve_canonical(params).z_points:
+        with pytest.raises(DomainError, match="asymptotic variance"):
+            classify_minimum(params, z)
 
 
 def test_curvature_sign_flips_at_critical_coupling():

@@ -112,9 +112,12 @@ def test_solve_at_the_bottom_of_the_energy_range(uK):
 @given(st.floats(1e-3, 1e3).flatmap(lambda K: st.tuples(
     st.floats(min(1.0 - K, 0.0), 1.0), st.just(K))),
     st.floats(-1.0, 1.0))
+@example((1.0, 0.0078125), 1e-7)
 def test_admissible_domain_is_the_admissible_set(uK, z):
     # z lies in a component exactly when |z| <= u + K z^2 <= 1 holds in
-    # floats, away from the component ends, where either may round
+    # floats, away from the component ends, where either may round.  At
+    # the example u + K z^2 = 1 + 7.8e-17 rounds to 1, which admitted z
+    # outside the degenerate component {0}
     from begphase.micro import _admissible
     u, K = uK
     comps = admissible_domain(MicroParams(u, K))

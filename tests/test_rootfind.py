@@ -2,7 +2,8 @@ import math
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import reference_piecewise_minima
+from hypothesis import example, given, settings, strategies as st
 
 from begphase import canonical, micro, rootfind
 from begphase.canonical import (first_order_coupling, second_order_coupling,
@@ -168,17 +169,6 @@ def test_quadratic_roots_keeps_the_small_root():
     assert abs(small - 1e-8) <= math.ulp(1e-8) and abs(big - 1e8) <= math.ulp(1e8)
 
 
-def test_monotone_roots_starts_at_the_start_inside_its_piece():
-    points = []
-    f = _recorded(lambda x: x * x - 2.0, points)
-    monotone_roots(f, lambda x: 2.0 * x, [1.0, 2.0], starts=(0.5, 1.4))
-    assert points[2] == 1.4
-    points.clear()
-    # no start inside the piece: the root of the chord, 4/3
-    monotone_roots(f, lambda x: 2.0 * x, [1.0, 2.0], starts=(0.5, 2.5))
-    assert points[2] == 1.0 + 1.0 / 3.0
-
-
 def _landau_slopes(d, b, c):
     # f'(x) = x (d + b x^2 + c x^4) and its derivatives, an even f whose
     # Landau polynomial is exact
@@ -223,6 +213,129 @@ def test_piecewise_minima_passes_over_starts_that_are_no_numbers(landau):
     fp, fpp, fppp = _quartic(1.0)
     got = piecewise_minima(fp, fpp, fppp, (), 0.0, 2.0, landau=landau)
     assert got == [1.0]
+
+
+def test_piecewise_minima_starts_the_spinodal_search_at_the_landau_root():
+    # f' = x (d + b x^2 + c x^4) > 0 at both ends of [sqrt(0.03), 1], where
+    # f'' rises through 0: only f' at the spinodal, the root t = 0.05098 of
+    # d + 3b t + 5c t^2, tells that f' dips below 0 there (between t =
+    # 0.0359 and 0.0641).  Without the polynomial the search starts at the
+    # root of the chord of f''.  The first point off the nodes where f'' is
+    # evaluated is the start; f'' is exactly 0 at the Landau one.
+    landau = (0.0023, -0.1, 1.0)
+    fp, fpp, fppp = _landau_slopes(*landau)
+    cut, = _cuts(landau)
+    well = math.sqrt(max(quadratic_roots(1.0, -0.1, 0.0023)))
+    for kw, start in (
+            ({"landau": landau},   # 3b rounded as _landau_starts rounds it
+             math.sqrt(max(quadratic_roots(5.0, 3.0 * -0.1, 0.0023)))),
+            ({}, cut - fpp(cut) * ((1.0 - cut) / (fpp(1.0) - fpp(cut))))):
+        points = []
+        got = piecewise_minima(fp, _recorded(fpp, points), fppp, (cut,), 0.0,
+                               1.0, **kw)
+        assert [x for x in points if x not in (0.0, cut, 1.0)][0] == start
+        assert got[0] == 0.0 and abs(got[1] - well) <= 2.0 * math.ulp(well)
+        assert got == reference_piecewise_minima(fp, fpp, fppp, (cut,), 0.0,
+                                                 1.0, **kw)
+
+
+def _product_slopes(lead, roots):
+    # f' = lead (x - r1)(x - r2)(x - r3)(x - r4) as a product, which rounds
+    # to a few ulps next to its roots, f'' by the product rule, and
+    # f''' = lead (12 x^2 - 6 s1 x + 2 s2), s1 and s2 the first two
+    # elementary symmetric sums of the roots; its roots are the cuts
+    def fp(x):
+        return lead * math.prod(x - r for r in roots)
+
+    def fpp(x):
+        return lead * sum(math.prod(x - r for r in roots[:i] + roots[i + 1:])
+                          for i in range(4))
+
+    s1 = sum(roots)
+    s2 = sum(r * q for i, r in enumerate(roots) for q in roots[i + 1:])
+    return (fp, fpp, lambda x: lead * ((12.0 * x - 6.0 * s1) * x + 2.0 * s2),
+            quadratic_roots(12.0, -6.0 * s1, 2.0 * s2))
+
+
+@st.composite
+def quartic_slopes(draw):
+    # four roots at least 0.05 apart
+    roots = [draw(st.floats(-3.0, 1.5))]
+    for _ in range(3):
+        roots.append(roots[-1] + draw(st.floats(0.05, 1.5)))
+    lo = draw(st.floats(-2.5, 2.0))
+    return (draw(st.sampled_from([1.0, -1.0])), tuple(roots), lo,
+            lo + draw(st.floats(0.1, 4.0)))
+
+
+# f' = +-(x^2 - 1)(x^2 - 9/4) on [-2, 2], cut at +-sqrt(13/24): f' has one
+# sign at both ends of each outer piece and two roots inside it
+_TWO_ON_ONE_PIECE = ((-1.5, -1.0, 1.0, 1.5), -2.0, 2.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(quartic_slopes())
+@example((1.0, *_TWO_ON_ONE_PIECE))
+@example((-1.0, *_TWO_ON_ONE_PIECE))
+def test_piecewise_minima_finds_the_reference_minimizers(case):
+    # the reference finds every root of f'' first; piecewise_minima searches
+    # one only where f' has one sign at both ends of a piece and its
+    # extremum turned towards 0, and polishes a well over the whole piece
+    lead, roots, lo, hi = case
+    fp, fpp, fppp, cuts = _product_slopes(lead, roots)
+    got = piecewise_minima(fp, fpp, fppp, cuts, lo, hi)
+    want = reference_piecewise_minima(fp, fpp, fppp, cuts, lo, hi)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 4.0 * math.ulp(max(abs(w), 1.0))
+
+
+@pytest.mark.parametrize("lead, want", [(1.0, [-2.0, -1.0, 1.5]),
+                                        (-1.0, [-1.5, 1.0, 2.0])])
+def test_piecewise_minima_splits_a_piece_with_two_roots(lead, want):
+    fp, fpp, fppp, cuts = _product_slopes(lead, _TWO_ON_ONE_PIECE[0])
+    points = []
+    got = piecewise_minima(fp, fpp, _recorded(fppp, points), cuts,
+                           *_TWO_ON_ONE_PIECE[1:])
+    assert got == want and points
+
+
+def _third_recorded(monkeypatch, module, points):
+    search = module.piecewise_minima
+
+    def recorded(fp, fpp, fppp, *args, **kwargs):
+        return search(fp, fpp, _recorded(fppp, points), *args, **kwargs)
+
+    monkeypatch.setattr(module, "piecewise_minima", recorded)
+
+
+def test_the_solvers_search_no_spinodal_where_the_end_signs_decide(monkeypatch):
+    # P' < 0 at the inflection w_c of c' (2, 1.2), F' < 0 next to the origin,
+    # where F'' < 0 (0.4, 1.2), and both > 0 at the upper ends: each piece
+    # holds one well, found without f''', which only a spinodal search needs
+    points = []
+    _third_recorded(monkeypatch, canonical, points)
+    _third_recorded(monkeypatch, micro, points)
+    assert solve_canonical(CanonicalParams(2.0, 1.2)).phase_label == "pair"
+    assert solve_micro(MicroParams(0.4, 1.2)).phase_label == "pair"
+    assert points == []
+
+
+def test_the_metastable_well_needs_the_spinodal(monkeypatch):
+    # at beta = 2, K = 1.03 lies between the tangency and the first-order
+    # couplings: P' > 0 at both ends of [w_c, 2 beta K + 1], and only P' at
+    # the spinodal shows the positive well behind the global minimum at 0
+    params = CanonicalParams(2.0, 1.03)
+    d = canonical._landau(2.0, 1.03)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canonical, "piecewise_minima", reference_piecewise_minima)
+        want = canonical._local_wells(params, d)
+    points = []
+    _third_recorded(monkeypatch, canonical, points)
+    wells = canonical._local_wells(params, d)
+    assert wells[0] == 0.0 and len(wells) == 2 and points
+    assert abs(wells[1] - want[1]) <= 4.0 * math.ulp(want[1])
+    assert solve_canonical(params).z_points == (0.0,)
 
 
 # ---------------------------------------------------------------------------

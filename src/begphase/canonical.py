@@ -17,6 +17,7 @@ single-site measure with tilt 2 beta K z.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -219,12 +220,23 @@ def tilt_potential(params: CanonicalParams, w: float, order: int = 0) -> float:
 
 def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
     """Derivative of order 0..6 of beta K z^2 - c(2 beta K z) at z: the
-    tilt_potential derivative at w = 2 beta K z times (2 beta K)^order."""
+    tilt_potential derivative at w = 2 beta K z times (2 beta K)^order.
+
+    Where (2 beta K)^order is below the smallest normal float, the factors
+    of 2 beta K are applied one at a time: at 2 beta K = 2e-200, G''(0) =
+    (2 beta K)^2 P''(0) with P''(0) ~ 1/(2 beta K) is 2e-200, though
+    (2 beta K)^2 underflows.
+    """
     a = 2.0 * params.beta * params.K
     z = _finite(z, "z")
     value = tilt_potential(params, _finite(a * z, "the tilt 2 beta K z"), order)
     try:
-        return a ** order * value
+        scale = a ** order
+        if scale >= sys.float_info.min:
+            return scale * value
+        for _ in range(order):
+            value *= a
+        return value
     except OverflowError:
         raise DomainError(
             f"derivative of order {order} of the magnetization potential at "

@@ -51,14 +51,14 @@ class _Parser(argparse.ArgumentParser):
 
 def fmt(x) -> str:
     """12 significant digits, round-half-even; empty string for None."""
+    if type(x) is float:   # most cells; inf, nan and -0.0 format alike
+        return f"{x:.12g}"
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{float(x):.12g}"
 
 

@@ -109,6 +109,17 @@ def energy_domain(K: float) -> tuple[float, float]:
     return (min(1.0 - K, 0.0), 1.0)
 
 
+def _check_energy(u, K):
+    """u as a Python float, or a DomainError where it is not a finite point
+    of energy_domain(K)."""
+    u = _real(u)
+    lo, hi = energy_domain(K)
+    if not (math.isfinite(u) and lo <= u <= hi):
+        raise DomainError(
+            f"u must lie in the attainable energy range [{lo}, {hi}], got {u}")
+    return u
+
+
 @dataclass(frozen=True)
 class MicroParams:
     """Energy per site u and interaction strength K > 0.
@@ -122,14 +133,10 @@ class MicroParams:
     K: float
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _real(self.u))
         object.__setattr__(self, "K", _real(self.K))
         if not (math.isfinite(self.K) and self.K > 0.0):
             raise DomainError(f"K must be finite and positive, got {self.K}")
-        lo, hi = energy_domain(self.K)
-        if not (math.isfinite(self.u) and lo <= self.u <= hi):
-            raise DomainError(
-                f"u must lie in the attainable energy range [{lo}, {hi}], got {self.u}")
+        object.__setattr__(self, "u", _check_energy(self.u, self.K))
 
 
 # ---------------------------------------------------------------------------

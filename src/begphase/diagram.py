@@ -16,11 +16,13 @@ level of equilibrium macrostates.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .canonical import (
     BETA_MAX,
+    _check_beta,
     _first_order_coupling,
     canonical_criticals,
     second_order_coupling,
@@ -32,6 +34,7 @@ from .core import (
     DomainError,
     Macrostate,
     MicroParams,
+    _check_energy,
     _real,
     energy_domain,
 )
@@ -68,9 +71,10 @@ class PhaseDiagramRow:
 class EquivalenceReport:
     """Order-parameter sets realized by each ensemble at a fixed coupling.
 
-    canonical_z and micro_z are the |z| values solved at the grid points,
-    except at beta_c1(K), where the tie gives {0, z_c}: a solve at the float
-    beta_c1 answers for that float, whose rounding moves its well off z_c.
+    Every field is computed when the report is made: K, the grids (those
+    given, or the defaults) as tuples of floats, gap_intervals, gap_measure,
+    verdict and beta_c1.  canonical_z and micro_z are solved on first read.
+
     gap_intervals holds the band [z_m, z_c) of |z| values realized only
     microcanonically, one interval for 1 < K < K_c* = 3/(2 log 4) and none
     otherwise: z_c = w*/(2 beta K) from the tie tilt w* at beta_c1(K), which
@@ -81,14 +85,33 @@ class EquivalenceReport:
     ends are Newton roots: hi to max(1e-12, 1e-15/(K_c* - K)) relative and
     lo to max(1e-12, 1e-15/(K_m* - K)) relative or 5e-14 absolute, the
     scale on which each moves per ulp of K next to its tricritical coupling.
+    beta_c1 is beta_c1(K) where the gap is nonempty, else None.
+
+    canonical_z and micro_z are the |z| values solved at the points of
+    beta_grid and u_grid, except at beta_c1, where the tie gives {0, z_c}: a
+    solve at the float beta_c1 answers for that float, whose rounding moves
+    its well off z_c.
     """
 
     K: float
-    canonical_z: np.ndarray
-    micro_z: np.ndarray
+    beta_grid: tuple
+    u_grid: tuple
     gap_intervals: tuple
     gap_measure: float
     verdict: str
+    beta_c1: float | None
+
+    @cached_property
+    def canonical_z(self) -> np.ndarray:
+        b, K = self.beta_c1, self.K
+        tie = (0.0, self.gap_intervals[0][1]) if b in self.beta_grid else ()
+        return np.union1d(tie, _realized(
+            [x for x in self.beta_grid if x != b],
+            lambda x: solve_canonical(CanonicalParams(x, K))))
+
+    @cached_property
+    def micro_z(self) -> np.ndarray:
+        return _realized(self.u_grid, lambda u: solve_micro(MicroParams(u, self.K)))
 
 
 def tricritical_canonical() -> float:
@@ -361,8 +384,13 @@ def _default_u_grid(K):
 def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceReport:
     """Compare the order-parameter sets realized by the two ensembles at K.
 
-    The gap is nonequivalence_gap(K); the |z| values are solved at the grid
-    points, by default clustered around the transitions the gap comes from.
+    The gap and the verdict are nonequivalence_gap(K), computed here; the
+    |z| values at the grid points, by default clustered around the
+    transitions the gap comes from, are solved when canonical_z or micro_z
+    is first read.  The grids are checked here without solving: a DomainError
+    names a beta that is not finite and in (0, BETA_MAX], or a u outside
+    energy_domain(K).  An error the bounds cannot see (a tilt 2 beta K that
+    leaves the float range, say) surfaces on first read.
     """
     K = _real(K)
     if not (math.isfinite(K) and K > 0.0):
@@ -372,16 +400,14 @@ def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceRepo
         beta_grid = _beta_grid(b_star)
     if u_grid is None:
         u_grid = _u_grid(K, u_star)
+    beta_grid = tuple(_check_beta(b) for b in beta_grid)
+    u_grid = tuple(_check_energy(u, K) for u in u_grid)
     gaps = _gap_intervals(K, b_star, u_star) if 1.0 < K < _KC_STAR else ()
-    tie = (0.0, gaps[0][1]) if gaps and b_star in beta_grid else ()
-    canon = np.union1d(tie, _realized(
-        [b for b in beta_grid if not tie or b != b_star],
-        lambda b: solve_canonical(CanonicalParams(b, K))))
-    mic = _realized(u_grid, lambda u: solve_micro(MicroParams(u, K)))
     return EquivalenceReport(
-        K=K, canonical_z=canon, micro_z=mic, gap_intervals=gaps,
+        K=K, beta_grid=beta_grid, u_grid=u_grid, gap_intervals=gaps,
         gap_measure=sum(hi - lo for lo, hi in gaps),
-        verdict="nonequivalent" if gaps else "equivalent")
+        verdict="nonequivalent" if gaps else "equivalent",
+        beta_c1=b_star if gaps else None)
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,9 @@ def classify_minimum(params: CanonicalParams, z: float) -> TypeReport:
     cancellation-free kernel keeps positive; for r >= 2 no finite variance
     exists and sigma2 is None.  DomainError where the variance is no
     positive float: where the minimizer rounds to +-1, c'' underflows to 0
-    at the tilt 2 beta K z, and where 2 beta K is below about 1e-154,
-    (2 beta K)^2 underflows in G''.
+    at the tilt 2 beta K z, and where 2 beta K is below about 5.6e-309,
+    1/(2 beta K) overflows in G''.  Above that bound G'' keeps its value,
+    also where (2 beta K)^2 underflows (see mag_potential).
     """
     r, evens = minimum_type(params, z)
     sigma2 = None

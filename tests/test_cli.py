@@ -1,6 +1,8 @@
 import json
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from conftest import brute_force_spin_pmf
@@ -13,6 +15,18 @@ from begphase.diagram import tricritical_micro
 from begphase.micro import micro_criticals, solve_micro
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("x, text", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (-0.0, "-0"),
+    (5e-324, "4.94065645841e-324"), (2.2250738585072014e-308, "2.22507385851e-308"),
+    (0.1 + 0.2, "0.3"), (1.0, "1"), (123456789012.5, "123456789012"),
+    (True, "true"), (np.bool_(False), "false"), (7, "7"), (np.int64(-3), "-3"),
+    (np.float64(1.0 / 3.0), "0.333333333333"), (np.float64(-math.inf), "-inf"),
+    (None, ""),
+])
+def test_fmt_pins_the_cell_text(x, text):
+    assert fmt(x) == text
 
 
 def run(capsys, argv):
@@ -238,14 +252,21 @@ def test_canon_at_a_tiny_coupling(capsys):
     ["--beta", "2", "--K", "400", "--mode", "ks"],
     ["--beta", "300", "--K", "1.3862943611198906", "--mode", "conditioned",
      "--ns", "10,20"],
-    ["--beta", "1", "--K", "1e-200", "--mode", "classify"],
-], ids=["classify", "ks", "conditioned", "tiny-K"])
+], ids=["classify", "ks", "conditioned"])
 def test_limits_with_an_underflowed_variance_exits_2(capsys, argv):
-    # the minimizer rounds to +-1, or (2 beta K)^2 underflows: a
-    # RuntimeError or ZeroDivisionError traceback, exit code 1
+    # the minimizer rounds to +-1: a RuntimeError traceback, exit code 1
     code, out, err = run(capsys, ["limits", *argv])
     assert code == 2 and out == ""
     assert "asymptotic variance" in err
+
+
+def test_limits_classify_at_a_tiny_coupling(capsys):
+    # (2 beta K)^2 underflows, but G''(0) = 2e-200 and the variance do not:
+    # this exited 2 naming the asymptotic variance
+    code, out, _ = run(capsys, ["limits", "--beta", "1", "--K", "1e-200",
+                                "--mode", "classify"])
+    assert code == 0
+    assert out.splitlines()[-1] == "0,1,2e-200,0,-0,0.423883115234"
 
 
 def test_canon_sixth_derivative_overflow_exits_2(capsys):

@@ -23,6 +23,8 @@ from begphase.core import (
 )
 from begphase.diagram import (
     _default_beta_grid,
+    _default_u_grid,
+    _realized,
     beta_c1_of_K,
     beta_c2_of_K,
     equivalence_report,
@@ -135,6 +137,7 @@ def test_equivalence_at_unit_coupling_keeps_the_base_beta_grid(monkeypatch):
     monkeypatch.setattr(diagram, "solve_canonical", spy)
     rep = equivalence_report(1.0)
     assert rep.verdict == "equivalent"
+    rep.canonical_z   # the grid is solved on first read
     assert betas and max(betas) <= 8.0
 
 
@@ -369,6 +372,82 @@ def test_equivalence_above_the_canonical_tricritical_coupling():
     rep = equivalence_report(1.0821)
     assert rep.verdict == "equivalent"
     assert rep.gap_intervals == () and rep.gap_measure == 0.0
+
+
+def _refuse_solves(monkeypatch):
+    from begphase import diagram
+
+    def refuse(params):
+        raise AssertionError(f"solved at {params}")
+
+    monkeypatch.setattr(diagram, "solve_canonical", refuse)
+    monkeypatch.setattr(diagram, "solve_micro", refuse)
+
+
+@pytest.mark.parametrize("K", [0.5, 1.05, 1.0817, 1.5])
+def test_equivalence_report_solves_no_grid_point_until_read(monkeypatch, K):
+    _refuse_solves(monkeypatch)
+    rep = equivalence_report(K)
+    gaps = nonequivalence_gap(K)
+    assert rep.gap_intervals == gaps
+    assert rep.verdict == ("nonequivalent" if gaps else "equivalent")
+    with pytest.raises(AssertionError, match="solved at"):
+        rep.canonical_z
+    with pytest.raises(AssertionError, match="solved at"):
+        rep.micro_z
+
+
+def _eager_z(K, beta_grid, u_grid):
+    """canonical_z and micro_z as the report computed them when it solved
+    every grid point as it was made: the tie {0, z_c} at beta_c1."""
+    beta_grid, u_grid = list(beta_grid), list(u_grid)
+    gaps = nonequivalence_gap(K)
+    b_c1 = beta_c1_of_K(K) if gaps else None
+    tie = (0.0, gaps[0][1]) if b_c1 in beta_grid else ()
+    canon = np.union1d(tie, _realized(
+        [b for b in beta_grid if b != b_c1],
+        lambda b: solve_canonical(CanonicalParams(b, K))))
+    return canon, _realized(u_grid, lambda u: solve_micro(MicroParams(u, K)))
+
+
+@pytest.mark.parametrize("K, grids", [
+    (1.05, "default"), (1.5, "default"), (1.05, "beta_c1"), (1.0817, "generator")])
+def test_equivalence_values_read_back_match_the_eager_solves(K, grids):
+    # bit for bit, the tie at beta_c1 included: the default grids and the
+    # user grid hold beta_c1_of_K(K)
+    if grids == "default":
+        beta_grid, u_grid = _default_beta_grid(K), _default_u_grid(K)
+        rep = equivalence_report(K)
+    else:
+        b_c1 = beta_c1_of_K(K)
+        beta_grid = [0.5, 1.0, b_c1, b_c1 + 1e-6, 2.0, 3.0]
+        u_grid = [0.05, 0.2, 0.4, 0.7]
+        if grids == "generator":
+            rep = equivalence_report(K, (b for b in beta_grid), (u for u in u_grid))
+        else:
+            rep = equivalence_report(K, beta_grid, u_grid)
+    assert rep.beta_grid == tuple(beta_grid) and rep.u_grid == tuple(u_grid)
+    canon, mic = _eager_z(K, beta_grid, u_grid)
+    assert rep.canonical_z.tobytes() == canon.tobytes()
+    assert rep.micro_z.tobytes() == mic.tobytes()
+    assert rep.canonical_z is rep.canonical_z
+
+
+@pytest.mark.parametrize("K, beta_grid, u_grid, bad", [
+    (1.05, [1.0, -1.0], [0.2], "-1.0"),
+    (1.05, [1.0, math.nan], [0.2], "nan"),
+    (1.05, [1.0, BETA_MAX * 1.5], [0.2], "450.0"),
+    (1.05, [1.0], [0.2, 1.5], "1.5"),
+    (1.5, [1.0], [0.2, -0.6], "-0.6"),
+    (1.5, [1.0], [math.inf], "inf"),
+])
+def test_equivalence_report_checks_its_grids_without_solving(monkeypatch, K,
+                                                             beta_grid, u_grid, bad):
+    # a point outside the domain is refused when the report is made, not on
+    # first read of the values it would be solved for
+    _refuse_solves(monkeypatch)
+    with pytest.raises(DomainError, match=f"got {bad}$"):
+        equivalence_report(K, beta_grid, u_grid)
 
 
 # (K, lo, hi) of the gap [lo, hi), to 12 digits, from the roots of
@@ -634,11 +713,10 @@ def test_equivalence_gap_at_the_end_of_the_canonical_inversion():
 
 
 def test_equivalence_in_the_snap_band():
-    # beta_c1 = log 4 + 1.7e-9 lies in (log 4, log 4 + 1e-7] there, and K
-    # equals Kc2(beta_c1) to the last ulp: a solve at that grid point
-    # raises a RuntimeError from the type ladder, so the report takes the
-    # tie there (z_c moves by 1.1e-6 relative per ulp of K here, so K is
-    # spelled out)
+    # K_c* - 1e-10, where beta_c1 = log 4 + 1.7e-9 and Kc2(beta_c1) lies an
+    # ulp above K: a solve at the float beta_c1 finds the origin alone, and
+    # the report's canonical values there come from the tie {0, z_c} (z_c
+    # moves by 1.1e-6 relative per ulp of K here, so K is spelled out)
     rep = equivalence_report(3.0 / (2.0 * math.log(4.0)) - 1e-10)
     assert rep.verdict == "nonequivalent"
     (lo, hi), = rep.gap_intervals

@@ -160,16 +160,33 @@ def test_classify_tricritical_type_three():
     assert abs(rep.derivative_values[2] - 162.0) < 1e-9
 
 
-@pytest.mark.parametrize("beta, K", [(2.0, 400.0), (300.0, 1.3862943611198906),
-                                     (1.0, 1e-200)])
+@pytest.mark.parametrize("beta, K", [(2.0, 400.0), (300.0, 1.3862943611198906)])
 def test_classify_raises_where_the_variance_underflows(beta, K):
     # at (2, 400) and (300, 1.386...) the minimizers round to +-1, where
-    # c''(2 beta K z) underflows to 0; at K = 1e-200, (2 beta K)^2 does in
-    # G''(0).  A RuntimeError (or ZeroDivisionError) used to escape
+    # c''(2 beta K z) underflows to 0.  A RuntimeError used to escape
     params = CanonicalParams(beta, K)
     for z in solve_canonical(params).z_points:
         with pytest.raises(DomainError, match="asymptotic variance"):
             classify_minimum(params, z)
+
+
+@pytest.mark.parametrize("K", [1e-200, 1e-300, 3e-309])
+def test_classify_the_origin_where_the_scale_underflows(K):
+    # G''(0) = (2 beta K)^2 P''(0) with P''(0) ~ 1/(2 beta K): (2 beta K)^2
+    # underflows below 2 beta K ~ 1e-154, but G''(0) ~ 2 beta K and the
+    # variance c''(0)/(1 - 2 beta K c''(0)) ~ c''(0) are floats
+    rep = classify_minimum(CanonicalParams(1.0, K), 0.0)
+    assert rep.r == 1
+    assert abs(rep.derivative_values[0] / (2.0 * K) - 1.0) < 1e-14
+    assert abs(rep.sigma2 / (2.0 / (math.e + 2.0)) - 1.0) < 1e-15
+    if K == 1e-200:
+        assert rep.sigma2 == 0.4238831152341709
+
+
+def test_classify_raises_where_the_inverse_scale_overflows():
+    # below 2 beta K ~ 5.6e-309, 1/(2 beta K) in G'' is no float
+    with pytest.raises(DomainError, match="asymptotic variance"):
+        classify_minimum(CanonicalParams(1.0, 1e-309), 0.0)
 
 
 def test_curvature_sign_flips_at_critical_coupling():

@@ -225,11 +225,15 @@ def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
     Where (2 beta K)^order is below the smallest normal float, the factors
     of 2 beta K are applied one at a time: at 2 beta K = 2e-200, G''(0) =
     (2 beta K)^2 P''(0) with P''(0) ~ 1/(2 beta K) is 2e-200, though
-    (2 beta K)^2 underflows.
+    (2 beta K)^2 underflows.  Where 1/(2 beta K) overflows (2 beta K below
+    ~5.6e-309) G'' is 2 beta K (1 - 2 beta K c''(w)).
     """
     a = 2.0 * params.beta * params.K
     z = _finite(z, "z")
-    value = tilt_potential(params, _finite(a * z, "the tilt 2 beta K z"), order)
+    w = _finite(a * z, "the tilt 2 beta K z")
+    value = tilt_potential(params, w, order)
+    if order == 2 and value == math.inf:   # 1/(2 beta K) overflows
+        return a * (1.0 - a * cumulant(params.beta, w, 2))
     try:
         scale = a ** order
         if scale >= sys.float_info.min:

@@ -131,20 +131,20 @@ def classify_minimum(params: CanonicalParams, z: float) -> TypeReport:
     r comes from minimum_type: 1 at every minimizer but the origin at the
     critical coupling (K within an ulp of Kc2), where it is 2, or 3 at log 4.
     For r = 1 the asymptotic variance is 2 beta K c''(2 beta K z) divided
-    by the second derivative of the potential at z, which the
-    cancellation-free kernel keeps positive; for r >= 2 no finite variance
-    exists and sigma2 is None.  DomainError where the variance is no
-    positive float: where the minimizer rounds to +-1, c'' underflows to 0
-    at the tilt 2 beta K z, and where 2 beta K is below about 5.6e-309,
-    1/(2 beta K) overflows in G''.  Above that bound G'' keeps its value,
-    also where (2 beta K)^2 underflows (see mag_potential).
+    by G'' at z, which the cancellation-free kernel keeps positive: c''
+    over G''/(2 beta K) = 1 - 2 beta K c'', of order 1 also where 2 beta K
+    is subnormal; for r >= 2 no finite variance exists and sigma2 is None.
+    DomainError where the variance is no positive float: where the
+    minimizer rounds to +-1, c'' underflows to 0 at the tilt 2 beta K z.
+    G'' keeps its value where (2 beta K)^2 underflows or 1/(2 beta K)
+    overflows (see mag_potential).
     """
     r, evens = minimum_type(params, z)
     sigma2 = None
     if r == 1:
         a = 2.0 * params.beta * params.K
         c2, g2 = cumulant(params.beta, a * z, 2), evens[0]
-        sigma2 = a * c2 / g2 if g2 > 0.0 else math.nan
+        sigma2 = c2 / (g2 / a) if g2 > 0.0 else math.nan
         if not 0.0 < sigma2 < math.inf:
             raise DomainError(
                 f"the asymptotic variance 2 beta K c''(2 beta K z)/G''(z) at "

@@ -13,11 +13,13 @@ negative minimum value is the microcanonical entropy.
 
 No bracketing lemma controls the positive wells here (the objective can hold
 up to five stationary points in the first-order regime), but F''' = 2 z
-Q(z^2)/(abc)^2 with Q a quartic: F'' is monotone between the roots of Q, so
-rootfind.piecewise_minima finds every local minimum.  F' and F'' are summed
-from the curvature g = F''(0), exactly signed, which resolves the wells just
-above the second-order coupling and decides the origin; with the quartic and
-sextic Landau coefficients it gives each search its start.
+Q(z^2)/(abc)^2 with Q a quartic: F'' is monotone between the roots of Q,
+which rootfind.polynomial_roots finds, so rootfind.piecewise_minima finds
+every local minimum.  The pinch-band edges of the convexity threshold are
+real roots of a sextic, which polynomial_roots finds too.  F' and F'' are
+summed from the curvature g = F''(0), exactly signed, which resolves the
+wells just above the second-order coupling and decides the origin; with the
+quartic and sextic Landau coefficients it gives each search its start.
 The first-order coupling is where a positive well ties with z = 0: one
 Newton solve of the tie and the stationarity of the rate, in unknowns scaled
 so that they stay well conditioned at both ends of the first-order regime.
@@ -27,12 +29,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (DomainError, Macrostate, MicroParams, _exactly_signed,
                    _finite, _real)
-from .rootfind import (even_global_minima, monotone_roots, piecewise_minima,
-                       quadratic_roots)
+from .rootfind import (_horner, even_global_minima, piecewise_minima,
+                       polynomial_roots)
 
 _LOG2 = math.log(2.0)
 _SQRT_EPS = math.sqrt(2.0 ** -52)
@@ -248,15 +248,6 @@ def _rate_third(quartic, u, K, z):
     return 2.0 * z * _horner(quartic, z * z) / den
 
 
-def _horner(coeffs, t):
-    """The polynomial with coefficients `coeffs` (highest degree first) at
-    t, by Horner's rule: the operations of np.polyval, so its bits."""
-    v = 0.0
-    for c in coeffs:
-        v = v * t + c
-    return v
-
-
 def _local_minima(u, K):
     """Every local minimizer z >= 0 of the shell rate.  The rate is even, so
     piecewise_minima searches each of the _positive_components, with the
@@ -272,7 +263,7 @@ def _local_minima(u, K):
     """
     g = _origin_curvature(u, K)
     quartic = _phi3_quartic(u, K)
-    cuts = [math.sqrt(t) for t in _phi3_roots(quartic)]
+    cuts = [math.sqrt(t) for t in polynomial_roots(quartic, 0.0, 1.0)]
     landau = _landau_poly(u, K, g)
     cands = []
     for lo, hi in _positive_components(u, K):
@@ -403,35 +394,6 @@ def _phi3_quartic(u, K):
     return quartic
 
 
-def _phi3_roots(quartic):
-    """The real roots in (0, 1), increasing, of the _phi3_quartic quartic Q
-    with coefficients `quartic`: on 0 < z < 1, which holds every admissible
-    z, phi''' changes sign only where z^2 is one of them.
-
-    A derivative cascade in floats: the roots of the quadratic Q'' (closed
-    form) split (0, 1) into pieces where Q' is monotone, the sign changes of
-    Q' on those (Newton) into pieces where Q is monotone, and Newton finds
-    the sign changes of Q on these.  A root where Q touches 0 without
-    changing sign is no sign change of phi''' and may be left out; one
-    within rounding of 0 or 1 may come out as that end.
-    """
-    c4, c3, c2, c1, c0 = quartic
-
-    def q(t):
-        return _horner(quartic, t)
-
-    def q1(t):
-        return ((4.0 * c4 * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
-
-    def q2(t):
-        return (12.0 * c4 * t + 6.0 * c3) * t + 2.0 * c2
-
-    # Q''/2 = 6 c4 t^2 + 3 c3 t + c2, with 6 c4 = 12 K^6 > 0
-    nodes = [0.0, *(t for t in quadratic_roots(6.0 * c4, 3.0 * c3, c2)
-                    if 0.0 < t < 1.0), 1.0]
-    return monotone_roots(q, q1, [0.0] + monotone_roots(q1, q2, nodes) + [1.0])
-
-
 def _convexity_indicator(u, K):
     """True when the third derivative of the nonlinear shell component is
     nonnegative over (0, top], [0, top] the central _positive_components,
@@ -450,7 +412,8 @@ def _convexity_indicator(u, K):
         return None
     t_top = top ** 2
     quartic = _phi3_quartic(u, K)
-    cuts = [0.0] + [t for t in _phi3_roots(quartic) if t < t_top] + [t_top]
+    roots = polynomial_roots(quartic, 0.0, 1.0)
+    cuts = [0.0] + [t for t in roots if t < t_top] + [t_top]
     return all(_horner(quartic, 0.5 * (a + b)) >= 0.0
                for a, b in zip(cuts, cuts[1:]))
 
@@ -517,12 +480,14 @@ def convexity_threshold(u: float) -> float:
 def _pinch_edges(u):
     """The pinch band x1 < 4uK - 1 < x2 at 1/3 < u < 1/2: the roots of
     _PINCH_SEXTIC nearest 0, which shrink like v^4 (v = 1 - 2u), solved in
-    r = v^4/x to 3e-15 relative (in x they were lost past u = 1/2 - 1e-8)."""
+    r = v^4/x inside Cauchy's bound on its roots, to 8e-16 relative (in x
+    they were lost past u = 1/2 - 1e-8)."""
     v = 1.0 - 2.0 * u
-    # the coefficient of r^i is that of x^(6-i) times v^(4i - 8)
+    # the coefficient of r^(6-i) is that of x^i times v^(4i - 8)
     rev = [_horner(row, v) * v ** e if e >= 0 else _horner(row[:e], v)
            for row, e in zip(reversed(_PINCH_SEXTIC), range(-8, 17, 4))]
-    r = [float(z.real) for z in np.roots(rev) if z.imag == 0.0]
+    bound = 1.0 + max(abs(c) for c in rev[1:]) / abs(rev[0])
+    r = polynomial_roots(rev, -bound, bound)
     return v ** 4 / min(x for x in r if x < 0.0), v ** 4 / max(x for x in r if x > 0.0)
 
 
@@ -730,11 +695,10 @@ def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
         k2 = second_order_coupling_u(u)
     except DomainError:     # u outside (0, 2/3), or k2 past the float range
         k2 = None
-    band = _origin_band(u)
-    if band is not None:
-        c = band[1] if band[1] < math.inf else None
-    else:
-        c = convexity_threshold(u) if 0.0 < u < 0.5 else None
+    try:
+        c = convexity_threshold(u)
+    except DomainError:     # u outside (0, 1/2), or the origin band past it
+        c = None
     k1 = min(_first_order_coupling_u(u)[0], k2 or math.inf) if 0 < u <= U_STAR else None
     region = None
     if K is not None:

@@ -10,8 +10,9 @@ between them decide most pieces, and a root of the second derivative is
 searched only on a piece where they leave the count of minima open.  Its
 searches start at the roots of the Landau polynomial where the caller has
 one; even_global_minima keeps the minima of an even function that tie for
-the least value.  golden_min, a golden-section search, has no caller in the
-package: the benchmark's tracer still counts it.
+the least value; polynomial_roots solves every polynomial of the package.
+golden_min, a golden-section search, has no caller in the package: the
+benchmark's tracer still counts it.
 """
 
 import math
@@ -160,6 +161,15 @@ def quadratic_roots(a, b, c):
     return (x, y) if x <= y else (y, x)
 
 
+def _horner(coeffs, t):
+    """The polynomial with coefficients `coeffs` (highest degree first) at
+    t, by Horner's rule: the operations of np.polyval, so its bits."""
+    v = 0.0
+    for c in coeffs:
+        v = v * t + c
+    return v
+
+
 def _chord_root(a, b, fa, fb):
     """The root of the chord of f on [a, b] through f(a) = fa and f(b) = fb
     of opposite signs, which lies next to a root that crowds an end of the
@@ -186,6 +196,23 @@ def monotone_roots(f, fprime, nodes):
                 ends=(fa, fb)))
         last = i
     return roots
+
+
+def polynomial_roots(coeffs, lo, hi):
+    """The points where the polynomial with coefficients `coeffs` (highest
+    degree first) changes sign on (lo, hi), increasing, by a derivative
+    cascade: the sign changes of the derivative split [lo, hi] into pieces
+    where monotone_roots finds them, down to quadratic_roots.  A root where
+    it touches 0 may be left out, or come out within its rounding; one
+    within rounding of an end may come out as that end."""
+    n = len(coeffs) - 1
+    if n <= 2:
+        return [t for t in quadratic_roots(*(0.0,) * (2 - n), *coeffs)
+                if lo < t < hi]
+    deriv = [(n - i) * c for i, c in enumerate(coeffs[:-1])]
+    return monotone_roots(lambda t: _horner(coeffs, t),
+                          lambda t: _horner(deriv, t),
+                          [lo, *polynomial_roots(deriv, lo, hi), hi])
 
 
 def _landau_starts(landau):

@@ -25,6 +25,7 @@ from begphase.micro import (
     shell_rate,
     solve_micro,
 )
+from begphase.rootfind import polynomial_roots
 
 
 def sample_admissible(rng, params, count):
@@ -685,10 +686,10 @@ def test_phi3_roots_are_the_sign_changes_of_the_quartic(uK):
     # 4Ku = 1, or next to a close complex pair, as at (-103, 189), where
     # np.roots is 4.2e-12 off
     mpmath = pytest.importorskip("mpmath")
-    from begphase.micro import _convexity_indicator, _phi3_quartic, _phi3_roots
+    from begphase.micro import _convexity_indicator, _phi3_quartic
     u, K = uK
     quartic = _phi3_quartic(u, K)
-    got = _phi3_roots(quartic)
+    got = polynomial_roots(quartic, 0.0, 1.0)
     # a root within rounding of an end may come out as that end
     assert got == sorted(got) and all(0.0 <= t <= 1.0 for t in got)
     roots = []
@@ -819,6 +820,54 @@ def test_micro_criticals_refuse_a_non_finite_u(u):
     # the record came back all None, and micro-critical printed nan,,,,
     with pytest.raises(DomainError, match="u must be finite"):
         micro_criticals(u)
+
+
+def _pinch_edges_60(u):
+    # the pinch edges from 60-digit roots of the sextic in r = v^4/x, with
+    # v = 1 - 2u from the exact u: its real roots of largest magnitude
+    import mpmath
+    from begphase.micro import _PINCH_SEXTIC
+    with mpmath.workdps(60):
+        v = 1 - 2 * mpmath.mpf(u)
+        rows = [mpmath.polyval(row, v) for row in _PINCH_SEXTIC]
+        rev = [rows[6 - i] * v ** (4 * i - 8) for i in range(7)]
+        real = [r.real for r in mpmath.polyroots(rev, maxsteps=500, extraprec=300)
+                if abs(r.imag) <= mpmath.mpf(10) ** -40 * abs(r)]
+        return (v ** 4 / min(r for r in real if r < 0),
+                v ** 4 / max(r for r in real if r > 0))
+
+
+_PINCH_US = (np.random.default_rng(29).uniform(1.0 / 3.0, 0.5, 40).tolist()
+             + [0.4999999925494194, math.nextafter(0.5, 0.0)])
+
+
+@pytest.mark.parametrize("u", _PINCH_US)
+def test_pinch_edges_against_60_digit_roots(u):
+    # the companion-matrix roots of np.roots were up to 2.9e-15 off
+    pytest.importorskip("mpmath")
+    from begphase.micro import _pinch_edges
+    for got, want in zip(_pinch_edges(u), _pinch_edges_60(u)):
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+_THRESHOLD_US = [5e-324, 1e-310, 4.387151062103913e-309, 4.38715106210392e-309,
+                 1e-300, 0.25, 1.0 / 3.0, math.nextafter(1.0 / 3.0, 1.0), 0.4,
+                 math.nextafter(0.5, 0.0), 0.5, 2.0 / 3.0, 0.9, 0.0, -0.5,
+                 -1e3]
+
+
+@pytest.mark.parametrize("u", _THRESHOLD_US + np.random.default_rng(31).uniform(
+    -0.5, 1.0, 20).tolist())
+def test_micro_criticals_takes_the_convexity_threshold(u):
+    # one definition: the record's C(u) is convexity_threshold(u), and None
+    # where that raises (outside (0, 1/2), and where the origin-band top
+    # overflows, below u = 4.38715106210392e-309)
+    try:
+        want = convexity_threshold(u)
+    except DomainError:
+        want = None
+    assert micro_criticals(u).k_convexity == want
+    assert (want is None) == (not 4.38715106210392e-309 <= u < 0.5)
 
 
 @pytest.mark.parametrize("u", [0.334, 0.4, 0.45])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -14,7 +15,8 @@ from begphase.diagram import (beta_c1_of_K, tricritical_canonical,
 from begphase.micro import (first_order_coupling_u, second_order_coupling_u,
                             solve_micro)
 from begphase.rootfind import (bisect_newton, golden_min, monotone_roots,
-                               piecewise_minima, quadratic_roots)
+                               piecewise_minima, polynomial_roots,
+                               quadratic_roots)
 
 
 def _recorded(f, points):
@@ -167,6 +169,59 @@ def test_quadratic_roots_keeps_the_small_root():
     # t^2 - 1e8 t + 1 = 0: the small root 1e-8 cancels in (-b - sqrt(disc))/2
     small, big = quadratic_roots(1.0, -1e8, 1.0)
     assert abs(small - 1e-8) <= math.ulp(1e-8) and abs(big - 1e8) <= math.ulp(1e8)
+
+
+def _from_roots(lead, roots):
+    # the coefficients of lead * prod (t - r), highest degree first: exact
+    # in floats for these dyadic roots, so the roots are exactly known
+    c = [Fraction(lead)]
+    for r in roots:
+        c = [a - Fraction(r) * b for a, b in zip(c + [0], [0] + c)]
+    assert all(Fraction(float(x)) == x for x in c)
+    return [float(x) for x in c]
+
+
+@pytest.mark.parametrize("lead, roots", [
+    (3.0, [-0.5, 0.75]),
+    (1.0, [2.0 ** -27, 2.0 ** -26, 0.5]),
+    (-2.0, [-1.5, -0.25, 0.5, 2.0]),
+    (1.0, [-0.5, 2.0 ** -27, 2.0 ** -26, 0.25, 0.5]),
+    (5.0, [-3.0, -1.25, -0.5, 0.25, 1.0, 2.5]),
+], ids=["degree-2", "degree-3", "degree-4", "degree-5", "degree-6"])
+def test_polynomial_roots_of_real_factors(lead, roots):
+    # degrees 3 and 5 hold two roots 7.5e-9 apart
+    got = polynomial_roots(_from_roots(lead, roots), -4.0, 4.0)
+    assert len(got) == len(roots)
+    for t, r in zip(got, sorted(roots)):
+        assert abs(t - r) <= 2.0 * math.ulp(r)
+
+
+def test_polynomial_roots_at_and_next_to_the_ends():
+    # a root at an end is no sign change on (lo, hi); one 9e-13 inside
+    # lo is found from the chord
+    assert polynomial_roots(_from_roots(1.0, [0.0, 0.5, 1.0]), 0.0, 1.0) == [0.5]
+    tiny, half = polynomial_roots(_from_roots(-1.0, [2.0 ** -40, 0.5, 1.0]), 0.0, 1.0)
+    assert abs(tiny - 2.0 ** -40) <= math.ulp(2.0 ** -40) and half == 0.5
+
+
+@pytest.mark.parametrize("coeffs, lo, hi, want", [
+    ([1.0, 0.0, 1.0], -2.0, 2.0, []),
+    ([1.0, 0.0, 5.0, 0.0, 4.0], -3.0, 3.0, []),            # (t^2+1)(t^2+4)
+    ([1.0, -0.5, 1.0, -0.5], -3.0, 3.0, [0.5]),            # (t^2+1)(t-1/2)
+    ([2.0, 3.0], -2.0, 2.0, [-1.5]),
+    ([2.0], -2.0, 2.0, []),
+    (_from_roots(1.0, [-1.0, 0.5]), 0.0, 1.0, [0.5]),      # -1 lies outside
+], ids=["quadratic", "quartic", "cubic", "linear", "constant", "outside"])
+def test_polynomial_roots_without_real_roots_inside(coeffs, lo, hi, want):
+    assert polynomial_roots(coeffs, lo, hi) == want
+
+
+def test_polynomial_roots_may_leave_out_a_touching_double_root():
+    # (t - 1/2)^2 (t + 1) changes sign at -1 only; the double root is no
+    # sign change, and within its rounding may come out as one
+    got = polynomial_roots(_from_roots(-1.0, [0.5, 0.5, -1.0]), -2.0, 2.0)
+    assert got[0] == -1.0
+    assert all(abs(t - 0.5) <= 1e-7 for t in got[1:])
 
 
 def _landau_slopes(d, b, c):

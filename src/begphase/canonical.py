@@ -323,6 +323,9 @@ def _tilt_root(beta, i):
     """(w, w/(2 beta c'(w)), a, y) at the one root w > 0 of h/w^4 (i = 0) or
     g/w^3 (i = 1), with the K whose line w/(2 beta K) meets c' there.  Both
     are positive at 0 above log 4, and w < 2 beta Kc1 z* < 3 beta/log 4.
+    The bracket's ends are closed forms, a eps/12 and a eps/3 at 0
+    (_scaled_h_g) and a negative sign at 3 beta/log 4 + 1: neither is
+    evaluated.
     Newton starts from their Landau roots sqrt(15 (beta - log 4)) and
     sqrt(10 (beta - log 4)); the slope, and the readout at the root, take
     h and g from the evaluation of the value, and the tangency slope takes
@@ -341,7 +344,8 @@ def _tilt_root(beta, i):
         return (c3 / x - 3.0 * g) / x
 
     w = bisect_newton(lambda x: at(x)[i], slope, 0.0, 3.0 * beta / BETA_C + 1.0,
-                      start=math.sqrt((15.0, 10.0)[i] * (beta - BETA_C)))
+                      start=math.sqrt((15.0, 10.0)[i] * (beta - BETA_C)),
+                      ends=(a * (eps / (12.0, 3.0)[i]), -1.0))
     a, y, c1 = at(w)[2:]
     return w, w / (2.0 * beta * c1), a, y
 

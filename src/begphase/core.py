@@ -39,7 +39,8 @@ def _real(x):
     refuse.  The solvers then run in double precision on plain floats."""
     if type(x) is float:
         return x
-    return float(x) if isinstance(x, numbers.Real) else x
+    # np.float64 is a float subclass: it skips the slow numbers.Real check
+    return float(x) if isinstance(x, (float, numbers.Real)) else x
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,11 @@ def energy_domain(K: float) -> tuple[float, float]:
     return (min(1.0 - K, 0.0), 1.0)
 
 
-def _check_energy(u, K):
+def _check_energy(u, domain):
     """u as a Python float, or a DomainError where it is not a finite point
-    of energy_domain(K)."""
+    of domain = energy_domain(K)."""
     u = _real(u)
-    lo, hi = energy_domain(K)
+    lo, hi = domain
     if not (math.isfinite(u) and lo <= u <= hi):
         raise DomainError(
             f"u must lie in the attainable energy range [{lo}, {hi}], got {u}")
@@ -136,7 +137,7 @@ class MicroParams:
         object.__setattr__(self, "K", _real(self.K))
         if not (math.isfinite(self.K) and self.K > 0.0):
             raise DomainError(f"K must be finite and positive, got {self.K}")
-        object.__setattr__(self, "u", _check_energy(self.u, self.K))
+        object.__setattr__(self, "u", _check_energy(self.u, energy_domain(self.K)))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,12 @@ def beta_c1_of_K(K: float) -> float:
     tangent to the second-order curve, and the search starts where that
     tangent, of slope _kc2_slope(log 4) = -0.0591659, reaches K.
     """
+    return _beta_c1_tie(K)[0]
+
+
+def _beta_c1_tie(K):
+    """(beta_c1(K), _first_order_coupling(beta_c1(K))): the tie of the last
+    Newton iterate, which bisect_newton returns, read back from last_point."""
     K = _real(K)
     if not 1.0 < K < _KC_STAR:
         raise DomainError(
@@ -182,10 +188,11 @@ def beta_c1_of_K(K: float) -> float:
             f"coupling Kc1(beta) falls from {_KC_STAR} at log 4 and exceeds 1 "
             f"at every finite beta")
     tie = last_point(_first_order_coupling)
-    return bisect_newton(lambda b: (tie(b)[0] if b > BETA_C else _KC_STAR) - K,
-                         lambda b: tie(b)[2], BETA_C, BETA_MAX,
-                         start=BETA_C + (K - _KC_STAR) / _kc2_slope(BETA_C),
-                         ends=(_KC_STAR - K, 1.0 - K))
+    b = bisect_newton(lambda b: (tie(b)[0] if b > BETA_C else _KC_STAR) - K,
+                      lambda b: tie(b)[2], BETA_C, BETA_MAX,
+                      start=BETA_C + (K - _KC_STAR) / _kc2_slope(BETA_C),
+                      ends=(_KC_STAR - K, 1.0 - K))
+    return b, tie(b)
 
 
 def u_c2_of_K(K: float) -> float:
@@ -228,6 +235,13 @@ def u_c1_of_K(K: float) -> float:
     starts where that tangent reaches K (from the midpoint where it does so
     below u = 0).
     """
+    return _u_c1_tie(K)[0]
+
+
+def _u_c1_tie(K):
+    """(u_c1(K), _first_order_coupling_u(u_c1(K))): the tie of the last
+    Newton iterate, read back from last_point, or solved at u* where the
+    search ends on that closed-form end."""
     K = _real(K)
     if not 1.0 < K < K_STAR:
         raise DomainError(
@@ -236,10 +250,11 @@ def u_c1_of_K(K: float) -> float:
             f"{K_STAR} at u* = {U_STAR}")
     tie = last_point(_first_order_coupling_u)
     slope = 2.0 * K_STAR * K_STAR * (1.0 / (1.0 - U_STAR) - _log_odds(U_STAR))
-    return bisect_newton(
+    u = bisect_newton(
         lambda u: (1.0 if u == 0.0 else K_STAR if u == U_STAR else tie(u)[0]) - K,
         lambda u: tie(u)[2], 0.0, U_STAR, start=U_STAR - (K_STAR - K) / slope,
         ends=(1.0 - K, K_STAR - K))
+    return u, tie(u)
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +324,31 @@ def _realized(grid, solve):
 
 
 def _beta_star(K):
-    """beta of the canonical transition at K, or None where not attained."""
+    """(beta, tie) of the canonical transition at K: beta_c1(K) and its
+    _beta_c1_tie record below K_c*, beta_c2(K) and None from K_c* on, and
+    (None, None) where not attained."""
     try:
-        return (beta_c2_of_K if K >= _KC_STAR else beta_c1_of_K)(K)
+        return (beta_c2_of_K(K), None) if K >= _KC_STAR else _beta_c1_tie(K)
     except DomainError:
-        return None
+        return None, None
 
 
 def _u_star(K):
-    """u of the microcanonical transition at K, or None where not attained."""
+    """(u, tie) of the microcanonical transition at K, as _beta_star."""
     try:
-        return u_c2_of_K(K) if K >= K_STAR else u_c1_of_K(K)
+        return (u_c2_of_K(K), None) if K >= K_STAR else _u_c1_tie(K)
     except DomainError:
-        return None
+        return None, None
 
 
-def _gap_intervals(K, b, u):
+def _gap_intervals(K, b, b_tie, u_tie):
     """The gap_intervals of EquivalenceReport at 1 < K < K_c*, from
-    b = beta_c1_of_K(K) and u = u_c1_of_K(K), which is read only below K_m*.
-    The canonical |z| jumps from 0 to z_c = w*(b)/(2bK), the microcanonical
-    one to the tied well z_m at u (or grows from 0 from K_m* on), and both
-    grow from there."""
-    lo = 0.0 if K >= K_STAR else _first_order_coupling_u(u)[1]
-    return ((lo, _first_order_coupling(b)[1] / (2.0 * b * K)),)
+    (b, b_tie) = _beta_c1_tie(K) and u_tie, the record of _u_c1_tie(K),
+    which is read only below K_m*.  The canonical |z| jumps from 0 to
+    z_c = w*(b)/(2bK), the microcanonical one to the tied well z_m at
+    u_c1(K) (or grows from 0 from K_m* on), and both grow from there."""
+    lo = 0.0 if K >= K_STAR else u_tie[1]
+    return ((lo, b_tie[1] / (2.0 * b * K)),)
 
 
 def nonequivalence_gap(K: float) -> tuple:
@@ -344,16 +361,17 @@ def nonequivalence_gap(K: float) -> tuple:
         raise DomainError(f"K must be finite and positive, got {K}")
     if not 1.0 < K < _KC_STAR:
         return ()
-    return _gap_intervals(K, beta_c1_of_K(K), u_c1_of_K(K) if K < K_STAR else None)
+    return _gap_intervals(K, *_beta_c1_tie(K),
+                          _u_c1_tie(K)[1] if K < K_STAR else None)
 
 
 def _beta_grid(b_star):
-    base = list(np.linspace(0.3, 8.0, 40))
+    base = np.linspace(0.3, 8.0, 40).tolist()
     if b_star is None:
         return sorted(base)
     # approach up to the base grid's top, or over 2 when b_star lies above it
     span = min(2.0, 8.0 - b_star) if b_star < 8.0 else 2.0
-    approach = list(b_star + np.geomspace(1e-7, span, 70))
+    approach = (b_star + np.geomspace(1e-7, span, 70)).tolist()
     below = [b_star * f for f in (0.7, 0.9, 0.99, 0.9999)]
     return sorted(b for b in base + approach + below + [b_star]
                   if 0.0 < b <= BETA_MAX)
@@ -362,23 +380,23 @@ def _beta_grid(b_star):
 def _u_grid(K, u_star):
     u_min, u_max = energy_domain(K)
     eps = 1e-9
-    base = list(np.linspace(u_min + eps, u_max - eps, 40))
+    base = np.linspace(u_min + eps, u_max - eps, 40).tolist()
     if u_star is None:
         return sorted(base)
     # next to K = 1, u_c1 lies within eps of u_min: nothing to approach from
     span = max(u_star - u_min - eps, 1e-8)
-    approach = list(u_star - np.geomspace(1e-8, span, 80))
+    approach = (u_star - np.geomspace(1e-8, span, 80)).tolist()
     above = [u_star + (u_max - u_star) * f for f in (1e-4, 0.01, 0.1, 0.5)]
     return sorted(u for u in base + approach + above + [u_star]
                   if u_min + eps <= u <= u_max - eps)
 
 
 def _default_beta_grid(K):
-    return _beta_grid(_beta_star(K))
+    return _beta_grid(_beta_star(K)[0])
 
 
 def _default_u_grid(K):
-    return _u_grid(K, _u_star(K))
+    return _u_grid(K, _u_star(K)[0])
 
 
 def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceReport:
@@ -395,14 +413,15 @@ def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceRepo
     K = _real(K)
     if not (math.isfinite(K) and K > 0.0):
         raise DomainError(f"K must be finite and positive, got {K}")
-    b_star, u_star = _beta_star(K), _u_star(K)
+    (b_star, b_tie), (u_star, u_tie) = _beta_star(K), _u_star(K)
     if beta_grid is None:
         beta_grid = _beta_grid(b_star)
     if u_grid is None:
         u_grid = _u_grid(K, u_star)
     beta_grid = tuple(_check_beta(b) for b in beta_grid)
-    u_grid = tuple(_check_energy(u, K) for u in u_grid)
-    gaps = _gap_intervals(K, b_star, u_star) if 1.0 < K < _KC_STAR else ()
+    domain = energy_domain(K)
+    u_grid = tuple(_check_energy(u, domain) for u in u_grid)
+    gaps = _gap_intervals(K, b_star, b_tie, u_tie) if 1.0 < K < _KC_STAR else ()
     return EquivalenceReport(
         K=K, beta_grid=beta_grid, u_grid=u_grid, gap_intervals=gaps,
         gap_measure=sum(hi - lo for lo, hi in gaps),

@@ -39,6 +39,9 @@ def bisect_newton(f, fprime, lo, hi, *, start=None, ends=None):
     sign, and a Newton step that leaves the bracket is replaced by a
     bisection step, so convergence never depends on the start; a good one
     only makes it fast.  `ends` = (f(lo), f(hi)) where the caller holds them.
+    Only their signs decide anything (the zero tests and the bracket signs;
+    the BracketError text prints them), so a caller that knows only the
+    sign at an end may pass any value of that sign.
     """
     flo, fhi = (f(lo), f(hi)) if ends is None else ends
     if flo == 0.0:

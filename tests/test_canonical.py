@@ -311,6 +311,43 @@ def test_first_order_data_next_to_log4(ulps):
     assert max(abs(k1 - k2), abs(kc1 - k2)) <= 2.0 * math.ulp(k2)
 
 
+# (beta, (w*, Kc1), (w_t, k_t)) of _tilt_root(beta, 0) and (beta, 1), pinned
+# from the search that evaluated both ends of its bracket
+TILT_ROOTS = [
+    (math.nextafter(BETA_C, math.inf), (5.133181303754602e-08, 1.0820212806667227),
+     (4.191224983797756e-08, 1.0820212806667224)),
+    (1.3917014675404638, (0.284927551849022, 1.0817),
+     (0.23250236303985902, 1.0816956372227167)),
+    (1.9020099377217228, (2.916468825652617, 1.05),
+     (2.270452335684816, 1.0270850013000183)),
+    (3.2821548290023923, (6.329307697369272, 1.01),
+     (4.55181540753496, 0.8883947664696078)),
+    (37.0, (74.0, 1.0), (40.680869187093435, 0.5635955438914799)),
+    (BETA_MAX, (600.0, 1.0), (305.71939132467776, 0.5112044550541114)),
+]
+
+
+@pytest.mark.parametrize("beta, first_order, tangent", TILT_ROOTS)
+def test_tilt_root_takes_its_bracket_ends_in_closed_form(monkeypatch, beta,
+                                                         first_order, tangent):
+    # the scaled h and g are a(1 - 3a)/12 and a(1 - 3a)/3 > 0 at w = 0 and
+    # negative at 3 beta/log 4 + 1: neither end is evaluated, and the roots
+    # keep their bits
+    a, eps = canonical._a_eps(beta)
+    hi = 3.0 * beta / BETA_C + 1.0
+    h, g = canonical._scaled_h_g(beta, 0.0)[:2]
+    assert (h, g) == (a * (eps / 12.0), a * (eps / 3.0)) and h > 0.0 and g > 0.0
+    assert all(v < 0.0 for v in canonical._scaled_h_g(beta, hi)[:2])
+    points = []
+    scaled = canonical._scaled_h_g
+    monkeypatch.setattr(canonical, "_scaled_h_g",
+                        lambda b, w: points.append(w) or scaled(b, w))
+    for i, want in enumerate((first_order, tangent)):
+        points.clear()
+        assert canonical._tilt_root(beta, i)[:2] == want
+        assert points and 0.0 not in points and hi not in points
+
+
 @pytest.mark.parametrize("beta, kc1", [(1.39, 1.0818013889715028),
                                        (2.0, 1.0448832063996722),
                                        (5.0, 1.0013046030279322),

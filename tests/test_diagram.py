@@ -19,6 +19,7 @@ from begphase.core import (
     CanonicalParams,
     DomainError,
     MicroParams,
+    energy_domain,
     single_site_measure,
 )
 from begphase.diagram import (
@@ -180,6 +181,19 @@ def test_first_order_inversion_solves_the_tie_once_per_iterate(monkeypatch, inve
     monkeypatch.setattr(diagram, tie, counted)
     assert invert(1.05) == expect
     assert points and len(points) == len(set(points))
+    # the gap and the report take the tie at the root from the inversion:
+    # they solve it at the points the inversion alone solves, once each
+    for K in (1.05, 1.0817, _KM - 1e-10):
+        points.clear()
+        try:
+            invert(K)
+        except DomainError:   # u_c1 from K_m* on
+            pass
+        alone = set(points)
+        for make in (nonequivalence_gap, equivalence_report):
+            points.clear()
+            make(K)
+            assert len(points) == len(set(points)) and set(points) == alone
 
 
 @pytest.mark.parametrize("kind", [np.float32, np.float64])
@@ -764,11 +778,14 @@ def test_nonequivalence_gap_ladder(K, lo, hi):
     (math.nextafter(_KS, 0.0), {"beta_c1_of_K"}), (_KS, set()), (1.5, set()),
     (1e300, set())])
 def test_nonequivalence_gap_inverts_only_what_it_reads(monkeypatch, K, inverted):
+    # the first-order inversions are spied on at their private entry
+    # points, which also hand their ties on
     from begphase import diagram
     calls = []
-    for name in ("beta_c1_of_K", "beta_c2_of_K", "u_c1_of_K", "u_c2_of_K"):
-        def counted(K, _name=name, _f=getattr(diagram, name)):
-            calls.append(_name)
+    for name, label in (("_beta_c1_tie", "beta_c1_of_K"), ("beta_c2_of_K",) * 2,
+                        ("_u_c1_tie", "u_c1_of_K"), ("u_c2_of_K",) * 2):
+        def counted(K, _label=label, _f=getattr(diagram, name)):
+            calls.append(_label)
             return _f(K)
         monkeypatch.setattr(diagram, name, counted)
     gaps = nonequivalence_gap(K)
@@ -782,6 +799,48 @@ def test_equivalence_gap_matches_the_sampled_oracle():
     (lo, hi), = equivalence_report(1.05).gap_intervals
     (s_lo, s_hi), = sampled_gap_intervals(1.05)
     assert abs(lo - s_lo) < 2e-3 and abs(hi - s_hi) < 2e-3
+
+
+def _float64_grids(K):
+    """The default grids' recipe on lists of np.float64, the elements the
+    grids held before they were built from Python floats."""
+    from begphase import diagram
+    b, u = diagram._beta_star(K)[0], diagram._u_star(K)[0]
+    betas = list(np.linspace(0.3, 8.0, 40))
+    if b is not None:
+        span = min(2.0, 8.0 - b) if b < 8.0 else 2.0
+        betas += list(b + np.geomspace(1e-7, span, 70))
+        betas += [b * f for f in (0.7, 0.9, 0.99, 0.9999)] + [b]
+    lo, hi = energy_domain(K)
+    us = list(np.linspace(lo + 1e-9, hi - 1e-9, 40))
+    if u is not None:
+        us += list(u - np.geomspace(1e-8, max(u - lo - 1e-9, 1e-8), 80))
+        us += [u + (hi - u) * f for f in (1e-4, 0.01, 0.1, 0.5)] + [u]
+    return (sorted(x for x in betas if 0.0 < x <= BETA_MAX),
+            sorted(x for x in us if lo + 1e-9 <= x <= hi - 1e-9))
+
+
+@pytest.mark.parametrize("K", [0.5, 1.0 + 1e-10, 1.05, 1.0817, _KM, 1.5])
+def test_default_grids_are_python_floats(K):
+    # the report checks each point on _real's float path; the doubles are
+    # those of np.float64 elements, bit for bit
+    for got, want in zip((_default_beta_grid(K), _default_u_grid(K)),
+                         _float64_grids(K)):
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_equivalence_report_checks_and_converts_a_numpy_grid(monkeypatch):
+    _refuse_solves(monkeypatch)
+    rep = equivalence_report(1.05, [np.float32(1.5), np.float64(2.0), np.int64(3)],
+                             [np.float64(0.2), np.float32(0.4), np.longdouble(0.7)])
+    assert rep.beta_grid == (1.5, 2.0, 3.0)
+    assert rep.u_grid == (0.2, float(np.float32(0.4)), float(np.longdouble(0.7)))
+    assert all(type(x) is float for x in rep.beta_grid + rep.u_grid)
+    with pytest.raises(DomainError, match="got -1.0$"):
+        equivalence_report(1.05, [np.float32(-1.0)], [0.2])
+    with pytest.raises(DomainError, match="got 1.5$"):
+        equivalence_report(1.05, [1.0], [np.float64(1.5)])
 
 
 @pytest.mark.parametrize("beta", [10.0, 20.0])

@@ -49,6 +49,20 @@ def test_bisect_newton_takes_the_end_values_it_is_given():
     assert points and 1.0 not in points and 2.0 not in points
 
 
+@pytest.mark.parametrize("ends", [None, (-1.0, 6.0), (-1e-300, 1e300),
+                                  (-math.inf, math.inf), (-5e-324, 0.5)])
+def test_bisect_newton_reads_only_the_signs_of_its_ends(ends):
+    # the same iterates, bit for bit, from the end values or from any
+    # values of their signs
+    points = []
+    x = bisect_newton(_recorded(lambda x: x ** 3 - 2.0, points),
+                      lambda x: 3.0 * x * x, 1.0, 2.0, start=1.9, ends=ends)
+    want = []
+    assert x == bisect_newton(_recorded(lambda x: x ** 3 - 2.0, want),
+                              lambda x: 3.0 * x * x, 1.0, 2.0, start=1.9)
+    assert points == (want if ends is None else want[2:])
+
+
 @pytest.mark.parametrize("start, first", [(None, 1.5), (1.2, 1.2), (0.5, 1.5),
                                           (1.0, 1.5), (2.0, 1.5), (math.nan, 1.5)])
 def test_bisect_newton_starts_inside_the_bracket(start, first):

@@ -39,8 +39,7 @@ def _real(x):
     refuse.  The solvers then run in double precision on plain floats."""
     if type(x) is float:
         return x
-    # np.float64 is a float subclass: it skips the slow numbers.Real check
-    return float(x) if isinstance(x, (float, numbers.Real)) else x
+    return float(x) if isinstance(x, numbers.Real) else x
 
 
 @dataclass(frozen=True)

@@ -285,9 +285,10 @@ def cumulant_inflection(beta: float) -> float:
     return math.acosh(0.5 * math.exp(beta) - 4.0 * math.exp(-beta))
 
 
-def _scaled_h_g(beta, w):
-    """(h/w^4, g/w^3, a, y, c'(w)) at w >= 0 for h = w c' - 2c and
-    g = h' = w c'' - c', with a = 2/(e^beta + 2), y = a s and c = log1p(y).
+def _scaled_h_g(beta, a, eps, w):
+    """(h/w^4, g/w^3, y, c'(w)) at w >= 0 for h = w c' - 2c and
+    g = h' = w c'' - c', given (a, eps) = _a_eps(beta), with
+    a = 2/(e^beta + 2), y = a s and c = log1p(y).
 
     Up to w = 2, c' = a sinh(w)/(1 + y) (cumulant's c' loses eps/w there),
     h = a D/(1 + y) - 2B and g = a E/(1 + y) - w c'^2, with
@@ -299,12 +300,11 @@ def _scaled_h_g(beta, w):
     are sums over j >= 1 of x^j/(2j+2)!, x^j/(2j+1)!, (2j+2) x^j/(2j+4)! and
     (2j+2) x^j/(2j+3)!, x = w^2.  No term cancels as w -> 0 or beta -> log 4.
     """
-    a, eps = _a_eps(beta)
     y = 2.0 * a * math.sinh(0.5 * w) ** 2
     if w > 2.0:   # h and g cancel only at their roots
         c1 = cumulant(beta, w, 1)
         return ((w * c1 - 2.0 * math.log1p(y)) / w ** 4,
-                (w * ((a + y) / (1.0 + y) - c1 * c1) - c1) / w ** 3, a, y, c1)
+                (w * ((a + y) / (1.0 + y) - c1 * c1) - c1) / w ** 3, y, c1)
     x = w * w
     tail, sw, e3, d4 = _sinh_sums(x)
     shw = x / 6.0 + tail
@@ -315,7 +315,7 @@ def _scaled_h_g(beta, w):
     p1 = v * (2.0 * (1.0 + y) * r / (2.0 + y) ** 2 - 0.5)   # (1 + y) B/y^2 - 1/2
     h = eps / 12.0 + d4 - 2.0 * a * (sw * (1.0 + sw) * (0.5 + p1) + 0.25 * p1)
     g = eps / 3.0 + y / 3.0 + e3 * (1.0 + y) - a * shw * (2.0 + shw)
-    return (a * h / (1.0 + y), a * g / (1.0 + y) ** 2, a, y,
+    return (a * h / (1.0 + y), a * g / (1.0 + y) ** 2, y,
             a * math.sinh(w) / (1.0 + y))
 
 
@@ -333,8 +333,8 @@ def _tilt_root(beta, i):
     if not (math.isfinite(beta) and BETA_C < beta <= BETA_MAX):
         raise DomainError(f"the tangency and first-order couplings take beta "
                           f"in (log 4, BETA_MAX = {BETA_MAX}], got {beta}")
-    at = last_point(lambda x: _scaled_h_g(beta, x))
     a, eps = _a_eps(beta)
+    at = last_point(lambda x: _scaled_h_g(beta, a, eps, x))
 
     def slope(x):   # (g/w^3 - 4 h/w^4)/w and c'''/w^2 - 3 (g/w^3)/w
         h, g = at(x)[:2]
@@ -346,7 +346,7 @@ def _tilt_root(beta, i):
     w = bisect_newton(lambda x: at(x)[i], slope, 0.0, 3.0 * beta / BETA_C + 1.0,
                       start=math.sqrt((15.0, 10.0)[i] * (beta - BETA_C)),
                       ends=(a * (eps / (12.0, 3.0)[i]), -1.0))
-    a, y, c1 = at(w)[2:]
+    y, c1 = at(w)[2:]
     return w, w / (2.0 * beta * c1), a, y
 
 

@@ -34,12 +34,16 @@ class DomainError(ValueError):
 
 
 def _real(x):
-    """x as a Python float when it is a real number (an int, a float or a
-    numpy scalar of any precision), else x itself for the caller's check to
-    refuse.  The solvers then run in double precision on plain floats."""
+    """x as a Python float when it is a real number (an int, a bool, a float
+    or a numpy scalar of any precision, np.bool_ included), else x itself
+    for the caller's check to refuse; a numpy complex comes back as a Python
+    complex, so that it is refused with the same TypeError.  The solvers
+    then run in double precision on plain floats."""
     if type(x) is float:
         return x
-    return float(x) if isinstance(x, numbers.Real) else x
+    if isinstance(x, (numbers.Real, np.bool_)):
+        return float(x)
+    return complex(x) if isinstance(x, np.complexfloating) else x
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,10 @@ level of equilibrium macrostates.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -365,30 +367,76 @@ def nonequivalence_gap(K: float) -> tuple:
                           _u_c1_tie(K)[1] if K < K_STAR else None)
 
 
+def _linspace(start, stop, num):
+    """np.linspace(start, stop, num).tolist() for num >= 2 and a step
+    (stop - start)/(num - 1) that is 0 or normal: numpy's own arithmetic
+    i * step + start, with stop as the last point."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
+def _geomspace(start, stop, num):
+    """np.geomspace(start, stop, num).tolist() for 0 < start, stop, as numpy
+    builds it without its dtype, sign and array machinery: 10 to the power
+    of the linspace between the log10 of the ends, with the two exact ends
+    put back."""
+    logs = _linspace(float(np.log10(start)), float(np.log10(stop)), num)
+    grid = np.power(10.0, logs).tolist()
+    grid[0], grid[-1] = start, stop
+    return grid
+
+
+# the K-free pieces of the default beta grid, built once, at import, by the
+# builders above: a first np.geomspace call raises a process's peak resident
+# memory by about 0.4 MB, which nothing else the package does at import needs
+_BETA_BASE = _linspace(0.3, 8.0, 40)
+_BETA_APPROACH = _geomspace(1e-7, 2.0, 70)
+
+
 def _beta_grid(b_star):
-    base = np.linspace(0.3, 8.0, 40).tolist()
+    """The default beta grid around the canonical transition at b_star (or
+    None): 40 points from 0.3 to 8; 70 above b_star at geometric offsets
+    from 1e-7 to 2, or to 8 - b_star where b_star lies in (6, 8); b_star
+    itself and 4 fractions of it; sorted and cut to (0, BETA_MAX].
+
+    The doubles are those of np.linspace and np.geomspace, bit for bit.  The
+    base grid and the offsets up to 2 do not depend on K and are built once,
+    at import; the offsets up to 8 - b_star are built per call.  ROADMAP
+    item 4 moves the grid path to the tests.
+    """
     if b_star is None:
-        return sorted(base)
+        return sorted(_BETA_BASE)
     # approach up to the base grid's top, or over 2 when b_star lies above it
     span = min(2.0, 8.0 - b_star) if b_star < 8.0 else 2.0
-    approach = (b_star + np.geomspace(1e-7, span, 70)).tolist()
-    below = [b_star * f for f in (0.7, 0.9, 0.99, 0.9999)]
-    return sorted(b for b in base + approach + below + [b_star]
-                  if 0.0 < b <= BETA_MAX)
+    offsets = _BETA_APPROACH if span == 2.0 else _geomspace(1e-7, span, 70)
+    grid = sorted(_BETA_BASE + [b_star + x for x in offsets]
+                  + [b_star * f for f in (0.7, 0.9, 0.99, 0.9999)] + [b_star])
+    return grid[bisect_right(grid, 0.0):bisect_right(grid, BETA_MAX)]
 
 
 def _u_grid(K, u_star):
+    """The default u grid at K around the microcanonical transition at
+    u_star (or None): 40 points across energy_domain(K) pulled in by 1e-9;
+    80 below u_star at geometric offsets from 1e-8 down to that range's
+    bottom (all at 1e-8 where u_star lies within 1e-8 of it); u_star itself
+    and 4 points above it; sorted and cut to the range.
+
+    The doubles are those of np.linspace and np.geomspace, bit for bit.
+    Every piece depends on K, so _linspace and _geomspace build them per
+    call.  ROADMAP item 4 moves the grid path to the tests.
+    """
     u_min, u_max = energy_domain(K)
     eps = 1e-9
-    base = np.linspace(u_min + eps, u_max - eps, 40).tolist()
+    lo, hi = u_min + eps, u_max - eps
+    base = _linspace(lo, hi, 40)
     if u_star is None:
         return sorted(base)
     # next to K = 1, u_c1 lies within eps of u_min: nothing to approach from
     span = max(u_star - u_min - eps, 1e-8)
-    approach = (u_star - np.geomspace(1e-8, span, 80)).tolist()
+    approach = [u_star - x for x in _geomspace(1e-8, span, 80)]
     above = [u_star + (u_max - u_star) * f for f in (1e-4, 0.01, 0.1, 0.5)]
-    return sorted(u for u in base + approach + above + [u_star]
-                  if u_min + eps <= u <= u_max - eps)
+    grid = sorted(base + approach + above + [u_star])
+    return grid[bisect_left(grid, lo):bisect_right(grid, hi)]
 
 
 def _default_beta_grid(K):
@@ -418,9 +466,8 @@ def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceRepo
         beta_grid = _beta_grid(b_star)
     if u_grid is None:
         u_grid = _u_grid(K, u_star)
-    beta_grid = tuple(_check_beta(b) for b in beta_grid)
-    domain = energy_domain(K)
-    u_grid = tuple(_check_energy(u, domain) for u in u_grid)
+    beta_grid = tuple(map(_check_beta, beta_grid))
+    u_grid = tuple(map(_check_energy, u_grid, repeat(energy_domain(K))))
     gaps = _gap_intervals(K, b_star, b_tie, u_tie) if 1.0 < K < _KC_STAR else ()
     return EquivalenceReport(
         K=K, beta_grid=beta_grid, u_grid=u_grid, gap_intervals=gaps,

@@ -335,13 +335,13 @@ def test_tilt_root_takes_its_bracket_ends_in_closed_form(monkeypatch, beta,
     # keep their bits
     a, eps = canonical._a_eps(beta)
     hi = 3.0 * beta / BETA_C + 1.0
-    h, g = canonical._scaled_h_g(beta, 0.0)[:2]
+    h, g = canonical._scaled_h_g(beta, a, eps, 0.0)[:2]
     assert (h, g) == (a * (eps / 12.0), a * (eps / 3.0)) and h > 0.0 and g > 0.0
-    assert all(v < 0.0 for v in canonical._scaled_h_g(beta, hi)[:2])
+    assert all(v < 0.0 for v in canonical._scaled_h_g(beta, a, eps, hi)[:2])
     points = []
     scaled = canonical._scaled_h_g
-    monkeypatch.setattr(canonical, "_scaled_h_g",
-                        lambda b, w: points.append(w) or scaled(b, w))
+    monkeypatch.setattr(canonical, "_scaled_h_g", lambda b, a, eps, w:
+                        points.append(w) or scaled(b, a, eps, w))
     for i, want in enumerate((first_order, tangent)):
         points.clear()
         assert canonical._tilt_root(beta, i)[:2] == want

@@ -235,7 +235,8 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", [int, float, np.float64, np.float32,
-                                  np.longdouble, np.int64, np.int32, bool])
+                                  np.longdouble, np.int64, np.int32, bool,
+                                  pytest.param(np.bool_, id="np.bool_")])
 def test_params_store_python_floats(kind):
     for p in (CanonicalParams(kind(2), kind(1)), MicroParams(kind(0), kind(1))):
         assert all(type(v) is float for v in vars(p).values())
@@ -243,10 +244,14 @@ def test_params_store_python_floats(kind):
                                                       "K": 1.0}
 
 
-@pytest.mark.parametrize("bad", ["1", b"1", None, 1.05 + 0j])
+@pytest.mark.parametrize("bad", [
+    "1", b"1", None, 1.05 + 0j,
+    pytest.param(np.complex128(1.05 + 0j), id="np.complex128(1.05+0j)"),
+    pytest.param(np.complex128(1.05 + 3j), id="np.complex128(1.05+3j)")])
 def test_params_refuse_non_numbers_as_before(bad):
     # only real numbers are converted to float: a string is never parsed
-    # into one, and fails the checks it failed before
+    # into one, and fails the checks it failed before; a numpy complex is
+    # refused as a Python complex is
     for make in (lambda: CanonicalParams(bad, 1.0), lambda: CanonicalParams(1.0, bad),
                  lambda: MicroParams(bad, 1.0), lambda: MicroParams(0.5, bad),
                  lambda: energy_domain(bad), lambda: nonequivalence_gap(bad),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import sampled_gap_intervals
 
@@ -454,14 +454,22 @@ def test_equivalence_values_read_back_match_the_eager_solves(K, grids):
     (1.05, [1.0], [0.2, 1.5], "1.5"),
     (1.5, [1.0], [0.2, -0.6], "-0.6"),
     (1.5, [1.0], [math.inf], "inf"),
+    (1.05, [0.5, 1.0, -1.0, math.nan, 2.0], [0.2], "-1.0"),
+    (1.05, [1.0], [0.1, 0.2, 1.5, -5.0], "1.5"),
 ])
 def test_equivalence_report_checks_its_grids_without_solving(monkeypatch, K,
                                                              beta_grid, u_grid, bad):
     # a point outside the domain is refused when the report is made, not on
-    # first read of the values it would be solved for
+    # first read of the values it would be solved for; the first bad point
+    # is named, and generator grids are read once, up to that point
     _refuse_solves(monkeypatch)
     with pytest.raises(DomainError, match=f"got {bad}$"):
         equivalence_report(K, beta_grid, u_grid)
+    read = []
+    with pytest.raises(DomainError, match=f"got {bad}$"):
+        equivalence_report(K, (read.append(b) or b for b in beta_grid),
+                           (read.append(u) or u for u in u_grid))
+    assert read == (beta_grid + u_grid)[:len(read)] and str(read[-1]) == bad
 
 
 # (K, lo, hi) of the gap [lo, hi), to 12 digits, from the roots of
@@ -801,23 +809,39 @@ def test_equivalence_gap_matches_the_sampled_oracle():
     assert abs(lo - s_lo) < 2e-3 and abs(hi - s_hi) < 2e-3
 
 
-def _float64_grids(K):
-    """The default grids' recipe on lists of np.float64, the elements the
-    grids held before they were built from Python floats."""
-    from begphase import diagram
-    b, u = diagram._beta_star(K)[0], diagram._u_star(K)[0]
+def _float64_beta_grid(b):
+    """The default beta grid's recipe on lists of np.float64, built with
+    np.linspace and np.geomspace, the elements it held before it was built
+    from Python floats."""
     betas = list(np.linspace(0.3, 8.0, 40))
     if b is not None:
         span = min(2.0, 8.0 - b) if b < 8.0 else 2.0
         betas += list(b + np.geomspace(1e-7, span, 70))
         betas += [b * f for f in (0.7, 0.9, 0.99, 0.9999)] + [b]
+    return sorted(x for x in betas if 0.0 < x <= BETA_MAX)
+
+
+def _float64_u_grid(K, u):
+    """The default u grid's recipe at K on lists of np.float64, as
+    _float64_beta_grid."""
     lo, hi = energy_domain(K)
     us = list(np.linspace(lo + 1e-9, hi - 1e-9, 40))
     if u is not None:
         us += list(u - np.geomspace(1e-8, max(u - lo - 1e-9, 1e-8), 80))
         us += [u + (hi - u) * f for f in (1e-4, 0.01, 0.1, 0.5)] + [u]
-    return (sorted(x for x in betas if 0.0 < x <= BETA_MAX),
-            sorted(x for x in us if lo + 1e-9 <= x <= hi - 1e-9))
+    return sorted(x for x in us if lo + 1e-9 <= x <= hi - 1e-9)
+
+
+def _float64_grids(K):
+    """Both references around the transitions at K."""
+    from begphase import diagram
+    return (_float64_beta_grid(diagram._beta_star(K)[0]),
+            _float64_u_grid(K, diagram._u_star(K)[0]))
+
+
+def _same_doubles(got, want):
+    return (all(type(x) is float for x in got)
+            and np.array(got).tobytes() == np.array(want).tobytes())
 
 
 @pytest.mark.parametrize("K", [0.5, 1.0 + 1e-10, 1.05, 1.0817, _KM, 1.5])
@@ -826,8 +850,37 @@ def test_default_grids_are_python_floats(K):
     # those of np.float64 elements, bit for bit
     for got, want in zip((_default_beta_grid(K), _default_u_grid(K)),
                          _float64_grids(K)):
-        assert all(type(x) is float for x in got)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert _same_doubles(got, want)
+
+
+@seed(28)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.none(), st.floats(BETA_C, BETA_MAX, exclude_min=True),
+                 st.floats(6.0, 8.0), st.floats(8.0, 20.0),
+                 st.sampled_from([6.0, math.nextafter(6.0, 7.0),
+                                  math.nextafter(8.0, 0.0), 8.0, BETA_MAX])))
+def test_beta_grid_is_numpys_bit_for_bit(b):
+    # above 6 the approach offsets run to 8 - b, not to the constant 2
+    from begphase import diagram
+    assert _same_doubles(diagram._beta_grid(b), _float64_beta_grid(b))
+
+
+@st.composite
+def _u_grid_cases(draw):
+    K = 10.0 ** draw(st.floats(-3.0, 3.0))
+    lo, hi = energy_domain(K)
+    # within 1e-8 of lo + 1e-9 the span floor makes geomspace's ends coincide
+    u = draw(st.one_of(st.none(), st.floats(lo, hi),
+                       st.floats(-1e-8, 1e-8).map(lambda d: lo + 1e-9 + d)))
+    return K, u
+
+
+@seed(28)
+@settings(max_examples=300, deadline=None)
+@given(_u_grid_cases())
+def test_u_grid_is_numpys_bit_for_bit(case):
+    from begphase import diagram
+    assert _same_doubles(diagram._u_grid(*case), _float64_u_grid(*case))
 
 
 def test_equivalence_report_checks_and_converts_a_numpy_grid(monkeypatch):
@@ -837,8 +890,15 @@ def test_equivalence_report_checks_and_converts_a_numpy_grid(monkeypatch):
     assert rep.beta_grid == (1.5, 2.0, 3.0)
     assert rep.u_grid == (0.2, float(np.float32(0.4)), float(np.longdouble(0.7)))
     assert all(type(x) is float for x in rep.beta_grid + rep.u_grid)
+    rep = equivalence_report(1.05, np.linspace(1.0, 2.0, 3),
+                             np.array([0.2, 0.4], dtype=np.float32))
+    assert rep.beta_grid == (1.0, 1.5, 2.0)
+    assert rep.u_grid == (float(np.float32(0.2)), float(np.float32(0.4)))
+    assert all(type(x) is float for x in rep.beta_grid + rep.u_grid)
     with pytest.raises(DomainError, match="got -1.0$"):
         equivalence_report(1.05, [np.float32(-1.0)], [0.2])
+    with pytest.raises(DomainError, match="got -1.0$"):
+        equivalence_report(1.05, np.array([1.0, 2.0, -1.0, -2.0]), [0.2])
     with pytest.raises(DomainError, match="got 1.5$"):
         equivalence_report(1.05, [1.0], [np.float64(1.5)])
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .core import (
     BETA_C,
+    PHASE_LABELS,
     UNIFORM,
     CanonicalParams,
     DomainError,
@@ -503,27 +504,34 @@ def _type(beta, d, z):
     return 3 if beta == BETA_C else 2
 
 
-def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
-    """Global minimizers of the magnetization potential, lifted to macrostates.
-
-    As in solve_micro, the local minimizers (here from _local_wells) within
-    TIE_TOL of the least value are all global, mirrored to z < 0: the
-    disordered point 0 alone, the symmetric pair +-z, or all three where they
-    tie at a first-order coupling.  The Landau coefficient, computed once,
-    decides the origin and the types (_type), and with the fourth and
-    sixth cumulants it starts the well searches (_landau_poly): no critical
-    coupling and no derivative for the types is computed.
-    """
+def _canonical_minima(params):
+    """(zs, best, d): the sorted global minimizers of the magnetization
+    potential, its least value and the Landau coefficient d = _landau(beta,
+    K).  As in _micro_minima, the local minimizers (here from _local_wells)
+    within TIE_TOL of the least value are all global, mirrored to z < 0: the
+    disordered point 0 alone, the symmetric pair +-z, or all three where
+    they tie at a first-order coupling.  d decides the origin and, with the
+    fourth and sixth cumulants, starts the well searches (_landau_poly): no
+    critical coupling is computed."""
     beta, K = params.beta, params.K
     a = 2.0 * beta * K
     d = _landau(beta, K)
     zs, best = even_global_minima(lambda z: mag_potential(params, z, 0),
                                   [w / a for w in _local_wells(params, d)])
+    return zs, best, d
+
+
+def solve_canonical(params: CanonicalParams) -> CanonicalSolution:
+    """Global minimizers of the magnetization potential (_canonical_minima),
+    lifted to macrostates, with their types from the Landau coefficient
+    (_type): no derivative for the types is computed."""
+    zs, best, d = _canonical_minima(params)
+    a = 2.0 * params.beta * params.K
     return CanonicalSolution(
         params=params, z_points=tuple(zs), w_points=tuple(a * z for z in zs),
         macrostates=tuple(tilt_macrostate(params, z) for z in zs),
-        min_value=best, types=tuple(_type(beta, d, z) for z in zs),
-        phase_label={1: "unique", 2: "pair", 3: "triple"}[len(zs)])
+        min_value=best, types=tuple(_type(params.beta, d, z) for z in zs),
+        phase_label=PHASE_LABELS[len(zs)])
 
 
 def free_energy_at(params: CanonicalParams, mu: Macrostate) -> float:

@@ -279,103 +279,77 @@ def _cmd_oracle(args):
     _emit(args, ("nu_minus", "nu_zero", "nu_plus"), rows, payload)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_BETA = ("--beta", {"type": float, "required": True})
+_U = ("--u", {"type": float, "required": True})
+_K = ("--K", {"type": float, "required": True})
+_GRID = {"required": True, "metavar": "START:STOP:STEP"}
+
+# the output flags of every command; --threads is inert (the sweeps are
+# serial): still parsed, and echoed when set, only because the perfbench/
+# diagram workload passes --threads 1
+_COMMON = (("--format", {"choices": ("csv", "json"), "default": "csv"}),
+           ("--out", {"help": "output path (default stdout)"}),
+           ("--threads", {"type": int, "help": argparse.SUPPRESS}))
+
+# command: (help, handler, its flags as (name, add_argument keywords)), in
+# the order of --help; every command also takes the _COMMON flags
+_COMMANDS = {
+    "canon": ("equilibrium macrostates at (beta, K)", _cmd_canon, (_BETA, _K)),
+    "canon-critical": ("critical couplings at beta", _cmd_canon_critical,
+                       (_BETA,)),
+    "micro": ("equilibrium macrostates at (u, K)", _cmd_micro, (_U, _K)),
+    "micro-critical": ("critical couplings at u", _cmd_micro_critical, (
+        _U, ("--K", {"type": float, "help": "optional coupling to place "
+                     "above/below the convexity curve"}))),
+    "diagram-canon": ("canonical sweep over a grid", _cmd_diagram, (
+        ("--beta-grid", _GRID), ("--K-grid", _GRID), ("--curves-out", {}))),
+    "diagram-micro": ("microcanonical sweep over a grid", _cmd_diagram, (
+        ("--u-grid", _GRID), ("--K-grid", _GRID), ("--curves-out", {}))),
+    "equivalence": ("order-parameter sets realized by both ensembles at K",
+                    _cmd_equivalence, (_K,)),
+    "limits": ("limit-law diagnostics at (beta, K)", _cmd_limits, (
+        _BETA, _K,
+        ("--mode", {"choices": ("ks", "conditioned", "classify", "metropolis"),
+                    "default": "ks"}),
+        ("--ns", {"default": "500,1000,2000",
+                  "help": "comma-separated system sizes"}),
+        ("--j", {"choices": ("+", "-"), "default": "+"}),
+        ("--a", {"type": float, "help": "conditioning window half-width"}),
+        ("--n", {"type": int, "default": 50, "help": "metropolis system size"}),
+        ("--steps", {"type": int, "default": 10**6}),
+        ("--seed", {"type": int, "default": 0}))),
+    "pmf": ("exact total-spin distribution", _cmd_pmf,
+            (("--n", {"type": int, "required": True}), _BETA, _K)),
+    "oracle": ("brute-force simplex scan", _cmd_oracle, (
+        ("--kind", {"choices": ("canonical", "micro"), "required": True}),
+        ("--beta", {"type": float}), ("--u", {"type": float}), _K,
+        ("--tol", {"type": float, "default": 5e-4}),
+        ("--grid-step", {"type": float, "default": 5e-4}))),
+}
+
+
+def build_parser(cmd=None) -> argparse.ArgumentParser:
+    """The begphase parser with every subcommand or, where cmd names one,
+    with that one alone: it parses an argv that starts with cmd as the full
+    parser does, and its usage line names every command as well."""
     p = _Parser(prog="begphase",
                 description="Equilibrium macrostates, critical couplings and "
                             "limit-law diagnostics for the mean-field spin-1 model.")
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        # inert (the sweeps are serial): still parsed, and echoed when set,
-        # only because the perfbench/ diagram workload passes --threads 1
-        sp.add_argument("--threads", type=int, default=None,
-                        help=argparse.SUPPRESS)
-
-    sp = sub.add_parser("canon", help="equilibrium macrostates at (beta, K)")
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--K", type=float, required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_canon)
-
-    sp = sub.add_parser("canon-critical", help="critical couplings at beta")
-    sp.add_argument("--beta", type=float, required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_canon_critical)
-
-    sp = sub.add_parser("micro", help="equilibrium macrostates at (u, K)")
-    sp.add_argument("--u", type=float, required=True)
-    sp.add_argument("--K", type=float, required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_micro)
-
-    sp = sub.add_parser("micro-critical", help="critical couplings at u")
-    sp.add_argument("--u", type=float, required=True)
-    sp.add_argument("--K", type=float, default=None,
-                    help="optional coupling to place above/below the convexity curve")
-    common(sp)
-    sp.set_defaults(fn=_cmd_micro_critical)
-
-    sp = sub.add_parser("diagram-canon", help="canonical sweep over a grid")
-    sp.add_argument("--beta-grid", required=True, metavar="START:STOP:STEP")
-    sp.add_argument("--K-grid", required=True, metavar="START:STOP:STEP")
-    sp.add_argument("--curves-out", default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_diagram)
-
-    sp = sub.add_parser("diagram-micro", help="microcanonical sweep over a grid")
-    sp.add_argument("--u-grid", required=True, metavar="START:STOP:STEP")
-    sp.add_argument("--K-grid", required=True, metavar="START:STOP:STEP")
-    sp.add_argument("--curves-out", default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_diagram)
-
-    sp = sub.add_parser("equivalence",
-                        help="order-parameter sets realized by both ensembles at K")
-    sp.add_argument("--K", type=float, required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_equivalence)
-
-    sp = sub.add_parser("limits", help="limit-law diagnostics at (beta, K)")
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--K", type=float, required=True)
-    sp.add_argument("--mode", choices=("ks", "conditioned", "classify",
-                                       "metropolis"), default="ks")
-    sp.add_argument("--ns", default="500,1000,2000",
-                    help="comma-separated system sizes")
-    sp.add_argument("--j", choices=("+", "-"), default="+")
-    sp.add_argument("--a", type=float, default=None,
-                    help="conditioning window half-width")
-    sp.add_argument("--n", type=int, default=50, help="metropolis system size")
-    sp.add_argument("--steps", type=int, default=10**6)
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(fn=_cmd_limits)
-
-    sp = sub.add_parser("pmf", help="exact total-spin distribution")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--K", type=float, required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_pmf)
-
-    sp = sub.add_parser("oracle", help="brute-force simplex scan")
-    sp.add_argument("--kind", choices=("canonical", "micro"), required=True)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--u", type=float, default=None)
-    sp.add_argument("--K", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=5e-4)
-    sp.add_argument("--grid-step", type=float, default=5e-4)
-    common(sp)
-    sp.set_defaults(fn=_cmd_oracle)
-
+    names = [cmd] if cmd in _COMMANDS else list(_COMMANDS)
+    sub = p.add_subparsers(dest="cmd", required=True, metavar=(
+        None if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}"))
+    for name in names:
+        help_, fn, flags = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_)
+        for flag, kwargs in flags + _COMMON:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         args.bindings = _bindings(args)
         args.fn(args)

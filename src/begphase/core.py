@@ -28,20 +28,24 @@ BETA_C = math.log(4.0)
 
 _MASS_TOL = 1e-12
 
+#: Phase of a set of 1, 2 or 3 global minimizers.
+PHASE_LABELS = {1: "unique", 2: "pair", 3: "triple"}
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
 def _real(x):
-    """x as a Python float when it is a real number (an int, a bool, a float
-    or a numpy scalar of any precision, np.bool_ included), else x itself
-    for the caller's check to refuse; a numpy complex comes back as a Python
-    complex, so that it is refused with the same TypeError.  The solvers
-    then run in double precision on plain floats."""
+    """x as a Python float when it is a real number (an int, a bool, a float,
+    a Fraction, a Decimal or a numpy scalar of any precision, np.bool_
+    included), else x itself for the caller's check to refuse; a numpy
+    complex comes back as a Python complex, so that it is refused with the
+    same TypeError.  The solvers then run in double precision on plain
+    floats."""
     if type(x) is float:
         return x
-    if isinstance(x, (numbers.Real, np.bool_)):
+    if isinstance(x, (numbers.Real, np.bool_, decimal.Decimal)):
         return float(x)
     return complex(x) if isinstance(x, np.complexfloating) else x
 

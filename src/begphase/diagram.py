@@ -24,6 +24,7 @@ import numpy as np
 
 from .canonical import (
     BETA_MAX,
+    _canonical_minima,
     _check_beta,
     _first_order_coupling,
     canonical_criticals,
@@ -32,6 +33,7 @@ from .canonical import (
 )
 from .core import (
     BETA_C,
+    PHASE_LABELS,
     CanonicalParams,
     DomainError,
     Macrostate,
@@ -45,6 +47,7 @@ from .micro import (
     U_STAR,
     _first_order_coupling_u,
     _log_odds,
+    _micro_minima,
     micro_criticals,
     solve_micro,
 )
@@ -264,13 +267,11 @@ def _u_c1_tie(K):
 # ---------------------------------------------------------------------------
 
 def _canonical_row(crit, K):
-    sol = solve_canonical(CanonicalParams(crit.beta, K))
+    zs, best, _ = _canonical_minima(CanonicalParams(crit.beta, K))
     return PhaseDiagramRow(
-        ensemble="canonical", control=(crit.beta, K), minimizers=sol.z_points,
-        order_parameter=max(abs(z) for z in sol.z_points),
-        branch=sol.phase_label,
-        transition_order=2 if crit.k_first_order is None else 1,
-        value=sol.min_value)
+        ensemble="canonical", control=(crit.beta, K), minimizers=tuple(zs),
+        order_parameter=max(abs(z) for z in zs), branch=PHASE_LABELS[len(zs)],
+        transition_order=2 if crit.k_first_order is None else 1, value=best)
 
 
 def sweep_canonical(beta_grid, K_grid):
@@ -287,18 +288,16 @@ def sweep_canonical(beta_grid, K_grid):
 
 
 def _micro_row(crit, K):
-    u = crit.u
-    sol = solve_micro(MicroParams(u, K))
+    zs, best, _ = _micro_minima(MicroParams(crit.u, K))
     # the transition in K at this u is discontinuous exactly when it has
     # a first-order coupling (z = 0 destabilizes inside the non-convex band)
     order = None
     if crit.k_second_order is not None:
         order = 1 if crit.k_first_order is not None else 2
     return PhaseDiagramRow(
-        ensemble="micro", control=(u, K), minimizers=sol.z_points,
-        order_parameter=max(abs(z) for z in sol.z_points),
-        branch=sol.phase_label, transition_order=order,
-        value=sol.entropy)
+        ensemble="micro", control=(crit.u, K), minimizers=tuple(zs),
+        order_parameter=max(abs(z) for z in zs), branch=PHASE_LABELS[len(zs)],
+        transition_order=order, value=-best)
 
 
 def sweep_micro(u_grid, K_grid):

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (DomainError, Macrostate, MicroParams, _exactly_signed,
-                   _finite, _real)
+from .core import (PHASE_LABELS, DomainError, Macrostate, MicroParams,
+                   _exactly_signed, _finite, _real)
 from .rootfind import (_horner, even_global_minima, piecewise_minima,
                        polynomial_roots)
 
@@ -304,8 +304,10 @@ def _global_minima(u, K):
                               _local_minima(u, K))
 
 
-def solve_micro(params: MicroParams) -> MicroSolution:
-    """Global minimizers of the shell rate, lifted to macrostates.
+def _micro_minima(params):
+    """(zs, best, lifts): the sorted global minimizers of the shell rate, its
+    least value and {z: shell_macrostate(params, z)} over the distinct
+    z >= 0 among them, so that a lift leaving the simplex refuses (u, K).
 
     Local minima from the exact derivatives of the rate, each search
     started at its Landau root (_local_minima), ties within TIE_TOL all
@@ -317,11 +319,20 @@ def solve_micro(params: MicroParams) -> MicroSolution:
         raise RuntimeError(
             f"{len(zs)} tied global minima at (u, K) = ({params.u}, {params.K}); "
             f"the solver assumes at most three: {zs}")
-    macs = tuple(shell_macrostate(params, z) for z in zs)
-    label = {1: "unique", 2: "pair", 3: "triple"}[len(zs)]
-    tied = 0.0 in zs and len(zs) > 1
-    return MicroSolution(params=params, z_points=tuple(zs), macrostates=macs,
-                         entropy=-best, phase_label=label, tied=tied)
+    return zs, best, {z: shell_macrostate(params, z) for z in zs if z >= 0.0}
+
+
+def solve_micro(params: MicroParams) -> MicroSolution:
+    """Global minimizers of the shell rate (_micro_minima), lifted to
+    macrostates: -z to the mirror of the lift of z, which is the lift of -z
+    bit for bit, as q = u + K z^2 takes z only through z * z."""
+    zs, best, lifts = _micro_minima(params)
+    lifts.update({-z: Macrostate(m.nu_plus, m.nu_zero, m.nu_minus)
+                  for z, m in lifts.items() if z > 0.0})
+    return MicroSolution(params=params, z_points=tuple(zs),
+                         macrostates=tuple(lifts[z] for z in zs), entropy=-best,
+                         phase_label=PHASE_LABELS[len(zs)],
+                         tied=0.0 in zs and len(zs) > 1)
 
 
 def micro_entropy(params: MicroParams) -> float:

@@ -1,13 +1,15 @@
+import argparse
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from conftest import brute_force_spin_pmf
 
-from begphase import diagram, limits
+from begphase import cli, diagram, limits
 from begphase.canonical import second_order_coupling, solve_canonical
 from begphase.cli import fmt, main
 from begphase.core import CanonicalParams, MicroParams, energy_domain
@@ -95,6 +97,96 @@ def test_unknown_flag_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["canon", "--beta", "1", "--K", "1", "--frobnicate"])
     assert exc.value.code == 64
+
+
+COMMANDS = ("canon", "canon-critical", "micro", "micro-critical",
+            "diagram-canon", "diagram-micro", "equivalence", "limits", "pmf",
+            "oracle")
+
+# one argv per command, every flag it takes set
+_ARGVS = (
+    ["canon", "--beta", "1", "--K", "1.5", "--format", "json"],
+    ["canon-critical", "--beta", "2", "--out", "c.csv"],
+    ["micro", "--u", "0.4", "--K", "1.2", "--threads", "1"],
+    ["micro-critical", "--u", "0.25", "--K", "1.0"],
+    ["diagram-canon", "--beta-grid", "0.5:3:0.1", "--K-grid", "0.8:1.4:0.05",
+     "--curves-out", "curves.csv"],
+    ["diagram-micro", "--u-grid", "0.2:0.6:0.05", "--K-grid", "0.8:1.6:0.1",
+     "--curves-out", "curves.csv"],
+    ["equivalence", "--K", "1.0817"],
+    ["limits", "--beta", "1", "--K", "1", "--mode", "conditioned", "--ns",
+     "10,20", "--j", "-", "--a", "0.1", "--n", "5", "--steps", "10",
+     "--seed", "3"],
+    ["pmf", "--n", "2", "--beta", "1", "--K", "1"],
+    ["oracle", "--kind", "micro", "--beta", "1", "--u", "0.3", "--K", "0.5",
+     "--tol", "1e-3", "--grid-step", "1e-3"],
+)
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=lambda argv: argv[0])
+def test_main_builds_the_named_subparser_alone(monkeypatch, argv):
+    # the parser main builds holds the one command argv names, and parses
+    # argv to the Namespace the full parser gives
+    build_parser = cli.build_parser
+
+    def built(cmd=None):
+        raise _Built(build_parser(cmd))
+
+    monkeypatch.setattr(cli, "build_parser", built)
+    with pytest.raises(_Built) as exc:
+        main(argv)
+    parser = exc.value.args[0]
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [argv[0]]
+    assert parser.parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_one_argv_per_command():
+    assert tuple(argv[0] for argv in _ARGVS) == COMMANDS
+
+
+def _help_golden():
+    text = (DATA / "cli_help.txt").read_text()
+    blocks = text.split("$ begphase ")[1:]
+    return {block.split("\n", 1)[0]: block.split("\n", 1)[1] for block in blocks}
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in COMMANDS],
+                         ids=" ".join)
+def test_help_bytes_do_not_change(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _help_golden()[" ".join(argv)]
+
+
+def test_unknown_command_exits_64_naming_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "no-such-command" in err
+    assert tuple(re.findall(r"[\w-]+", err.split("choose from", 1)[1])) == COMMANDS
+
+
+def test_usage_error_after_a_command_prints_the_full_usage(capsys, monkeypatch):
+    # an argument left over from the subparser is reported by the top-level
+    # parser, whose usage line names all ten commands whichever are built
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["canon", "--beta", "1", "--K", "1", "extra"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == full.value.code == 64
+    assert got == capsys.readouterr()
+    assert "{" + ",".join(COMMANDS) + "}" in got.err
 
 
 def test_domain_error_exits_2_and_names_precondition(capsys):

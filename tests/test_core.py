@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,28 +238,40 @@ def test_params_validation():
 
 @pytest.mark.parametrize("kind", [int, float, np.float64, np.float32,
                                   np.longdouble, np.int64, np.int32, bool,
-                                  pytest.param(np.bool_, id="np.bool_")])
+                                  pytest.param(np.bool_, id="np.bool_"),
+                                  Fraction, Decimal])
 def test_params_store_python_floats(kind):
     for p in (CanonicalParams(kind(2), kind(1)), MicroParams(kind(0), kind(1))):
         assert all(type(v) is float for v in vars(p).values())
     assert vars(CanonicalParams(kind(2), kind(1))) == {"beta": float(kind(2)),
                                                       "K": 1.0}
+    if kind in (Fraction, Decimal):
+        # a Decimal grid was kept, and its first solve raised a TypeError
+        got = equivalence_report(1.05, [kind("1.5")], [kind("0.2")])
+        want = equivalence_report(1.05, [1.5], [0.2])
+        assert got.beta_grid == (1.5,) and got.u_grid == (0.2,)
+        assert list(got.canonical_z) == list(want.canonical_z)
+        assert list(got.micro_z) == list(want.micro_z)
 
 
 @pytest.mark.parametrize("bad", [
     "1", b"1", None, 1.05 + 0j,
     pytest.param(np.complex128(1.05 + 0j), id="np.complex128(1.05+0j)"),
-    pytest.param(np.complex128(1.05 + 3j), id="np.complex128(1.05+3j)")])
+    pytest.param(np.complex128(1.05 + 3j), id="np.complex128(1.05+3j)"),
+    pytest.param(Decimal("NaN"), id="Decimal('NaN')")])
 def test_params_refuse_non_numbers_as_before(bad):
     # only real numbers are converted to float: a string is never parsed
     # into one, and fails the checks it failed before; a numpy complex is
-    # refused as a Python complex is
+    # refused as a Python complex is, and a NaN Decimal as the float NaN is,
+    # by the finiteness checks (energy_domain checks no K)
+    nan = isinstance(bad, Decimal)
     for make in (lambda: CanonicalParams(bad, 1.0), lambda: CanonicalParams(1.0, bad),
                  lambda: MicroParams(bad, 1.0), lambda: MicroParams(0.5, bad),
-                 lambda: energy_domain(bad), lambda: nonequivalence_gap(bad),
+                 lambda: nonequivalence_gap(bad),
                  lambda: equivalence_report(1.05, [bad], [0.2]),
-                 lambda: equivalence_report(1.05, [1.0], [bad])):
-        with pytest.raises(TypeError):
+                 lambda: equivalence_report(1.05, [1.0], [bad]),
+                 *([] if nan else [lambda: energy_domain(bad)])):
+        with pytest.raises(DomainError if nan else TypeError):
             make()
     with pytest.raises(DomainError):
         cumulant(bad, 0.5, 1)

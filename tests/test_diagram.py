@@ -39,9 +39,11 @@ from begphase.diagram import (
     u_c2_of_K,
 )
 from begphase.micro import (
+    U_STAR,
     _first_order_coupling_u,
     first_order_coupling_u,
     second_order_coupling_u,
+    shell_macrostate,
     solve_micro,
 )
 
@@ -281,6 +283,61 @@ def test_sweep_rows_carry_the_optimal_value():
     rows, _ = sweep_micro([0.25, 0.5], [1.0, 1.6])
     for r in rows:
         assert r.value == solve_micro(MicroParams(*r.control)).entropy
+
+
+def _bits(xs):
+    return tuple(float(x).hex() for x in xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.floats(0.3, 3.0), st.floats(-1e-6, 1e-6).map(lambda d: BETA_C + d)),
+       st.lists(st.floats(0.8, 1.6), min_size=1, max_size=3), st.integers(-4, 4))
+def test_sweep_canonical_rows_are_the_solves_bit_for_bit(beta, Ks, m):
+    # the rows read the minimization solve_canonical lifts, also across
+    # log 4 and m ulps from a first-order tie
+    if beta > BETA_C:
+        kc1 = first_order_coupling(beta)
+        Ks = Ks + [kc1 + m * math.ulp(kc1)]
+    rows, _ = sweep_canonical([beta], Ks)
+    for r in rows:
+        sol = solve_canonical(CanonicalParams(*r.control))
+        assert _bits(r.minimizers) == _bits(sol.z_points)
+        assert _bits([r.value]) == _bits([sol.min_value])
+        assert r.branch == sol.phase_label
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.floats(0.05, 0.6), st.floats(-1e-6, 1e-6).map(lambda d: U_STAR + d)),
+       st.lists(st.floats(0.8, 1.6), min_size=1, max_size=3), st.integers(-4, 4))
+def test_sweep_micro_rows_are_the_solves_bit_for_bit(u, Ks, m):
+    if u < U_STAR:
+        kc1 = first_order_coupling_u(u)
+        Ks = Ks + [kc1 + m * math.ulp(kc1)]
+    rows, _ = sweep_micro([u], Ks)
+    assert len(rows) == len(Ks)
+    for r in rows:
+        params = MicroParams(*r.control)
+        sol = solve_micro(params)
+        assert _bits(r.minimizers) == _bits(sol.z_points)
+        assert _bits([r.value]) == _bits([sol.entropy])
+        assert r.branch == sol.phase_label
+        # the mirrored lift of -z is the lift of -z
+        for z, mac in zip(sol.z_points, sol.macrostates):
+            lift = shell_macrostate(params, z)
+            assert _bits(vars(mac).values()) == _bits(vars(lift).values())
+
+
+def test_sweep_micro_refuses_where_solve_micro_does():
+    # the lift of z = 0.2236 leaves the simplex (q = u + K z^2 rounds at
+    # ulp(K) = 16): it alone refuses a row whose entropy -1.111 < -log 3
+    # no macrostate can have
+    u, K = -4999999999999992.0, 1e17
+    with pytest.raises(DomainError) as want:
+        solve_micro(MicroParams(u, K))
+    with pytest.raises(DomainError) as got:
+        sweep_micro([u], [K])
+    assert str(got.value) == str(want.value)
+    assert "masses must lie in [0, 1]" in str(got.value)
 
 
 def test_sweep_micro():

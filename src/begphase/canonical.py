@@ -32,6 +32,7 @@ from .core import (
     _exactly_signed,
     _finite,
     _real,
+    _tilted_masses,
     _tilted_moments,
     cramer_rate,
     cumulant,
@@ -471,17 +472,6 @@ def tilt_macrostate(params: CanonicalParams, z: float) -> Macrostate:
     masses proportional to (e^{-2 beta K z - beta}, 1, e^{2 beta K z - beta})."""
     return Macrostate(*_tilted_masses(params.beta,
                                       2.0 * params.beta * params.K * z))
-
-
-def _tilted_masses(beta, t):
-    """(nu_-, nu_0, nu_+) of the single-site measure tilted by t, max-shifted
-    and summed as in _tilted_moments: exact mirrors under t -> -t."""
-    shift = max(-beta - t, 0.0, -beta + t)
-    wm = math.exp(-beta - t - shift)
-    w0 = math.exp(-shift)
-    wp = math.exp(-beta + t - shift)
-    c = w0 + (wm + wp)
-    return wm / c, w0 / c, wp / c
 
 
 def minimum_type(params: CanonicalParams, z: float) -> tuple[int, tuple]:

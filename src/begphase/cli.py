@@ -29,16 +29,14 @@ _NON_BINDING_FLAGS = {"fn", "cmd", "format", "out", "curves_out"}
 
 def _bindings(args) -> dict:
     """The command and every parameter flag set, echoed into output headers
-    for provenance.  Grid specs must parse nonempty and tolerance overrides
-    must lie within [1e-14, 1e-2], checked before any computation runs."""
+    for provenance.  Grid specs must parse nonempty, checked before any
+    computation runs."""
     bindings = {"command": args.cmd}
     for key, val in sorted(vars(args).items()):
         if key in _NON_BINDING_FLAGS or val is None or val is False:
             continue
         if key.endswith("grid"):
             _parse_grid(val)   # nonempty, well-formed
-        if key == "tol":
-            _check_tol(val)
         bindings[key] = val
     return bindings
 
@@ -57,20 +55,14 @@ def fmt(x) -> str:
         return ""
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     return f"{float(x):.12g}"
 
 
 def _round12(obj):
     if isinstance(obj, float):
         return float(fmt(obj)) if math.isfinite(obj) else str(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_round12(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -139,13 +131,6 @@ def _parse_ns(spec: str) -> list:
     return ns
 
 
-def _check_tol(value):
-    v = float(value)
-    if not 1e-14 <= v <= 1e-2:
-        raise DomainError(f"tolerance must lie in [1e-14, 1e-2], got {value}")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -181,11 +166,10 @@ def _cmd_micro(args):
 
 
 def _cmd_micro_critical(args):
+    # one row of diagram-micro --curves-out, and the region of --K
+    _, _, cols, curve_row = _DIAGRAMS["diagram-micro"]
     crit = micro.micro_criticals(args.u, args.K)
-    cols = ("u", "Kc2", "Kc1", "C", "region")
-    rows = [(crit.u, crit.k_second_order, crit.k_first_order,
-             crit.k_convexity, crit.region or "")]
-    _emit(args, cols, rows)
+    _emit(args, (*cols, "region"), [(*curve_row(crit), crit.region or "")])
 
 
 def _pad_roots(zs):

@@ -45,9 +45,22 @@ def _real(x):
     floats."""
     if type(x) is float:
         return x
-    if isinstance(x, (numbers.Real, np.bool_, decimal.Decimal)):
+    if isinstance(x, (numbers.Real, np.bool_)):
         return float(x)
+    if isinstance(x, decimal.Decimal):   # float() refuses a signaling NaN
+        return math.nan if x.is_snan() else float(x)
     return complex(x) if isinstance(x, np.complexfloating) else x
+
+
+def _positive(x, name):
+    """x as a Python float, or a DomainError naming it where it is a real
+    number that is not finite and positive; the TypeError of math.isfinite
+    where it is no real number."""
+    if type(x) is not float:   # _real's first test, without its call
+        x = _real(x)
+    if math.isfinite(x) and x > 0.0:
+        return x
+    raise DomainError(f"{name} must be finite and positive, got {x}")
 
 
 @dataclass(frozen=True)
@@ -103,18 +116,13 @@ class CanonicalParams:
     K: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _real(self.beta))
-        object.__setattr__(self, "K", _real(self.K))
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta must be finite and positive, got {self.beta}")
-        if not (math.isfinite(self.K) and self.K > 0.0):
-            raise DomainError(f"K must be finite and positive, got {self.K}")
+        object.__setattr__(self, "beta", _positive(self.beta, "beta"))
+        object.__setattr__(self, "K", _positive(self.K, "K"))
 
 
 def energy_domain(K: float) -> tuple[float, float]:
-    """Range [min(1-K, 0), 1] of the energy per site at coupling K."""
-    K = _real(K)
-    return (min(1.0 - K, 0.0), 1.0)
+    """Range [min(1-K, 0), 1] of the energy per site at coupling K > 0."""
+    return (min(1.0 - _positive(K, "K"), 0.0), 1.0)
 
 
 def _check_energy(u, domain):
@@ -141,9 +149,7 @@ class MicroParams:
     K: float
 
     def __post_init__(self):
-        object.__setattr__(self, "K", _real(self.K))
-        if not (math.isfinite(self.K) and self.K > 0.0):
-            raise DomainError(f"K must be finite and positive, got {self.K}")
+        object.__setattr__(self, "K", _positive(self.K, "K"))
         object.__setattr__(self, "u", _check_energy(self.u, energy_domain(self.K)))
 
 
@@ -182,6 +188,17 @@ def _tilted_moments(beta, t):
     return c0, (wp - wm) / d, (wm + wp) / d
 
 
+def _tilted_masses(beta, t):
+    """(nu_-, nu_0, nu_+) of the single-site measure tilted by t, max-shifted
+    and summed as in _tilted_moments: exact mirrors under t -> -t."""
+    shift = max(-beta - t, 0.0, -beta + t)
+    wm = math.exp(-beta - t - shift)
+    w0 = math.exp(-shift)
+    wp = math.exp(-beta + t - shift)
+    c = w0 + (wm + wp)
+    return wm / c, w0 / c, wp / c
+
+
 def _cumulant_from_moments(m1, m2, order):
     """Cumulant of given order from the raw moments of a {-1,0,1} variable.
 
@@ -207,15 +224,6 @@ def _cumulant_from_moments(m1, m2, order):
                 + 30.0 * m2sq * m2 - 120.0 * m1sq * m1sq - 270.0 * m2sq * m1sq
                 + 360.0 * m2 * m1sq * m1sq - 120.0 * m1sq * m1sq * m1sq)
     raise DomainError(f"derivative order must be in 0..6, got {order}")
-
-
-def _beta(beta):
-    """beta as a Python float, or a DomainError where it is not a finite
-    positive real number."""
-    beta = _real(beta)
-    if not (type(beta) is float and math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and positive, got {beta}")
-    return beta
 
 
 def _exactly_signed(value, scale, exact):
@@ -250,7 +258,7 @@ def cumulant(beta: float, t: float, order: int = 0) -> float:
     c'''(t) = c'(t) (1 - 3 m2 + 2 c'(t)^2).  No numerical differentiation
     is involved; finite differences appear only in the test suite.
     """
-    beta = _beta(beta)
+    beta = _positive(beta, "beta")
     t = _finite(t, "t")
     if order not in (0, 1, 2, 3, 4, 5, 6):
         raise DomainError(f"derivative order must be in 0..6, got {order}")
@@ -266,11 +274,7 @@ def cumulant(beta: float, t: float, order: int = 0) -> float:
 
 def single_site_measure(beta: float) -> Macrostate:
     """Quadratically tilted single-site measure (e^-beta, 1, e^-beta)/(1+2e^-beta)."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta must be finite and positive, got {beta}")
-    e = math.exp(-beta)
-    d = 1.0 + 2.0 * e
-    return Macrostate(e / d, 1.0 / d, e / d)
+    return Macrostate(*_tilted_masses(_positive(beta, "beta"), 0.0))
 
 
 def energy_per_site(mu: Macrostate, K: float) -> float:
@@ -309,7 +313,7 @@ def mean_tilt(beta: float, z: float) -> float:
     cancellation at small y or small a.  Where 2a(1-y) is not a normal float
     the tilt is taken in logs, with log a = -beta exactly.  Exactly odd in z.
     """
-    beta, z = _beta(beta), _real(z)
+    beta, z = _positive(beta, "beta"), _real(z)
     if not (type(z) is float and abs(z) < 1.0):
         raise DomainError(f"mean must satisfy |z| < 1, got {z}")
     if z == 0.0:
@@ -337,7 +341,7 @@ def cramer_rate(beta: float, z: float) -> float:
     rate stays finite with the analytic limit beta + log(1 + 2 e^-beta), the
     relative entropy of a pure +-1 state.
     """
-    beta, z = _beta(beta), _real(z)
+    beta, z = _positive(beta, "beta"), _real(z)
     if not (math.isfinite(z) and abs(z) <= 1.0):
         raise DomainError(f"mean must satisfy |z| <= 1, got {z}")
     if z == 0.0:

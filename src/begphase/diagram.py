@@ -39,6 +39,7 @@ from .core import (
     Macrostate,
     MicroParams,
     _check_energy,
+    _positive,
     _real,
     energy_domain,
 )
@@ -357,9 +358,7 @@ def nonequivalence_gap(K: float) -> tuple:
     critical points alone: no ensemble is solved at any grid point.  Empty
     outside 1 < K < K_c*, where nothing is inverted; from K_m* on the lower
     end is 0, and u_c1(K) is not inverted either."""
-    K = _real(K)
-    if not (math.isfinite(K) and K > 0.0):
-        raise DomainError(f"K must be finite and positive, got {K}")
+    K = _positive(K, "K")
     if not 1.0 < K < _KC_STAR:
         return ()
     return _gap_intervals(K, *_beta_c1_tie(K),
@@ -457,9 +456,7 @@ def equivalence_report(K: float, beta_grid=None, u_grid=None) -> EquivalenceRepo
     energy_domain(K).  An error the bounds cannot see (a tilt 2 beta K that
     leaves the float range, say) surfaces on first read.
     """
-    K = _real(K)
-    if not (math.isfinite(K) and K > 0.0):
-        raise DomainError(f"K must be finite and positive, got {K}")
+    K = _positive(K, "K")
     (b_star, b_tie), (u_star, u_tie) = _beta_star(K), _u_star(K)
     if beta_grid is None:
         beta_grid = _beta_grid(b_star)
@@ -491,8 +488,11 @@ def simplex_oracle(kind: str, *, beta: float | None = None, u: float | None = No
     instead would bias minimizers by the slab half-width times the shell
     sensitivity, overwhelming the comparison tolerances the oracle backs.)
     Returns (macrostates, min_value) with every scan point within 1e-9 of
-    the scanned minimum.
+    the scanned minimum.  The parameters are checked as CanonicalParams and
+    MicroParams check them, after tol and grid_step.
     """
+    if not 1e-14 <= tol <= 1e-2:
+        raise DomainError(f"tolerance must lie in [1e-14, 1e-2], got {tol}")
     if not 1e-4 <= grid_step <= 1e-2:
         raise DomainError(f"grid_step must lie in [1e-4, 1e-2], got {grid_step}")
     if kind not in ("canonical", "micro"):
@@ -503,7 +503,10 @@ def simplex_oracle(kind: str, *, beta: float | None = None, u: float | None = No
         raise DomainError("micro oracle needs u")
     N = int(round(1.0 / grid_step))
     if kind == "micro":
-        return _micro_shell_scan(u, K, N, tol)
+        params = MicroParams(u, K)
+        return _micro_shell_scan(params.u, params.K, N, tol)
+    params = CanonicalParams(beta, K)
+    beta, K = params.beta, params.K
     log3 = math.log(3.0)
 
     def row_values(i):

@@ -298,12 +298,6 @@ def _landau_poly(u, K, g):
     return g, b, c
 
 
-def _global_minima(u, K):
-    """(global minimizers, minimum value) of the shell rate."""
-    return even_global_minima(lambda z: _shell_rate(u, K, z),
-                              _local_minima(u, K))
-
-
 def _micro_minima(params):
     """(zs, best, lifts): the sorted global minimizers of the shell rate, its
     least value and {z: shell_macrostate(params, z)} over the distinct
@@ -314,10 +308,12 @@ def _micro_minima(params):
     retained.  At most three global minimizers can occur; more indicates a
     violated structural assumption and raises RuntimeError.
     """
-    zs, best = _global_minima(params.u, params.K)
+    u, K = params.u, params.K
+    zs, best = even_global_minima(lambda z: _shell_rate(u, K, z),
+                                  _local_minima(u, K))
     if len(zs) > 3:
         raise RuntimeError(
-            f"{len(zs)} tied global minima at (u, K) = ({params.u}, {params.K}); "
+            f"{len(zs)} tied global minima at (u, K) = ({u}, {K}); "
             f"the solver assumes at most three: {zs}")
     return zs, best, {z: shell_macrostate(params, z) for z in zs if z >= 0.0}
 
@@ -336,9 +332,9 @@ def solve_micro(params: MicroParams) -> MicroSolution:
 
 
 def micro_entropy(params: MicroParams) -> float:
-    """Microcanonical entropy: negative minimum of the shell rate (<= 0)."""
-    _, best = _global_minima(params.u, params.K)
-    return -best
+    """Microcanonical entropy: negative minimum of the shell rate (<= 0), from
+    _micro_minima, so that it refuses the (u, K) that solve_micro refuses."""
+    return -_micro_minima(params)[1]
 
 
 # ---------------------------------------------------------------------------

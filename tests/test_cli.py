@@ -280,6 +280,22 @@ def test_micro_quartic_beyond_the_float_range_exits_2(capsys, argv):
     assert "K ~ 1.5e51" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "canonical", "--beta", "1", "--K", "-1"],
+     "K must be finite and positive, got -1.0"),
+    (["--kind", "micro", "--u", "0.3", "--K", "0"],
+     "K must be finite and positive, got 0.0"),
+    (["--kind", "canonical", "--beta", "1", "--K", "1", "--tol", "0.5"],
+     "tolerance must lie in [1e-14, 1e-2], got 0.5"),
+], ids=["canonical-K", "micro-K", "tol"])
+def test_oracle_invalid_parameter_exits_2(capsys, argv, message):
+    # the canonical scan at K = -1 printed a minimum with exit code 0, and
+    # the micro scan at K = 0 divided by zero
+    code, out, err = run(capsys, ["oracle", *argv])
+    assert code == 2 and out == ""
+    assert err == f"domain error: {message}\n"
+
+
 def test_micro_at_the_bottom_of_the_energy_range(capsys):
     # the admissible set used to come out empty there: RuntimeError
     code, out, _ = run(capsys, ["micro", "--u", "-908.657904254718",

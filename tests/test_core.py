@@ -27,7 +27,7 @@ from begphase.core import (
     rel_entropy,
     single_site_measure,
 )
-from begphase.diagram import equivalence_report, nonequivalence_gap
+from begphase.diagram import equivalence_report, nonequivalence_gap, sweep_micro
 from begphase.micro import solve_micro
 
 
@@ -220,6 +220,18 @@ def test_macrostate_validation():
     assert abs(m.quad() - 0.7) < 1e-15
 
 
+@pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_energy_domain_refuses_the_couplings_micro_params_refuses(K):
+    # energy_domain returned (nan, 1.0), (-inf, 1.0) or (0.0, 1.0), and
+    # sweep_micro returned no rows at K = nan
+    with pytest.raises(DomainError) as want:
+        MicroParams(0.2, K)
+    for call in (lambda: energy_domain(K), lambda: sweep_micro([0.2], [K])):
+        with pytest.raises(DomainError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         CanonicalParams(0.0, 1.0)
@@ -258,23 +270,24 @@ def test_params_store_python_floats(kind):
     "1", b"1", None, 1.05 + 0j,
     pytest.param(np.complex128(1.05 + 0j), id="np.complex128(1.05+0j)"),
     pytest.param(np.complex128(1.05 + 3j), id="np.complex128(1.05+3j)"),
-    pytest.param(Decimal("NaN"), id="Decimal('NaN')")])
+    pytest.param(Decimal("NaN"), id="Decimal('NaN')"),
+    pytest.param(Decimal("sNaN"), id="Decimal('sNaN')")])
 def test_params_refuse_non_numbers_as_before(bad):
     # only real numbers are converted to float: a string is never parsed
     # into one, and fails the checks it failed before; a numpy complex is
-    # refused as a Python complex is, and a NaN Decimal as the float NaN is,
-    # by the finiteness checks (energy_domain checks no K)
+    # refused as a Python complex is, and a NaN Decimal, signaling or quiet,
+    # as the float NaN is, by the finiteness checks (a signaling NaN raised
+    # a ValueError that named no parameter, and cumulant refused a non-real
+    # beta with a DomainError)
     nan = isinstance(bad, Decimal)
     for make in (lambda: CanonicalParams(bad, 1.0), lambda: CanonicalParams(1.0, bad),
                  lambda: MicroParams(bad, 1.0), lambda: MicroParams(0.5, bad),
                  lambda: nonequivalence_gap(bad),
                  lambda: equivalence_report(1.05, [bad], [0.2]),
                  lambda: equivalence_report(1.05, [1.0], [bad]),
-                 *([] if nan else [lambda: energy_domain(bad)])):
+                 lambda: energy_domain(bad), lambda: cumulant(bad, 0.5, 1)):
         with pytest.raises(DomainError if nan else TypeError):
             make()
-    with pytest.raises(DomainError):
-        cumulant(bad, 0.5, 1)
     with pytest.raises(DomainError):
         cumulant(1.0, bad, 1)
 

@@ -42,6 +42,7 @@ from begphase.micro import (
     U_STAR,
     _first_order_coupling_u,
     first_order_coupling_u,
+    micro_entropy,
     second_order_coupling_u,
     shell_macrostate,
     solve_micro,
@@ -330,13 +331,15 @@ def test_sweep_micro_rows_are_the_solves_bit_for_bit(u, Ks, m):
 def test_sweep_micro_refuses_where_solve_micro_does():
     # the lift of z = 0.2236 leaves the simplex (q = u + K z^2 rounds at
     # ulp(K) = 16): it alone refuses a row whose entropy -1.111 < -log 3
-    # no macrostate can have
+    # no macrostate can have, and micro_entropy, which returned that entropy
     u, K = -4999999999999992.0, 1e17
     with pytest.raises(DomainError) as want:
         solve_micro(MicroParams(u, K))
-    with pytest.raises(DomainError) as got:
-        sweep_micro([u], [K])
-    assert str(got.value) == str(want.value)
+    for call in (lambda: sweep_micro([u], [K]),
+                 lambda: micro_entropy(MicroParams(u, K))):
+        with pytest.raises(DomainError) as got:
+            call()
+        assert str(got.value) == str(want.value)
     assert "masses must lie in [0, 1]" in str(got.value)
 
 
@@ -425,6 +428,16 @@ def test_oracle_validation():
         simplex_oracle("banana", beta=1.0, K=1.0)
     with pytest.raises(DomainError):
         simplex_oracle("micro", K=1.0)
+    # the parameters are checked as the params types check them: the scan
+    # returned a minimum at K = -1 and ([], inf) at beta = nan, and divided
+    # by zero at K = 0
+    for kind, kw, name in (("canonical", dict(beta=1.0, K=-1.0), "K"),
+                           ("canonical", dict(beta=math.nan, K=1.0), "beta"),
+                           ("micro", dict(u=0.3, K=0.0), "K")):
+        with pytest.raises(DomainError, match=f"^{name} must be finite and positive"):
+            simplex_oracle(kind, **kw)
+    with pytest.raises(DomainError, match="tolerance must lie in"):
+        simplex_oracle("canonical", beta=1.0, K=1.0, tol=0.5)
 
 
 # ---------------------------------------------------------------------------

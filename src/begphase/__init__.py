@@ -38,7 +38,6 @@ from .canonical import (
     tangency,
     tilt_macrostate,
     tilt_potential,
-    well_depth,
 )
 from .micro import (
     MicroCriticals,

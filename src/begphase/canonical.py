@@ -48,10 +48,10 @@ from .rootfind import (bisect_newton, even_global_minima, last_point,
 _LOG4_LO = 4.638093627692599e-17
 
 #: Largest inverse temperature the critical couplings accept: the range
-#: where well_depth, the independent check of the first-order coupling,
-#: stays finite up to the spinodal e^beta/(4 beta).  It squares the tilt
-#: 2 beta K, which there overflows near beta = 356; e^beta itself overflows
-#: near beta = 709.8.
+#: where well_depth, the tests' oracle for the first-order coupling (in
+#: tests/conftest.py), stays finite up to the spinodal e^beta/(4 beta).  It
+#: squares the tilt 2 beta K, which there overflows near beta = 356; e^beta
+#: itself overflows near beta = 709.8.
 BETA_MAX = 300.0
 
 
@@ -257,7 +257,7 @@ def mag_potential(params: CanonicalParams, z: float, order: int = 0) -> float:
 def _check_beta(beta):
     """beta as a Python float, or a DomainError where it is not in
     (0, BETA_MAX]."""
-    beta = _real(beta)
+    beta = _real(beta, "beta")
     if not (math.isfinite(beta) and 0.0 < beta <= BETA_MAX):
         raise DomainError(
             f"beta must be finite and in (0, BETA_MAX = {BETA_MAX}]: above it "
@@ -356,7 +356,7 @@ def tangency(beta: float) -> tuple[float, float, float]:
     """(w_tangent, k_tangent, k_spinodal) for beta > BETA_C: the root of
     g = w c'' - c', where the line through 0 touches c' (sqrt(10 (beta -
     log 4)) next to log 4), its coupling and the z = 0 curvature coupling."""
-    beta = _real(beta)
+    beta = _real(beta, "beta")
     return (*_tilt_root(beta, 1)[:2], second_order_coupling(beta))
 
 
@@ -417,19 +417,6 @@ def positive_well(beta: float, K: float) -> float:
     return w
 
 
-def well_depth(beta: float, K: float) -> float:
-    """Tilt-potential value at the positive well, relative to the value 0 at
-    the origin.  Continuous and strictly decreasing in K on [k_tangent, inf);
-    positive just above tangency, negative beyond the spinodal.  Its unique
-    zero is the first-order coupling."""
-    beta, K = _real(beta), _real(K)
-    w1, k1, _ = tangency(beta)
-    if K < k1 - 1e-12:
-        raise DomainError(f"well depth defined for K >= {k1} at beta = {beta}, got {K}")
-    w = w1 if K <= k1 + 1e-12 else positive_well(beta, K)
-    return tilt_potential(CanonicalParams(beta, K), w, 0)
-
-
 def first_order_coupling(beta: float) -> float:
     """Coupling at which the positive well reaches depth zero (beta > BETA_C).
 
@@ -439,7 +426,7 @@ def first_order_coupling(beta: float) -> float:
     (sqrt(15 (beta - log 4)) next to log 4) gives w*/(2 beta c'(w*)).
     The raw root, which canonical_criticals clamps within rounding next to log 4.
     """
-    return _first_order_coupling(_real(beta))[0]
+    return _first_order_coupling(_real(beta, "beta"))[0]
 
 
 def _first_order_coupling(beta):

@@ -36,28 +36,26 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-def _real(x):
+def _real(x, name):
     """x as a Python float when it is a real number (an int, a bool, a float,
     a Fraction, a Decimal or a numpy scalar of any precision, np.bool_
-    included), else x itself for the caller's check to refuse; a numpy
-    complex comes back as a Python complex, so that it is refused with the
-    same TypeError.  The solvers then run in double precision on plain
-    floats."""
+    included), else a TypeError naming it: a string, None, a complex or a
+    numpy array, 0-d included, is no real number.  The solvers then run in
+    double precision on plain floats."""
     if type(x) is float:
         return x
     if isinstance(x, (numbers.Real, np.bool_)):
         return float(x)
     if isinstance(x, decimal.Decimal):   # float() refuses a signaling NaN
         return math.nan if x.is_snan() else float(x)
-    return complex(x) if isinstance(x, np.complexfloating) else x
+    raise TypeError(f"{name} must be a real number, got {x!r}")
 
 
 def _positive(x, name):
-    """x as a Python float, or a DomainError naming it where it is a real
-    number that is not finite and positive; the TypeError of math.isfinite
-    where it is no real number."""
+    """x as a Python float, or a DomainError naming it where it is not finite
+    and positive; the TypeError of _real where it is no real number."""
     if type(x) is not float:   # _real's first test, without its call
-        x = _real(x)
+        x = _real(x, name)
     if math.isfinite(x) and x > 0.0:
         return x
     raise DomainError(f"{name} must be finite and positive, got {x}")
@@ -92,9 +90,6 @@ class Macrostate:
         """Average squared spin (fraction of nonzero sites), in [0, 1]."""
         return self.nu_plus + self.nu_minus
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.nu_minus, self.nu_zero, self.nu_plus])
-
     def isclose(self, other, tol=1e-9) -> bool:
         return (abs(self.nu_minus - other.nu_minus) <= tol
                 and abs(self.nu_zero - other.nu_zero) <= tol
@@ -128,7 +123,7 @@ def energy_domain(K: float) -> tuple[float, float]:
 def _check_energy(u, domain):
     """u as a Python float, or a DomainError where it is not a finite point
     of domain = energy_domain(K)."""
-    u = _real(u)
+    u = _real(u, "u")
     lo, hi = domain
     if not (math.isfinite(u) and lo <= u <= hi):
         raise DomainError(
@@ -239,10 +234,10 @@ def _exactly_signed(value, scale, exact):
 
 
 def _finite(x, name):
-    """x as a Python float, or a DomainError naming it where it is not a
-    finite real number."""
-    x = _real(x)
-    if not (type(x) is float and math.isfinite(x)):
+    """x as a Python float, or a DomainError naming it where it is not
+    finite; the TypeError of _real where it is no real number."""
+    x = _real(x, name)
+    if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     return x
 
@@ -290,7 +285,8 @@ def rel_entropy(mu: Macrostate, base: Macrostate) -> float:
     rate of the empirical spin frequencies.
     """
     total = 0.0
-    for m, b in zip(mu.as_array(), base.as_array()):
+    for m, b in ((mu.nu_minus, base.nu_minus), (mu.nu_zero, base.nu_zero),
+                 (mu.nu_plus, base.nu_plus)):
         if b <= 0.0:
             raise DomainError("base measure must have strictly positive masses")
         if m > 0.0:
@@ -313,8 +309,8 @@ def mean_tilt(beta: float, z: float) -> float:
     cancellation at small y or small a.  Where 2a(1-y) is not a normal float
     the tilt is taken in logs, with log a = -beta exactly.  Exactly odd in z.
     """
-    beta, z = _positive(beta, "beta"), _real(z)
-    if not (type(z) is float and abs(z) < 1.0):
+    beta, z = _positive(beta, "beta"), _real(z, "z")
+    if not abs(z) < 1.0:
         raise DomainError(f"mean must satisfy |z| < 1, got {z}")
     if z == 0.0:
         return 0.0
@@ -341,7 +337,7 @@ def cramer_rate(beta: float, z: float) -> float:
     rate stays finite with the analytic limit beta + log(1 + 2 e^-beta), the
     relative entropy of a pure +-1 state.
     """
-    beta, z = _positive(beta, "beta"), _real(z)
+    beta, z = _positive(beta, "beta"), _real(z, "z")
     if not (math.isfinite(z) and abs(z) <= 1.0):
         raise DomainError(f"mean must satisfy |z| <= 1, got {z}")
     if z == 0.0:

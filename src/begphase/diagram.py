@@ -159,7 +159,7 @@ def beta_c2_of_K(K: float) -> float:
     where the curve's lower bound 3/(4 beta) + 1/4 reaches K: left of the
     root, from where Newton on the convex curve approaches it from one side.
     """
-    K = _real(K)
+    K = _real(K, "K")
     k_lo, k_hi = _KC_STAR, second_order_coupling(0.02)
     if not k_lo <= K <= k_hi:
         raise DomainError(
@@ -187,7 +187,7 @@ def beta_c1_of_K(K: float) -> float:
 def _beta_c1_tie(K):
     """(beta_c1(K), _first_order_coupling(beta_c1(K))): the tie of the last
     Newton iterate, which bisect_newton returns, read back from last_point."""
-    K = _real(K)
+    K = _real(K, "K")
     if not 1.0 < K < _KC_STAR:
         raise DomainError(
             f"K = {K} has no first-order canonical transition: the first-order "
@@ -211,7 +211,7 @@ def u_c2_of_K(K: float) -> float:
     tangent 6(2/3 - u) of the concave 2u lambda at 2/3 reaches 1/K, right
     of the root, from where Newton approaches it from one side.
     """
-    K = _real(K)
+    K = _real(K, "K")
     if not K_STAR <= K < math.inf:
         raise DomainError(
             f"K = {K} has no second-order microcanonical transition: the "
@@ -248,7 +248,7 @@ def _u_c1_tie(K):
     """(u_c1(K), _first_order_coupling_u(u_c1(K))): the tie of the last
     Newton iterate, read back from last_point, or solved at u* where the
     search ends on that closed-form end."""
-    K = _real(K)
+    K = _real(K, "K")
     if not 1.0 < K < K_STAR:
         raise DomainError(
             f"K = {K} has no first-order microcanonical transition: the "

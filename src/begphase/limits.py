@@ -32,10 +32,6 @@ MAX_PMF_N = 20000
 #: returns takes 4 bytes per step, 1 GiB at this bound.
 MAX_METROPOLIS_STEPS = 2 ** 28
 
-#: Largest n for which the sampler also tallies full configurations
-#: (3^n states), enabling exact stationarity checks on tiny systems.
-CONFIG_TALLY_MAX_N = 8
-
 
 def _is_int(x) -> bool:
     """An int or numpy integer, but not a bool."""
@@ -212,16 +208,12 @@ def ks_distance(points: np.ndarray, probabilities: np.ndarray, cdf,
     return float(np.max(np.abs(disc - cont)))
 
 
-def phase_weights(params: CanonicalParams) -> tuple:
+def _phase_weights(params, z_points):
     """Limit weights b_j of the minimizers z_j for the law of S_n / n.
 
     Each minimizer carries weight proportional to its asymptotic variance;
     a symmetric pair therefore splits as (1/2, 1/2).
     """
-    return _phase_weights(params, solve_canonical(params).z_points)
-
-
-def _phase_weights(params, z_points):
     sigmas = [classify_minimum(params, z).sigma2 for z in z_points]
     if any(s is None for s in sigmas):
         raise DomainError("phase weights need all minima of type 1")
@@ -270,8 +262,6 @@ def conditioned_clt_check(n: int, params: CanonicalParams, j: str = "+",
     normal law with the minimizer's asymptotic variance.  Default window
     half-width min(0.1, z/2) isolates one phase while keeping mass.
     """
-    from scipy.special import ndtr
-
     sol = solve_canonical(params)
     zpos = max(abs(z) for z in sol.z_points)
     if len(sol.z_points) < 2 or zpos == 0.0:
@@ -288,9 +278,8 @@ def conditioned_clt_check(n: int, params: CanonicalParams, j: str = "+",
     probs = pmf.probabilities[keep]
     probs = probs / probs.sum()
     xs = (pmf.spins[keep] - n * zj) / math.sqrt(n)
-    sigma2 = classify_minimum(params, zj).sigma2
-    return ks_distance(xs, probs, lambda x: ndtr(x / math.sqrt(sigma2)),
-                       1.0 / math.sqrt(n))
+    density = limit_density(classify_minimum(params, zj))
+    return ks_distance(xs, probs, density.cdf, 1.0 / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +292,7 @@ class MetropolisResult:
 
     s_probs is the empirical law of the total spin over the chain (support
     -n..n); spin_freq the time-averaged empirical spin frequencies; trace the
-    total spin after every step; config_probs the empirical law over all 3^n
-    configurations (tallied only for n <= CONFIG_TALLY_MAX_N, else None).
+    total spin after every step.
     """
 
     n: int
@@ -316,7 +304,6 @@ class MetropolisResult:
     spin_freq: Macrostate
     trace: np.ndarray
     acceptance_rate: float
-    config_probs: np.ndarray | None
 
 
 # proposal table: for the current spin value (index s+1), the two other values
@@ -380,12 +367,10 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     is accepted, 0 when it is rejected.  Everything else comes from these
     bytes, read as int8, one block at a time: the trace is S plus their
     running sum; a step is accepted exactly when ds != 0, since a proposal
-    always differs from the current spin; the change of the sum of squared
-    spins Q follows from ds and the pick (_DQ); and for n <=
-    CONFIG_TALLY_MAX_N the configuration code sum_j 3^j (spin_j + 1) moves
-    by ds 3^j at the chosen site j.  Memory is O(m) for the table with
-    m = min(n, steps), plus the trace of 4 bytes per step, which caps steps
-    at MAX_METROPOLIS_STEPS.
+    always differs from the current spin; and the change of the sum of
+    squared spins Q follows from ds and the pick (_DQ).  Memory is O(m) for
+    the table with m = min(n, steps), plus the trace of 4 bytes per step,
+    which caps steps at MAX_METROPOLIS_STEPS.
     """
     if not (_is_int(n) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n}")
@@ -407,10 +392,6 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     trace = np.empty(steps, dtype=np.int32)
     acc = 0
     sum_q = 0  # sum of Q over the steps; Q + S = 2 n_+ at every step
-    tally_configs = n <= CONFIG_TALLY_MAX_N
-    if tally_configs:
-        config_counts = np.zeros(3 ** n, dtype=np.int64)
-        code = (3 ** n - 1) // 2  # every spin 0
     done = 0
     while done < steps:
         block = min(65536, steps - done)
@@ -444,11 +425,6 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
         np.cumsum(q, out=q)
         q += Q
         sum_q += int(q.sum())
-        if tally_configs:
-            codes = np.cumsum(ds * 3 ** sites)
-            codes += code
-            config_counts += np.bincount(codes, minlength=3 ** n)
-            code = int(codes[-1])
         S, Q = int(block_s[-1]), int(q[-1])
         done += block
     for pair in table:
@@ -459,25 +435,7 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     freq_plus = sum_plus / (steps * n)
     freq_zero = sum_zero / (steps * n)
     spin_freq = Macrostate(1.0 - freq_plus - freq_zero, freq_zero, freq_plus)
-    config_probs = config_counts / steps if tally_configs else None
     return MetropolisResult(n=n, beta=params.beta, K=params.K, steps=steps,
                             seed=seed, s_probs=s_probs, spin_freq=spin_freq,
-                            trace=trace, acceptance_rate=acc / steps,
-                            config_probs=config_probs)
+                            trace=trace, acceptance_rate=acc / steps)
 
-
-def exact_config_probs(n: int, params: CanonicalParams) -> np.ndarray:
-    """Exact ensemble probabilities over all 3^n configurations, indexed by
-    base-3 code sum_j 3^j (spin_j + 1).  Oracle for sampler stationarity."""
-    from scipy.special import logsumexp
-
-    if n > CONFIG_TALLY_MAX_N:
-        raise DomainError(f"full enumeration capped at n = {CONFIG_TALLY_MAX_N}")
-    beta, K = params.beta, params.K
-    codes = np.arange(3 ** n)
-    digits = (codes[:, None] // np.array([3 ** j for j in range(n)])) % 3 - 1
-    S = digits.sum(axis=1)
-    Q = (digits * digits).sum(axis=1)
-    log_w = -beta * Q + beta * K * S * S / n
-    probs = np.exp(log_w - logsumexp(log_w))
-    return probs / probs.sum()

@@ -348,7 +348,7 @@ def second_order_coupling_u(u: float) -> float:
     At u >= 2/3 the logarithm is nonpositive and the curvature relation
     degenerates (the uniform state, with energy 2/3, never destabilizes).
     """
-    u = _real(u)
+    u = _real(u, "u")
     if not (math.isfinite(u) and 0.0 < u < 2.0 / 3.0):
         raise DomainError(
             f"second-order coupling needs 0 < u < 2/3 (the z = 0 curvature "
@@ -468,7 +468,7 @@ def convexity_threshold(u: float) -> float:
     pinch band, so the threshold jumps from 1 to about 0.786 there; at
     u >= 1/2 no coupling is non-convex and a DomainError is raised.
     """
-    u = _real(u)
+    u = _real(u, "u")
     if not (math.isfinite(u) and 0.0 < u < 0.5):
         raise DomainError(
             f"convexity threshold needs 0 < u < 1/2 (for u >= 1/2 the shell "
@@ -680,7 +680,7 @@ def first_order_coupling_u(u: float) -> float:
     0 < u <= U_STAR, where k2(u) < C(u); elsewhere the transition in K is
     continuous and a DomainError is raised.
     """
-    u = _real(u)
+    u = _real(u, "u")
     if not 0.0 < u <= U_STAR:
         raise DomainError(
             f"first-order coupling needs 0 < u <= u* = {U_STAR} (the "
@@ -697,7 +697,7 @@ def micro_criticals(u: float, K: float | None = None) -> MicroCriticals:
     DomainError.  Kc1(u) is solved only in the first-order regime
     0 < u <= U_STAR, down to the subnormal u where k2 and C overflow and
     Kc1 rounds to 1; it is capped at k2, which rounding crosses next to u*."""
-    u, K = _finite(u, "u"), _real(K)
+    u, K = _finite(u, "u"), None if K is None else _real(K, "K")
     try:
         k2 = second_order_coupling_u(u)
     except DomainError:     # u outside (0, 2/3), or k2 past the float range

@@ -7,10 +7,11 @@ from array import array
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from begphase.canonical import solve_canonical
-from begphase.core import CanonicalParams, Macrostate, MicroParams
+from begphase.canonical import (positive_well, solve_canonical, tangency,
+                                tilt_potential)
+from begphase.core import CanonicalParams, DomainError, Macrostate, MicroParams
 from begphase.diagram import _default_beta_grid, _default_u_grid
-from begphase.limits import CONFIG_TALLY_MAX_N, _PROPOSALS, MetropolisResult
+from begphase.limits import _PROPOSALS, MetropolisResult
 from begphase.micro import solve_micro
 from begphase.rootfind import _landau_starts, bisect_newton
 
@@ -56,11 +57,46 @@ def summed_spin_pmf(n, beta, K):
     return probs / probs.sum()
 
 
+def well_depth(beta, K):
+    """Tilt-potential value at the positive well, relative to the value 0 at
+    the origin.  Continuous and strictly decreasing in K on [k_tangent, inf);
+    positive just above tangency, negative beyond the spinodal.  Its unique
+    zero is the first-order coupling."""
+    w1, k1, _ = tangency(beta)
+    params = CanonicalParams(beta, K)
+    if params.K < k1 - 1e-12:
+        raise DomainError(f"well depth defined for K >= {k1} at beta = {beta}, "
+                          f"got {K}")
+    w = w1 if params.K <= k1 + 1e-12 else positive_well(beta, K)
+    return tilt_potential(params, w, 0)
+
+
+#: Largest n whose 3^n configurations are enumerated (exact_config_probs)
+#: and tallied (reference_metropolis).
+CONFIG_TALLY_MAX_N = 8
+
+
+def exact_config_probs(n, params):
+    """Exact ensemble probabilities over all 3^n configurations, indexed by
+    base-3 code sum_j 3^j (spin_j + 1).  Oracle for sampler stationarity."""
+    assert n <= CONFIG_TALLY_MAX_N
+    beta, K = params.beta, params.K
+    codes = np.arange(3 ** n)
+    digits = (codes[:, None] // np.array([3 ** j for j in range(n)])) % 3 - 1
+    S = digits.sum(axis=1)
+    Q = (digits * digits).sum(axis=1)
+    log_w = -beta * Q + beta * K * S * S / n
+    probs = np.exp(log_w - logsumexp(log_w))
+    return probs / probs.sum()
+
+
 def reference_metropolis(n, params, steps, seed):
     """The Metropolis chain of metropolis_sampler by its first per-step loop:
     the spin, S, Q, the acceptance count and the configuration code are all
     updated at every step.  Oracle for the sampler's tallies, which are
-    recovered from the total-spin trace instead."""
+    recovered from the total-spin trace instead.  Returns the
+    MetropolisResult and the empirical law over all 3^n configurations,
+    indexed as in exact_config_probs (None for n > CONFIG_TALLY_MAX_N)."""
     beta, K = params.beta, params.K
     bK = beta * K
     m = min(n, steps)
@@ -121,10 +157,10 @@ def reference_metropolis(n, params, steps, seed):
     freq_plus = sum_plus / (steps * n)
     freq_zero = sum_zero / (steps * n)
     spin_freq = Macrostate(1.0 - freq_plus - freq_zero, freq_zero, freq_plus)
-    return MetropolisResult(
+    result = MetropolisResult(
         n=n, beta=beta, K=K, steps=steps, seed=seed, s_probs=counts / steps,
-        spin_freq=spin_freq, trace=trace, acceptance_rate=acc / steps,
-        config_probs=config_counts / steps if tally_configs else None)
+        spin_freq=spin_freq, trace=trace, acceptance_rate=acc / steps)
+    return result, config_counts / steps if tally_configs else None
 
 
 def reference_piecewise_minima(fp, fpp, fppp, cuts, lo, hi, *, ends=None,

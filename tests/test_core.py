@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import central_diff, constrained_mean_entropy, random_macrostates
+from conftest import (central_diff, constrained_mean_entropy, random_macrostates,
+                      well_depth)
 
-from begphase import canonical, micro
+from begphase import canonical, diagram, micro
 from begphase.canonical import cumulant_inflection, solve_canonical
 from begphase.core import (
     BETA_C,
@@ -271,25 +272,44 @@ def test_params_store_python_floats(kind):
     pytest.param(np.complex128(1.05 + 0j), id="np.complex128(1.05+0j)"),
     pytest.param(np.complex128(1.05 + 3j), id="np.complex128(1.05+3j)"),
     pytest.param(Decimal("NaN"), id="Decimal('NaN')"),
-    pytest.param(Decimal("sNaN"), id="Decimal('sNaN')")])
+    pytest.param(Decimal("sNaN"), id="Decimal('sNaN')"),
+    pytest.param(np.array(1.05), id="np.array(1.05)")])
 def test_params_refuse_non_numbers_as_before(bad):
     # only real numbers are converted to float: a string is never parsed
     # into one, and fails the checks it failed before; a numpy complex is
     # refused as a Python complex is, and a NaN Decimal, signaling or quiet,
     # as the float NaN is, by the finiteness checks (a signaling NaN raised
     # a ValueError that named no parameter, and cumulant refused a non-real
-    # beta with a DomainError)
+    # beta with a DomainError); a 0-d numpy array was stored as it came, and
+    # the first solve raised a TypeError that named no parameter; cumulant
+    # refused a non-real t as a DomainError, "t must be finite"
     nan = isinstance(bad, Decimal)
     for make in (lambda: CanonicalParams(bad, 1.0), lambda: CanonicalParams(1.0, bad),
                  lambda: MicroParams(bad, 1.0), lambda: MicroParams(0.5, bad),
                  lambda: nonequivalence_gap(bad),
                  lambda: equivalence_report(1.05, [bad], [0.2]),
                  lambda: equivalence_report(1.05, [1.0], [bad]),
-                 lambda: energy_domain(bad), lambda: cumulant(bad, 0.5, 1)):
+                 lambda: energy_domain(bad), lambda: cumulant(bad, 0.5, 1),
+                 lambda: cumulant(1.0, bad, 1), lambda: mean_tilt(1.0, bad),
+                 lambda: cramer_rate(1.0, bad)):
         with pytest.raises(DomainError if nan else TypeError):
             make()
-    with pytest.raises(DomainError):
-        cumulant(1.0, bad, 1)
+
+
+@pytest.mark.parametrize("fn", [
+    canonical.second_order_coupling, canonical.cumulant_inflection,
+    canonical.tangency, canonical.first_order_coupling,
+    canonical.canonical_criticals, micro.second_order_coupling_u,
+    micro.convexity_threshold, micro.first_order_coupling_u,
+    diagram.beta_c1_of_K, diagram.beta_c2_of_K, diagram.u_c1_of_K,
+    diagram.u_c2_of_K], ids=lambda fn: fn.__name__)
+def test_one_number_functions_refuse_non_reals_by_name(fn):
+    # a 0-d numpy array ran through the inversions and the micro couplings
+    # and came back as a numpy float64; tangency and first_order_coupling
+    # refused a string with a TypeError that named no parameter
+    for bad in ("1", None, 1.05 + 0j, np.array(1.05)):
+        with pytest.raises(TypeError, match="must be a real number"):
+            fn(bad)
 
 
 def test_cumulant_takes_numpy_scalars_in_double_precision():
@@ -310,7 +330,7 @@ def test_cumulant_takes_numpy_scalars_in_double_precision():
     (canonical.canonical_criticals, (), 2.0),
     (canonical.positive_well, (1.05,), 2.0),
     (lambda K, b: canonical.positive_well(b, K), (2.0,), 1.05),
-    (canonical.well_depth, (1.05,), 2.0),
+    (well_depth, (1.05,), 2.0),
     (micro.second_order_coupling_u, (), 0.25),
     (micro.first_order_coupling_u, (), 0.25),
     (micro.convexity_threshold, (), 0.25),

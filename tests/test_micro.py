@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -79,8 +80,8 @@ def test_admissible_domain_structures():
     for (lo, hi) in admissible_domain(MicroParams(0.3, 1.4)):
         for z in (lo, hi):
             mac = shell_macrostate(MicroParams(0.3, 1.4), z)
-            assert min(mac.as_array()) >= -1e-12
-            assert max(mac.as_array()) <= 1.0 + 1e-12
+            assert min(astuple(mac)) >= -1e-12
+            assert max(astuple(mac)) <= 1.0 + 1e-12
 
 
 @st.composite

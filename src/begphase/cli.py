@@ -29,14 +29,14 @@ _NON_BINDING_FLAGS = {"fn", "cmd", "format", "out", "curves_out"}
 
 def _bindings(args) -> dict:
     """The command and every parameter flag set, echoed into output headers
-    for provenance.  Grid specs must parse nonempty, checked before any
-    computation runs."""
+    for provenance.  Grid specs must parse, checked before any computation
+    runs."""
     bindings = {"command": args.cmd}
     for key, val in sorted(vars(args).items()):
         if key in _NON_BINDING_FLAGS or val is None or val is False:
             continue
         if key.endswith("grid"):
-            _parse_grid(val)   # nonempty, well-formed
+            _parse_grid(val)   # well-formed, of at most MAX_GRID_POINTS
         bindings[key] = val
     return bindings
 
@@ -112,11 +112,7 @@ def _parse_grid(spec: str) -> list:
     if span >= MAX_GRID_POINTS:
         raise DomainError(f"grid spec {spec!r} gives more than "
                           f"{MAX_GRID_POINTS} points")
-    npts = int(span) + 1
-    grid = [start + i * step for i in range(npts)]
-    if not grid:
-        raise DomainError(f"grid {spec!r} is empty")
-    return grid
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 def _parse_ns(spec: str) -> list:

@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import minimum_type, solve_canonical
+from .canonical import mag_potential, minimum_type, solve_canonical
 from .core import CanonicalParams, DomainError, Macrostate, cumulant
 
 #: Largest n accepted by exact_spin_pmf.  It bounds the size of the output
 #: (three arrays of 2n + 1 entries); the cost of the law is O(n).
 MAX_PMF_N = 20000
 
-#: Largest chain accepted by metropolis_sampler.  The total-spin trace it
-#: returns takes 4 bytes per step, 1 GiB at this bound.
+#: Largest chain accepted by metropolis_sampler.  It bounds the run time, not
+#: memory: at 0.11-0.13 us per step on a 2-core Intel Xeon, 30-35 s.
 MAX_METROPOLIS_STEPS = 2 ** 28
 
 
@@ -211,14 +211,19 @@ def ks_distance(points: np.ndarray, probabilities: np.ndarray, cdf,
 def _phase_weights(params, z_points):
     """Limit weights b_j of the minimizers z_j for the law of S_n / n.
 
-    Each minimizer carries weight proportional to its asymptotic variance;
-    a symmetric pair therefore splits as (1/2, 1/2).
+    b_j is proportional to G''(z_j)^(-1/2): the wells share the depth min G,
+    so the mass near z_j is the Gaussian integral of e^(-n G) over its well
+    (Ellis-Newman-Rosen 1980).  A symmetric pair splits as (1/2, 1/2).
+    DomainError where some G'' is not a positive float.
     """
-    sigmas = [classify_minimum(params, z).sigma2 for z in z_points]
-    if any(s is None for s in sigmas):
-        raise DomainError("phase weights need all minima of type 1")
-    total = sum(sigmas)
-    return tuple(s / total for s in sigmas)
+    curvatures = [mag_potential(params, z, 2) for z in z_points]
+    if not all(0.0 < g < math.inf for g in curvatures):
+        raise DomainError(
+            f"phase weights need G'' > 0 at the minimizers {list(z_points)} "
+            f"of (beta, K) = ({params.beta}, {params.K}), got {curvatures}")
+    roots = [g ** -0.5 for g in curvatures]
+    total = sum(roots)
+    return tuple(r / total for r in roots)
 
 
 def convergence_diagnostic(n_ladder, params: CanonicalParams) -> list[float]:
@@ -227,7 +232,8 @@ def convergence_diagnostic(n_ladder, params: CanonicalParams) -> list[float]:
     Unique-minimum regime: Kolmogorov-Smirnov distance between the law of
     S_n / n^(1-1/2r) and the limit density of the minimum's type.  Multiple
     minima: total variation distance between the law of S_n / n smeared over
-    windows around each minimizer and the discrete limit law sum_j b_j at z_j.
+    windows around each minimizer and the discrete limit law sum_j b_j at z_j,
+    with b_j proportional to G''(z_j)^(-1/2) (_phase_weights).
     """
     sol = solve_canonical(params)
     out = []
@@ -291,8 +297,7 @@ class MetropolisResult:
     """Empirical output of a single-site Metropolis chain.
 
     s_probs is the empirical law of the total spin over the chain (support
-    -n..n); spin_freq the time-averaged empirical spin frequencies; trace the
-    total spin after every step.
+    -n..n); spin_freq the time-averaged empirical spin frequencies.
     """
 
     n: int
@@ -302,7 +307,6 @@ class MetropolisResult:
     seed: int
     s_probs: np.ndarray
     spin_freq: Macrostate
-    trace: np.ndarray
     acceptance_rate: float
 
 
@@ -365,12 +369,12 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     a swap of the site's pair and an update of S + m.  The loop records
     only the change ds of S, as one byte: the move's ds % 256 when the step
     is accepted, 0 when it is rejected.  Everything else comes from these
-    bytes, read as int8, one block at a time: the trace is S plus their
+    bytes, read as int8, one block at a time: the path of S is S plus their
     running sum; a step is accepted exactly when ds != 0, since a proposal
     always differs from the current spin; and the change of the sum of
-    squared spins Q follows from ds and the pick (_DQ).  Memory is O(m) for
-    the table with m = min(n, steps), plus the trace of 4 bytes per step,
-    which caps steps at MAX_METROPOLIS_STEPS.
+    squared spins Q follows from ds and the pick (_DQ).  Memory is O(n) for
+    the table and the state plus one block of draws and one of S, whatever
+    the length of the chain; MAX_METROPOLIS_STEPS bounds its run time.
     """
     if not (_is_int(n) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n}")
@@ -379,7 +383,7 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     if steps > MAX_METROPOLIS_STEPS:
         raise DomainError(
             f"steps must be at most MAX_METROPOLIS_STEPS = {MAX_METROPOLIS_STEPS}:"
-            f" the total-spin trace takes 4 bytes per step, got {steps}")
+            f" a bound on the run time of the chain, got {steps}")
     if not (_is_int(seed) and seed >= 0):
         raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     m = min(n, steps)  # |S| <= m all along the chain, which starts at S = 0
@@ -389,7 +393,7 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     Sm = m      # S + m, the row index
     S = Q = 0   # at the end of the last block
     counts = np.zeros(2 * n + 1, dtype=np.int64)
-    trace = np.empty(steps, dtype=np.int32)
+    block_s = np.empty(min(65536, steps), dtype=np.int32)  # S over a block
     acc = 0
     sum_q = 0  # sum of Q over the steps; Q + S = 2 n_+ at every step
     done = 0
@@ -415,21 +419,21 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
         del us
         ds = np.frombuffer(bytearray(buf), np.int8)  # the change of S per step
         del buf
-        block_s = trace[done:done + block]
-        np.cumsum(ds, dtype=np.int32, out=block_s)
-        block_s += S
-        counts += np.bincount(block_s + n, minlength=2 * n + 1)
+        path = block_s[:block]
+        np.cumsum(ds, dtype=np.int32, out=path)
+        path += S
+        counts += np.bincount(path + n, minlength=2 * n + 1)
         acc += np.count_nonzero(ds)
         q = _DQ[2 * (ds + 2) + picks]
         del picks
         np.cumsum(q, out=q)
         q += Q
         sum_q += int(q.sum())
-        S, Q = int(block_s[-1]), int(q[-1])
+        S, Q = int(path[-1]), int(q[-1])
         done += block
     for pair in table:
         pair.clear()  # the pairs refer to one another
-    sum_plus = (sum_q + int(trace.sum(dtype=np.int64))) >> 1
+    sum_plus = (sum_q + int(np.arange(-n, n + 1) @ counts)) >> 1
     sum_zero = steps * n - sum_q
     s_probs = counts / steps
     freq_plus = sum_plus / (steps * n)
@@ -437,5 +441,5 @@ def metropolis_sampler(n: int, params: CanonicalParams, steps: int,
     spin_freq = Macrostate(1.0 - freq_plus - freq_zero, freq_zero, freq_plus)
     return MetropolisResult(n=n, beta=params.beta, K=params.K, steps=steps,
                             seed=seed, s_probs=s_probs, spin_freq=spin_freq,
-                            trace=trace, acceptance_rate=acc / steps)
+                            acceptance_rate=acc / steps)
 

@@ -94,7 +94,7 @@ def reference_metropolis(n, params, steps, seed):
     """The Metropolis chain of metropolis_sampler by its first per-step loop:
     the spin, S, Q, the acceptance count and the configuration code are all
     updated at every step.  Oracle for the sampler's tallies, which are
-    recovered from the total-spin trace instead.  Returns the
+    recovered from the per-step changes of S instead.  Returns the
     MetropolisResult and the empirical law over all 3^n configurations,
     indexed as in exact_config_probs (None for n > CONFIG_TALLY_MAX_N)."""
     beta, K = params.beta, params.K
@@ -115,8 +115,8 @@ def reference_metropolis(n, params, steps, seed):
     S = 0
     Q = 0
     counts = np.zeros(2 * n + 1, dtype=np.int64)
-    trace = np.empty(steps, dtype=np.int32)
     acc = 0
+    sum_s = 0
     sum_q = 0
     tally_configs = n <= CONFIG_TALLY_MAX_N
     if tally_configs:
@@ -142,24 +142,24 @@ def reference_metropolis(n, params, steps, seed):
                 if tally_configs:
                     code += ds * pow3[jsite]
             s_buf.append(S)
+            sum_s += S
             sum_q += Q
             if tally_configs:
                 code_buf.append(code)
         block_s = np.frombuffer(s_buf, dtype=np.intc)
-        trace[done:done + block] = block_s
         counts += np.bincount(block_s + n, minlength=2 * n + 1)
         if tally_configs:
             config_counts += np.bincount(np.frombuffer(code_buf, dtype=np.intc),
                                          minlength=3 ** n)
         done += block
-    sum_plus = (sum_q + int(trace.sum(dtype=np.int64))) >> 1
+    sum_plus = (sum_q + sum_s) >> 1
     sum_zero = steps * n - sum_q
     freq_plus = sum_plus / (steps * n)
     freq_zero = sum_zero / (steps * n)
     spin_freq = Macrostate(1.0 - freq_plus - freq_zero, freq_zero, freq_plus)
     result = MetropolisResult(
         n=n, beta=beta, K=K, steps=steps, seed=seed, s_probs=counts / steps,
-        spin_freq=spin_freq, trace=trace, acceptance_rate=acc / steps)
+        spin_freq=spin_freq, acceptance_rate=acc / steps)
     return result, config_counts / steps if tally_configs else None
 
 

@@ -206,12 +206,13 @@ def test_metropolis_bad_seed_exits_2(capsys):
 
 
 def test_metropolis_steps_beyond_the_trace_bound_exit_2(capsys):
-    # numpy's _ArrayMemoryError for the 36 TiB trace escaped with exit 1
+    # numpy's _ArrayMemoryError for a 36 TiB per-step trace once escaped with
+    # exit 1; the bound now caps the run time, checked before the chain runs
     code, out, err = run(capsys, ["limits", "--beta", "1", "--K", "1",
                                   "--mode", "metropolis", "--n", "5",
                                   "--steps", "10000000000000", "--seed", "0"])
     assert code == 2 and out == ""
-    assert "MAX_METROPOLIS_STEPS" in err and "4 bytes per step" in err
+    assert "MAX_METROPOLIS_STEPS" in err and "run time of the chain" in err
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -226,6 +227,18 @@ def test_non_finite_grid_spec_exits_2(capsys, argv, spec):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert "finite" in err and repr(spec) in err
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("1:2", "must be start:stop:step"),
+    ("2:1:0.5", "step > 0 and stop >= start"),
+    ("1:2:0", "step > 0 and stop >= start"),
+], ids=["1:2", "2:1:0.5", "1:2:0"])
+def test_malformed_grid_spec_exits_2(capsys, spec, reason):
+    code, out, err = run(capsys, ["diagram-canon", "--beta-grid", spec,
+                                  "--K-grid", "1:1:1"])
+    assert code == 2 and out == ""
+    assert reason in err and repr(spec) in err
 
 
 @pytest.mark.parametrize("spec", ["0:1e300:1e-10", "0:1e300:1", "0:1:1e-6"])
@@ -357,15 +370,23 @@ def test_canon_at_a_tiny_coupling(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--beta", "2", "--K", "400", "--mode", "classify"],
-    ["--beta", "2", "--K", "400", "--mode", "ks"],
     ["--beta", "300", "--K", "1.3862943611198906", "--mode", "conditioned",
      "--ns", "10,20"],
-], ids=["classify", "ks", "conditioned"])
+], ids=["classify", "conditioned"])
 def test_limits_with_an_underflowed_variance_exits_2(capsys, argv):
     # the minimizer rounds to +-1: a RuntimeError traceback, exit code 1
     code, out, err = run(capsys, ["limits", *argv])
     assert code == 2 and out == ""
     assert "asymptotic variance" in err
+
+
+def test_limits_ks_where_the_minimizers_round_to_one(capsys):
+    # the phase weights read G'', a float at +-1, and no asymptotic variance:
+    # this exited 2 with the classify and conditioned cases above
+    code, out, _ = run(capsys, ["limits", "--beta", "2", "--K", "400",
+                                "--mode", "ks", "--ns", "500,1000,2000"])
+    assert code == 0
+    assert csv_rows(out) == [["500", "0"], ["1000", "0"], ["2000", "0"]]
 
 
 def test_limits_classify_at_a_tiny_coupling(capsys):

@@ -201,6 +201,22 @@ def test_phase_weights_symmetric_pair():
     assert abs(weights[0] - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_phase_weights_at_a_first_order_coupling(beta):
+    # the triple of minimizers weighs G''(z_j)^(-1/2): weights from the
+    # asymptotic variances gave (0.2156, 0.5689, 0.2156) at beta = 2 against
+    # masses (0.2860, 0.4279, 0.2860), and a TV ladder stuck near 0.14
+    params = CanonicalParams(beta, first_order_coupling(beta))
+    zs = solve_canonical(params).z_points
+    assert len(zs) == 3
+    pmf = exact_spin_pmf(20000, params)
+    masses = [pmf.mass_near(z, 0.1) for z in zs]
+    weights = _phase_weights(params, zs)
+    assert max(abs(w - m) for w, m in zip(weights, masses)) < 1e-3
+    dists = convergence_diagnostic([2000, 8000, 20000], params)
+    assert dists[0] > dists[1] > dists[2] and dists[2] < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # limit densities
 # ---------------------------------------------------------------------------
@@ -323,9 +339,13 @@ def test_metropolis_seed_reproducibility():
     params = CanonicalParams(1.0, 1.0)
     a = metropolis_sampler(12, params, 20000, seed=7)
     b = metropolis_sampler(12, params, 20000, seed=7)
-    assert np.array_equal(a.trace, b.trace)
     c = metropolis_sampler(12, params, 20000, seed=8)
-    assert not np.array_equal(a.trace, c.trace)
+
+    def outputs(r):
+        return r.s_probs.tobytes(), r.spin_freq, r.acceptance_rate
+
+    assert outputs(a) == outputs(b)
+    assert outputs(a) != outputs(c)
 
 
 @pytest.mark.parametrize("beta,K", [(1.0, 1.0), (1.0, 1.5)])
@@ -356,22 +376,19 @@ def test_metropolis_kernel_exactly_stationary(beta, K):
 
 
 @pytest.mark.parametrize(
-    "n,K,steps,seed,acceptance,freq,trace_sha,s_sha", [
+    "n,K,steps,seed,acceptance,freq,s_sha", [
         (50, 1.0, 10 ** 5, 1, 0.60077,
          (0.21519939999999993, 0.553528, 0.2312726),
-         "c0e65015584fab5e27fb74d49b328f535f8cadbacebe5d1fb3f8216f7943dfb6",
          "8cbddf8ad571df5c5f90da0425a2f611413b73a18c72144f0ded52ab2504d781"),
         (4, 1.5, 10 ** 5, 99, 0.37318, (0.363615, 0.279525, 0.35686),
-         "f6ce3e37ac30499a988419df7b6d01c818a531897b804412af35fe4988d87324",
          "db9effaa5cb8d4b29eaafb09f5963736d6ffa032a10740309d34dd3a126aa05d"),
         # fewer steps than sites: the chain cannot reach |S| = n
         (50, 1.0, 30, 1, 0.3,
          (0.04200000000000004, 0.9406666666666667, 0.017333333333333333),
-         "e06037f4f60bd9f180b5db91052ecb2eecb68e3df654b00e3fe56b2b839ba411",
          "8a8d928de3bfb9a87089beedec9ff2fa41e1cf4e43fa0ce844d82d6bed821b92"),
     ])
 def test_metropolis_outputs_pinned(n, K, steps, seed, acceptance, freq,
-                                   trace_sha, s_sha):
+                                   s_sha):
     # the chain of a given seed is fixed bit for bit: the draw order, the
     # block size and the acceptance test u < min(1, e^-dE) must not move
     res = metropolis_sampler(n, CanonicalParams(1.0, K), steps, seed=seed)
@@ -382,7 +399,6 @@ def test_metropolis_outputs_pinned(n, K, steps, seed, acceptance, freq,
     assert res.acceptance_rate == acceptance
     assert (res.spin_freq.nu_minus, res.spin_freq.nu_zero,
             res.spin_freq.nu_plus) == freq
-    assert res.trace.dtype == np.int32 and sha(res.trace) == trace_sha
     assert res.s_probs.dtype == np.float64 and sha(res.s_probs) == s_sha
 
 
@@ -412,13 +428,31 @@ def test_metropolis_rejects_bad_steps(steps):
 
 @pytest.mark.parametrize("steps", [10 ** 13, 2 ** 62, 2 ** 28 + 1])
 def test_metropolis_refuses_steps_beyond_the_trace_bound(steps):
-    # the trace takes 4 bytes per step: 10^13 steps let numpy's
-    # _ArrayMemoryError escape; every case is refused before allocating
+    # 10^13 steps once let numpy's _ArrayMemoryError escape for a per-step
+    # trace; the bound now caps the run time, and every case is refused
+    # before the chain starts
     from begphase.limits import MAX_METROPOLIS_STEPS
 
     assert MAX_METROPOLIS_STEPS == 2 ** 28
-    with pytest.raises(DomainError, match="4 bytes per step"):
+    with pytest.raises(DomainError, match="run time of the chain"):
         metropolis_sampler(5, CanonicalParams(1.0, 1.0), steps, seed=0)
+
+
+def test_metropolis_memory_does_not_grow_with_the_chain():
+    # the sampler holds O(n) state and one 65536-step block: a per-step trace
+    # of S once added 4 bytes per step, 3.5 MB between these two chains
+    import tracemalloc
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            metropolis_sampler(50, CanonicalParams(1.0, 1.0), steps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)   # the imports numpy.random makes on its first use
+    assert abs(peak(16 * 65536) - peak(2 * 65536)) < 0.25e6
 
 
 #: Step counts on and around the 65536-step block edges of the sampler.
@@ -445,15 +479,14 @@ def chains(draw):
 @example((300, 65537, 1.0, 1.0, 5))   # 2m + 1 > 256, across a block edge
 def test_metropolis_matches_per_step_reference(chain):
     # every output bit for bit against the loop that updates every tally at
-    # every step, where the sampler recovers them from the total-spin trace
+    # every step, where the sampler recovers them from the changes of S
     n, steps, beta, K, seed = chain
     params = CanonicalParams(beta, K)
     res = metropolis_sampler(n, params, steps, seed)
     ref, config_probs = reference_metropolis(n, params, steps, seed)
 
     def bits(r):
-        return (r.n, r.beta, r.K, r.steps, r.seed, r.trace.dtype,
-                r.trace.tobytes(), r.s_probs.tobytes(),
+        return (r.n, r.beta, r.K, r.steps, r.seed, r.s_probs.tobytes(),
                 np.array(astuple(r.spin_freq)).tobytes(),
                 np.float64(r.acceptance_rate).tobytes())
 

@@ -40,8 +40,8 @@ from .core import (
     mean_tilt,
     rel_entropy,
 )
-from .rootfind import (bisect_newton, even_global_minima, last_point,
-                       piecewise_minima)
+from .rootfind import (_MAX_NEWTON, _SQRT_EPS, bisect_newton,
+                       even_global_minima, last_point, piecewise_minima)
 
 #: log 4 - BETA_C, the part of log 4 that its float drops: it signs
 #: 1 - 3a at the floats next to log 4.
@@ -277,6 +277,16 @@ def second_order_coupling(beta: float) -> float:
     return math.exp(beta) / (4.0 * beta) + 1.0 / (2.0 * beta)
 
 
+#: The canonical tricritical coupling K_c* = 3/(2 log 4).
+_KC_STAR = second_order_coupling(BETA_C)
+
+
+def _kc2_slope(beta):
+    """dKc2/dbeta = (e^beta (beta - 1) - 2)/(4 beta^2) of the second-order
+    curve e^beta/(4 beta) + 1/(2 beta)."""
+    return (math.exp(beta) * (beta - 1.0) - 2.0) / (4.0 * beta * beta)
+
+
 def cumulant_inflection(beta: float) -> float:
     """Positive w at which c' switches from convex to concave:
     arccosh(e^beta/2 - 4 e^-beta), defined for beta >= BETA_C (zero at BETA_C)."""
@@ -288,9 +298,10 @@ def cumulant_inflection(beta: float) -> float:
 
 
 def _scaled_h_g(beta, a, eps, w):
-    """(h/w^4, g/w^3, y, c'(w)) at w >= 0 for h = w c' - 2c and
+    """(h/w^4, g/w^3, y, c'(w), dh/da/w^4) at w >= 0 for h = w c' - 2c and
     g = h' = w c'' - c', given (a, eps) = _a_eps(beta), with
-    a = 2/(e^beta + 2), y = a s and c = log1p(y).
+    a = 2/(e^beta + 2), y = a s and c = log1p(y).  beta enters h only
+    through a, and dh/da = (D - 2ys)/(1 + y)^2.
 
     Up to w = 2, c' = a sinh(w)/(1 + y) (cumulant's c' loses eps/w there),
     h = a D/(1 + y) - 2B and g = a E/(1 + y) - w c'^2, with
@@ -301,12 +312,16 @@ def _scaled_h_g(beta, a, eps, w):
     v = y/(2 + y); s/w^2 - 1/2, sinh(w)/w - 1, D/w^4 - 1/12 and E/w^3 - 1/3
     are sums over j >= 1 of x^j/(2j+2)!, x^j/(2j+1)!, (2j+2) x^j/(2j+4)! and
     (2j+2) x^j/(2j+3)!, x = w^2.  No term cancels as w -> 0 or beta -> log 4.
+    Above w = 2, where s^2 overflows at large beta, dh/da is
+    [(1 - r)(w c' - 2r) - 2r^2]/a with r = y/(1 + y).
     """
     y = 2.0 * a * math.sinh(0.5 * w) ** 2
     if w > 2.0:   # h and g cancel only at their roots
         c1 = cumulant(beta, w, 1)
+        r = y / (1.0 + y)
         return ((w * c1 - 2.0 * math.log1p(y)) / w ** 4,
-                (w * ((a + y) / (1.0 + y) - c1 * c1) - c1) / w ** 3, y, c1)
+                (w * ((a + y) / (1.0 + y) - c1 * c1) - c1) / w ** 3, y, c1,
+                ((1.0 - r) * (w * c1 - 2.0 * r) - 2.0 * r * r) / (a * w ** 4))
     x = w * w
     tail, sw, e3, d4 = _sinh_sums(x)
     shw = x / 6.0 + tail
@@ -318,11 +333,12 @@ def _scaled_h_g(beta, a, eps, w):
     h = eps / 12.0 + d4 - 2.0 * a * (sw * (1.0 + sw) * (0.5 + p1) + 0.25 * p1)
     g = eps / 3.0 + y / 3.0 + e3 * (1.0 + y) - a * shw * (2.0 + shw)
     return (a * h / (1.0 + y), a * g / (1.0 + y) ** 2, y,
-            a * math.sinh(w) / (1.0 + y))
+            a * math.sinh(w) / (1.0 + y),
+            (1.0 / 12.0 + d4 - 2.0 * a * (0.5 + sw) ** 2) / (1.0 + y) ** 2)
 
 
 def _tilt_root(beta, i):
-    """(w, w/(2 beta c'(w)), a, y) at the one root w > 0 of h/w^4 (i = 0) or
+    """(w, w/(2 beta c'(w))) at the one root w > 0 of h/w^4 (i = 0) or
     g/w^3 (i = 1), with the K whose line w/(2 beta K) meets c' there.  Both
     are positive at 0 above log 4, and w < 2 beta Kc1 z* < 3 beta/log 4.
     The bracket's ends are closed forms, a eps/12 and a eps/3 at 0
@@ -348,8 +364,7 @@ def _tilt_root(beta, i):
     w = bisect_newton(lambda x: at(x)[i], slope, 0.0, 3.0 * beta / BETA_C + 1.0,
                       start=math.sqrt((15.0, 10.0)[i] * (beta - BETA_C)),
                       ends=(a * (eps / (12.0, 3.0)[i]), -1.0))
-    y, c1 = at(w)[2:]
-    return w, w / (2.0 * beta * c1), a, y
+    return w, w / (2.0 * beta * at(w)[3])
 
 
 def tangency(beta: float) -> tuple[float, float, float]:
@@ -357,7 +372,7 @@ def tangency(beta: float) -> tuple[float, float, float]:
     g = w c'' - c', where the line through 0 touches c' (sqrt(10 (beta -
     log 4)) next to log 4), its coupling and the z = 0 curvature coupling."""
     beta = _real(beta, "beta")
-    return (*_tilt_root(beta, 1)[:2], second_order_coupling(beta))
+    return (*_tilt_root(beta, 1), second_order_coupling(beta))
 
 
 def _local_wells(params, d):
@@ -426,15 +441,74 @@ def first_order_coupling(beta: float) -> float:
     (sqrt(15 (beta - log 4)) next to log 4) gives w*/(2 beta c'(w*)).
     The raw root, which canonical_criticals clamps within rounding next to log 4.
     """
-    return _first_order_coupling(_real(beta, "beta"))[0]
+    return _first_order_coupling(_real(beta, "beta"))
 
 
 def _first_order_coupling(beta):
-    """(Kc1, w*, dKc1/dbeta) at beta > BETA_C.  The slope is the envelope
-    theorem on the depth min_w [w^2/(4 beta K) - c(w)], which vanishes along
-    Kc1: -K/beta - 4 beta K^2 c_beta(w*)/w*^2, c_beta = -(1 - a) y/(1 + y)."""
-    w, k, a, y = _tilt_root(beta, 0)
-    return k, w, -k / beta + 4.0 * beta * k * k * (1.0 - a) * y / ((1.0 + y) * w * w)
+    """Kc1 at beta > BETA_C, from the tie root of _tilt_root."""
+    return _tilt_root(beta, 0)[1]
+
+
+def _first_order_tie(K):
+    """(beta_c1(K), w*) for 1 < K < K_c*: the beta where the first-order
+    coupling is K, and the tilt of the tied well there, from one Newton
+    solve in (beta, w) of the tie and the stationarity of the well,
+
+        T = (1 + w^3) h/w^4 = 0,    E = w/(2 beta c'(w)) - K = 0.
+
+    beta enters both only through a = 2/(e^beta + 2), so the Jacobian is
+    closed-form: dT/dw is the slope of _tilt_root, dT/dbeta =
+    -a (1 - a) dh/da/w^4 (_scaled_h_g), dE/dw = -g/(2 beta c'^2) and
+    dE/dbeta = (E + K)((1 - a)/(1 + y) - 1/beta).  The factor 1 + w^3
+    keeps T from dying like 1/w^3 at large w, where h/w^4 alone has a
+    spurious near-root that drew Newton off to BETA_MAX.
+
+    The start is the tangent of the second-order curve at log 4, which Kc1
+    leaves tangentially, with w at its Landau root sqrt(15 (beta - log 4));
+    from beta = 2.2 on, the asymptote Kc1 - 1 ~ e^-beta/beta (four
+    fixed-point steps of beta = -log((K - 1) beta)), with
+    w = 2 beta K c'(2 beta K).  A step that leaves log 4 < beta <= BETA_MAX
+    or 0 < w < 3 beta/log 4 + 1 (the bracket of _tilt_root) is halved.
+
+    The stop reads the beta step in units of K, |E - T (dE/dw)/(dT/dw)|:
+    within eps K, the step is taken and the solve ends; not shrinking
+    after falling below sqrt(eps), it is rounding, and the solve ends where
+    it stands.  The bare beta step would not do, as next to K = 1
+    dKc1/dbeta ~ -(K - 1) and rounding moves beta by eps/(K - 1); nor
+    would a rule that waits on w, which within 1e-10 of K_c* is fixed only
+    to about 1e-6 relative.
+    """
+    b = BETA_C + (K - _KC_STAR) / _kc2_slope(BETA_C)
+    if b < 2.2:
+        w = math.sqrt(15.0 * (b - BETA_C))
+    else:
+        for _ in range(4):
+            b = -math.log((K - 1.0) * b)
+        w = 2.0 * b * K * cumulant(b, 2.0 * b * K, 1)
+    size = math.inf
+    for _ in range(_MAX_NEWTON):
+        a, eps = _a_eps(b)
+        t, g, y, c1, t_a = _scaled_h_g(b, a, eps, w)
+        scale, k = 1.0 + w ** 3, w / (2.0 * b * c1)
+        t_w = scale * (g - 4.0 * t) / w + 3.0 * w * w * t
+        t_b = -scale * t_a * a * (1.0 - a)
+        t *= scale
+        e, e_w = k - K, -k * g * w * w / c1
+        e_b = k * ((1.0 - a) / (1.0 + y) - 1.0 / b)
+        det = t_b * e_w - t_w * e_b
+        db, dw = (t_w * e - t * e_w) / det, (t * e_b - t_b * e) / det
+        step = abs(e - t * e_w / t_w)
+        if step >= size and size < _SQRT_EPS:
+            return b, w
+        lam = 1.0
+        while not (BETA_C < b + lam * db <= BETA_MAX
+                   and 0.0 < w + lam * dw < 3.0 * (b + lam * db) / BETA_C + 1.0):
+            lam *= 0.5
+        b, w, size = b + lam * db, w + lam * dw, step
+        if lam == 1.0 and step <= sys.float_info.epsilon * K:
+            return b, w
+    raise RuntimeError(f"the first-order tie at K = {K} did not converge in "
+                       f"{_MAX_NEWTON} Newton steps")
 
 
 def canonical_criticals(beta: float) -> CanonicalCriticals:
@@ -445,7 +519,7 @@ def canonical_criticals(beta: float) -> CanonicalCriticals:
         return CanonicalCriticals(beta=beta, k_second_order=second_order_coupling(beta))
     w1, k1, k2 = tangency(beta)
     k1 = min(k1, k2)
-    kc1 = min(max(_first_order_coupling(beta)[0], k1), k2)
+    kc1 = min(max(_first_order_coupling(beta), k1), k2)
     return CanonicalCriticals(beta=beta, k_first_order=kc1, k_tangent=k1,
                               k_spinodal=k2, w_tangent=w1)
 

@@ -23,10 +23,12 @@ from itertools import repeat
 import numpy as np
 
 from .canonical import (
+    _KC_STAR,
     BETA_MAX,
     _canonical_minima,
     _check_beta,
-    _first_order_coupling,
+    _first_order_tie,
+    _kc2_slope,
     canonical_criticals,
     second_order_coupling,
     solve_canonical,
@@ -53,10 +55,6 @@ from .micro import (
     solve_micro,
 )
 from .rootfind import bisect_newton, last_point
-
-#: The canonical tricritical coupling K_c* = 3/(2 log 4).
-_KC_STAR = second_order_coupling(BETA_C)
-
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
@@ -144,12 +142,6 @@ def tricritical_micro() -> tuple:
 # Critical-curve inversion onto the physical axes
 # ---------------------------------------------------------------------------
 
-def _kc2_slope(beta):
-    """dKc2/dbeta = (e^beta (beta - 1) - 2)/(4 beta^2) of the second-order
-    curve e^beta/(4 beta) + 1/(2 beta)."""
-    return (math.exp(beta) * (beta - 1.0) - 2.0) / (4.0 * beta * beta)
-
-
 def beta_c2_of_K(K: float) -> float:
     """Inverse temperature of the second-order canonical transition at K.
 
@@ -175,30 +167,28 @@ def beta_c1_of_K(K: float) -> float:
     """Inverse temperature of the first-order canonical transition at K.
 
     Kc1(beta) falls from K_c* at BETA_C toward 1, staying above 1 at every
-    finite beta (it rounds to 1 from beta ~ 37 on, so Kc1(BETA_MAX) - K is
-    1 - K), so one Newton search on [BETA_C, BETA_MAX] with its envelope
-    slope attains every float K between.  Kc1 leaves the tricritical point
-    tangent to the second-order curve, and the search starts where that
-    tangent, of slope _kc2_slope(log 4) = -0.0591659, reaches K.
+    finite beta (it rounds to 1 from beta ~ 37 on), so every float K between
+    has its beta_c1.  It is the beta of one Newton solve in (beta, w) of the
+    tie h = w c' - 2c = 0 and the stationarity w/(2 beta c'(w)) = K
+    (canonical._first_order_tie): 1 to 9 evaluations of the tie kernel,
+    started on the tangent of the second-order curve at log 4 (of slope
+    _kc2_slope(log 4) = -0.0591659) or, from beta = 2.2 on, on the
+    asymptote Kc1 - 1 ~ e^-beta/beta.
     """
     return _beta_c1_tie(K)[0]
 
 
 def _beta_c1_tie(K):
-    """(beta_c1(K), _first_order_coupling(beta_c1(K))): the tie of the last
-    Newton iterate, which bisect_newton returns, read back from last_point."""
+    """(beta_c1(K), (K, w*)): the tie record (Kc1, w*) of the joint solve,
+    whose coupling is K, with the tied tilt w* at index 1."""
     K = _real(K, "K")
     if not 1.0 < K < _KC_STAR:
         raise DomainError(
             f"K = {K} has no first-order canonical transition: the first-order "
             f"coupling Kc1(beta) falls from {_KC_STAR} at log 4 and exceeds 1 "
             f"at every finite beta")
-    tie = last_point(_first_order_coupling)
-    b = bisect_newton(lambda b: (tie(b)[0] if b > BETA_C else _KC_STAR) - K,
-                      lambda b: tie(b)[2], BETA_C, BETA_MAX,
-                      start=BETA_C + (K - _KC_STAR) / _kc2_slope(BETA_C),
-                      ends=(_KC_STAR - K, 1.0 - K))
-    return b, tie(b)
+    b, w = _first_order_tie(K)
+    return b, (K, w)
 
 
 def u_c2_of_K(K: float) -> float:

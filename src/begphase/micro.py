@@ -31,11 +31,10 @@ from fractions import Fraction
 
 from .core import (PHASE_LABELS, DomainError, Macrostate, MicroParams,
                    _exactly_signed, _finite, _real)
-from .rootfind import (_horner, even_global_minima, piecewise_minima,
-                       polynomial_roots)
+from .rootfind import (_SQRT_EPS, _horner, even_global_minima,
+                       piecewise_minima, polynomial_roots)
 
 _LOG2 = math.log(2.0)
-_SQRT_EPS = math.sqrt(2.0 ** -52)
 
 #: Newton steps allowed to the tie solve; from its starts it takes 1 to 15.
 _TIE_MAX_NEWTON = 80

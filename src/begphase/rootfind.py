@@ -22,6 +22,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618
 #: Newton steps after which bisect_newton returns its last iterate.
 _MAX_NEWTON = 80
 
+#: Newton squares its step: once a step is under this, a next step that
+#: does not shrink is the rounding of the residuals (the tie solves' stop).
+_SQRT_EPS = math.sqrt(2.0 ** -52)
+
 #: Local minima within this of the least value all count as global minima.
 TIE_TOL = 1e-12
 

@@ -165,12 +165,13 @@ def test_invert_micro_first_order_curve_near_one(K):
     assert abs(first_order_coupling_u(u) - K) <= 1e-9
 
 
-@pytest.mark.parametrize("invert, tie", [(beta_c1_of_K, "_first_order_coupling"),
+@pytest.mark.parametrize("invert, tie", [(beta_c1_of_K, "_first_order_tie"),
                                          (u_c1_of_K, "_first_order_coupling_u")])
 def test_first_order_inversion_solves_the_tie_once_per_iterate(monkeypatch, invert,
                                                                tie):
     # bisect_newton takes the slope where it has just taken the value, and
-    # both come from the same tie solve
+    # both come from the same tie solve; beta_c1 is one joint solve, and
+    # each of its tie-kernel evaluations counts as a point too
     from begphase import diagram
 
     points = []
@@ -182,6 +183,10 @@ def test_first_order_inversion_solves_the_tie_once_per_iterate(monkeypatch, inve
 
     expect = invert(1.05)
     monkeypatch.setattr(diagram, tie, counted)
+    if invert is beta_c1_of_K:
+        kernel = canonical._scaled_h_g
+        monkeypatch.setattr(canonical, "_scaled_h_g", lambda b, a, eps, w: (
+            points.append((b, w)) or kernel(b, a, eps, w)))
     assert invert(1.05) == expect
     assert points and len(points) == len(set(points))
     # the gap and the report take the tie at the root from the inversion:
@@ -601,23 +606,47 @@ def test_canonical_tie_matches_60_digit_roots(K, beta, z_c):
     assert abs(hi / z_c - 1.0) <= max(1e-12, 1e-15 / (_KS - K))
 
 
-@pytest.mark.parametrize("K", [K for K, _, _ in REFERENCE_TIES if K >= 1.001])
+# tie-kernel (_scaled_h_g) evaluations of beta_c1_of_K when it ran a
+# Newton search over beta with a tie solve in w at each iterate; at
+# K = 1.0121 half of its 13 tie solves were steps at the rounding level of Kc1
+NESTED_EVALS = dict(zip([K for K, _, _ in REFERENCE_TIES] + [1.0121],
+                        [78, 42, 40, 18, 16, 13, 9, 7, 14, 2, 3, 4, 95]))
+
+
+@pytest.mark.parametrize("K", [K for K, _, _ in REFERENCE_TIES if K >= 1.001]
+                         + [1.0121])
 def test_canonical_inversion_starts_next_to_its_root(monkeypatch, K):
-    # Newton from the tangent of the second-order curve at log 4 needs a few
-    # tie solves; bisecting [log 4, BETA_MAX] down to 1e-6 first took 34
+    # one Newton solve in (beta, w) from the tangent start needs at most
+    # half the kernel evaluations of the nested search, and no 1-D search
+    # over beta
     from begphase import diagram
 
+    def refuse(*args, **kw):
+        raise AssertionError("a 1-D search ran inside the inversion")
+
+    for module in (canonical, diagram):
+        monkeypatch.setattr(module, "bisect_newton", refuse)
+        monkeypatch.setattr(module, "last_point", refuse)
     calls = []
-    solve = diagram._first_order_coupling
-    monkeypatch.setattr(diagram, "_first_order_coupling",
-                        lambda b: calls.append(b) or solve(b))
+    kernel = canonical._scaled_h_g
+    monkeypatch.setattr(canonical, "_scaled_h_g",
+                        lambda *args: calls.append(args) or kernel(*args))
     beta_c1_of_K(K)
-    assert 0 < len(calls) <= 12
+    assert 0 < 2 * len(calls) <= NESTED_EVALS[K]
+
+
+@pytest.mark.parametrize("K", [math.nextafter(1.0, 2.0), 1.0 + 1e-15,
+                               math.nextafter(_KS, 0.0)])
+def test_canonical_inversion_at_the_ends_of_its_range(K):
+    # next to 1 the solve starts on the asymptote Kc1 - 1 ~ e^-beta/beta
+    # (beta_c1 ~ 32.6 at the float above 1), next to K_c* on the tangent
+    # of the second-order curve
+    assert abs(first_order_coupling(beta_c1_of_K(K)) - K) <= 1e-15
+    assert len(nonequivalence_gap(K)) == 1
 
 
 def test_first_order_coupling_rounds_to_one_at_beta_max():
-    # beta_c1_of_K hands Kc1(BETA_MAX) - K = 1 - K to its search as the
-    # value at that end
+    # Kc1 - 1 ~ e^-beta/beta rounds to 0 from beta ~ 37 on
     assert first_order_coupling(BETA_MAX) == 1.0
 
 
@@ -829,17 +858,17 @@ def test_equivalence_gap_next_to_unit_coupling():
 # (K, lo, hi) of nonequivalence_gap(K) when every inversion ran at every K,
 # on a ladder within 1e-10 of 1, K_m* and K_c*
 GAP_LADDER = [
-    (1.0 + 1e-10, 0.9999999970632066, 0.9999999979971306),
+    (1.0 + 1e-10, 0.9999999970632066, 0.9999999979971278),
     (1.0 + 1e-6, 0.9999830996226353, 0.9999886127820449),
-    (1.05, 0.668821319137594, 0.7301721464955819),
-    (1.0817, 0.0, 0.0946349454213541),
-    (_KM - 1e-10, 4.6549026364046516e-05, 0.14123773893028807),
-    (math.nextafter(_KM, 0.0), 3.898847256934989e-08, 0.14123772940759302),
-    (_KM, 0.0, 0.14123772940754975),
-    (_KM + 1e-10, 0.0, 0.14123771988480296),
+    (1.05, 0.668821319137594, 0.7301721464955837),
+    (1.0817, 0.0, 0.09463494542136233),
+    (_KM - 1e-10, 4.6549026364046516e-05, 0.14123773893031352),
+    (math.nextafter(_KM, 0.0), 3.898847256934989e-08, 0.14123772940758927),
+    (_KM, 0.0, 0.14123772940756685),
+    (_KM + 1e-10, 0.0, 0.14123771988481815),
     (_KS - 1e-7, 0.0, 0.0016783715559988213),
-    (_KS - 1e-10, 0.0, 5.307485913234057e-05),
-    (math.nextafter(_KS, 0.0), 0.0, 1.0674737948695344e-07),
+    (_KS - 1e-10, 0.0, 5.3074859132340546e-05),
+    (math.nextafter(_KS, 0.0), 0.0, 1.1825948399549264e-07),
 ]
 
 

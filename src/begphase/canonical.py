@@ -40,8 +40,8 @@ from .core import (
     mean_tilt,
     rel_entropy,
 )
-from .rootfind import (_MAX_NEWTON, _SQRT_EPS, bisect_newton,
-                       even_global_minima, last_point, piecewise_minima)
+from .rootfind import (bisect_newton, even_global_minima, last_point,
+                       piecewise_minima, tie_newton)
 
 #: log 4 - BETA_C, the part of log 4 that its float drops: it signs
 #: 1 - 3a at the floats next to log 4.
@@ -470,13 +470,13 @@ def _first_order_tie(K):
     w = 2 beta K c'(2 beta K).  A step that leaves log 4 < beta <= BETA_MAX
     or 0 < w < 3 beta/log 4 + 1 (the bracket of _tilt_root) is halved.
 
-    The stop reads the beta step in units of K, |E - T (dE/dw)/(dT/dw)|:
-    within eps K, the step is taken and the solve ends; not shrinking
-    after falling below sqrt(eps), it is rounding, and the solve ends where
-    it stands.  The bare beta step would not do, as next to K = 1
-    dKc1/dbeta ~ -(K - 1) and rounding moves beta by eps/(K - 1); nor
-    would a rule that waits on w, which within 1e-10 of K_c* is fixed only
-    to about 1e-6 relative.
+    rootfind.tie_newton runs the loop.  Its size is the beta step in units
+    of K, |E - T (dE/dw)/(dT/dw)|: within eps K, the step is taken and the
+    solve ends; not shrinking after falling below sqrt(eps), it is
+    rounding, and the solve ends where it stands.  The bare beta step would
+    not do, as next to K = 1 dKc1/dbeta ~ -(K - 1) and rounding moves beta
+    by eps/(K - 1); nor would a rule that waits on w, which within 1e-10
+    of K_c* is fixed only to about 1e-6 relative.
     """
     b = BETA_C + (K - _KC_STAR) / _kc2_slope(BETA_C)
     if b < 2.2:
@@ -485,8 +485,8 @@ def _first_order_tie(K):
         for _ in range(4):
             b = -math.log((K - 1.0) * b)
         w = 2.0 * b * K * cumulant(b, 2.0 * b * K, 1)
-    size = math.inf
-    for _ in range(_MAX_NEWTON):
+
+    def step(b, w):
         a, eps = _a_eps(b)
         t, g, y, c1, t_a = _scaled_h_g(b, a, eps, w)
         scale, k = 1.0 + w ** 3, w / (2.0 * b * c1)
@@ -496,19 +496,13 @@ def _first_order_tie(K):
         e, e_w = k - K, -k * g * w * w / c1
         e_b = k * ((1.0 - a) / (1.0 + y) - 1.0 / b)
         det = t_b * e_w - t_w * e_b
-        db, dw = (t_w * e - t * e_w) / det, (t * e_b - t_b * e) / det
-        step = abs(e - t * e_w / t_w)
-        if step >= size and size < _SQRT_EPS:
-            return b, w
-        lam = 1.0
-        while not (BETA_C < b + lam * db <= BETA_MAX
-                   and 0.0 < w + lam * dw < 3.0 * (b + lam * db) / BETA_C + 1.0):
-            lam *= 0.5
-        b, w, size = b + lam * db, w + lam * dw, step
-        if lam == 1.0 and step <= sys.float_info.epsilon * K:
-            return b, w
-    raise RuntimeError(f"the first-order tie at K = {K} did not converge in "
-                       f"{_MAX_NEWTON} Newton steps")
+        return (((t_w * e - t * e_w) / det, (t * e_b - t_b * e) / det),
+                abs(e - t * e_w / t_w))
+
+    return tie_newton(
+        step, (b, w),
+        lambda b, w: BETA_C < b <= BETA_MAX and 0.0 < w < 3.0 * b / BETA_C + 1.0,
+        sys.float_info.epsilon * K)
 
 
 def canonical_criticals(beta: float) -> CanonicalCriticals:

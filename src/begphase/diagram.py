@@ -48,13 +48,13 @@ from .core import (
 from .micro import (
     K_STAR,
     U_STAR,
-    _first_order_coupling_u,
+    _first_order_tie_u,
     _log_odds,
     _micro_minima,
     micro_criticals,
     solve_micro,
 )
-from .rootfind import bisect_newton, last_point
+from .rootfind import bisect_newton
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
@@ -225,32 +225,27 @@ def u_c1_of_K(K: float) -> float:
     """Energy per site of the first-order microcanonical transition at K.
 
     Kc1(u) rises from 1 as u -> 0 to K_m* at the tricritical energy u*,
-    where it meets the second-order curve, so one Newton search on [0, u*]
-    with its envelope slope, and the closed forms at both ends, attains
-    every float K between.  Kc1 meets k2 tangentially at u*, and the search
-    starts where that tangent reaches K (from the midpoint where it does so
-    below u = 0).
+    where it meets the second-order curve, so every float K between has
+    its u_c1.  It is the u of one Newton solve in (u, xi, s) of the tie at
+    u and Kc1(u) = K (micro._first_order_tie_u): 1 to 16 evaluations of
+    the tie kernel, started on the tangent of k2 at u*, which Kc1 meets
+    tangentially, or, below u = 0.2, on the asymptote
+    Kc1 - 1 ~ u log 2/log(1/u).
     """
     return _u_c1_tie(K)[0]
 
 
 def _u_c1_tie(K):
-    """(u_c1(K), _first_order_coupling_u(u_c1(K))): the tie of the last
-    Newton iterate, read back from last_point, or solved at u* where the
-    search ends on that closed-form end."""
+    """(u_c1(K), (K, z*)): the tie record (Kc1, z*) of the joint solve,
+    whose coupling is K, with the tied well z* at index 1."""
     K = _real(K, "K")
     if not 1.0 < K < K_STAR:
         raise DomainError(
             f"K = {K} has no first-order microcanonical transition: the "
             f"first-order coupling Kc1(u) rises from 1 as u -> 0 to K_m* = "
             f"{K_STAR} at u* = {U_STAR}")
-    tie = last_point(_first_order_coupling_u)
-    slope = 2.0 * K_STAR * K_STAR * (1.0 / (1.0 - U_STAR) - _log_odds(U_STAR))
-    u = bisect_newton(
-        lambda u: (1.0 if u == 0.0 else K_STAR if u == U_STAR else tie(u)[0]) - K,
-        lambda u: tie(u)[2], 0.0, U_STAR, start=U_STAR - (K_STAR - K) / slope,
-        ends=(1.0 - K, K_STAR - K))
-    return u, tie(u)
+    u, z = _first_order_tie_u(K)
+    return u, (K, z)
 
 
 # ---------------------------------------------------------------------------

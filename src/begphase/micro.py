@@ -23,21 +23,21 @@ quartic and sextic Landau coefficients it gives each search its start.
 The first-order coupling is where a positive well ties with z = 0: one
 Newton solve of the tie and the stationarity of the rate, in unknowns scaled
 so that they stay well conditioned at both ends of the first-order regime.
+Its inverse u_c1(K) is one Newton solve of the same two equations and
+Kc1 = K, with u as a third unknown.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (PHASE_LABELS, DomainError, Macrostate, MicroParams,
                    _exactly_signed, _finite, _real)
-from .rootfind import (_SQRT_EPS, _horner, even_global_minima,
-                       piecewise_minima, polynomial_roots)
+from .rootfind import (_horner, even_global_minima, piecewise_minima,
+                       polynomial_roots, tie_newton)
 
 _LOG2 = math.log(2.0)
-
-#: Newton steps allowed to the tie solve; from its starts it takes 1 to 15.
-_TIE_MAX_NEWTON = 80
 
 
 @dataclass(frozen=True)
@@ -539,15 +539,18 @@ def _xi_terms(xi):
 
 
 def _p_terms(u, p):
-    """(d0, d0', G, G', lambda(q), (lambda(u) - lambda(q))/p) at p = q - u > 0,
-    primes d/dp, with lambda = _log_odds.
+    """(d0, d0', G, G', d0_u, G_u) at p = q - u > 0, primes d/dp and _u
+    the derivatives in u at fixed p.
 
     d0 = [F(0, q) - F(0, u)]/p, summed as log(q/(2(1-u))) + log1p(r)/r +
     nu0 log1p(-r')/p with r = p/u, r' = p/(1-u) and nu0 = (1-u) - p, so that
-    no term grows as nu0 -> 0, and G = KL(u||q)/p^2.  Below r = 0.1 the
-    terms that cancel to O(p) are series: KL(u||q)/p^2 = g(r)/u +
-    g(-r')/(1-u) and KL(q||u)/p^2 = psi(r)/u + psi(-r')/(1-u), with
-    g(r) = (r - log1p r)/r^2 and psi(r) = ((1+r) log1p r - r)/r^2.
+    no term grows as nu0 -> 0, and G = KL(u||q)/p^2.  With lambda =
+    _log_odds, d0_u = (lambda(u) - lambda(q))/p and G_u = (1/(q nu0) -
+    d0_u)/p.  Below r = 0.1 the terms that cancel to O(p) are series:
+    KL(u||q)/p^2 = g(r)/u + g(-r')/(1-u) and KL(q||u)/p^2 = psi(r)/u +
+    psi(-r')/(1-u), with g(r) = (r - log1p r)/r^2 and psi(r) = ((1+r)
+    log1p r - r)/r^2, so that G_u = (r g'(r) - g(r))/u^2 + (r' g'(-r') +
+    g(-r'))/(1-u)^2, g' taken in -r and -r'.
     """
     w = 1.0 - u
     q = u + p
@@ -557,7 +560,6 @@ def _p_terms(u, p):
     # past r' = 1/2, 1 - r' cancels; nu0/w keeps the digits of nu0 -> 0
     l0 = math.log1p(-rw) if rw < 0.5 else math.log(nu0 / w)
     d0 = math.log(q / (2.0 * w)) + lq / r + nu0 * l0 / p
-    lam_q = math.log(2.0 * nu0 / q)
     if r < 0.1:
         g_u, dg_u = _series(-r, lambda j: 1.0 / (j + 2))
         g_w, dg_w = _series(rw, lambda j: 1.0 / (j + 2))
@@ -566,14 +568,16 @@ def _p_terms(u, p):
         kl = h_u / u + h_w / w
         dd0 = kl + p * (dh_w / (w * w) - dh_u / (u * u))
         return (d0, dd0, g_u / u + g_w / w, dg_w / (w * w) - dg_u / (u * u),
-                lam_q, dd0 + kl)
+                dd0 + kl,
+                (r * dg_u - g_u) / (u * u) + (rw * dg_w + g_w) / (w * w))
     G = (-u * lq - w * l0) / (p * p)
-    return (d0, -(lam_q + d0) / p, G, (1.0 / (q * nu0) - 2.0 * G) / p, lam_q,
-            (lq - l0) / p)
+    d0_u = (lq - l0) / p
+    return (d0, -(math.log(2.0 * nu0 / q) + d0) / p, G,
+            (1.0 / (q * nu0) - 2.0 * G) / p, d0_u, (1.0 / (q * nu0) - d0_u) / p)
 
 
 def _tie(u, xi, s):
-    """The tie at fixed u in the unknowns xi = atanh(z/q) and s = K q^2.
+    """The tie at u in the unknowns xi = atanh(z/q) and s = K q^2.
 
     With t = tanh(xi)^2, p = s t = K z^2 and q = u + p, the residuals are
     e1 = E1/t and e2 = (E2 - 2 E1)/t^2, where E1 = F(z, q) - F(0, u) is the
@@ -583,30 +587,33 @@ def _tie(u, xi, s):
     e1 = q l + s d0 and e2 = u m - s A + 2 s^2 KL(u||q)/p^2, which tend to
     u/2 - lambda(u) s and u/6 - s + s^2/(u(1-u)) as t -> 0.
 
-    Returns ((e1, e2), ((de1/dxi, de1/ds), (de2/dxi, de2/ds)), dt/dxi,
-    readouts), the readouts being Kc1 = s/q^2, z* = q x and the envelope slope
-    dKc1/du = -(F_q + lambda(u))/(z^2 F_q), with F_q = -lambda(q) -
-    log cosh xi and both parts of the numerator divided by t, so that it
-    stays finite as t -> 0.
+    Returns ((e1, e2), ((de1/dxi, de1/ds, de1/du), (de2/dxi, de2/ds,
+    de2/du)), dt/dxi, q), the u column from _p_terms' d0_u and G_u at
+    fixed p: de1/du = l + s d0_u and de2/du = m + 2 s^2 G_u.
     """
     x, t, dt, A, dA, l, dl, m, dm = _xi_terms(xi)
     p = s * t
     q = u + p
-    d0, dd0, G, dG, lam_q, dlam = _p_terms(u, p)
+    d0, dd0, G, dG, d0_u, G_u = _p_terms(u, p)
     dp = s * dt
     h = l + s * dd0
-    logcosh_t = A - l    # log cosh(xi)/t
     return ((q * l + s * d0, u * m - s * A + 2.0 * s * s * G),
-            ((dp * h + q * dl, t * h + d0),
+            ((dp * h + q * dl, t * h + d0, l + s * d0_u),
              (u * dm - s * dA + 2.0 * s * s * dG * dp,
-              4.0 * s * G + 2.0 * s * s * dG * t - A)), dt,
-            (s / (q * q), q * x,
-             (s * dlam - logcosh_t) / (q * q * (lam_q + t * logcosh_t))))
+              4.0 * s * G + 2.0 * s * s * dG * t - A, m + 2.0 * s * s * G_u)),
+            dt, q)
 
 
-def _tie_start(u, lam, k2, top):
-    """(xi, s) to start Newton from: the Landau start where it predicts a
-    smaller t than the corner start does, else the corner start.
+def _tie_readouts(u, xi, s):
+    """(Kc1, z*) = (s/q^2, q x) at the tie point (u, xi, s) of _tie."""
+    x = math.tanh(xi)
+    q = u + s * (x * x)
+    return s / (q * q), q * x
+
+
+def _tie_start(u):
+    """(xi, s) to start Newton from at u: the Landau start where it
+    predicts a smaller t than the corner start does, else the corner start.
 
     Landau: as t -> 0, e1 ~ a(s) + b t and e2 ~ c(s) + d t with
     a = u/2 - lambda s, b = s/2 + u/12 + s^2/(2u(1-u)), c = u/6 - s +
@@ -617,6 +624,8 @@ def _tie_start(u, lam, k2, top):
     nu_- = nu_0^4 and nu_0 (log nu_0 - 1) = u (log(u/2) - 1), which three
     fixed-point steps from nu_0 = u solve well enough.
     """
+    lam, top = _log_odds(u), _origin_band(u)[1]
+    k2 = 1.0 / (2.0 * u * lam)
     w = u * (1.0 - u)
     s0 = u * u * top
     b = 0.5 * s0 + u / 12.0 + s0 * s0 / (2.0 * w)
@@ -635,35 +644,85 @@ def _tie_start(u, lam, k2, top):
 
 
 def _first_order_coupling_u(u):
-    """(Kc1, z*, dKc1/du) in the first-order regime 0 <= u <= U_STAR: the
-    first-order coupling, the tied well and the envelope slope along the
-    first-order curve.
+    """(Kc1, z*) in the first-order regime 0 < u <= U_STAR: the first-order
+    coupling and the tied well.
 
-    One Newton solve of _tie from _tie_start, until the step stops
-    shrinking at the rounding level.  Where 1 - u rounds to 1, nu_0 ~ u is
-    not representable next to q ~ 1; Kc1 = 1 + O(u/log(1/u)) and
-    z* = 1 - O(u) round to 1 there, and the slope (about log 2/log(1/u)) is
-    left 0.
+    One tie_newton solve of _tie at u from _tie_start, with no tolerance:
+    it ends where the step, max(|dt/dxi d_xi|, |d_s|/s), stops shrinking
+    at the rounding level.  Where 1 - u rounds to 1, nu_0 ~ u is not
+    representable next to q ~ 1; Kc1 = 1 + O(u/log(1/u)) and
+    z* = 1 - O(u) round to 1 there.
     """
     if 1.0 - u == 1.0:
-        return 1.0, 1.0, 0.0
-    lam, k2, top = _log_odds(u), second_order_coupling_u(u), _origin_band(u)[1]
-    xi, s = _tie_start(u, lam, k2, top)
-    size = math.inf
-    for _ in range(_TIE_MAX_NEWTON):
-        (e1, e2), ((a, b), (c, d)), dt, readouts = _tie(u, xi, s)
+        return 1.0, 1.0
+
+    def step(xi, s):
+        (e1, e2), ((a, b, _), (c, d, _)), dt, _ = _tie(u, xi, s)
         det = a * d - b * c
         d_xi, d_s = (b * e2 - d * e1) / det, (c * e1 - a * e2) / det
         # the step in t = x^2 and in s, relative: z/q is resolved in t, not
         # in xi, as it shrinks to 0 at u*
-        step = max(abs(dt * d_xi), abs(d_s) / s)
-        # Newton squares its step: once the last one was under sqrt(eps),
-        # a step that does not shrink is the rounding of the residuals
-        if step >= size and size < _SQRT_EPS:
-            return readouts
-        xi, s, size = abs(xi + d_xi), s + d_s, step
-    raise RuntimeError(f"the tie at u = {u} did not converge in "
-                       f"{_TIE_MAX_NEWTON} Newton steps")
+        return (d_xi, d_s), max(abs(dt * d_xi), abs(d_s) / s)
+
+    xi, s = tie_newton(step, _tie_start(u), lambda xi, s: _inside(u, xi, s), 0.0)
+    return _tie_readouts(u, xi, s)
+
+
+def _inside(u, xi, s):
+    """Whether (u, xi, s) lies in the domain of _tie: xi > 0 and
+    0 < p = s t < 1 - u, i.e. q < 1."""
+    return xi > 0.0 and 0.0 < s * math.tanh(xi) ** 2 < 1.0 - u
+
+
+def _first_order_tie_u(K):
+    """(u_c1(K), z*) for 1 < K < K_m*: the energy where the first-order
+    coupling is K, and the tied well there, from one tie_newton solve in
+    (u, xi, s) of _tie's e1 = e2 = 0 and Kc1 = s/q^2 = K.
+
+    Each step is bordered: with (x0, s0) the fixed-u step and (x1, s1) its
+    response to a unit step in u, both from _tie's Jacobian,
+    du = -miss/slope with miss = Kc1 - K + dKc1/dxi x0 + dKc1/ds s0 and
+    slope = dKc1/du + dKc1/dxi x1 + dKc1/ds s1, the envelope slope of the
+    curve.  u stays put until the fixed-u step max(|dt/dxi x0|, |s0|/s) is
+    below 1e-2: from a start that far off the tie, the bordered step threw
+    u about.  A step that leaves 0 < u <= U_STAR, xi > 0 or q < 1 is
+    halved.
+
+    The start is the tangent of k2 at u*, which Kc1 meets tangentially;
+    below u = 0.2, the asymptote Kc1 - 1 ~ u log 2/log(1/u) (six
+    fixed-point steps of u = (K - 1) log(1/u)/log 2); (xi, s) from
+    _tie_start.  The stop reads max(|miss|, |dt/dxi dxi|, |ds|/s), the u
+    step in units of K with the fixed-u step, to within eps K: |miss|
+    alone stopped early, at K = 1.072306749427462 with |Kc1(u) - K| =
+    1.5e-7.
+    """
+    u = U_STAR - (K_STAR - K) / (
+        2.0 * K_STAR * K_STAR * (1.0 / (1.0 - U_STAR) - _log_odds(U_STAR)))
+    if u < 0.2:
+        u = K - 1.0
+        for _ in range(6):
+            u = (K - 1.0) * -math.log(u) / _LOG2
+
+    def step(u, xi, s):
+        (e1, e2), ((a, b, a_u), (c, d, c_u)), dt, q = _tie(u, xi, s)
+        det = a * d - b * c
+        d_xi, d_s = (b * e2 - d * e1) / det, (c * e1 - a * e2) / det
+        k = s / (q * q)
+        k_q = -2.0 * k / q
+        k_xi, k_s = k_q * s * dt, (2.0 * u - q) / (q * q * q)
+        miss = k - K + k_xi * d_xi + k_s * d_s
+        d_u = 0.0
+        if max(abs(dt * d_xi), abs(d_s) / s) < 1e-2:
+            x1, s1 = (b * c_u - d * a_u) / det, (c * a_u - a * c_u) / det
+            d_u = -miss / (k_q + k_xi * x1 + k_s * s1)
+            d_xi, d_s = d_xi + d_u * x1, d_s + d_u * s1
+        return (d_u, d_xi, d_s), max(abs(miss), abs(dt * d_xi), abs(d_s) / s)
+
+    u, xi, s = tie_newton(
+        step, (u, *_tie_start(u)),
+        lambda u, xi, s: 0.0 < u <= U_STAR and _inside(u, xi, s),
+        sys.float_info.epsilon * K)
+    return u, _tie_readouts(u, xi, s)[1]
 
 
 def first_order_coupling_u(u: float) -> float:

@@ -11,19 +11,23 @@ searched only on a piece where they leave the count of minima open.  Its
 searches start at the roots of the Landau polynomial where the caller has
 one; even_global_minima keeps the minima of an even function that tie for
 the least value; polynomial_roots solves every polynomial of the package.
-golden_min, a golden-section search, has no caller in the package: the
-benchmark's tracer still counts it.
+tie_newton is the Newton loop of the first-order tie solves, given their
+steps, the size of each and a tolerance.  golden_min, a golden-section
+search, has no caller in the package: the benchmark's tracer still counts
+it.
 """
 
 import math
+import operator
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618
 
-#: Newton steps after which bisect_newton returns its last iterate.
+#: Newton steps after which bisect_newton returns its last iterate, and
+#: tie_newton gives up.
 _MAX_NEWTON = 80
 
 #: Newton squares its step: once a step is under this, a next step that
-#: does not shrink is the rounding of the residuals (the tie solves' stop).
+#: does not shrink is the rounding of the residuals (tie_newton's stop).
 _SQRT_EPS = math.sqrt(2.0 ** -52)
 
 #: Local minima within this of the least value all count as global minima.
@@ -77,6 +81,33 @@ def bisect_newton(f, fprime, lo, hi, *, start=None, ends=None):
         x = x_new
         fx = f(x)
     return x
+
+
+def tie_newton(step, x, inside, tol):
+    """The Newton solve of a first-order tie, from the start x (a tuple).
+
+    step(*x) returns (dx, size): the Newton step at x and its size, in
+    units the caller chooses.  A step that leaves `inside` (called as
+    inside(*x)) is halved until it stays.  The solve ends after a full
+    step of size <= tol, returning the point it reached; and, at the point
+    where the size was taken, once a size does not shrink after the last
+    one fell below sqrt(eps): Newton squares its step, so that one is the
+    rounding of the residuals.
+    """
+    start, size = x, math.inf
+    for _ in range(_MAX_NEWTON):
+        dx, new = step(*x)
+        if new >= size and size < _SQRT_EPS:
+            return x
+        y, lam = tuple(map(operator.add, x, dx)), 1.0
+        while not inside(*y):
+            lam *= 0.5
+            y = tuple(a + lam * d for a, d in zip(x, dx))
+        x, size = y, new
+        if lam == 1.0 and new <= tol:
+            return x
+    raise RuntimeError(f"the tie solve from {start} did not converge in "
+                       f"{_MAX_NEWTON} Newton steps")
 
 
 def last_point(f):

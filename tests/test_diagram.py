@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from conftest import sampled_gap_intervals
 
-from begphase import canonical
+from begphase import canonical, micro
 from begphase.canonical import (
     BETA_MAX,
     dual_route_minimum,
@@ -165,13 +165,13 @@ def test_invert_micro_first_order_curve_near_one(K):
     assert abs(first_order_coupling_u(u) - K) <= 1e-9
 
 
-@pytest.mark.parametrize("invert, tie", [(beta_c1_of_K, "_first_order_tie"),
-                                         (u_c1_of_K, "_first_order_coupling_u")])
+@pytest.mark.parametrize("invert, tie, module, kernel", [
+    (beta_c1_of_K, "_first_order_tie", canonical, "_scaled_h_g"),
+    (u_c1_of_K, "_first_order_tie_u", micro, "_tie")])
 def test_first_order_inversion_solves_the_tie_once_per_iterate(monkeypatch, invert,
-                                                               tie):
-    # bisect_newton takes the slope where it has just taken the value, and
-    # both come from the same tie solve; beta_c1 is one joint solve, and
-    # each of its tie-kernel evaluations counts as a point too
+                                                               tie, module, kernel):
+    # each inversion is one joint Newton solve, and each of its tie-kernel
+    # evaluations counts as a point
     from begphase import diagram
 
     points = []
@@ -183,10 +183,9 @@ def test_first_order_inversion_solves_the_tie_once_per_iterate(monkeypatch, inve
 
     expect = invert(1.05)
     monkeypatch.setattr(diagram, tie, counted)
-    if invert is beta_c1_of_K:
-        kernel = canonical._scaled_h_g
-        monkeypatch.setattr(canonical, "_scaled_h_g", lambda b, a, eps, w: (
-            points.append((b, w)) or kernel(b, a, eps, w)))
+    evaluate = getattr(module, kernel)
+    monkeypatch.setattr(module, kernel,
+                        lambda *args: points.append(args) or evaluate(*args))
     assert invert(1.05) == expect
     assert points and len(points) == len(set(points))
     # the gap and the report take the tie at the root from the inversion:
@@ -626,7 +625,7 @@ def test_canonical_inversion_starts_next_to_its_root(monkeypatch, K):
 
     for module in (canonical, diagram):
         monkeypatch.setattr(module, "bisect_newton", refuse)
-        monkeypatch.setattr(module, "last_point", refuse)
+    monkeypatch.setattr(canonical, "last_point", refuse)
     calls = []
     kernel = canonical._scaled_h_g
     monkeypatch.setattr(canonical, "_scaled_h_g",
@@ -704,8 +703,9 @@ _KM = tricritical_micro()[1]
 
 def test_newton_searches_end_before_their_step_limit(monkeypatch):
     # every bracketed search of the inversions and of the tie and tangency
-    # tilts converges inside _MAX_NEWTON steps, out to the ends of their
-    # domains: K -> 1, both tricritical couplings, beta -> log 4 and BETA_MAX
+    # tilts, and every joint tie solve of the first-order inversions,
+    # converges inside _MAX_NEWTON steps, out to the ends of their domains:
+    # K -> 1, both tricritical couplings, beta -> log 4 and BETA_MAX
     from begphase import diagram, rootfind
 
     steps = []
@@ -725,6 +725,21 @@ def test_newton_searches_end_before_their_step_limit(monkeypatch):
 
     for module in (canonical, diagram):
         monkeypatch.setattr(module, "bisect_newton", counted)
+    newton = rootfind.tie_newton
+
+    def counted_tie(step, x, inside, tol):
+        taken = []
+
+        def g(*x):
+            taken.append(x)
+            return step(*x)
+
+        x = newton(g, x, inside, tol)
+        steps.append(len(taken))
+        return x
+
+    for module in (canonical, micro):
+        monkeypatch.setattr(module, "tie_newton", counted_tie)
     near_one = [1.0 + 10.0 ** -k for k in range(2, 14)]
     for K in near_one + [_KS - 10.0 ** -k for k in range(3, 13)]:
         beta_c1_of_K(K)
@@ -796,6 +811,36 @@ def test_gap_lower_end_is_total_and_monotone(K1, K2):
     assert lo2 <= lo1 + tol1 + tol2
 
 
+@pytest.mark.parametrize("K", [math.nextafter(1.0, 2.0), 1.0 + 1e-15,
+                               math.nextafter(_KM, 0.0)])
+def test_micro_inversion_at_the_ends_of_its_range(K):
+    # next to 1 the solve starts on the asymptote Kc1 - 1 ~ u log 2/log(1/u)
+    # (u_c1 ~ 1e-14 at the float above 1), next to K_m* on the tangent of
+    # the second-order curve
+    assert abs(_first_order_coupling_u(u_c1_of_K(K))[0] - K) <= _KC1_ROUND_TRIP
+    assert len(nonequivalence_gap(K)) == 1
+
+
+@pytest.mark.parametrize("K", [K for K, _, _ in REFERENCE_MICRO_TIES])
+def test_micro_inversion_is_one_joint_solve(monkeypatch, K):
+    # the nested search, a Newton search over u with a tie solve at each
+    # iterate, took 57 tie-kernel evaluations at 1 + 1e-13 and 41 at 1.05
+    from begphase import diagram, rootfind
+
+    def refuse(*args, **kw):
+        raise AssertionError("a 1-D search ran inside the inversion")
+
+    assert not hasattr(diagram, "last_point")
+    for module in (diagram, rootfind):
+        monkeypatch.setattr(module, "bisect_newton", refuse)
+    monkeypatch.setattr(rootfind, "last_point", refuse)
+    calls = []
+    kernel = micro._tie
+    monkeypatch.setattr(micro, "_tie", lambda *args: calls.append(args) or kernel(*args))
+    u_c1_of_K(K)
+    assert 0 < len(calls) <= 10
+
+
 def test_equivalence_gap_lower_end_near_the_micro_tricritical_coupling():
     # 6.5e-6 below K_m*, where z_m varies fast with u: the well at the
     # bisected u_c1 used to read 0.0118273, and the tie there 1.6e-8 off
@@ -856,14 +901,19 @@ def test_equivalence_gap_next_to_unit_coupling():
 
 
 # (K, lo, hi) of nonequivalence_gap(K) when every inversion ran at every K,
-# on a ladder within 1e-10 of 1, K_m* and K_c*
+# on a ladder within 1e-10 of 1, K_m* and K_c*.  Each lo > 0 is the tied
+# well of the joint (u, xi, s) solve of u_c1; its relative error against
+# an 80-digit root at the float K, with that of the nested search over u
+# it replaced: 4.5e-15 (2.7e-15), 1.2e-15 (9.8e-17), 4.5e-16 (7.8e-16),
+# 1.2e-7 (1.2e-7) and, an ulp below K_m*, where z_m = 6.6511071e-8 moves
+# by half itself per ulp of K, 0.069 (0.41)
 GAP_LADDER = [
-    (1.0 + 1e-10, 0.9999999970632066, 0.9999999979971278),
-    (1.0 + 1e-6, 0.9999830996226353, 0.9999886127820449),
-    (1.05, 0.668821319137594, 0.7301721464955837),
+    (1.0 + 1e-10, 0.9999999970632084, 0.9999999979971278),
+    (1.0 + 1e-6, 0.9999830996226364, 0.9999886127820449),
+    (1.05, 0.6688213191375938, 0.7301721464955837),
     (1.0817, 0.0, 0.09463494542136233),
-    (_KM - 1e-10, 4.6549026364046516e-05, 0.14123773893031352),
-    (math.nextafter(_KM, 0.0), 3.898847256934989e-08, 0.14123772940758927),
+    (_KM - 1e-10, 4.654901510114231e-05, 0.14123773893031352),
+    (math.nextafter(_KM, 0.0), 7.112814119420534e-08, 0.14123772940758927),
     (_KM, 0.0, 0.14123772940756685),
     (_KM + 1e-10, 0.0, 0.14123771988481815),
     (_KS - 1e-7, 0.0, 0.0016783715559988213),

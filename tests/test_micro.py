@@ -992,11 +992,39 @@ def test_first_order_coupling_u_is_the_scan_transition(u):
 
 @pytest.mark.parametrize("u", [1e-3, 0.01, 0.1, 0.3, 0.33])
 def test_first_order_coupling_u_envelope_slope(u):
-    # dKc1/du = -(F_q + lambda(u))/(z*^2 F_q), the slope u_c1_of_K steps
-    # with, against central differences of Kc1 itself
+    # dKc1/du along the curve, the slope u_c1_of_K borders its steps with:
+    # at the tie, dKc1/du + grad Kc1 . d(xi, s)/du with d(xi, s)/du =
+    # -J^-1 (de1/du, de2/du) from _tie, against central differences of Kc1
+    from begphase.micro import _tie
+    kc1, z = _first_order_coupling_u(u)
+    q = u + kc1 * z * z
+    xi, s = math.atanh(z / q), kc1 * q * q
+    rows = np.array(_tie(u, xi, s)[1])
+    d_xi, d_s = -np.linalg.solve(rows[:, :2], rows[:, 2])
+    x = z / q
+    k_q = -2.0 * s / q ** 3
+    slope = k_q * (1.0 + 2.0 * s * x * (1.0 - x * x) * d_xi + x * x * d_s) + d_s / q ** 2
     h = 1e-5 * u
     fd = (first_order_coupling_u(u + h) - first_order_coupling_u(u - h)) / (2.0 * h)
-    assert _first_order_coupling_u(u)[2] == pytest.approx(fd, rel=1e-6)
+    assert slope == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("u, xi, s", [
+    (0.3, 0.3, 0.2),     # r = p/u = 0.057, x = tanh(xi) = 0.29
+    (0.3, 1.0, 0.04),    # r = 0.077, x = 0.76
+    (0.1, 0.3, 0.5),     # r = 0.43, x = 0.29
+    (0.1, 1.0, 0.5),     # r = 2.9, x = 0.76
+    (0.01, 3.0, 0.8),    # r = 79, x = 0.995, p/(1-u) = 0.8
+])
+def test_tie_u_column_is_the_u_derivative(u, xi, s):
+    # the joint (u, xi, s) solve of u_c1 steps with de1/du and de2/du at
+    # fixed (xi, s), on both branches of _p_terms (r below and above 0.1)
+    # and of _xi_terms (x below and above 1/2), against central differences
+    from begphase.micro import _tie
+    (_, _, e1_u), (_, _, e2_u) = _tie(u, xi, s)[1]
+    for i, got in enumerate((e1_u, e2_u)):
+        fd = central_diff(lambda v: _tie(v, xi, s)[0][i], u, h=1e-5 * u)
+        assert got == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 def test_first_order_regime_ends_at_tricritical_energy():

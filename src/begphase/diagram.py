@@ -15,6 +15,7 @@ level of equilibrium macrostates.
 """
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +31,7 @@ from .canonical import (
     _first_order_tie,
     _kc2_slope,
     canonical_criticals,
+    mag_potential,
     second_order_coupling,
     solve_canonical,
 )
@@ -54,7 +56,7 @@ from .micro import (
     micro_criticals,
     solve_micro,
 )
-from .rootfind import bisect_newton
+from .rootfind import TIE_TOL, bisect_newton
 
 @dataclass(frozen=True)
 class PhaseDiagramRow:
@@ -252,8 +254,38 @@ def _u_c1_tie(K):
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _canonical_row(crit, K):
-    zs, best, _ = _canonical_minima(CanonicalParams(crit.beta, K))
+def _disordered_below(crit):
+    """The K below which the origin alone is the global minimizer at the
+    beta of the canonical record crit, with every positive well more than
+    TIE_TOL above it; -inf where the record has no first-order coupling.
+
+    At k_tangent <= K < Kc1 the one positive well lies at z*(K) >= z_t =
+    w_tangent/(2 beta k_tangent) and G(0) = 0, so by the envelope theorem
+    its depth D(K) = G(z*) has dD/dK = -beta z*^2 and D(K) >= beta z_t^2
+    (Kc1 - K); below k_tangent there is no well.  D exceeds 2 (TIE_TOL +
+    r) below Kc1 - 2 (TIE_TOL + r)/(beta z_t^2), with r = 8 eps beta Kc1 a
+    bound on the rounding of G at the well, whose two terms beta K z^2 and
+    c(2 beta K z) are at most 2 beta K; 8 ulps of Kc1 more cover the
+    rounding of the record's Kc1.  Next to log 4 the band grows like
+    1/z_t^2 ~ 1/(beta - log 4).
+    """
+    kc1 = crit.k_first_order
+    if kc1 is None:
+        return -math.inf
+    b = crit.beta
+    z_t = crit.w_tangent / (2.0 * b * crit.k_tangent)
+    slack = TIE_TOL + 8.0 * sys.float_info.epsilon * b * kc1
+    return kc1 - 2.0 * slack / (b * z_t * z_t) - 8.0 * math.ulp(kc1)
+
+
+def _canonical_row(crit, K, cut):
+    """The row at (crit.beta, K): the origin alone below cut =
+    _disordered_below(crit), with its value G(0), else _canonical_minima."""
+    params = CanonicalParams(crit.beta, K)
+    if K < cut:
+        zs, best = [0.0], mag_potential(params, 0.0, 0)
+    else:
+        zs, best, _ = _canonical_minima(params)
     return PhaseDiagramRow(
         ensemble="canonical", control=(crit.beta, K), minimizers=tuple(zs),
         order_parameter=max(abs(z) for z in zs), branch=PHASE_LABELS[len(zs)],
@@ -265,12 +297,20 @@ def sweep_canonical(beta_grid, K_grid):
 
     rows holds one PhaseDiagramRow per grid point, sorted by (beta, K);
     curves holds canonical_criticals(beta) per beta, which labels the
-    transition order of the rows at that beta.
+    transition order of the rows at that beta.  Above log 4 the record
+    also decides the rows below its first-order coupling, less a band
+    (_disordered_below): each is the origin alone, with the value and
+    the refusals of _canonical_minima, and no well is searched.  The other
+    rows are the minimization of solve_canonical.
     """
     betas = sorted(float(b) for b in beta_grid)
     Ks = sorted(float(K) for K in K_grid)
     curves = [canonical_criticals(b) for b in betas]
-    return [_canonical_row(c, K) for c in curves for K in Ks], curves
+    rows = []
+    for c in curves:
+        cut = _disordered_below(c)
+        rows += [_canonical_row(c, K, cut) for K in Ks]
+    return rows, curves
 
 
 def _micro_row(crit, K):

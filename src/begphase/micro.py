@@ -20,6 +20,8 @@ real roots of a sextic, which polynomial_roots finds too.  F' and F'' are
 summed from the curvature g = F''(0), exactly signed, which resolves the
 wells just above the second-order coupling and decides the origin; with the
 quartic and sextic Landau coefficients it gives each search its start.
+From u1 ~ 0.4473 on, where g > 0, the rate exceeds F(0) by at least
+u g z^2/(2q), which decides the origin with no search at all.
 The first-order coupling is where a positive well ties with z = 0: one
 Newton solve of the tie and the stationarity of the rate, in unknowns scaled
 so that they stay well conditioned at both ends of the first-order regime.
@@ -34,8 +36,8 @@ from fractions import Fraction
 
 from .core import (PHASE_LABELS, DomainError, Macrostate, MicroParams,
                    _exactly_signed, _finite, _real)
-from .rootfind import (_horner, even_global_minima, piecewise_minima,
-                       polynomial_roots, tie_newton)
+from .rootfind import (TIE_TOL, _horner, even_global_minima,
+                       piecewise_minima, polynomial_roots, tie_newton)
 
 _LOG2 = math.log(2.0)
 
@@ -163,6 +165,13 @@ def _log_odds(u):
     return _LOG2 + math.log1p(-u) - math.log(u)
 
 
+#: The first float at or above u1 = 0.44731463078805858529..., the root of
+#: 2(1-u) log(2(1-u)/u) = 1: from u1 on, z = 0 is the one global minimizer
+#: of the shell rate wherever g = F''(0) > 0 (_origin_certified).  The
+#: tests check it against a 60-digit root.
+U1 = 0.4473146307880586
+
+
 def _origin_curvature(u, K):
     """The Landau coefficient g = F''(0) = 1/u - 2K log(2(1-u)/u) of the
     shell rate at 0 < u < 1, with the sign of its exact value: it is
@@ -247,20 +256,19 @@ def _rate_third(quartic, u, K, z):
     return 2.0 * z * _horner(quartic, z * z) / den
 
 
-def _local_minima(u, K):
-    """Every local minimizer z >= 0 of the shell rate.  The rate is even, so
+def _local_minima(u, K, g):
+    """Every local minimizer z >= 0 of the shell rate, given its Landau
+    coefficient g = F''(0) = _origin_curvature(u, K).  The rate is even, so
     piecewise_minima searches each of the _positive_components, with the
-    slope and the curvature summed from the Landau coefficient g = F''(0),
-    computed once, and the searches on the central component started at
-    the roots of the _landau_poly polynomial, the expansion about z = 0,
-    which lie next to the near-double roots of F' and F'' close to the
-    critical curves.  z = 0 is a minimum exactly when
+    slope and the curvature summed from g, and the searches on the central
+    component started at the roots of the _landau_poly polynomial, the
+    expansion about z = 0, which lie next to the near-double roots of F'
+    and F'' close to the critical curves.  z = 0 is a minimum exactly when
     g > 0: no tolerance decides it.  piecewise_minima takes the end values
     of F' in closed form: 0 at z = 0, -inf at r_hi (b = 0, 2Kz > 1) and +inf
     at every upper end (b = 0 with 2Kz < 1, or c = 0); next to an end F'
     rounds to either sign on a component a few ulps wide.
     """
-    g = _origin_curvature(u, K)
     quartic = _phi3_quartic(u, K)
     cuts = [math.sqrt(t) for t in polynomial_roots(quartic, 0.0, 1.0)]
     landau = _landau_poly(u, K, g)
@@ -297,19 +305,52 @@ def _landau_poly(u, K, g):
     return g, b, c
 
 
+def _origin_certified(u, K, g):
+    """Whether z = 0 is the one global minimizer of the shell rate at (u, K),
+    given g = _origin_curvature(u, K), with no other local minimum within
+    TIE_TOL of its value: u >= U1 and g > 0, where a tie is ruled out.
+
+    With q = u + K z^2 and lambda = _log_odds, F(z) - F(0) = q h(z/q) -
+    int_u^q lambda, h(x) = [(1+x) log(1+x) + (1-x) log(1-x)]/2 >= x^2/2,
+    so F(z) - F(0) >= u g z^2/(2q) wherever H(q) = (q-u) u lambda(u) -
+    q int_u^q lambda >= 0.  H(u) = H'(u) = 0 and H''(q) = 1/(1-q) -
+    2 lambda(q) >= 0 at q >= u >= u1, the root of 2(1-u) lambda(u) = 1.
+    A positive local minimum within 2 TIE_TOL of F(0) (the tie and the
+    rounding of F) would so lie at z^2 <= r = 4 TIE_TOL/(u g), as q <= 1.
+    There F'/z >= g - K z^2 (1/(u q) + 1/(q^2 - z^2)) (from g(q) >= g -
+    K z^2/(u q), log1p(-t) >= -t/(1-t) and atanh(x) >= x), which is
+    >= g - 3 K z^2/u^2 > 0 where r <= u^2/2 and 3 K r < g u^2: F' has no
+    root there.  Elsewhere (g below about 1e-5, next to k2(u)) the search
+    decides.
+    """
+    if not (u >= U1 and g > 0.0):
+        return False
+    r = 4.0 * TIE_TOL / (u * g)
+    return r <= 0.5 * u * u and 3.0 * K * r < g * u * u
+
+
 def _micro_minima(params):
     """(zs, best, lifts): the sorted global minimizers of the shell rate, its
     least value and {z: shell_macrostate(params, z)} over the distinct
     z >= 0 among them, so that a lift leaving the simplex refuses (u, K).
 
-    Local minima from the exact derivatives of the rate, each search
-    started at its Landau root (_local_minima), ties within TIE_TOL all
-    retained.  At most three global minimizers can occur; more indicates a
-    violated structural assumption and raises RuntimeError.
+    Where _origin_certified proves z = 0 the one global minimizer, it is
+    the one candidate, and no well is searched; the quartic of the search
+    is still formed, so that a K past its float range is refused alike.
+    Elsewhere the local minima come from the exact derivatives of the rate,
+    each search started at its Landau root (_local_minima).  Ties within
+    TIE_TOL are all retained.  At most three global minimizers can occur;
+    more indicates a violated structural assumption and raises
+    RuntimeError.
     """
     u, K = params.u, params.K
-    zs, best = even_global_minima(lambda z: _shell_rate(u, K, z),
-                                  _local_minima(u, K))
+    g = _origin_curvature(u, K)
+    if _origin_certified(u, K, g):
+        _phi3_quartic(u, K)
+        cands = [0.0]
+    else:
+        cands = _local_minima(u, K, g)
+    zs, best = even_global_minima(lambda z: _shell_rate(u, K, z), cands)
     if len(zs) > 3:
         raise RuntimeError(
             f"{len(zs)} tied global minima at (u, K) = ({u}, {K}); "

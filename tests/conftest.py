@@ -24,6 +24,13 @@ def second_diff(f, x, h=1e-4):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
+def floats_from(x, n, toward):
+    """The float n steps from x toward `toward`."""
+    for _ in range(n):
+        x = math.nextafter(x, toward)
+    return x
+
+
 def random_macrostates(rng, count):
     return [Macrostate(*pt) for pt in rng.dirichlet((1.0, 1.0, 1.0), size=count)]
 

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from conftest import sampled_gap_intervals
+from conftest import floats_from, sampled_gap_intervals
 
 from begphase import canonical, micro
 from begphase.canonical import (
@@ -262,19 +262,35 @@ def test_sweep_canonical_transition_order_by_log4_decimals():
 
 
 def test_tangency_derived_once_per_beta(monkeypatch):
-    # a sweep derives each beta's critical record once, for its curves; the
-    # rows and a standalone solve select their minimizers by value and
-    # derive no tangency
-    calls = []
+    # a sweep derives each beta's critical record once, for its curves, and
+    # the record decides the rows below its first-order coupling (K = 1.0
+    # at both beta) with no well search; the other rows and a standalone
+    # solve select their minimizers by value and derive no tangency
+    calls, searched = [], []
     tangency = canonical.tangency
+    local_wells = canonical._local_wells
+    piecewise_minima = canonical.piecewise_minima
 
     def counting(beta):
         calls.append(beta)
         return tangency(beta)
 
+    def wells(params, d):
+        searched.append((params.beta, params.K))
+        return local_wells(params, d)
+
+    def pieces(*args, **kwargs):
+        searched.append("piecewise_minima")
+        return piecewise_minima(*args, **kwargs)
+
     monkeypatch.setattr(canonical, "tangency", counting)
-    sweep_canonical([2.0, 3.0], [1.0, 1.05, 1.1, 1.3])
+    monkeypatch.setattr(canonical, "_local_wells", wells)
+    monkeypatch.setattr(canonical, "piecewise_minima", pieces)
+    rows, _ = sweep_canonical([2.0, 3.0], [1.0, 1.05, 1.1, 1.3])
     assert calls == [2.0, 3.0]
+    assert [r.minimizers for r in rows if r.control[1] == 1.0] == [(0.0,)] * 2
+    assert [x for x in searched if x != "piecewise_minima"] == [
+        (b, K) for b in (2.0, 3.0) for K in (1.05, 1.1, 1.3)]
     calls.clear()
     sol = solve_canonical(CanonicalParams(2.0, 1.1))
     assert sol.phase_label == "pair"
@@ -309,6 +325,71 @@ def test_sweep_canonical_rows_are_the_solves_bit_for_bit(beta, Ks, m):
         assert _bits(r.minimizers) == _bits(sol.z_points)
         assert _bits([r.value]) == _bits([sol.min_value])
         assert r.branch == sol.phase_label
+
+
+@st.composite
+def _first_order_betas(draw):
+    """beta > log 4: the floats just above it and up to 1e-15..1 above it,
+    where the band grows like 1/z_t^2, the bulk, and up to BETA_MAX."""
+    return draw(st.one_of(
+        st.integers(1, 40).map(lambda n: floats_from(BETA_C, n, 2.0)),
+        st.floats(-15.0, 0.0).map(lambda e: BETA_C + 10.0 ** e),
+        st.floats(BETA_C, 10.0, exclude_min=True),
+        st.floats(10.0, BETA_MAX),
+        st.just(BETA_MAX)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_first_order_betas(), st.integers(-4, 4), st.floats(0.0, 1.0),
+       st.floats(-300.0, 0.0))
+def test_rows_below_the_band_are_the_search_bit_for_bit(beta, m, f, e):
+    # the rows the record decides (K below Kc1 - band) are those of the
+    # search: m ulps from the band's edge, anywhere below Kc1, and at a
+    # log-uniform K down to 1e-300
+    from begphase.diagram import _disordered_below
+    crit = canonical.canonical_criticals(beta)
+    cut = _disordered_below(crit)
+    kc1 = crit.k_first_order
+    Ks = [f * kc1, 10.0 ** e, crit.k_tangent, math.nextafter(crit.k_tangent, 0.0)]
+    if cut > 0.0:
+        Ks.append(floats_from(cut, abs(m), math.copysign(math.inf, m)))
+    Ks = [K for K in Ks if K > 0.0]
+    rows, _ = sweep_canonical([beta], Ks)
+    for r in rows:
+        zs, best, _ = canonical._canonical_minima(CanonicalParams(*r.control))
+        assert _bits(r.minimizers) == _bits(zs)
+        assert _bits([r.value]) == _bits([best])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-4.0, math.log10(BETA_MAX - BETA_C)), st.floats(0.01, 0.99))
+@example(math.log10(BETA_MAX - BETA_C), 0.5)
+def test_well_depth_bound_below_the_first_order_coupling(e, f):
+    # D(K) >= beta z_t^2 (Kc1 - K) between the tangency and the first-order
+    # coupling, at 60 digits: the depth of the one positive well, which the
+    # band of _disordered_below reads from the record
+    mpmath = pytest.importorskip("mpmath")
+    beta = min(BETA_C + 10.0 ** e, BETA_MAX)
+    crit = canonical.canonical_criticals(beta)
+    kc1, k_t = crit.k_first_order, crit.k_tangent
+    K = k_t + f * (kc1 - k_t)
+    assume(k_t < K < kc1)
+    w = canonical.positive_well(beta, K)
+    with mpmath.workdps(60):
+        b, k = mpmath.mpf(beta), mpmath.mpf(K)
+        a = 2 * mpmath.exp(-b)
+
+        def c(x):
+            return mpmath.log(1 + a * mpmath.cosh(x)) - mpmath.log(1 + a)
+
+        # the well: z = c'(2 beta K z)
+        z = mpmath.findroot(lambda x: x - a * mpmath.sinh(2 * b * k * x)
+                            / (1 + a * mpmath.cosh(2 * b * k * x)),
+                            mpmath.mpf(w) / (2 * b * k))
+        depth = b * k * z * z - c(2 * b * k * z)
+        z_t = mpmath.mpf(crit.w_tangent) / (2 * b * mpmath.mpf(k_t))
+        assert z > z_t
+        assert depth >= b * z_t * z_t * (mpmath.mpf(kc1) - k)
 
 
 @settings(max_examples=100, deadline=None)

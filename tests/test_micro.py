@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import assert_sets_close, central_diff, second_diff
+from conftest import assert_sets_close, central_diff, floats_from, second_diff
 
 from begphase.core import (DomainError, MicroParams, UNIFORM, energy_domain,
                            rel_entropy)
@@ -329,6 +329,147 @@ def test_well_next_to_the_tricritical_point():
     sol = solve_micro(MicroParams(0.3303438281844679, 1.081296450057609))
     assert sol.phase_label == "pair" and 0.0 not in sol.z_points
     assert abs(sol.z_points[1] - 6.9708074537436519e-5) <= 1e-6 * 6.97e-5
+
+
+# ---------------------------------------------------------------------------
+# the disordered points decided without a search
+# ---------------------------------------------------------------------------
+
+def test_u1_is_the_first_float_at_or_above_its_root():
+    mpmath = pytest.importorskip("mpmath")
+    from begphase.micro import U1
+    with mpmath.workdps(60):
+        root = mpmath.findroot(
+            lambda u: 2 * (1 - u) * mpmath.log(2 * (1 - u) / u) - 1,
+            mpmath.mpf("0.4473"))
+        assert abs(root - mpmath.mpf("0.44731463078805858529")) < 1e-19
+        assert mpmath.mpf(U1) >= root
+        assert mpmath.mpf(math.nextafter(U1, 0.0)) < root
+
+
+def _mp_rate(mpmath, u, K, z):
+    """The shell rate F(z) at mpmath (u, K, z), 0 log 0 = 0, less log 3."""
+    q = u + K * z * z
+
+    def xlogx(x):
+        return x * mpmath.log(x) if x > 0 else mpmath.mpf(0)
+
+    return xlogx(q + z) / 2 + xlogx(q - z) / 2 + xlogx(1 - q) - q * mpmath.log(2)
+
+
+@st.composite
+def _certified_shell_points(draw):
+    """(u, K, z): u >= U1, K below k2(u) (any K from 2/3 on), z on the
+    positive admissible set."""
+    from begphase.micro import U1
+    u = draw(st.floats(U1, math.nextafter(1.0, 0.0)))
+    if u < 2.0 / 3.0:
+        K = second_order_coupling_u(u) * draw(st.floats(1e-6, 1.0 - 1e-9))
+    else:
+        K = 10.0 ** draw(st.floats(-3.0, 3.0))
+    comps = [c for c in admissible_domain(MicroParams(u, K)) if c[1] > 0.0]
+    lo, hi = comps[draw(st.integers(0, len(comps) - 1))]
+    z = max(lo, 0.0) + draw(st.floats(1e-6, 1.0)) * (hi - max(lo, 0.0))
+    return u, K, z
+
+
+@settings(max_examples=80, deadline=None)
+@given(_certified_shell_points())
+def test_shell_rate_excess_bound(point):
+    # F(z) - F(0) >= u g z^2/(2q) from u1 on, at 60 digits: the bound that
+    # decides the origin at u >= U1 and g > 0 without a search
+    mpmath = pytest.importorskip("mpmath")
+    u, K, z = point
+    with mpmath.workdps(60):
+        um, km, zm = mpmath.mpf(u), mpmath.mpf(K), mpmath.mpf(z)
+        q = um + km * zm * zm
+        assume(zm <= q <= 1)   # z rounded onto the set
+        g = 1 / um - 2 * km * mpmath.log(2 * (1 - um) / um)
+        excess = _mp_rate(mpmath, um, km, zm) - _mp_rate(mpmath, um, km, 0)
+        assert g > 0
+        assert excess >= um * g * zm * zm / (2 * q) * (1 - mpmath.mpf(10) ** -40)
+
+
+def _searched(params):
+    """_micro_minima by the full search: every local minimum of
+    _local_minima, the global ones kept by value, with their lifts."""
+    from begphase.micro import _local_minima, _origin_curvature, _shell_rate
+    from begphase.rootfind import even_global_minima
+    u, K = params.u, params.K
+    zs, best = even_global_minima(lambda z: _shell_rate(u, K, z),
+                                  _local_minima(u, K, _origin_curvature(u, K)))
+    return zs, best, {z: shell_macrostate(params, z) for z in zs if z >= 0.0}
+
+
+def _outcome(minima, params):
+    """The bits of minima(params), lifts included, or the error it raised."""
+    try:
+        zs, best, lifts = minima(params)
+    except (DomainError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return ([z.hex() for z in zs], best.hex(),
+            [(z.hex(), *(x.hex() for x in astuple(m))) for z, m in lifts.items()])
+
+
+@st.composite
+def _origin_band_points(draw):
+    """(u, K) from U1 and its neighbouring floats up to the float below 1,
+    with K log-uniform up to the quartic's bound and past it, or within a
+    few ulps below k2(u)."""
+    from begphase.micro import U1
+    u = draw(st.one_of(
+        st.integers(-3, 8).map(lambda n: floats_from(U1, abs(n), math.copysign(1.0, n))),
+        st.floats(U1, math.nextafter(1.0, 0.0)),
+        st.floats(1e-16, 1e-3).map(lambda d: 1.0 - d)))
+    kind = draw(st.sampled_from(["log-uniform", "below k2"]))
+    if kind == "below k2" and u < 2.0 / 3.0:
+        K = floats_from(second_order_coupling_u(u), draw(st.integers(0, 6)), 0.0)
+    else:
+        K = 10.0 ** draw(st.floats(-300.0, 52.0))
+    return u, K
+
+
+@settings(max_examples=300, deadline=None)
+@given(_origin_band_points())
+@example((0.5, 1.4))
+@example((0.9999999999999999, 1e300))
+def test_certified_origin_is_the_search_bit_for_bit(uK):
+    # where _micro_minima decides the origin without a search, it returns
+    # the search's minimizers, value and lifts bit for bit, and refuses
+    # what the search refuses
+    from begphase.micro import _micro_minima
+    params = MicroParams(*uK)
+    assert _outcome(_micro_minima, params) == _outcome(_searched, params)
+
+
+def test_certified_origin_searches_no_well(monkeypatch):
+    # from U1 on, where g > 0, solve_micro, micro_entropy and the sweep
+    # decide the origin with no root cascade and no well search; the float
+    # below U1 and a point next to k2(u) are searched
+    from begphase import micro
+    from begphase.micro import U1
+    calls = []
+    for name in ("polynomial_roots", "piecewise_minima"):
+        def spy(*args, _f=getattr(micro, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(micro, name, spy)
+    points = [(0.5, 1.4), (U1, 1.0), (0.6, 1e-300), (0.75, 3.0), (0.9999, 1e40)]
+    for u, K in points:
+        sol = solve_micro(MicroParams(u, K))
+        assert sol.z_points == (0.0,)
+        assert micro_entropy(MicroParams(u, K)) == sol.entropy
+    rows, _ = sweep_micro([0.5, 0.75], [1.0, 1.4])
+    assert [r.minimizers for r in rows] == [(0.0,)] * 4
+    assert calls == []
+    with pytest.raises(DomainError, match="K ~ 1.5e51"):
+        solve_micro(MicroParams(0.9999999999999999, 1e300))
+    assert calls == []
+    k2 = second_order_coupling_u(0.5)
+    for u, K in ((math.nextafter(U1, 0.0), 1.0), (0.5, math.nextafter(k2, 0.0))):
+        calls.clear()
+        assert solve_micro(MicroParams(u, K)).z_points == (0.0,)
+        assert "piecewise_minima" in calls
 
 
 @st.composite

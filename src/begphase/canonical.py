@@ -32,6 +32,7 @@ from .core import (
     _exactly_signed,
     _finite,
     _real,
+    _raw_moments,
     _tilted_masses,
     _tilted_moments,
     cramer_rate,
@@ -40,8 +41,9 @@ from .core import (
     mean_tilt,
     rel_entropy,
 )
-from .rootfind import (bisect_newton, even_global_minima, last_point,
-                       piecewise_minima, tie_newton)
+from .rootfind import (_chord_root, _landau_starts, bisect_newton,
+                       even_global_minima, last_point, piecewise_minima,
+                       tie_newton)
 
 #: log 4 - BETA_C, the part of log 4 that its float drops: it signs
 #: 1 - 3a at the floats next to log 4.
@@ -165,11 +167,11 @@ def _tilt_kernels(beta, K, d):
     """
     tk = 2.0 * beta * K
     a, eps = _a_eps(beta)
-    moments = last_point(lambda w: _tilted_moments(beta, w))
+    moments = last_point(lambda w: _raw_moments(beta, w))
 
     def slope(w):
         if abs(w) > 2.0:
-            return w / tk - moments(w)[1]
+            return w / tk - moments(w)[0]
         x = w * w
         tail, sw = _sinh_sums(x)[:2]
         sigma = x * eps / 6.0 + tail - a * x * sw
@@ -177,7 +179,7 @@ def _tilt_kernels(beta, K, d):
 
     def curvature(w):
         if abs(w) > 2.0:
-            _, m1, m2 = moments(w)
+            m1, m2 = moments(w)[:2]
             return 1.0 / tk - (m2 - m1 * m1)
         s = 2.0 * math.sinh(0.5 * w) ** 2
         y = a * s
@@ -185,7 +187,7 @@ def _tilt_kernels(beta, K, d):
 
     def third(w):
         if abs(w) > 2.0:
-            return -_cumulant_from_moments(*moments(w)[1:], 3)
+            return -_cumulant_from_moments(*moments(w)[:2], 3)
         return -_c3(a, eps, w)
 
     return slope, curvature, third
@@ -379,21 +381,25 @@ def _local_wells(params, d):
     """Every local minimizer w >= 0 of the tilt potential P, increasing,
     given its Landau coefficient d = P''(0) from _landau.
 
-    A positive well lies where P'' increases: beyond the inflection w_c of
-    c' above log 4, anywhere below it (w_c = 0 there).  One piecewise_minima
-    call with no cuts searches (w_c, 2 beta K + 1], where P' > 0 even if c'
-    rounds to 1, with its searches started at the roots of the
-    _landau_poly polynomial: next to Kc2 and Kc1 the well is a near-double
-    root of P', which Newton from a start far from it approaches by little
-    more than halvings.  Where P' < 0 at the lower end the one well is
-    searched over the whole piece; where P' > 0 there (the origin a well
-    above log 4), only P' at the spinodal of the positive branch tells
-    whether a metastable well lies beyond it.  The origin is a well
-    exactly when d >= 0 (d = 0 only in the critical band of _landau).
-    Below log 4, P'' rises from d: where d >= 0 the origin is the one
-    well, and the search is skipped.  P squares the
-    tilt and divides by it: DomainError where 2 beta K does not square to a
-    finite float (above about 1.34e154) or underflows to 0.
+    c' is concave on w > 0 up to log 4 and has one inflection w_c above
+    it, so P' = w/(2 beta K) - c'(w) is convex wherever a positive well
+    can lie, and each well is the one sign change of a convex function,
+    bracketed up to 2 beta K + 1, where P' > 0 even if c' rounds to 1 (P'
+    as evaluated there: where it rounds to 0, at beta = 150 and K = Kc2
+    (1 + 1e-6), that end is the well).  The origin is a well exactly when
+    d >= 0 (d = 0 only in the critical band of _landau).  Up to log 4, P''
+    rises from d: with d < 0 the one positive well is the root of P' on
+    (0, 2 beta K + 1].  Above log 4, where no well lies below w_c, it is
+    the root on [w_c, 2 beta K + 1] where P'(w_c) < 0 (always so where
+    d < 0); else P' is least at its spinodal w_s, searched only where
+    P''(w_c) < 0 < P''(2 beta K + 1), and a metastable well is the root on
+    [w_s, 2 beta K + 1] where P'(w_s) < 0.  The searches start at the
+    roots of the _landau_poly polynomial (_landau_starts), the spinodal
+    search at the chord where none lies inside: next to Kc2 and Kc1 the
+    well is a near-double root of P', which Newton from a start far from
+    it approaches by little more than halvings.  P squares the tilt and
+    divides by it: DomainError where 2 beta K does not square to a finite
+    float (above about 1.34e154) or underflows to 0.
     """
     beta, K = _check_beta(params.beta), params.K
     tk = 2.0 * beta * K
@@ -402,12 +408,27 @@ def _local_wells(params, d):
             f"the canonical solver needs 2 beta K > 0 and (2 beta K)^2 "
             f"finite, i.e. 2 beta K from 5e-324 to about 1.34e154, got "
             f"2 beta K = {tk} at (beta, K) = ({beta}, {K})")
-    if beta <= BETA_C and d >= 0.0:
-        return [0.0]
+    origin, hi = [0.0] * (d >= 0.0), tk + 1.0
     lo = cumulant_inflection(beta) if beta > BETA_C else 0.0
-    return [0.0] * (d >= 0.0) + [w for w in piecewise_minima(
-        *_tilt_kernels(beta, K, d), (), lo, tk + 1.0,
-        landau=_landau_poly(beta, d)) if w > lo]
+    if beta <= BETA_C and d >= 0.0 or lo >= hi:
+        return origin
+    slope, curvature, third = _tilt_kernels(beta, K, d)
+    well, spinodals = _landau_starts(_landau_poly(beta, d))
+    # the sign of P' just above lo: that of d at the origin, where P' = 0
+    flo = slope(lo) or curvature(lo)
+    if flo > 0.0:
+        clo, chi = curvature(lo), curvature(hi)
+        if not clo < 0.0 < chi:
+            return origin
+        start = next((x for x in spinodals if lo < x < hi),
+                     _chord_root(lo, hi, clo, chi))
+        lo = bisect_newton(curvature, third, lo, hi, start=start,
+                           ends=(clo, chi))
+        flo = slope(lo)
+        if not flo < 0.0:
+            return origin
+    return origin + [bisect_newton(slope, curvature, lo, hi, start=well,
+                                   ends=(flo, slope(hi)))]
 
 
 def _landau_poly(beta, d):
@@ -557,7 +578,8 @@ def _canonical_minima(params):
     disordered point 0 alone, the symmetric pair +-z, or all three where
     they tie at a first-order coupling.  d decides the origin and, with the
     fourth and sixth cumulants, starts the well searches (_landau_poly): no
-    critical coupling is computed."""
+    critical coupling is computed.  Every solve and every sweep row takes
+    this one path."""
     beta, K = params.beta, params.K
     a = 2.0 * beta * K
     d = _landau(beta, K)

@@ -158,17 +158,12 @@ def _curvature(beta):
     return 2.0 / (math.exp(beta) + 2.0) if beta < 700.0 else 2.0 * math.exp(-beta)
 
 
-def _tilted_moments(beta, t):
-    """(c(t), m1, m2): cumulant value and first two raw moments of the spin
-    under the measure with masses proportional to (e^{-beta-t}, 1, e^{-beta+t}).
-
-    Max-shifted so large |t| neither overflows nor underflows; sums are
-    grouped so the results are exactly even/odd under t -> -t.  Up to
-    |t| = 700 the value is c = log1p(2 a sinh(t/2)^2) with a = c''(0), which
-    keeps its relative precision as t -> 0 and is exactly zero at t = 0;
-    beyond, sinh(t/2)^2 nears overflow and c is the difference of the
-    shifted logs, which no longer cancel.
-    """
+def _raw_moments(beta, t):
+    """(m1, m2, shift, d): the first two raw moments of the spin under the
+    measure with masses proportional to (e^{-beta-t}, 1, e^{-beta+t}), all
+    that the derivatives of c read, and the shift and shifted sum d of the
+    masses.  Max-shifted so large |t| neither overflows nor underflows; sums
+    are grouped so the moments are exactly odd/even under t -> -t."""
     lw_m = -beta - t
     lw_p = -beta + t
     shift = max(0.0, lw_m, lw_p)
@@ -176,16 +171,28 @@ def _tilted_moments(beta, t):
     wm = math.exp(lw_m - shift)
     wp = math.exp(lw_p - shift)
     d = w0 + (wm + wp)
+    return (wp - wm) / d, (wm + wp) / d, shift, d
+
+
+def _tilted_moments(beta, t):
+    """(c(t), m1, m2): cumulant value and the moments of _raw_moments.
+
+    Up to |t| = 700 the value is c = log1p(2 a sinh(t/2)^2) with a = c''(0),
+    which keeps its relative precision as t -> 0 and is exactly zero at
+    t = 0; beyond, sinh(t/2)^2 nears overflow and c is the difference of
+    the shifted logs, which no longer cancel.
+    """
+    m1, m2, shift, d = _raw_moments(beta, t)
     if abs(t) <= 700.0:
         c0 = math.log1p(2.0 * _curvature(beta) * math.sinh(0.5 * abs(t)) ** 2)
     else:
         c0 = shift + math.log(d) - math.log1p(2.0 * math.exp(-beta))
-    return c0, (wp - wm) / d, (wm + wp) / d
+    return c0, m1, m2
 
 
 def _tilted_masses(beta, t):
     """(nu_-, nu_0, nu_+) of the single-site measure tilted by t, max-shifted
-    and summed as in _tilted_moments: exact mirrors under t -> -t."""
+    and summed as in _raw_moments: exact mirrors under t -> -t."""
     shift = max(-beta - t, 0.0, -beta + t)
     wm = math.exp(-beta - t - shift)
     w0 = math.exp(-shift)
@@ -257,10 +264,9 @@ def cumulant(beta: float, t: float, order: int = 0) -> float:
     t = _finite(t, "t")
     if order not in (0, 1, 2, 3, 4, 5, 6):
         raise DomainError(f"derivative order must be in 0..6, got {order}")
-    c0, m1, m2 = _tilted_moments(beta, t)
     if order == 0:
-        return c0
-    return _cumulant_from_moments(m1, m2, order)
+        return _tilted_moments(beta, t)[0]
+    return _cumulant_from_moments(*_raw_moments(beta, t)[:2], order)
 
 
 # ---------------------------------------------------------------------------

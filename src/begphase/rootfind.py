@@ -3,18 +3,19 @@
 Every solver in this package locates roots the same way: Newton runs from a
 start inside a sign-change bracket, the Landau root or another closed form
 where the caller has one, and a safeguard keeps the iterates inside the
-bracket, which every iterate narrows.  piecewise_minima finds every local
-minimum of a function whose third derivative changes sign only at known
-points, without a grid: the signs of the slope at the ends of each piece
-between them decide most pieces, and a root of the second derivative is
-searched only on a piece where they leave the count of minima open.  Its
-searches start at the roots of the Landau polynomial where the caller has
-one; even_global_minima keeps the minima of an even function that tie for
-the least value; polynomial_roots solves every polynomial of the package.
-tie_newton is the Newton loop of the first-order tie solves, given their
-steps, the size of each and a tolerance.  golden_min, a golden-section
-search, has no caller in the package: the benchmark's tracer still counts
-it.
+bracket, which every iterate narrows.  piecewise_minima, the search of
+the microcanonical solver and of the canonical dual route, finds every
+local minimum of a function whose third derivative changes sign only at
+known points, without a grid: the signs of the slope at the ends of each
+piece between them decide most pieces, and a root of the second
+derivative is searched only on a piece where they leave the count of
+minima open.  Its searches start at the roots of the Landau polynomial
+(_landau_starts) where the caller has one; even_global_minima keeps the
+minima of an even function that tie for the least value;
+polynomial_roots solves every polynomial of the package.  tie_newton is
+the Newton loop of the first-order tie solves, given their steps, the
+size of each and a tolerance.  golden_min, a golden-section search, has
+no caller in the package: the benchmark's tracer still counts it.
 """
 
 import math

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from conftest import floats_from, sampled_gap_intervals
+from conftest import sampled_gap_intervals
 
 from begphase import canonical, micro
 from begphase.canonical import (
@@ -263,13 +263,11 @@ def test_sweep_canonical_transition_order_by_log4_decimals():
 
 def test_tangency_derived_once_per_beta(monkeypatch):
     # a sweep derives each beta's critical record once, for its curves, and
-    # the record decides the rows below its first-order coupling (K = 1.0
-    # at both beta) with no well search; the other rows and a standalone
-    # solve select their minimizers by value and derive no tangency
+    # every row, as a standalone solve, selects its minimizers by value and
+    # derives no tangency
     calls, searched = [], []
     tangency = canonical.tangency
     local_wells = canonical._local_wells
-    piecewise_minima = canonical.piecewise_minima
 
     def counting(beta):
         calls.append(beta)
@@ -279,22 +277,38 @@ def test_tangency_derived_once_per_beta(monkeypatch):
         searched.append((params.beta, params.K))
         return local_wells(params, d)
 
-    def pieces(*args, **kwargs):
-        searched.append("piecewise_minima")
-        return piecewise_minima(*args, **kwargs)
-
     monkeypatch.setattr(canonical, "tangency", counting)
     monkeypatch.setattr(canonical, "_local_wells", wells)
-    monkeypatch.setattr(canonical, "piecewise_minima", pieces)
-    rows, _ = sweep_canonical([2.0, 3.0], [1.0, 1.05, 1.1, 1.3])
+    Ks = (1.0, 1.05, 1.1, 1.3)
+    rows, _ = sweep_canonical([2.0, 3.0], Ks)
     assert calls == [2.0, 3.0]
     assert [r.minimizers for r in rows if r.control[1] == 1.0] == [(0.0,)] * 2
-    assert [x for x in searched if x != "piecewise_minima"] == [
-        (b, K) for b in (2.0, 3.0) for K in (1.05, 1.1, 1.3)]
+    assert searched == [(b, K) for b in (2.0, 3.0) for K in Ks]
     calls.clear()
     sol = solve_canonical(CanonicalParams(2.0, 1.1))
     assert sol.phase_label == "pair"
     assert calls == []
+
+
+def test_canonical_solves_and_rows_call_no_general_search(monkeypatch):
+    # the wells come from the convexity of P' (canonical._local_wells):
+    # piecewise_minima serves only the dual route among canonical callers,
+    # in every region of (beta, K) and on both sides of log 4
+    from begphase import rootfind
+    calls = []
+    for module in (canonical, rootfind):
+        def spy(*args, _f=module.piecewise_minima, **kwargs):
+            calls.append(args)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, "piecewise_minima", spy)
+    points = [(1.0, 0.5), (1.0, 1.5), (2.0, 1.0), (2.0, 1.03), (2.0, 1.05),
+              (2.0, 1.2), (3.0, 1.03), (BETA_C, 1.0), (150.0, 1e62)]
+    for beta, K in points:
+        solve_canonical(CanonicalParams(beta, K))
+    sweep_canonical([1.0, BETA_C, 1.3862944, 2.0, 3.0], [0.9, 1.03, 1.05, 1.3])
+    assert calls == []
+    dual_route_minimum(CanonicalParams(2.0, 1.05))
+    assert calls
 
 
 def test_sweep_rows_carry_the_optimal_value():
@@ -327,47 +341,13 @@ def test_sweep_canonical_rows_are_the_solves_bit_for_bit(beta, Ks, m):
         assert r.branch == sol.phase_label
 
 
-@st.composite
-def _first_order_betas(draw):
-    """beta > log 4: the floats just above it and up to 1e-15..1 above it,
-    where the band grows like 1/z_t^2, the bulk, and up to BETA_MAX."""
-    return draw(st.one_of(
-        st.integers(1, 40).map(lambda n: floats_from(BETA_C, n, 2.0)),
-        st.floats(-15.0, 0.0).map(lambda e: BETA_C + 10.0 ** e),
-        st.floats(BETA_C, 10.0, exclude_min=True),
-        st.floats(10.0, BETA_MAX),
-        st.just(BETA_MAX)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_first_order_betas(), st.integers(-4, 4), st.floats(0.0, 1.0),
-       st.floats(-300.0, 0.0))
-def test_rows_below_the_band_are_the_search_bit_for_bit(beta, m, f, e):
-    # the rows the record decides (K below Kc1 - band) are those of the
-    # search: m ulps from the band's edge, anywhere below Kc1, and at a
-    # log-uniform K down to 1e-300
-    from begphase.diagram import _disordered_below
-    crit = canonical.canonical_criticals(beta)
-    cut = _disordered_below(crit)
-    kc1 = crit.k_first_order
-    Ks = [f * kc1, 10.0 ** e, crit.k_tangent, math.nextafter(crit.k_tangent, 0.0)]
-    if cut > 0.0:
-        Ks.append(floats_from(cut, abs(m), math.copysign(math.inf, m)))
-    Ks = [K for K in Ks if K > 0.0]
-    rows, _ = sweep_canonical([beta], Ks)
-    for r in rows:
-        zs, best, _ = canonical._canonical_minima(CanonicalParams(*r.control))
-        assert _bits(r.minimizers) == _bits(zs)
-        assert _bits([r.value]) == _bits([best])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-4.0, math.log10(BETA_MAX - BETA_C)), st.floats(0.01, 0.99))
 @example(math.log10(BETA_MAX - BETA_C), 0.5)
 def test_well_depth_bound_below_the_first_order_coupling(e, f):
     # D(K) >= beta z_t^2 (Kc1 - K) between the tangency and the first-order
-    # coupling, at 60 digits: the depth of the one positive well, which the
-    # band of _disordered_below reads from the record
+    # coupling, at 60 digits: the depth of the one positive well, by the
+    # envelope theorem (dD/dK = -beta z^2) and z >= z_t
     mpmath = pytest.importorskip("mpmath")
     beta = min(BETA_C + 10.0 ** e, BETA_MAX)
     crit = canonical.canonical_criticals(beta)

@@ -3,13 +3,13 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from conftest import reference_piecewise_minima
+from conftest import floats_from, reference_piecewise_minima
 from hypothesis import example, given, settings, strategies as st
 
 from begphase import canonical, micro, rootfind
-from begphase.canonical import (first_order_coupling, second_order_coupling,
-                                solve_canonical)
-from begphase.core import BETA_C, CanonicalParams, MicroParams
+from begphase.canonical import (BETA_MAX, first_order_coupling,
+                                second_order_coupling, solve_canonical)
+from begphase.core import BETA_C, CanonicalParams, MicroParams, cumulant
 from begphase.diagram import (beta_c1_of_K, tricritical_canonical,
                               tricritical_micro, u_c2_of_K)
 from begphase.micro import (first_order_coupling_u, second_order_coupling_u,
@@ -94,7 +94,8 @@ def test_monotone_roots_starts_at_the_chord():
 
 def test_piecewise_minima_evaluates_the_slope_once_per_point(monkeypatch):
     # the end values of f' (and of f'' at a split) it holds are handed to
-    # the root finder, which evaluated them again
+    # the root finder, which evaluated them again; the dual route, its
+    # canonical caller, finds the pair at (1.2, 1.2) through it
     points = []
     search = canonical.piecewise_minima
 
@@ -102,8 +103,8 @@ def test_piecewise_minima_evaluates_the_slope_once_per_point(monkeypatch):
         return search(_recorded(fp, points), *args, **kwargs)
 
     monkeypatch.setattr(canonical, "piecewise_minima", recorded)
-    sol = canonical.solve_canonical(CanonicalParams(1.2, 1.2))
-    assert sol.phase_label == "pair"
+    _, zs = canonical.dual_route_minimum(CanonicalParams(1.2, 1.2))
+    assert len(zs) == 2
     assert points and len(points) == len(set(points))
 
 
@@ -372,12 +373,23 @@ def _third_recorded(monkeypatch, module, points):
     monkeypatch.setattr(module, "piecewise_minima", recorded)
 
 
+def _canonical_third_recorded(monkeypatch, points):
+    # P''' is read only by the spinodal search of canonical._local_wells
+    kernels = canonical._tilt_kernels
+
+    def recorded(*args):
+        slope, curvature, third = kernels(*args)
+        return slope, curvature, _recorded(third, points)
+
+    monkeypatch.setattr(canonical, "_tilt_kernels", recorded)
+
+
 def test_the_solvers_search_no_spinodal_where_the_end_signs_decide(monkeypatch):
     # P' < 0 at the inflection w_c of c' (2, 1.2), F' < 0 next to the origin,
     # where F'' < 0 (0.4, 1.2), and both > 0 at the upper ends: each piece
     # holds one well, found without f''', which only a spinodal search needs
     points = []
-    _third_recorded(monkeypatch, canonical, points)
+    _canonical_third_recorded(monkeypatch, points)
     _third_recorded(monkeypatch, micro, points)
     assert solve_canonical(CanonicalParams(2.0, 1.2)).phase_label == "pair"
     assert solve_micro(MicroParams(0.4, 1.2)).phase_label == "pair"
@@ -387,17 +399,17 @@ def test_the_solvers_search_no_spinodal_where_the_end_signs_decide(monkeypatch):
 def test_the_metastable_well_needs_the_spinodal(monkeypatch):
     # at beta = 2, K = 1.03 lies between the tangency and the first-order
     # couplings: P' > 0 at both ends of [w_c, 2 beta K + 1], and only P' at
-    # the spinodal shows the positive well behind the global minimum at 0
+    # the spinodal shows the positive well behind the global minimum at 0;
+    # the reference search, which finds every spinodal, brackets the well
+    # as _local_wells does, to the same float
     params = CanonicalParams(2.0, 1.03)
     d = canonical._landau(2.0, 1.03)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(canonical, "piecewise_minima", reference_piecewise_minima)
-        want = canonical._local_wells(params, d)
+    want = _searched_wells(2.0, 1.03, d, reference_piecewise_minima)
     points = []
-    _third_recorded(monkeypatch, canonical, points)
+    _canonical_third_recorded(monkeypatch, points)
     wells = canonical._local_wells(params, d)
     assert wells[0] == 0.0 and len(wells) == 2 and points
-    assert abs(wells[1] - want[1]) <= 4.0 * math.ulp(want[1])
+    assert wells == want
     assert solve_canonical(params).z_points == (0.0,)
 
 
@@ -413,16 +425,18 @@ def test_landau_starts_cut_the_newton_evaluations(monkeypatch, ensemble):
     K = 1.0817
     if ensemble == "canonical":
         solve = partial(solve_canonical, CanonicalParams(beta_c1_of_K(K) + 1e-6, K))
+        module = canonical
     else:
         solve = partial(solve_micro, MicroParams(u_c2_of_K(K) - 1e-7, K))
+        module = rootfind
     counts = []
-    search = rootfind.bisect_newton
+    search = module.bisect_newton
 
     def counted(f, *args, **kwargs):
         counts.append(0)
         return search(_counted(f, counts), *args, **kwargs)
 
-    monkeypatch.setattr(rootfind, "bisect_newton", counted)
+    monkeypatch.setattr(module, "bisect_newton", counted)
     assert len(solve().z_points) == 2
     assert counts and max(counts) <= 8
 
@@ -517,3 +531,69 @@ def test_micro_landau_starts_find_the_blind_starts_minimizers(point):
     _assert_same_minimizers(solve_micro(params).z_points, blind,
                             lambda z: micro._rate_slope(u, K, g, z),
                             lambda z: micro._rate_curvature(u, K, g, z), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the canonical wells from the convexity of P'
+# ---------------------------------------------------------------------------
+
+def _searched_wells(beta, K, d, search):
+    """The wells of canonical._local_wells by a general search, `search`
+    (rootfind's piecewise_minima or the conftest reference), over [w_c,
+    2 beta K + 1] with no cuts (w_c = 0 up to log 4), with the kernels and
+    Landau starts of _local_wells: a search that does not use the
+    convexity of P' there."""
+    if beta <= BETA_C and d >= 0.0:
+        return [0.0]
+    lo = canonical.cumulant_inflection(beta) if beta > BETA_C else 0.0
+    return [0.0] * (d >= 0.0) + [w for w in search(
+        *canonical._tilt_kernels(beta, K, d), (), lo, 2.0 * beta * K + 1.0,
+        landau=canonical._landau_poly(beta, d)) if w > lo]
+
+
+@st.composite
+def canonical_wells_points(draw):
+    """(beta, K): beta log-uniform over [1e-3, BETA_MAX] or within 40
+    floats of log 4; K log-uniform, or within 4 ulps of the tangency, the
+    first-order or the second-order coupling, or of K_s = 1/(2 beta
+    c''(w_c)), where P''(w_c) = 0 and the spinodal search starts or stops
+    being needed."""
+    beta = draw(st.one_of(
+        st.floats(-3.0, math.log10(BETA_MAX)).map(lambda e: min(10.0 ** e, BETA_MAX)),
+        st.builds(floats_from, st.just(BETA_C), st.integers(0, 40),
+                  st.sampled_from([0.0, 4.0]))))
+    kind = draw(st.sampled_from(["log-uniform", "Kc2", "k_t", "Kc1", "K_s"]))
+    if kind == "log-uniform":
+        return beta, 10.0 ** draw(st.floats(-6.0, 6.0))
+    if kind == "Kc2" or beta <= BETA_C:
+        k = second_order_coupling(beta)
+    elif kind == "K_s":
+        w_c = canonical.cumulant_inflection(beta)
+        k = 1.0 / (2.0 * beta * cumulant(beta, w_c, 2))
+    else:
+        crit = canonical.canonical_criticals(beta)
+        k = crit.k_tangent if kind == "k_t" else crit.k_first_order
+    return beta, floats_from(k, draw(st.integers(0, 4)),
+                             draw(st.sampled_from([0.0, math.inf])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_wells_points())
+# w_c lies above 2 beta K + 1: the origin alone, with no search
+@example((7.38905609893065, 0.36787944117144233))
+# P' at 2 beta K + 1 rounds to 0: that end is the well, z = +-1
+@example((150.0, second_order_coupling(150.0) * (1.0 + 1e-6)))
+@example((150.0, second_order_coupling(150.0) * (1.0 - 1e-6)))
+def test_local_wells_are_the_general_search(point):
+    # at most a spinodal search and one well search give the floats of the
+    # general search with the same kernels, bracket and starts; the
+    # reference, which splits the bracket at every root of P'', lands
+    # within the rounding of the slope
+    beta, K = point
+    d = canonical._landau(beta, K)
+    wells = canonical._local_wells(CanonicalParams(beta, K), d)
+    assert wells == _searched_wells(beta, K, d, piecewise_minima)
+    slope, curvature, _ = canonical._tilt_kernels(beta, K, d)
+    _assert_same_minimizers(
+        wells, _searched_wells(beta, K, d, reference_piecewise_minima),
+        slope, curvature, 1.0)
